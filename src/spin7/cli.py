@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,6 +39,9 @@ def _parse_soliton(text: str) -> SolitonData:
 
 def cmd_verify(args) -> int:
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+            raise ValueError(
+                f"--tolerance must be a finite positive number, got {args.tolerance!r}")
         alg = get_algebra(args.algebra)
         phi, warnings = build_structure_form(args.structure, args.t)
         for w in warnings:

@@ -54,9 +54,6 @@ class FrameConnection:
         gl = self.gamma_lowered
         return float(np.max(np.abs(gl + np.einsum("ijk->ikj", gl))))
 
-    def is_flat_table(self) -> bool:
-        return not np.any(self.gamma)
-
 
 @dataclass(frozen=True)
 class CurvatureTensor:

@@ -111,10 +111,6 @@ def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1)
     return out
 
 
-# the oracle entry point is the dense component table
-dense_oracle = dense_components
-
-
 def dense_full_contraction(a: np.ndarray, b: np.ndarray, g: np.ndarray | None = None) -> float:
     """Sum a_I b^I over every index tuple."""
     if g is None:

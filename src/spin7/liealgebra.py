@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, wedge
+from .forms import DIM, KForm, canonical_indices
 
 JACOBI_TOL = 1e-12
 
@@ -44,11 +46,15 @@ class LieAlgebra8:
 
     name: str
     c: np.ndarray  # c[i, j, k] = c^k_{ij}
+    # degree k -> matrix of d on k-forms, filled on first use
+    _d: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         if c.shape != (DIM, DIM, DIM):
             raise ValueError(f"structure constants must be {DIM}^3, got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("structure constants must be finite numbers")
         if np.max(np.abs(c + np.einsum("ijk->jik", c))) > 0.0:
             raise ValueError("structure constants are not antisymmetric in (i, j)")
         c.setflags(write=False)
@@ -99,15 +105,17 @@ class LieAlgebra8:
         """c_{ijk} = c^m_{ij} g_{mk}."""
         return np.einsum("ijm,mk->ijk", self.c, g)
 
-    def structure_equation(self, k: int) -> KForm:
-        """The 2-form de^k = -(1/2) c^k_{ij} e^i ^ e^j."""
-        out: dict = {}
-        for i in range(DIM):
-            for j in range(i + 1, DIM):
-                v = -self.c[i, j, k]
-                if v != 0.0:
-                    out[(i, j)] = v
-        return KForm(2, out)
+    def d_matrix(self, k: int) -> np.ndarray:
+        """The matrix of d on k-forms; see ``ce_differential``."""
+        mat = self._d.get(k)
+        if mat is None:
+            target, where, sign = _d_pattern(k)
+            shape = (math.comb(DIM, k + 1), math.comb(DIM, k))
+            mat = np.bincount(target, sign * -self.c.ravel()[where],
+                              minlength=shape[0] * shape[1]).reshape(shape)
+            mat.setflags(write=False)
+            self._d[k] = mat
+        return mat
 
 
 def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
@@ -134,23 +142,50 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
     return LieAlgebra8.from_brackets(constants, name or spec.get("name", "algebra"))
 
 
+@lru_cache(maxsize=None)
+def _d_pattern(k: int):
+    """Where each structure constant lands in the matrix of d on k-forms.
+
+    d(e^I) = sum_p (-1)^p de^{i_p} ^ e^{I without i_p} with
+    de^m = sum_{a<b} -c^m_{ab} e^{ab}, so entry n adds
+    sign[n] * -c.ravel()[where[n]] to the flat matrix position target[n].
+    The pattern does not depend on the algebra.
+    """
+    # index sets as bit masks
+    row_of = {sum(1 << i for i in J): r for r, J in enumerate(canonical_indices(k + 1))}
+    cols = canonical_indices(k)
+    target, where, sign = [], [], []
+    for col, I in enumerate(cols):
+        for p, m in enumerate(I):
+            rest = sum(1 << i for i in I if i != m)
+            free = [x for x in range(DIM) if not rest >> x & 1]
+            for a, b in combinations(free, 2):
+                # e^a and e^b move past the indices of rest below them
+                below = (rest & ((1 << a) - 1)).bit_count() + (rest & ((1 << b) - 1)).bit_count()
+                target.append(row_of[rest | 1 << a | 1 << b] * len(cols) + col)
+                where.append((a * DIM + b) * DIM + m)
+                sign.append(-1.0 if (p + below) % 2 else 1.0)
+    return np.array(target, dtype=np.intp), np.array(where, dtype=np.intp), np.array(sign)
+
+
 def ce_differential(beta: KForm, alg: LieAlgebra8) -> KForm:
     """Invariant exterior derivative determined by the structure constants.
 
-    Defined on frame covectors by the structure equations and extended as an
-    antiderivation; squares to zero exactly when Jacobi holds.
+    Defined on frame covectors by the structure equations
+    de^m = -(1/2) c^m_{ab} e^a ^ e^b and extended as an antiderivation;
+    squares to zero exactly when Jacobi holds.  On k-forms it is the matrix
+    ``alg.d_matrix(k)`` of shape C(8, k+1) x C(8, k), whose rows and
+    columns follow ``canonical_indices(k + 1)`` and ``canonical_indices(k)``
+    (increasing tuples in lexicographic order): the coefficient vector of
+    d(beta) is that matrix times the coefficient vector of beta.
     """
-    if beta.degree >= DIM:
+    k = beta.degree
+    if k >= DIM:
         raise ValueError("no degree-8 differential in dimension eight")
-    if beta.degree == 0:
+    if k == 0:
         return KForm.zero(1)
-    d1 = [alg.structure_equation(k) for k in range(DIM)]
-    out = KForm.zero(beta.degree + 1)
-    for idx, coeff in beta.coeffs.items():
-        for p, i in enumerate(idx):
-            if not d1[i].coeffs:
-                continue
-            rest = KForm(beta.degree - 1, {idx[:p] + idx[p + 1:]: coeff})
-            sign = -1.0 if p % 2 else 1.0
-            out = out + sign * wedge(d1[i], rest)
-    return out
+    vec = np.array([beta.coeffs.get(idx, 0.0) for idx in canonical_indices(k)])
+    out = alg.d_matrix(k) @ vec
+    return KForm(k + 1, {J: v for J, v in zip(canonical_indices(k + 1), out.tolist())
+                         if v != 0.0})
+

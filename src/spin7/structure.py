@@ -96,10 +96,20 @@ class Spin7Form:
         """All four indices raised with the induced metric."""
         if self.metric.is_identity:
             return self.dense
-        gi = self.metric.inv
-        arr = np.einsum("abcd,ai,bj,ck,dl->ijkl", self.dense, gi, gi, gi, gi)
+        arr = _raised(self.dense, self.metric.inv, (0, 1, 2, 3))
         arr.setflags(write=False)
         return arr
+
+
+def _raised(arr: np.ndarray, gi: np.ndarray, slots) -> np.ndarray:
+    """Raise the given slots of a dense tensor with the inverse metric gi.
+
+    One slot at a time, each a single contraction against gi (symmetric),
+    so the cost stays 8^(rank+1) per slot.
+    """
+    for s in slots:
+        arr = np.moveaxis(np.tensordot(arr, gi, axes=([s], [0])), -1, s)
+    return arr
 
 
 def canonical_phi() -> Spin7Form:
@@ -261,12 +271,12 @@ def validate_phi(phi: KForm, tol: float = 1e-9) -> VerificationReport:
     r1 = abs(np.einsum("ijpq,ijpq->", p, p_up) - 336.0)
     rep.add(entry("contraction_scalar_336", anchor, r1, tol))
     # three-index contraction = 42 g
-    p_up3 = np.einsum("ajkl,jq,kr,ls->aqrs", p, gi, gi, gi)
+    p_up3 = _raised(p, gi, (1, 2, 3))
     two = np.einsum("ijpq,ajpq->ia", p, p_up3)
     r2 = float(np.max(np.abs(two - 42.0 * g)))
     rep.add(entry("contraction_metric_42", anchor, r2, tol))
     # two shared indices: 6(g g - g g) - 4 phi
-    p_up2 = np.einsum("klpq,pr,qs->klrs", p, gi, gi)
+    p_up2 = _raised(p, gi, (2, 3))
     lhs3 = np.einsum("ijpq,klpq->ijkl", p, p_up2)
     rhs3 = (
         6.0 * np.einsum("ik,jl->ijkl", g, g)
@@ -275,26 +285,24 @@ def validate_phi(phi: KForm, tol: float = 1e-9) -> VerificationReport:
     )
     r3 = float(np.max(np.abs(lhs3 - rhs3)))
     rep.add(entry("contraction_two_index", anchor, r3, tol))
-    # one shared index: the full 4-index identity
-    p_up1 = np.einsum("abcs,st->abct", p, gi)
-    lhs4 = np.einsum("ijks,abcs->ijkabc", p_up1, p)
-    rhs4 = (
-        np.einsum("ia,jb,kc->ijkabc", g, g, g)
-        + np.einsum("ib,jc,ka->ijkabc", g, g, g)
-        + np.einsum("ic,ja,kb->ijkabc", g, g, g)
-        - np.einsum("ia,jc,kb->ijkabc", g, g, g)
-        - np.einsum("ib,ja,kc->ijkabc", g, g, g)
-        - np.einsum("ic,jb,ka->ijkabc", g, g, g)
-        - np.einsum("ia,jkbc->ijkabc", g, p)
-        - np.einsum("ja,kibc->ijkabc", g, p)
-        - np.einsum("ka,ijbc->ijkabc", g, p)
-        - np.einsum("ib,jkca->ijkabc", g, p)
-        - np.einsum("jb,kica->ijkabc", g, p)
-        - np.einsum("kb,ijca->ijkabc", g, p)
-        - np.einsum("ic,jkab->ijkabc", g, p)
-        - np.einsum("jc,kiab->ijkabc", g, p)
-        - np.einsum("kc,ijab->ijkabc", g, p)
-    )
-    r4 = float(np.max(np.abs(lhs4 - rhs4)))
+    # one shared index: the full 4-index identity; the right side is summed
+    # in one buffer from transposed views of the outer products g g g and g phi
+    # (a term names the axes of its product: "ibjcka" is g_ib g_jc g_ka);
+    # at most two 8^6 arrays are alive at a time
+    ggg = np.multiply.outer(np.multiply.outer(g, g), g)
+    rhs4 = np.einsum("iajbkc->ijkabc", ggg).copy()
+    for term in ("ibjcka", "icjakb"):
+        rhs4 += np.einsum(term + "->ijkabc", ggg)
+    for term in ("iajckb", "ibjakc", "icjbka"):
+        rhs4 -= np.einsum(term + "->ijkabc", ggg)
+    del ggg
+    gp = np.multiply.outer(g, p)
+    for term in ("iajkbc", "jakibc", "kaijbc", "ibjkca", "jbkica",
+                 "kbijca", "icjkab", "jckiab", "kcijab"):
+        rhs4 -= np.einsum(term + "->ijkabc", gp)
+    del gp
+    lhs4 = np.einsum("ijks,abcs->ijkabc", _raised(p, gi, (3,)), p)
+    lhs4 -= rhs4
+    r4 = float(np.max(np.abs(lhs4, out=lhs4)))
     rep.add(entry("contraction_one_index", anchor, r4, tol))
     return rep

@@ -69,6 +69,29 @@ def test_verify_load_failure_exits_two(tmp_path, capsys):
     assert run_cli("verify", "--algebra", str(broken)) == 2
 
 
+def _single_error_line(err: str) -> bool:
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_verify_non_finite_constant_exits_two(value, tmp_path, capsys):
+    # Python's json reads these as floats; they must not reach the checks
+    spec = tmp_path / "alg.json"
+    spec.write_text('{"name": "x", "dim": 8, "convention": "brackets", '
+                    '"constants": [{"i": 2, "j": 3, "k": 1, "c": %s}]}' % value)
+    assert run_cli("verify", "--algebra", str(spec)) == 2
+    assert _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_verify_bad_tolerance_exits_two(value, capsys):
+    assert run_cli("verify", "--algebra", "abelian", f"--tolerance={value}") == 2
+    captured = capsys.readouterr()
+    assert _single_error_line(captured.err)
+    assert captured.out == ""
+
+
 def test_verify_heisenberg_reports_probe_failures(tmp_path, capsys):
     # the generic smoke entry fails the pair-symmetry probes by design;
     # the report is still complete and the exit code says "checks failed"

@@ -28,6 +28,7 @@ from spin7.forms import (
     KForm,
     canonical_indices,
     residual,
+    wedge,
 )
 from spin7.liealgebra import LieAlgebra8, ce_differential, load_algebra, parse_scalar
 from spin7.structure import canonical_phi
@@ -100,9 +101,41 @@ def test_differential_matches_structure_equations(su2, su3):
     assert d0.coeffs == {(4, 5): pytest.approx(-s32), (6, 7): pytest.approx(-s32)}
 
 
+def reference_differential(beta, alg):
+    """d as an antiderivation, term by term: the definition, not the matrix.
+
+    d(e^I) = sum_p (-1)^p de^{i_p} ^ e^{I without i_p}, with the structure
+    equations de^m = -(1/2) c^m_{ab} e^a ^ e^b as 2-forms.
+    """
+    d1 = [KForm(2, {(a, b): -alg.c[a, b, m] for a, b in canonical_indices(2)})
+          for m in range(8)]
+    out = KForm.zero(beta.degree + 1)
+    for idx, coeff in beta.coeffs.items():
+        for p, i in enumerate(idx):
+            rest = KForm(beta.degree - 1, {idx[:p] + idx[p + 1:]: coeff})
+            out = out + (-1.0) ** p * wedge(d1[i], rest)
+    return out
+
+
+@pytest.mark.parametrize("name", ["abelian", "su2su2u1u1", "su3", "heisenberg"])
+def test_differential_matches_reference(name, rng):
+    alg = corpus_algebra(name)
+    for a in (alg, alg.mirrored()):
+        for degree in range(1, 8):
+            beta = KForm(degree, {idx: rng.standard_normal()
+                                  for idx in canonical_indices(degree)})
+            assert residual(ce_differential(beta, a), reference_differential(beta, a)) < 1e-14
+
+
+def test_differential_degree_bounds(su3):
+    assert ce_differential(KForm.scalar(2.0), su3).coeffs == {}
+    with pytest.raises(ValueError):
+        ce_differential(KForm(8, {tuple(range(8)): 1.0}), su3)
+
+
 def test_differential_squares_to_zero(su2, su3, heisenberg, rng):
     for alg in (su2, su3, heisenberg):
-        for degree in (1, 2, 3):
+        for degree in range(1, 7):
             beta = KForm(degree, {idx: rng.standard_normal()
                                   for idx in canonical_indices(degree)})
             dd = ce_differential(ce_differential(beta, alg), alg)
