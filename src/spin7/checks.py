@@ -18,12 +18,10 @@ import numpy as np
 from .connection import (
     covariant_derivative,
     dt_via_expansion,
-    lee_form_routes,
     spin7_torsion,
-    spin7_torsion_routes,
     torsion_tensor,
 )
-from .forms import KForm, interior_product, norm_sq, residual, wedge
+from .forms import KForm, interior_product, norm_sq, raise_slots, residual, wedge
 from .geometry import Geometry, SolitonData
 from .liealgebra import ce_differential
 from .report import (
@@ -34,7 +32,7 @@ from .report import (
     entry,
     na_entry,
 )
-from .structure import project_lambda2, project_lambda3, validate_phi
+from .structure import project_lambda2, validate_phi
 
 
 def _report_of(fn):
@@ -54,20 +52,9 @@ def _maxabs(arr) -> float:
     return float(np.max(np.abs(arr))) if np.size(arr) else 0.0
 
 
-def _phi_up(geom: Geometry, n_raised: int) -> np.ndarray:
-    """phi with the first n indices raised by the induced metric."""
-    if geom.metric.is_identity:
-        return geom.phi4
-    gi = geom.metric.inv
-    out = geom.phi4
-    spec = {1: "abcd,ap->pbcd", 2: "abcd,ap,bq->pqcd",
-            3: "abcd,ap,bq,cr->pqrd", 4: "abcd,ap,bq,cr,ds->pqrs"}[n_raised]
-    return np.einsum(spec, out, *([gi] * n_raised))
-
-
 @_report_of
 def check_structure(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    return validate_phi(geom.structure.phi, tol).entries
+    return validate_phi(geom.structure, tol).entries
 
 
 @_report_of
@@ -93,7 +80,8 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
         _maxabs(covariant_derivative(geom.conn, m.g)),
         _maxabs(covariant_derivative(geom.lc, m.g)),
     )
-    rr = _maxabs(np.einsum("ijab,abkl->ijkl", geom.curv.R, _phi_up(geom, 2)) - 2.0 * geom.curv.R)
+    phi_up2 = raise_slots(geom.phi4, m, (0, 1))
+    rr = _maxabs(np.einsum("ijab,abkl->ijkl", geom.curv.R, phi_up2) - 2.0 * geom.curv.R)
     return [
         entry("lc_metric_compatibility", "id:metric-connection", geom.lc.metric_compat_residual(), tol),
         entry("lc_torsion_free", "id:levi-civita", torsion_free, tol),
@@ -109,25 +97,24 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
 
 @_report_of
 def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    alg, m = geom.algebra, geom.metric
-    gi = m.inv
+    m = geom.metric
     phi = geom.phi4
     out = []
 
-    r1, r2, r3 = lee_form_routes(geom.structure, alg)
-    routes = max(residual(r1, r3), residual(r2, r3), residual(r1, geom.theta))
+    r1, r2, r3 = geom.lee_routes
+    routes = max(residual(r1, r3), residual(r2, r3))
     out.append(entry("lee_form_routes_agree", "id:lee-form", routes, tol))
 
-    t_up3 = np.einsum("jkl,ja,kb,lc->abc", geom.t3, gi, gi, gi) if not m.is_identity else geom.t3
+    t_up3 = raise_slots(geom.t3, m, (0, 1, 2))
     tit = _maxabs(geom.theta_vec + (1.0 / 7.0) * np.einsum("abc,abci->i", t_up3, phi))
     out.append(entry("lee_from_torsion_contraction", "id:lee-from-torsion", tit, tol))
 
-    ta, tb = spin7_torsion_routes(geom.structure, alg)
+    ta, tb = geom.torsion_routes
     out.append(entry("torsion_routes_agree", "id:characteristic-torsion",
-                     max(residual(ta, tb), residual(ta, geom.torsion)), tol))
+                     residual(ta, tb), tol))
 
     # fixed-point form of the torsion and the codifferential of phi
-    t_up2 = np.einsum("jsk,ja,sb->abk", geom.t3, gi, gi) if not m.is_identity else geom.t3
+    t_up2 = raise_slots(geom.t3, m, (0, 1))
     half = (
         0.5 * np.einsum("jsk,jslm->klm", t_up2, phi)
         - 0.5 * np.einsum("jsl,jskm->klm", t_up2, phi)
@@ -138,13 +125,12 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
     torcy2 = geom.t3 - (half + (7.0 / 6.0) * np.einsum("s,sklm->klm", geom.theta_up, phi))
     out.append(entry("torsion_fixed_point", "id:torsion-fixed-point", _maxabs(torcy2), tol))
 
-    part8, part48 = project_lambda3(geom.delta_phi, geom.structure)
-    expected48 = geom.delta_phi + interior_product(geom.theta, geom.structure.phi, m)
+    part48 = geom.delta_phi48
+    theta_phi = interior_product(geom.theta, geom.structure.phi, m)
     out.append(entry("codifferential_48_part", "id:codifferential-48-part",
-                     residual(part48, expected48), tol))
+                     residual(part48, geom.delta_phi + theta_phi), tol))
 
-    split = residual(geom.torsion,
-                     part48 + (1.0 / 6.0) * interior_product(geom.theta, geom.structure.phi, m))
+    split = residual(geom.torsion, part48 + (1.0 / 6.0) * theta_phi)
     out.append(entry("torsion_48_split", "id:torsion-norm-split", split, tol))
     norm_split = abs(geom.torsion_norm_sq
                      - norm_sq(part48, m) - (7.0 / 6.0) * geom.theta_norm_sq)
@@ -192,18 +178,19 @@ def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
 
 @_report_of
 def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    phi = geom.phi4
-    phi_up4 = geom.structure.dense_up
+    m = geom.metric
+    # full contractions raise all of phi; the Ricci-type ones keep phi_j lower
+    phi_up4 = raise_slots(geom.phi4, m, (0, 1, 2, 3))
+    phi_j_up3 = raise_slots(geom.phi4, m, (1, 2, 3))
     nt = geom.nabla_t
     ntheta = geom.nabla_theta
     tn, thn = geom.torsion_norm_sq, geom.theta_norm_sq
     dth = geom.delta_theta
-    _, part48 = project_lambda3(geom.delta_phi, geom.structure)
-    n48 = norm_sq(part48, geom.metric)
+    n48 = norm_sq(geom.delta_phi48, m)
 
     ric_formula = _maxabs(
         geom.ric
-        + (1.0 / 12.0) * np.einsum("iabc,jabc->ij", geom.dt4, phi_up4)
+        + (1.0 / 12.0) * np.einsum("iabc,jabc->ij", geom.dt4, phi_j_up3)
         + (7.0 / 6.0) * ntheta
     )
     scal_a = abs(geom.scal - (3.5 * dth + (49.0 / 18.0) * thn - tn / 3.0))
@@ -212,14 +199,13 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationR
     scal1_b = abs(geom.scal_lc - (3.5 * dth + (21.0 / 8.0) * thn - n48 / 12.0))
 
     sig_phi = float(np.einsum("jabc,jabc->", geom.sigma4, phi_up4))
-    mid = 3.0 * float(np.einsum("jas,bcs,jabc->", geom.t3, geom.t3, phi_up4)) \
-        if geom.metric.is_identity else 3.0 * float(
-            np.einsum("jas,bct,st,jabc->", geom.t3, geom.t3, geom.metric.inv, phi_up4))
+    mid = 3.0 * float(np.einsum("jas,bcs,jabc->", geom.t3, raise_slots(geom.t3, m, (2,)),
+                                phi_up4))
     ng4 = max(abs(sig_phi - mid), abs(sig_phi - (2.0 * tn - (49.0 / 3.0) * thn)))
 
     dt_phi = float(np.einsum("jabc,jabc->", geom.dt4, phi_up4))
     nt_phi = float(np.einsum("jabc,jabc->", nt, phi_up4))
-    tr_ntheta = float(np.einsum("jk,jk->", ntheta, geom.metric.inv))
+    tr_ntheta = float(np.einsum("jk,jk->", ntheta, m.inv))
     g22 = max(
         abs(dt_phi - (4.0 * nt_phi + 2.0 * sig_phi)),
         abs(dt_phi - (28.0 * tr_ntheta + 4.0 * tn - (98.0 / 3.0) * thn)),
@@ -227,8 +213,8 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationR
     )
 
     ricdt = max(
-        _maxabs(2.0 * geom.ric + np.einsum("iabc,jabc->ij", geom.curv.R, phi_up4)),
-        _maxabs(2.0 * geom.ric + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.dt4, phi_up4)
+        _maxabs(2.0 * geom.ric + np.einsum("iabc,jabc->ij", geom.curv.R, phi_j_up3)),
+        _maxabs(2.0 * geom.ric + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.dt4, phi_j_up3)
                 + (7.0 / 3.0) * ntheta),
     )
     return [
@@ -283,7 +269,6 @@ def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
     if geom.dtorsion.max_abs() > tol:
         return [na_entry(i, anchor, "torsion is not closed here") for i in ids]
     clos1 = _maxabs(geom.ric + (7.0 / 6.0) * geom.nabla_theta)
-    part7, _ = project_lambda2(geom.dtheta, geom.structure)
     ric0 = _maxabs(geom.ric)
     nth0 = _maxabs(geom.nabla_theta)
     scal0 = abs(geom.scal)
@@ -294,7 +279,7 @@ def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
     verdicts = [ric0 <= tol, nth0 <= tol, scal0 <= tol, dth0 <= tol]
     return [
         entry(ids[0], anchor, clos1, tol),
-        entry(ids[1], anchor, part7.max_abs(), tol),
+        entry(ids[1], anchor, geom.dtheta7.max_abs(), tol),
         entry(ids[2], anchor, ric0, tol),
         entry(ids[3], anchor, nth0, tol),
         entry(ids[4], anchor, scal0, tol),
@@ -306,13 +291,12 @@ def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
 
 @_report_of
 def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    gi = geom.metric.inv
-    phi_up2 = _phi_up(geom, 2)
+    m = geom.metric
+    phi_up2 = raise_slots(geom.phi4, m, (0, 1))
     dphi3 = geom.delta_phi.to_array()
 
     # codifferential of the torsion from the Lee form, always applicable
-    dth2 = geom.dtheta.to_array()
-    dth_up = dth2 if geom.metric.is_identity else np.einsum("ab,as,bt->st", dth2, gi, gi)
+    dth_up = raise_slots(geom.dtheta.to_array(), m, (0, 1))
     rhs = (7.0 / 6.0) * (
         0.5 * np.einsum("st,stlm->lm", dth_up, geom.phi4)
         - np.einsum("k,klm->lm", geom.theta_up, dphi3)
@@ -341,8 +325,7 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
 
     sym_v = _maxabs(nth - nth.T) <= tol
     tth_v = _maxabs(th_t_phi - 2.0 * th_t) <= tol
-    p7, _ = project_lambda2(geom.dtheta, geom.structure)
-    dth_v = p7.max_abs() <= tol
+    dth_v = geom.dtheta7.max_abs() <= tol
     out.append(agreement_entry("symmetric_ricci_equivalence", anchor, [sym_v, tth_v, dth_v], tol))
     return out
 
@@ -352,8 +335,8 @@ def check_second_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
     gi = geom.metric.inv
     nric = covariant_derivative(geom.conn, geom.ric)
     div_ric = np.einsum("ijk,ik->j", nric, gi)
-    t_up2 = geom.t3 if geom.metric.is_identity else np.einsum("abj,ax,by->xyj", geom.t3, gi, gi)
-    t_up3 = geom.t3 if geom.metric.is_identity else np.einsum("abc,ax,by,cz->xyz", geom.t3, gi, gi, gi)
+    t_up2 = raise_slots(geom.t3, geom.metric, (0, 1))
+    t_up3 = raise_slots(geom.t3, geom.metric, (0, 1, 2))
     # frame constants: the scalar and torsion-norm gradients vanish identically
     e1 = _maxabs(
         -2.0 * div_ric
@@ -382,21 +365,22 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificatio
     anchor = "id:parallel-torsion-theorems"
     ids = ["ricci_quartic_balance", "lc_parallel_torsion", "parallel_torsion",
            "lee_parallel_under_pair_symmetry", "quartic_lee_contractions"]
-    p7, _ = project_lambda2(geom.dtheta, geom.structure)
-    hyp_lee = p7.max_abs() <= tol
+    hyp_lee = geom.dtheta7.max_abs() <= tol
     pair = _maxabs(geom.curv.R - np.einsum("zvxy->xyzv", geom.curv.R)) <= tol
     ric0 = _maxabs(geom.ric) <= tol
     if not (hyp_lee and pair and ric0):
         return [na_entry(i, anchor, "pair-symmetry hypotheses fail here") for i in ids]
 
-    phi_up4 = geom.structure.dense_up
+    # phi_j^{abc} against the Ricci-type terms, phi^{jkl}_i against the quartic ones
+    phi_j_up3 = raise_slots(geom.phi4, geom.metric, (1, 2, 3))
+    phi_up3_i = raise_slots(geom.phi4, geom.metric, (0, 1, 2))
     ntheta = geom.nabla_theta
     su1 = _maxabs(geom.ric + 3.5 * ntheta
-                  + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.sigma4, phi_up4))
+                  + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.sigma4, phi_j_up3))
     nthh = max(
-        _maxabs(np.einsum("pjkl,jkli->pi", geom.nabla_t, phi_up4) - 7.0 * ntheta),
-        _maxabs(np.einsum("pjkl,jkli->pi", geom.sigma4, phi_up4) + 21.0 * ntheta),
-        _maxabs(np.einsum("pjkl,jkli->pi", geom.dt4, phi_up4) + 14.0 * ntheta),
+        _maxabs(np.einsum("pjkl,jkli->pi", geom.nabla_t, phi_up3_i) - 7.0 * ntheta),
+        _maxabs(np.einsum("pjkl,jkli->pi", geom.sigma4, phi_up3_i) + 21.0 * ntheta),
+        _maxabs(np.einsum("pjkl,jkli->pi", geom.dt4, phi_up3_i) + 14.0 * ntheta),
     )
     return [
         entry(ids[0], anchor, su1, tol),
@@ -426,18 +410,16 @@ def check_soliton(geom: Geometry, soliton: SolitonData | None = None,
     df = soliton.f_gradient
     v = (7.0 / 6.0) * geom.theta_vec - df
     v_form = KForm.covector(v)
-    gi = geom.metric.inv
 
     nv = covariant_derivative(geom.conn, v)
     hess = covariant_derivative(geom.conn, df)
-    df_t = np.einsum("s,sij->ij", gi @ df, geom.t3)
+    df_t = np.einsum("s,sij->ij", raise_slots(df, geom.metric, (0,)), geom.t3)
     v_t = interior_product(v_form, geom.torsion, geom.metric)
     lie_g = covariant_derivative(geom.lc, v)
     lie_g = lie_g + lie_g.T
     lie_phi = ce_differential(interior_product(v_form, geom.structure.phi, geom.metric),
                               geom.algebra) \
-        + interior_product(v_form, ce_differential(geom.structure.phi, geom.algebra),
-                           geom.metric)
+        + interior_product(v_form, geom.dphi, geom.metric)
     notes = "constant potential (df = 0)" if not np.any(df) else "user-supplied gradient"
     return [
         entry(ids[0], anchor, _maxabs(nv), tol, notes=notes),
@@ -456,7 +438,7 @@ def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> list[str]:
     nontrivially (nonzero d phi), so the flat baseline reads as
     closed + balanced rather than everything at once.
     """
-    dphi = ce_differential(geom.structure.phi, geom.algebra)
+    dphi = geom.dphi
     w0 = dphi.max_abs() <= tol
     holds = {
         "W_0": w0,

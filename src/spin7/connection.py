@@ -23,6 +23,7 @@ from .forms import (
     KForm,
     hodge_star,
     interior_product,
+    raise_slots,
     residual,
     wedge,
 )
@@ -77,14 +78,12 @@ def levi_civita(alg: LieAlgebra8, m: FrameMetric) -> FrameConnection:
     """Koszul formula on an invariant frame with constant metric table."""
     cl = alg.lowered(m.g)
     low = 0.5 * (cl - np.einsum("jki->ijk", cl) + np.einsum("kij->ijk", cl))
-    gamma = np.einsum("ijl,lk->ijk", low, m.inv)
-    return FrameConnection(gamma, m)
+    return FrameConnection(raise_slots(low, m, (2,)), m)
 
 
 def connection_from_torsion(lc: FrameConnection, torsion: KForm) -> FrameConnection:
     """Metric connection with prescribed totally skew torsion 3-form."""
-    t = torsion.to_array()
-    gamma = lc.gamma + 0.5 * np.einsum("ijl,lk->ijk", t, lc.metric.inv)
+    gamma = lc.gamma + 0.5 * raise_slots(torsion.to_array(), lc.metric, (2,))
     return FrameConnection(gamma, lc.metric)
 
 
@@ -225,13 +224,14 @@ def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
     T = -*d(phi) + (7/6) * (theta ^ phi); the equivalent route
     delta(phi) + (7/6) theta . phi is exposed by ``spin7_torsion_routes``.
     """
-    return spin7_torsion_routes(structure, alg)[0]
+    return spin7_torsion_routes(structure, alg, lee_form(structure, alg))[0]
 
 
-def spin7_torsion_routes(structure: Spin7Form, alg: LieAlgebra8) -> tuple[KForm, KForm]:
+def spin7_torsion_routes(structure: Spin7Form, alg: LieAlgebra8,
+                         theta: KForm) -> tuple[KForm, KForm]:
+    """The two torsion expressions of ``spin7_torsion``, given the Lee form."""
     m = structure.metric
     phi = structure.phi
-    theta = lee_form(structure, alg)
     via_star = -1.0 * hodge_star(ce_differential(phi, alg), m) \
         + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
     delta_phi = -1.0 * hodge_star(ce_differential(hodge_star(phi, m), alg), m)
@@ -263,7 +263,7 @@ def dt_via_expansion(torsion: KForm, conn: FrameConnection,
     rep = VerificationReport("exterior-derivative-expansions")
     rep.add(entry("dT_five_term_expansion", "id:dT-covariant-expansion",
                   float(np.max(np.abs(dt - expansion))), tol))
-    lc = FrameConnection(conn.gamma - 0.5 * np.einsum("ijl,lk->ijk", t3, m.inv), m)
+    lc = FrameConnection(conn.gamma - 0.5 * raise_slots(t3, m, (2,)), m)
     nt_g = covariant_derivative(lc, t3)
     rep.add(entry("lc_vs_torsion_derivative", "id:dT-derivative-difference",
                   float(np.max(np.abs(nt_g - nt - 0.5 * sig))), tol))

@@ -292,27 +292,16 @@ def residual(a: KForm, b: KForm) -> float:
 
 
 # ---------------------------------------------------------------------------
-# index raising on canonical monomials
+# index raising: canonical coefficients and dense tensors
 
 def _minor_matrix(ginv: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of k x k minors of g^{-1} over canonical monomials.
 
     Raising an antisymmetric tensor is b^I = sum_J det(ginv[I, J]) b_J over
-    canonical J.
+    canonical J; all C(8,k)^2 minors are one batched determinant.
     """
-    idxs = canonical_indices(degree)
-    n = len(idxs)
-    if degree == 0:
-        return np.ones((1, 1))
-    out = np.empty((n, n))
-    for r, I in enumerate(idxs):
-        sub = ginv[np.ix_(I, I)]
-        for s, J in enumerate(idxs):
-            if degree == 1:
-                out[r, s] = ginv[I[0], J[0]]
-            else:
-                out[r, s] = np.linalg.det(ginv[np.ix_(I, J)])
-    return out
+    idx = np.array(canonical_indices(degree), dtype=np.intp)
+    return np.linalg.det(ginv[idx[:, None, :, None], idx[None, :, None, :]])
 
 
 def raise_coeffs(a: KForm, m: FrameMetric) -> dict:
@@ -326,6 +315,18 @@ def raise_coeffs(a: KForm, m: FrameMetric) -> dict:
         vec[pos[idx]] = c
     raised = _minor_matrix(m.inv, a.degree) @ vec
     return {idx: raised[i] for i, idx in enumerate(idxs) if raised[i] != 0.0}
+
+
+def raise_slots(arr: np.ndarray, m: FrameMetric, slots) -> np.ndarray:
+    """Raise the given slots of a dense tensor with the inverse metric.
+
+    One tensordot per slot, so the cost stays 8^(rank+1) per slot.  A
+    tensordot against the exact identity is exact, so orthonormal frames
+    keep their exact zeros without a special case.
+    """
+    for s in slots:
+        arr = np.moveaxis(np.tensordot(arr, m.inv, axes=([s], [0])), -1, s)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +374,7 @@ def interior_product(x, a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
         raise ValueError("interior product of a degree-0 form")
     if isinstance(x, KForm):
         x = x.covector_components()
-    x_up = np.asarray(x, dtype=float)
-    if not m.is_identity:
-        x_up = m.inv @ x_up
+    x_up = raise_slots(np.asarray(x, dtype=float), m, (0,))
     out: dict = {}
     for idx, c in a.coeffs.items():
         for p, i in enumerate(idx):
@@ -484,7 +483,10 @@ def form_from_dict(d: dict) -> KForm:
         idx = validate_multi_index(term["idx"], degree)
         if idx in coeffs:
             raise ValueError(f"duplicate multi-index {idx} in serialized form")
-        coeffs[idx] = float(term["c"])
+        c = float(term["c"])
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient of multi-index {idx} is not finite: {c!r}")
+        coeffs[idx] = c
     return KForm(degree, coeffs)
 
 

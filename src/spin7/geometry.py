@@ -1,8 +1,11 @@
 """Assembled geometry: an algebra plus a fundamental form and everything derived.
 
-Building a Geometry computes the induced metric, Lee form, characteristic
-torsion, Levi-Civita and torsion connections and both curvatures once; the
-identity suite then reads cached dense tables.
+Building a Geometry computes once the induced metric, the three Lee-form
+routes (``lee_routes``; ``theta`` is the last), the two torsion routes
+(``torsion_routes``; ``torsion`` is the first), the Levi-Civita and torsion
+connections and both curvatures.  Everything else the identity suite reads,
+d phi, the 7-part of d theta and the 48-part of delta phi among it, is a
+cached property computed on first use.
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ from .connection import (
     connection_from_torsion,
     covariant_derivative,
     curvature,
+    lee_form_routes,
     levi_civita,
-    lee_form,
     ricci,
     scalar_curv,
     sigma_t,
-    spin7_torsion,
+    spin7_torsion_routes,
 )
-from .forms import KForm, norm_sq
+from .forms import KForm, norm_sq, raise_slots
 from .liealgebra import LieAlgebra8, ce_differential
-from .structure import Spin7Form
+from .structure import Spin7Form, project_lambda2, project_lambda3
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class Geometry:
     name: str
     algebra: LieAlgebra8
     structure: Spin7Form
-    theta: KForm
-    torsion: KForm
+    lee_routes: tuple[KForm, KForm, KForm]
+    torsion_routes: tuple[KForm, KForm]
     lc: FrameConnection
     conn: FrameConnection
     curv: CurvatureTensor
@@ -70,21 +73,31 @@ class Geometry:
     @classmethod
     def build(cls, algebra: LieAlgebra8, phi: KForm, name: str | None = None) -> "Geometry":
         structure = Spin7Form.from_form(phi)
-        theta = lee_form(structure, algebra)
-        torsion = spin7_torsion(structure, algebra)
+        lee_routes = lee_form_routes(structure, algebra)
+        torsion_routes = spin7_torsion_routes(structure, algebra, lee_routes[2])
         lc = levi_civita(algebra, structure.metric)
-        conn = connection_from_torsion(lc, torsion)
+        conn = connection_from_torsion(lc, torsion_routes[0])
         return cls(
             name=name or algebra.name,
             algebra=algebra,
             structure=structure,
-            theta=theta,
-            torsion=torsion,
+            lee_routes=lee_routes,
+            torsion_routes=torsion_routes,
             lc=lc,
             conn=conn,
             curv=curvature(conn, algebra),
             curv_lc=curvature(lc, algebra),
         )
+
+    @property
+    def theta(self) -> KForm:
+        """The Lee form, by the contraction route (as ``lee_form``)."""
+        return self.lee_routes[2]
+
+    @property
+    def torsion(self) -> KForm:
+        """The characteristic torsion, by the *d phi route (as ``spin7_torsion``)."""
+        return self.torsion_routes[0]
 
     # -- cached dense tables --------------------------------------------------
 
@@ -106,7 +119,11 @@ class Geometry:
 
     @cached_property
     def theta_up(self) -> np.ndarray:
-        return self.metric.inv @ self.theta_vec
+        return raise_slots(self.theta_vec, self.metric, (0,))
+
+    @cached_property
+    def dphi(self) -> KForm:
+        return ce_differential(self.structure.phi, self.algebra)
 
     @cached_property
     def dtorsion(self) -> KForm:
@@ -145,6 +162,11 @@ class Geometry:
         return ce_differential(self.theta, self.algebra)
 
     @cached_property
+    def dtheta7(self) -> KForm:
+        """The 7-part of d theta."""
+        return project_lambda2(self.dtheta, self.structure)[0]
+
+    @cached_property
     def delta_torsion(self) -> KForm:
         return codifferential(self.torsion, self.algebra, self.lc)
 
@@ -159,6 +181,11 @@ class Geometry:
     @cached_property
     def delta_phi(self) -> KForm:
         return codifferential(self.structure.phi, self.algebra, self.lc)
+
+    @cached_property
+    def delta_phi48(self) -> KForm:
+        """The 48-part of delta phi."""
+        return project_lambda3(self.delta_phi, self.structure)[1]
 
     @cached_property
     def ric(self) -> np.ndarray:

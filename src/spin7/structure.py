@@ -23,6 +23,7 @@ from .forms import (
     contract_into,
     hodge_star,
     interior_product,
+    raise_slots,
     residual,
     wedge,
 )
@@ -91,27 +92,6 @@ class Spin7Form:
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def dense_up(self) -> np.ndarray:
-        """All four indices raised with the induced metric."""
-        if self.metric.is_identity:
-            return self.dense
-        arr = _raised(self.dense, self.metric.inv, (0, 1, 2, 3))
-        arr.setflags(write=False)
-        return arr
-
-
-def _raised(arr: np.ndarray, gi: np.ndarray, slots) -> np.ndarray:
-    """Raise the given slots of a dense tensor with the inverse metric gi.
-
-    One slot at a time, each a single contraction against gi (symmetric),
-    so the cost stays 8^(rank+1) per slot.
-    """
-    for s in slots:
-        arr = np.moveaxis(np.tensordot(arr, gi, axes=([s], [0])), -1, s)
-    return arr
-
-
 def canonical_phi() -> Spin7Form:
     """The canonical fundamental form; induced metric is the identity."""
     return Spin7Form.canonical()
@@ -137,11 +117,10 @@ def d_operator(alpha: KForm, structure: Spin7Form) -> KForm:
     """Four-term contraction of a 2-form against phi; kernel is the 21-part."""
     if alpha.degree != 2:
         raise ValueError(f"expected a 2-form, got degree {alpha.degree}")
-    a = alpha.to_array()
     p = structure.dense
     # contracted slot raised; one substitution per slot of phi, same index
     # pattern in each term, so the kernel is exactly the stabilizer algebra
-    a2 = a if structure.metric.is_identity else a @ structure.metric.inv
+    a2 = raise_slots(alpha.to_array(), structure.metric, (1,))
     out = (
         np.einsum("is,sjkl->ijkl", a2, p)
         + np.einsum("js,iskl->ijkl", a2, p)
@@ -182,10 +161,7 @@ def omega_operator(sigma: KForm, structure: Spin7Form) -> KForm:
     if sigma.degree != 4:
         raise ValueError(f"expected a 4-form, got degree {sigma.degree}")
     s = sigma.to_array()
-    p = structure.dense
-    if not structure.metric.is_identity:
-        gi = structure.metric.inv
-        p = np.einsum("abkl,ap,bq->pqkl", p, gi, gi)
+    p = raise_slots(structure.dense, structure.metric, (0, 1))
     out = (
         np.einsum("ijpq,pqkl->ijkl", s, p)
         + np.einsum("ikpq,pqlj->ijkl", s, p)
@@ -241,43 +217,43 @@ def lambda4_ranks(structure: Spin7Form, tol: float = 1e-6) -> tuple[int, int, in
 # ---------------------------------------------------------------------------
 # admissibility
 
-def validate_phi(phi: KForm, tol: float = 1e-9) -> VerificationReport:
+def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationReport:
     """Run the full admissibility battery on a candidate fundamental form.
 
     Checks positive-definiteness of the induced metric, self-duality with
     respect to it, and the four contraction identities (written with the
     induced metric in place of the flat one).  Failures are report entries,
     not exceptions, except that a degenerate metric short-circuits the
-    contraction checks.
+    contraction checks.  A Spin7Form is checked against the metric it
+    already carries.
     """
     rep = VerificationReport("fundamental-form-admissibility")
     anchor = "id:fundamental-form-identities"
-    try:
-        m = metric_from_phi(phi)
-    except ValueError as exc:
-        rep.add(entry("induced_metric_spd", anchor, 1.0, tol, notes=str(exc)))
-        return rep
+    if isinstance(phi, Spin7Form):
+        structure = phi
+    else:
+        try:
+            structure = Spin7Form.from_form(phi)
+        except ValueError as exc:
+            rep.add(entry("induced_metric_spd", anchor, 1.0, tol, notes=str(exc)))
+            return rep
     rep.add(entry("induced_metric_spd", anchor, 0.0, tol))
-    structure = Spin7Form(phi, m)
+    phi, m = structure.phi, structure.metric
 
     sd = residual(hodge_star(phi, m), phi)
     rep.add(entry("self_dual", anchor, sd, tol))
 
     p = structure.dense
     g = m.g
-    gi = m.inv
-    p_up = structure.dense_up
     # full contraction = 336
-    r1 = abs(np.einsum("ijpq,ijpq->", p, p_up) - 336.0)
+    r1 = abs(np.einsum("ijpq,ijpq->", p, raise_slots(p, m, (0, 1, 2, 3))) - 336.0)
     rep.add(entry("contraction_scalar_336", anchor, r1, tol))
     # three-index contraction = 42 g
-    p_up3 = _raised(p, gi, (1, 2, 3))
-    two = np.einsum("ijpq,ajpq->ia", p, p_up3)
+    two = np.einsum("ijpq,ajpq->ia", p, raise_slots(p, m, (1, 2, 3)))
     r2 = float(np.max(np.abs(two - 42.0 * g)))
     rep.add(entry("contraction_metric_42", anchor, r2, tol))
     # two shared indices: 6(g g - g g) - 4 phi
-    p_up2 = _raised(p, gi, (2, 3))
-    lhs3 = np.einsum("ijpq,klpq->ijkl", p, p_up2)
+    lhs3 = np.einsum("ijpq,klpq->ijkl", p, raise_slots(p, m, (2, 3)))
     rhs3 = (
         6.0 * np.einsum("ik,jl->ijkl", g, g)
         - 6.0 * np.einsum("il,jk->ijkl", g, g)
@@ -301,7 +277,7 @@ def validate_phi(phi: KForm, tol: float = 1e-9) -> VerificationReport:
                  "kbijca", "icjkab", "jckiab", "kcijab"):
         rhs4 -= np.einsum(term + "->ijkabc", gp)
     del gp
-    lhs4 = np.einsum("ijks,abcs->ijkabc", _raised(p, gi, (3,)), p)
+    lhs4 = np.einsum("ijks,abcs->ijkabc", raise_slots(p, m, (3,)), p)
     lhs4 -= rhs4
     r4 = float(np.max(np.abs(lhs4, out=lhs4)))
     rep.add(entry("contraction_one_index", anchor, r4, tol))

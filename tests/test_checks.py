@@ -1,5 +1,8 @@
 """Behavior of the identity suite across the corpus geometries."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -186,3 +189,24 @@ def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
     for geom in list(geometries.values()) + [heisenberg_geom]:
         entries = {e.check_id: e for e in check_s2lambda2(geom).entries}
         assert entries["pair_symmetry_equivalence"].passed, geom.name
+
+
+def test_derived_quantities_are_computed_once(monkeypatch):
+    # one build plus one report; the second route call of each kind is the
+    # mirror algebra's torsion in check_bi_spin7
+    calls = Counter()
+    wrappers = {}
+    names = ("lee_form_routes", "spin7_torsion_routes", "metric_from_phi")
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "spin7"]:
+        for name in names:
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+            if fn not in wrappers:
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                wrappers[fn] = counted
+            monkeypatch.setattr(mod, name, wrappers[fn])
+    full_report(build_geometry("su2su2u1u1", "remark_b"))
+    assert calls == {"lee_form_routes": 2, "spin7_torsion_routes": 2, "metric_from_phi": 1}

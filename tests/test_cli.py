@@ -84,6 +84,20 @@ def test_verify_non_finite_constant_exits_two(value, tmp_path, capsys):
     assert _single_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_form_coefficient_exits_two(value, tmp_path, capsys):
+    text = form_to_json(canonical_phi_form())
+    assert '"c": -1.0' in text
+    path = tmp_path / "phi.json"
+    path.write_text(text.replace('"c": -1.0', f'"c": {value}', 1))
+    assert run_cli("verify", "--algebra", "abelian", "--structure", str(path)) == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "not finite" in err
+    assert run_cli("decompose", "--form", str(path), "--degree", "4") == 2
+    err = capsys.readouterr().err
+    assert _single_error_line(err) and "not finite" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
 def test_verify_bad_tolerance_exits_two(value, capsys):
     assert run_cli("verify", "--algebra", "abelian", f"--tolerance={value}") == 2

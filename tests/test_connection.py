@@ -12,6 +12,7 @@ from spin7.connection import (
     covariant_derivative,
     curvature,
     dt_via_expansion,
+    lee_form,
     lee_form_routes,
     levi_civita,
     ricci,
@@ -81,6 +82,24 @@ def test_load_abelian_and_single_bracket():
     h = load_algebra({"name": "h", "dim": 8, "convention": "brackets",
                       "constants": [{"i": 2, "j": 3, "k": 1, "c": 1}]})
     assert h.c[2, 3, 1] == 1.0 and h.c[3, 2, 1] == -1.0
+
+
+def test_rotated_su3_loads_exactly_antisymmetric(su3):
+    # an orthogonal change of basis in floating point is antisymmetric only
+    # up to rounding; the stored constants are the antisymmetric part
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((8, 8)))
+    c = np.einsum("ai,bj,abm,mk->ijk", q, q, su3.c, q)
+    assert np.max(np.abs(c + np.einsum("ijk->jik", c))) > 0.0
+    rotated = LieAlgebra8("su3-rotated", c)
+    assert np.array_equal(rotated.c, -np.einsum("ijk->jik", rotated.c))
+    assert np.max(np.abs(rotated.c - c)) < 1e-15
+
+
+def test_asymmetric_constants_are_rejected(su3):
+    c = su3.c.copy()
+    c[1, 2, 3] += 1e-3
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        LieAlgebra8("skewed", c)
 
 
 def test_structure_equation_convention_sign(su2):
@@ -316,7 +335,7 @@ def test_lee_form_abelian_vanishes():
 
 def test_torsion_product_example(su2):
     s = canonical_phi()
-    t_star, t_delta = spin7_torsion_routes(s, su2)
+    t_star, t_delta = spin7_torsion_routes(s, su2, lee_form(s, su2))
     expect = KForm.monomial((1, 2, 3)) + KForm.monomial((4, 5, 6))
     assert residual(t_star, expect) < 1e-13
     assert residual(t_delta, expect) < 1e-13

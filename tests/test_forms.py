@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin7.forms import (
+    IDENTITY_METRIC,
     FrameMetric,
     KForm,
+    _minor_matrix,
     canonical_indices,
     contract_into,
     form_from_dict,
@@ -21,6 +23,7 @@ from spin7.forms import (
     interior_product,
     merge_with_sign,
     norm_sq,
+    raise_slots,
     residual,
     sort_with_sign,
     star_interior_identities_check,
@@ -248,6 +251,27 @@ def test_star_interior_identities_against_phi(rng):
     alpha = KForm.covector(rng.standard_normal(8))
     rep = star_interior_identities_check(alpha, canonical_phi_form())
     assert rep.max_residual() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# index raising
+
+@pytest.mark.parametrize("degree", range(9))
+def test_minor_matrix_matches_one_determinant_per_pair(degree):
+    gi = random_spd_metric(np.random.default_rng(degree)).inv
+    idxs = canonical_indices(degree)
+    loop = np.array([[np.linalg.det(gi[np.ix_(I, J)]) for J in idxs] for I in idxs])
+    assert np.max(np.abs(_minor_matrix(gi, degree) - loop)) <= 1e-15
+
+
+def test_raise_slots_raises_exactly_the_named_slots():
+    rng = np.random.default_rng(11)
+    t = rng.standard_normal((8,) * 4)
+    m = random_spd_metric(rng)
+    expect = np.einsum("abcd,ap,cr->pbrd", t, m.inv, m.inv)
+    assert np.max(np.abs(raise_slots(t, m, (0, 2)) - expect)) <= 1e-14
+    # against the exact identity the tensor comes back unchanged, bit for bit
+    assert np.array_equal(raise_slots(t, IDENTITY_METRIC, (0, 1, 2, 3)), t)
 
 
 # ---------------------------------------------------------------------------
