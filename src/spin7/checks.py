@@ -21,7 +21,7 @@ from .connection import (
     spin7_torsion,
     torsion_tensor,
 )
-from .forms import KForm, interior_product, norm_sq, raise_slots, residual, wedge
+from .forms import KForm, interior_product, raise_slots, residual, wedge
 from .geometry import Geometry, SolitonData
 from .liealgebra import ce_differential
 from .report import (
@@ -80,8 +80,7 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
         _maxabs(covariant_derivative(geom.conn, m.g)),
         _maxabs(covariant_derivative(geom.lc, m.g)),
     )
-    phi_up2 = raise_slots(geom.phi4, m, (0, 1))
-    rr = _maxabs(np.einsum("ijab,abkl->ijkl", geom.curv.R, phi_up2) - 2.0 * geom.curv.R)
+    rr = _maxabs(np.einsum("ijab,abkl->ijkl", geom.curv.R, geom.phi_up2) - 2.0 * geom.curv.R)
     return [
         entry("lc_metric_compatibility", "id:metric-connection", geom.lc.metric_compat_residual(), tol),
         entry("lc_torsion_free", "id:levi-civita", torsion_free, tol),
@@ -105,8 +104,7 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
     routes = max(residual(r1, r3), residual(r2, r3))
     out.append(entry("lee_form_routes_agree", "id:lee-form", routes, tol))
 
-    t_up3 = raise_slots(geom.t3, m, (0, 1, 2))
-    tit = _maxabs(geom.theta_vec + (1.0 / 7.0) * np.einsum("abc,abci->i", t_up3, phi))
+    tit = _maxabs(geom.theta_vec + (1.0 / 7.0) * np.einsum("abc,abci->i", geom.t_up3, phi))
     out.append(entry("lee_from_torsion_contraction", "id:lee-from-torsion", tit, tol))
 
     ta, tb = geom.torsion_routes
@@ -114,11 +112,10 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
                      residual(ta, tb), tol))
 
     # fixed-point form of the torsion and the codifferential of phi
-    t_up2 = raise_slots(geom.t3, m, (0, 1))
     half = (
-        0.5 * np.einsum("jsk,jslm->klm", t_up2, phi)
-        - 0.5 * np.einsum("jsl,jskm->klm", t_up2, phi)
-        + 0.5 * np.einsum("jsm,jskl->klm", t_up2, phi)
+        0.5 * np.einsum("jsk,jslm->klm", geom.t_up2, phi)
+        - 0.5 * np.einsum("jsl,jskm->klm", geom.t_up2, phi)
+        + 0.5 * np.einsum("jsm,jskl->klm", geom.t_up2, phi)
     )
     out.append(entry("delta_phi_from_torsion", "id:codifferential-of-phi",
                      _maxabs(geom.delta_phi.to_array() - half), tol))
@@ -133,7 +130,7 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
     split = residual(geom.torsion, part48 + (1.0 / 6.0) * theta_phi)
     out.append(entry("torsion_48_split", "id:torsion-norm-split", split, tol))
     norm_split = abs(geom.torsion_norm_sq
-                     - norm_sq(part48, m) - (7.0 / 6.0) * geom.theta_norm_sq)
+                     - geom.delta_phi48_norm_sq - (7.0 / 6.0) * geom.theta_norm_sq)
     out.append(entry("torsion_norm_split", "id:torsion-norm-split", norm_split, tol))
 
     thet = _maxabs(
@@ -186,7 +183,7 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationR
     ntheta = geom.nabla_theta
     tn, thn = geom.torsion_norm_sq, geom.theta_norm_sq
     dth = geom.delta_theta
-    n48 = norm_sq(geom.delta_phi48, m)
+    n48 = geom.delta_phi48_norm_sq
 
     ric_formula = _maxabs(
         geom.ric
@@ -292,7 +289,6 @@ def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
 @_report_of
 def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     m = geom.metric
-    phi_up2 = raise_slots(geom.phi4, m, (0, 1))
     dphi3 = geom.delta_phi.to_array()
 
     # codifferential of the torsion from the Lee form, always applicable
@@ -314,10 +310,10 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
     nth = geom.nabla_theta
     dnth = nth - nth.T
     th_t = np.einsum("s,sij->ij", geom.theta_up, geom.t3)
-    th_t_phi = np.einsum("ab,abij->ij", np.einsum("s,sab->ab", geom.theta_up, geom.t3), phi_up2)
+    th_t_phi = np.einsum("ab,abij->ij", np.einsum("s,sab->ab", geom.theta_up, geom.t3), geom.phi_up2)
     new_formula = max(
         _maxabs(dnth - (-(1.0 / 3.0) * th_t + (1.0 / 6.0) * th_t_phi)),
-        _maxabs(dnth + (1.0 / 6.0) * np.einsum("ab,abij->ij", dnth, phi_up2)),
+        _maxabs(dnth + (1.0 / 6.0) * np.einsum("ab,abij->ij", dnth, geom.phi_up2)),
     )
     out.append(entry("lee_nabla_exterior_formula", anchor, new_formula, tol))
     _, part21 = project_lambda2(KForm.from_array(dnth), geom.structure)
@@ -335,18 +331,16 @@ def check_second_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
     gi = geom.metric.inv
     nric = covariant_derivative(geom.conn, geom.ric)
     div_ric = np.einsum("ijk,ik->j", nric, gi)
-    t_up2 = raise_slots(geom.t3, geom.metric, (0, 1))
-    t_up3 = raise_slots(geom.t3, geom.metric, (0, 1, 2))
     # frame constants: the scalar and torsion-norm gradients vanish identically
     e1 = _maxabs(
         -2.0 * div_ric
-        + np.einsum("ab,abj->j", geom.delta_t2, t_up2)
-        + (1.0 / 6.0) * np.einsum("abc,jabc->j", t_up3, geom.dt4)
+        + np.einsum("ab,abj->j", geom.delta_t2, geom.t_up2)
+        + (1.0 / 6.0) * np.einsum("abc,jabc->j", geom.t_up3, geom.dt4)
     )
     ndt = covariant_derivative(geom.conn, geom.delta_t2)
     iii = _maxabs(
         np.einsum("ikj,ik->j", ndt, gi)
-        - 0.5 * np.einsum("ia,iaj->j", geom.delta_t2, t_up2)
+        - 0.5 * np.einsum("ia,iaj->j", geom.delta_t2, geom.t_up2)
     )
     return [
         entry("second_bianchi_contracted", "id:second-bianchi", e1, tol),

@@ -172,25 +172,23 @@ def codifferential_paths_residual(beta: KForm, alg: LieAlgebra8,
 # torsion-specific forms
 
 def sigma_t(torsion: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
-    """The quartic torsion 4-form (1/2) sum_j (e_j . T) ^ (e_j . T).
+    """The quartic torsion 4-form sigma_xyzv = S_xyz T_xya T_zv^a.
 
-    The sum runs over an orthonormal frame; for a non-identity metric the
-    frame is orthonormalized by Cholesky and the result mapped back.
+    S_xyz is the cyclic sum over (x, y, z) and slot 2 of the second T is
+    raised with g; on an orthonormal frame this is
+    (1/2) sum_j (e_j . T) ^ (e_j . T).
     """
     if torsion.degree != 3:
         raise ValueError(f"torsion must be a 3-form, got degree {torsion.degree}")
-    if m.is_identity:
-        out = KForm.zero(4)
-        for j in range(DIM):
-            tj = interior_product(KForm.basis_covector(j), torsion)
-            out = out + wedge(tj, tj)
-        return 0.5 * out
-    L = m.cholesky
-    Linv = np.linalg.inv(L)
-    t_on = np.einsum("ai,bj,ck,ijk->abc", Linv, Linv, Linv, torsion.to_array())
-    flat = sigma_t(KForm.from_array(t_on)).to_array()
-    back = np.einsum("ia,jb,kc,ld,abcd->ijkl", L, L, L, L, flat)
-    return KForm.from_array(back)
+    t3 = torsion.to_array()
+    s = np.einsum("xya,zva->xyzv", t3, raise_slots(t3, m, (2,)))
+    return KForm.from_array(s + np.einsum("yzxv->xyzv", s) + np.einsum("zxyv->xyzv", s))
+
+
+def phi_derivatives(structure: Spin7Form, alg: LieAlgebra8) -> tuple[KForm, KForm]:
+    """d(phi) and d(*phi), the two derivatives the Lee-form and torsion routes read."""
+    phi = structure.phi
+    return ce_differential(phi, alg), ce_differential(hodge_star(phi, structure.metric), alg)
 
 
 def lee_form(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
@@ -199,20 +197,21 @@ def lee_form(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
     Computed from the codifferential route; ``lee_form_routes`` exposes all
     three equivalent expressions for cross-checking.
     """
-    return lee_form_routes(structure, alg)[2]
+    return lee_form_routes(structure, *phi_derivatives(structure, alg))[2]
 
 
-def lee_form_routes(structure: Spin7Form, alg: LieAlgebra8) -> tuple[KForm, KForm, KForm]:
+def lee_form_routes(structure: Spin7Form, dphi: KForm,
+                    d_star_phi: KForm) -> tuple[KForm, KForm, KForm]:
     """Three expressions for the Lee form, which must agree:
 
     -(1/7) * ( *d(phi) ^ phi ),  (1/7) * ( delta(phi) ^ phi ),
-    (1/7) (delta phi) . phi  (three-index contraction).
+    (1/7) (delta phi) . phi  (three-index contraction),
+    given d(phi) and d(*phi) (see ``phi_derivatives``).
     """
     m = structure.metric
     phi = structure.phi
-    dphi = ce_differential(phi, alg)
     via_d = (-1.0 / 7.0) * hodge_star(wedge(hodge_star(dphi, m), phi), m)
-    delta_phi = -1.0 * hodge_star(ce_differential(hodge_star(phi, m), alg), m)
+    delta_phi = -1.0 * hodge_star(d_star_phi, m)
     via_delta = (1.0 / 7.0) * hodge_star(wedge(delta_phi, phi), m)
     via_contraction = -1.0 * lambda3_covector(delta_phi, structure)
     return via_d, via_delta, via_contraction
@@ -224,17 +223,18 @@ def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
     T = -*d(phi) + (7/6) * (theta ^ phi); the equivalent route
     delta(phi) + (7/6) theta . phi is exposed by ``spin7_torsion_routes``.
     """
-    return spin7_torsion_routes(structure, alg, lee_form(structure, alg))[0]
+    derivatives = phi_derivatives(structure, alg)
+    theta = lee_form_routes(structure, *derivatives)[2]
+    return spin7_torsion_routes(structure, *derivatives, theta)[0]
 
 
-def spin7_torsion_routes(structure: Spin7Form, alg: LieAlgebra8,
+def spin7_torsion_routes(structure: Spin7Form, dphi: KForm, d_star_phi: KForm,
                          theta: KForm) -> tuple[KForm, KForm]:
-    """The two torsion expressions of ``spin7_torsion``, given the Lee form."""
+    """The two torsion expressions of ``spin7_torsion``, given d(phi), d(*phi) and the Lee form."""
     m = structure.metric
     phi = structure.phi
-    via_star = -1.0 * hodge_star(ce_differential(phi, alg), m) \
-        + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
-    delta_phi = -1.0 * hodge_star(ce_differential(hodge_star(phi, m), alg), m)
+    via_star = -1.0 * hodge_star(dphi, m) + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
+    delta_phi = -1.0 * hodge_star(d_star_phi, m)
     via_delta = delta_phi + (7.0 / 6.0) * interior_product(theta, phi, m)
     return via_star, via_delta
 

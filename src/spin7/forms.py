@@ -1,26 +1,34 @@
-"""Sparse exterior algebra over a fixed oriented 8-dimensional frame.
+"""Exterior algebra over a fixed oriented 8-dimensional frame.
 
 Conventions used throughout the package:
 
-* Frame indices run 0..7.  A k-form is stored as a map from strictly
-  increasing index tuples to float coefficients; the fully antisymmetric
-  component at an arbitrary index order is the canonical coefficient times
-  the permutation sign (0 on repeated indices).
-* The oriented volume form is +e_{01234567}.
-* ``full_contraction(a, b, m)`` is the contraction a_I b^I over ALL index
-  tuples, i.e. k! times the sum over canonical monomials.  Norms in this
-  package always mean that convention.
-* Hodge star: (*b)_J = (1/k!) b^I eps_{IJ} sqrt(det g), so *1 = vol and
-  ** = (-1)^k on k-forms in dimension eight.
+* Frame indices run 0..7.  A k-form is one float vector over
+  ``canonical_indices(k)`` (increasing tuples in lexicographic order, the
+  basis of ``LieAlgebra8.d_matrix``); the component at any index order is
+  the canonical coefficient times the permutation sign (0 on repeats).
+* ``wedge`` and ``contract_into`` run on one fixed table per degree pair:
+  (output row, left column, right column, sign).  a ^ b and +/-(b ^ a) are
+  bit-identical: the (q, p) table is the (p, q) table with its columns
+  swapped in the same order, and for p = q the two products of each
+  unordered pair are added before accumulating.
+* Raising every index of a k-form multiplies it by the compound matrix of
+  g^{-1} (its k x k minors), kept on the ``FrameMetric`` per degree.
+* ``full_contraction(a, b, m)`` is a_I b^I over ALL index tuples, i.e. k!
+  times the sum over canonical monomials.  Norms always mean that.
+* Hodge star is the contraction into vol = sqrt(det g) orientation e_{01234567}:
+  *b = contract_into(b, vol), (*b)_J = (1/k!) b^I eps_{IJ} sqrt(det g), so
+  *1 = vol and ** = (-1)^k in dimension eight.  The interior product is the
+  contraction of a covector.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,51 +42,11 @@ FULL_INDEX = tuple(range(DIM))
 # multi-index combinatorics
 
 def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:
-    """Sort an index tuple; return (sorted tuple, permutation sign).
-
-    The sign is 0 when an index repeats.
-    """
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
-
-
-def merge_with_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Merge two strictly increasing tuples; sign counts block crossings.
-
-    Returns (merged, 0) when the tuples intersect.
-    """
-    i = j = 0
-    sign = 1
-    merged = []
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return (), 0
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), sign
-
-
-def complement(indices: tuple[int, ...]) -> tuple[int, ...]:
-    present = set(indices)
-    return tuple(i for i in FULL_INDEX if i not in present)
+    """Sort an index tuple; return (sorted tuple, permutation sign), sign 0 on a repeat."""
+    idx = tuple(sorted(indices))
+    if len(set(idx)) < len(idx):
+        return idx, 0
+    return idx, int(_sign(np.array([indices], dtype=np.intp))[0])
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +66,72 @@ def validate_multi_index(idx, degree: int) -> tuple[int, ...]:
     return t
 
 
+@lru_cache(maxsize=None)
+def _index_array(degree: int) -> np.ndarray:
+    """canonical_indices(degree) as a C(8, k) x k integer array."""
+    return np.array(canonical_indices(degree), dtype=np.intp).reshape(math.comb(DIM, degree), degree)
+
+
+def _sign(seqs: np.ndarray) -> np.ndarray:
+    """Permutation sign of each row of an integer array whose rows do not repeat."""
+    inversions = np.zeros(len(seqs), dtype=np.intp)
+    for a, b in combinations(range(seqs.shape[1]), 2):
+        inversions += seqs[:, a] > seqs[:, b]
+    return 1.0 - 2.0 * (inversions % 2)
+
+
+# ---------------------------------------------------------------------------
+# tables, built once per degree or degree pair
+
+@lru_cache(maxsize=None)
+def _merge_table(p: int, q: int):
+    """Every disjoint pair (I, J) of canonical p- and q-tuples, ordered by I, then J.
+
+    Returns (row of I u J among canonical (p+q)-tuples, column of I, column
+    of J, sign of sorting I + J).
+    """
+    mask_p, mask_q, mask_pq = ((1 << _index_array(k)).sum(axis=1) for k in (p, q, p + q))
+    cols_i, cols_j = np.nonzero((mask_p[:, None] & mask_q) == 0)
+    row_of = np.zeros(1 << DIM, dtype=np.intp)
+    row_of[mask_pq] = np.arange(len(mask_pq))
+    merged = np.hstack([_index_array(p)[cols_i], _index_array(q)[cols_j]])
+    return row_of[mask_p[cols_i] | mask_q[cols_j]], cols_i, cols_j, _sign(merged)
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(p: int, q: int):
+    """The merge table of a p-form ^ q-form as (output row, left column, right column, sign).
+
+    For p > q it is the (q, p) table with the columns swapped, entry for
+    entry; for p = q it keeps the pairs with I before J (see ``wedge``).
+    """
+    if p > q:
+        rows, left, right, sign = _wedge_table(q, p)
+        return rows, right, left, sign * (-1) ** (p * q)
+    table = _merge_table(p, q)
+    return tuple(col[table[1] < table[2]] for col in table) if p == q else table
+
+
+@lru_cache(maxsize=None)
+def _dense_table(degree: int):
+    """Where every reordering of every canonical k-tuple sits in the flat (8,)*k array.
+
+    Returns the C(8, k) x k! positions, identity order in column 0, and the k! signs.
+    """
+    perms = np.array(list(permutations(range(degree))), dtype=np.intp)
+    place = DIM ** np.arange(degree - 1, -1, -1)
+    return _index_array(degree)[:, perms] @ place, _sign(perms)
+
+
+def compound_matrix(mat: np.ndarray, degree: int) -> np.ndarray:
+    """The k x k minors C[I, J] = det mat[I, J] over canonical monomials, one batched det.
+
+    For g^{-1} it raises every index of a k-form at once: b^I = sum_J C[I, J] b_J.
+    """
+    idx = _index_array(degree)
+    return np.linalg.det(mat[idx[:, None, :, None], idx[None, :, None, :]])
+
+
 # ---------------------------------------------------------------------------
 # frame metric
 
@@ -110,6 +144,8 @@ class FrameMetric:
 
     g: np.ndarray
     orientation: int = 1
+    # degree k -> compound matrix of g^{-1}, filled on first use
+    _raise: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -145,11 +181,15 @@ class FrameMetric:
     def sqrt_det(self) -> float:
         return 1.0 if self.is_identity else float(math.sqrt(np.linalg.det(self.g)))
 
-    @cached_property
-    def cholesky(self) -> np.ndarray:
-        out = np.linalg.cholesky(self.g)
-        out.setflags(write=False)
-        return out
+    def raise_matrix(self, degree: int) -> np.ndarray:
+        """The compound matrix of g^{-1} on k-forms; see ``compound_matrix``."""
+        mat = self._raise.get(degree)
+        if mat is None:
+            mat = (np.eye(math.comb(DIM, degree)) if self.is_identity
+                   else compound_matrix(self.inv, degree))
+            mat.setflags(write=False)
+            self._raise[degree] = mat
+        return mat
 
 
 IDENTITY_METRIC = FrameMetric.identity()
@@ -158,25 +198,38 @@ IDENTITY_METRIC = FrameMetric.identity()
 # ---------------------------------------------------------------------------
 # k-forms
 
-@dataclass(frozen=True)
 class KForm:
-    """Degree-k antisymmetric tensor in canonical sparse storage."""
+    """Degree-k antisymmetric tensor: its coefficient vector over canonical_indices(k).
 
-    degree: int
-    coeffs: dict
+    ``KForm(degree, coeffs)`` reads a map from strictly increasing index
+    tuples to coefficients and validates every multi-index; results of
+    operations are built by ``from_vector``, which has nothing to validate.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.degree <= DIM:
-            raise ValueError(f"degree must be 0..{DIM}, got {self.degree}")
-        clean = {}
-        for idx, c in self.coeffs.items():
-            t = validate_multi_index(idx, self.degree)
-            c = float(c)
-            if c != 0.0:
-                clean[t] = c
-        object.__setattr__(self, "coeffs", clean)
+    __hash__ = None
+
+    def __init__(self, degree: int, coeffs: dict):
+        if not 0 <= degree <= DIM:
+            raise ValueError(f"degree must be 0..{DIM}, got {degree}")
+        basis = canonical_indices(degree)
+        vec = np.zeros(len(basis))
+        for idx, c in coeffs.items():
+            vec[basis.index(validate_multi_index(idx, degree))] = float(c)
+        vec.setflags(write=False)
+        self.degree, self.vec = degree, vec
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_vector(cls, degree: int, vec) -> "KForm":
+        """The form with coefficient vector vec over canonical_indices(degree) (copied)."""
+        form, vec = cls(degree, {}), np.array(vec, dtype=float)
+        if vec.shape != form.vec.shape:
+            raise ValueError(f"degree-{degree} coefficient vector needs shape "
+                             f"{form.vec.shape}, got {vec.shape}")
+        vec.setflags(write=False)
+        form.vec = vec
+        return form
 
     @classmethod
     def zero(cls, degree: int) -> "KForm":
@@ -199,21 +252,25 @@ class KForm:
 
     @classmethod
     def covector(cls, components) -> "KForm":
-        comp = list(components)
-        if len(comp) != DIM:
-            raise ValueError(f"covector needs {DIM} components, got {len(comp)}")
-        return cls(1, {(i,): float(c) for i, c in enumerate(comp)})
+        return cls.from_vector(1, list(components))
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "KForm":
         """Read canonical components off a dense antisymmetric array."""
         arr = np.asarray(arr, dtype=float)
-        k = arr.ndim if arr.shape != () else 0
-        if k == 0:
-            return cls(0, {(): float(arr)})
-        return cls(k, {idx: float(arr[idx]) for idx in canonical_indices(k)})
+        k = arr.ndim
+        if arr.shape != (DIM,) * k:
+            raise ValueError(f"dense form table must have shape (8,)*k, got {arr.shape}")
+        return cls.from_vector(k, arr.reshape(-1)[_dense_table(k)[0][:, 0]])
 
     # -- accessors ----------------------------------------------------------
+
+    @cached_property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only map from canonical index tuples to the nonzero coefficients."""
+        nonzero = self.vec != 0.0
+        return MappingProxyType(dict(zip(compress(canonical_indices(self.degree), nonzero),
+                                         self.vec[nonzero].tolist())))
 
     def component(self, indices) -> float:
         """Fully antisymmetric component at an arbitrary index order."""
@@ -223,18 +280,14 @@ class KForm:
         return sign * self.coeffs.get(idx, 0.0)
 
     def __getitem__(self, indices) -> float:
-        if self.degree == 0:
-            return self.coeffs.get((), 0.0) if indices == () else 0.0
-        if isinstance(indices, int):
-            indices = (indices,)
-        return self.component(indices)
+        return self.component((indices,) if isinstance(indices, int) else indices)
 
     def terms(self):
         """Canonical (index tuple, coefficient) pairs in lexicographic order."""
-        return sorted(self.coeffs.items())
+        return list(self.coeffs.items())
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.max(np.abs(self.vec)))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.max_abs() <= tol
@@ -242,18 +295,14 @@ class KForm:
     def covector_components(self) -> np.ndarray:
         if self.degree != 1:
             raise ValueError(f"not a covector: degree {self.degree}")
-        return np.array([self.coeffs.get((i,), 0.0) for i in range(DIM)])
+        return np.array(self.vec)
 
     def to_array(self) -> np.ndarray:
         """Dense fully antisymmetric component table, shape (8,)*k."""
-        if self.degree == 0:
-            return np.array(self.coeffs.get((), 0.0))
-        arr = np.zeros((DIM,) * self.degree)
-        for idx, c in self.coeffs.items():
-            for perm in permutations(idx):
-                _, sign = sort_with_sign(perm)
-                arr[perm] = sign * c
-        return arr
+        positions, signs = _dense_table(self.degree)
+        arr = np.zeros(DIM ** self.degree)
+        arr[positions] = self.vec[:, None] * signs
+        return arr.reshape((DIM,) * self.degree)
 
     # -- linear algebra -----------------------------------------------------
 
@@ -261,12 +310,14 @@ class KForm:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KForm):
+            return NotImplemented
+        return self.degree == other.degree and bool(np.array_equal(self.vec, other.vec))
+
     def __add__(self, other: "KForm") -> "KForm":
         self._require_same_degree(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, 0.0) + c
-        return KForm(self.degree, out)
+        return KForm.from_vector(self.degree, self.vec + other.vec)
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-1.0) * other
@@ -275,7 +326,7 @@ class KForm:
         return (-1.0) * self
 
     def __mul__(self, scalar: float) -> "KForm":
-        return KForm(self.degree, {idx: c * scalar for idx, c in self.coeffs.items()})
+        return KForm.from_vector(self.degree, self.vec * scalar)
 
     __rmul__ = __mul__
 
@@ -289,32 +340,6 @@ class KForm:
 def residual(a: KForm, b: KForm) -> float:
     """Max-abs componentwise difference (components are signed coefficients)."""
     return (a - b).max_abs()
-
-
-# ---------------------------------------------------------------------------
-# index raising: canonical coefficients and dense tensors
-
-def _minor_matrix(ginv: np.ndarray, degree: int) -> np.ndarray:
-    """Matrix of k x k minors of g^{-1} over canonical monomials.
-
-    Raising an antisymmetric tensor is b^I = sum_J det(ginv[I, J]) b_J over
-    canonical J; all C(8,k)^2 minors are one batched determinant.
-    """
-    idx = np.array(canonical_indices(degree), dtype=np.intp)
-    return np.linalg.det(ginv[idx[:, None, :, None], idx[None, :, None, :]])
-
-
-def raise_coeffs(a: KForm, m: FrameMetric) -> dict:
-    """Canonical coefficients of the index-raised tensor a^I."""
-    if m.is_identity:
-        return dict(a.coeffs)
-    idxs = canonical_indices(a.degree)
-    pos = {idx: i for i, idx in enumerate(idxs)}
-    vec = np.zeros(len(idxs))
-    for idx, c in a.coeffs.items():
-        vec[pos[idx]] = c
-    raised = _minor_matrix(m.inv, a.degree) @ vec
-    return {idx: raised[i] for i, idx in enumerate(idxs) if raised[i] != 0.0}
 
 
 def raise_slots(arr: np.ndarray, m: FrameMetric, slots) -> np.ndarray:
@@ -333,57 +358,19 @@ def raise_slots(arr: np.ndarray, m: FrameMetric, slots) -> np.ndarray:
 # operations
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product; graded-commutative with exact sign bookkeeping.
-
-    Contributions to each output monomial are summed in an order that does
-    not depend on the operand order, so a^b and +/-(b^a) are bit-identical.
-    """
-    degree = a.degree + b.degree
-    if degree > DIM:
-        raise ValueError(f"degree overflow: {a.degree} + {b.degree} > {DIM}")
-    pending: dict = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            merged, sign = merge_with_sign(ia, ib)
-            if sign == 0:
-                continue
-            pending.setdefault(merged, []).append(sign * ca * cb)
-    # fsum: accumulation is order-independent, so a^b == +/- b^a bit-exactly
-    return KForm(degree, {m: math.fsum(parts) for m, parts in pending.items()})
-
-
-def hodge_star(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
-    """Hodge dual with respect to the frame metric and orientation."""
-    raised = raise_coeffs(a, m)
-    scale = m.sqrt_det * m.orientation
-    out: dict = {}
-    for idx, c in raised.items():
-        comp = complement(idx)
-        _, sign = sort_with_sign(idx + comp)
-        out[comp] = out.get(comp, 0.0) + sign * c * scale
-    return KForm(DIM - a.degree, out)
-
-
-def volume_form(m: FrameMetric = IDENTITY_METRIC) -> KForm:
-    return hodge_star(KForm.scalar(1.0), m)
-
-
-def interior_product(x, a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
-    """Contraction of a covector (index raised by g) into the first slot."""
-    if a.degree == 0:
-        raise ValueError("interior product of a degree-0 form")
-    if isinstance(x, KForm):
-        x = x.covector_components()
-    x_up = raise_slots(np.asarray(x, dtype=float), m, (0,))
-    out: dict = {}
-    for idx, c in a.coeffs.items():
-        for p, i in enumerate(idx):
-            if x_up[i] == 0.0:
-                continue
-            rest = idx[:p] + idx[p + 1:]
-            sign = -1.0 if p % 2 else 1.0
-            out[rest] = out.get(rest, 0.0) + sign * x_up[i] * c
-    return KForm(a.degree - 1, out)
+    """Exterior product; a ^ b and +/-(b ^ a) are bit-identical (see the module notes)."""
+    p, q = a.degree, b.degree
+    if p + q > DIM:
+        raise ValueError(f"degree overflow: {p} + {q} > {DIM}")
+    x, y = a.vec, b.vec
+    if p == 0 or q == 0:
+        return KForm.from_vector(p + q, x * y)
+    rows, left, right, sign = _wedge_table(p, q)
+    if p == q:
+        terms = sign * (x[left] * y[right] + (-1) ** p * (x[right] * y[left]))
+    else:
+        terms = sign * x[left] * y[right]
+    return KForm.from_vector(p + q, np.bincount(rows, terms, math.comb(DIM, p + q)))
 
 
 def contract_into(alpha: KForm, beta: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
@@ -391,28 +378,39 @@ def contract_into(alpha: KForm, beta: KForm, m: FrameMetric = IDENTITY_METRIC) -
 
     For p = 1 this is the ordinary interior product.
     """
-    if alpha.degree > beta.degree:
+    p, q = alpha.degree, beta.degree
+    if p > q:
         raise ValueError("contraction degree exceeds target degree")
-    raised = raise_coeffs(alpha, m)
-    out: dict = {}
-    for ia, ca in raised.items():
-        sa = set(ia)
-        for ib, cb in beta.coeffs.items():
-            if not sa.issubset(ib):
-                continue
-            rest = tuple(i for i in ib if i not in sa)
-            _, sign = sort_with_sign(ia + rest)
-            out[rest] = out.get(rest, 0.0) + sign * ca * cb
-    return KForm(beta.degree - alpha.degree, out)
+    rows, cols_a, cols_j, sign = _merge_table(p, q - p)
+    raised = m.raise_matrix(p) @ alpha.vec
+    terms = sign * raised[cols_a] * beta.vec[rows]
+    return KForm.from_vector(q - p, np.bincount(cols_j, terms, math.comb(DIM, q - p)))
+
+
+def volume_form(m: FrameMetric = IDENTITY_METRIC) -> KForm:
+    return KForm.from_vector(DIM, [m.sqrt_det * m.orientation])
+
+
+def hodge_star(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
+    """Hodge dual with respect to the frame metric and orientation."""
+    return contract_into(a, volume_form(m), m)
+
+
+def interior_product(x, a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
+    """Contraction of a covector (index raised by g) into the first slot."""
+    if a.degree == 0:
+        raise ValueError("interior product of a degree-0 form")
+    x = x if isinstance(x, KForm) else KForm.covector(x)
+    if x.degree != 1:
+        raise ValueError(f"not a covector: degree {x.degree}")
+    return contract_into(x, a, m)
 
 
 def full_contraction(a: KForm, b: KForm, m: FrameMetric = IDENTITY_METRIC) -> float:
     """a_I b^I summed over ALL index tuples (no 1/k! factor)."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    raised = raise_coeffs(b, m)
-    acc = sum(c * raised.get(idx, 0.0) for idx, c in a.coeffs.items())
-    return math.factorial(a.degree) * acc
+    return math.factorial(a.degree) * float(a.vec @ (m.raise_matrix(b.degree) @ b.vec))
 
 
 def norm_sq(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> float:

@@ -1,11 +1,12 @@
 """Assembled geometry: an algebra plus a fundamental form and everything derived.
 
-Building a Geometry computes once the induced metric, the three Lee-form
-routes (``lee_routes``; ``theta`` is the last), the two torsion routes
-(``torsion_routes``; ``torsion`` is the first), the Levi-Civita and torsion
-connections and both curvatures.  Everything else the identity suite reads,
-d phi, the 7-part of d theta and the 48-part of delta phi among it, is a
-cached property computed on first use.
+Building a Geometry computes once the induced metric, d phi and d(*phi),
+the three Lee-form routes (``lee_routes``; ``theta`` is the last), the two
+torsion routes (``torsion_routes``; ``torsion`` is the first), the
+Levi-Civita and torsion connections and both curvatures.  Everything else
+the identity suite reads, the 7-part of d theta, the 48-part of delta phi
+and its norm, and phi and T with raised slots among it, is a cached
+property computed on first use.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .connection import (
     curvature,
     lee_form_routes,
     levi_civita,
+    phi_derivatives,
     ricci,
     scalar_curv,
     sigma_t,
@@ -63,6 +65,7 @@ class Geometry:
     name: str
     algebra: LieAlgebra8
     structure: Spin7Form
+    dphi: KForm
     lee_routes: tuple[KForm, KForm, KForm]
     torsion_routes: tuple[KForm, KForm]
     lc: FrameConnection
@@ -73,14 +76,16 @@ class Geometry:
     @classmethod
     def build(cls, algebra: LieAlgebra8, phi: KForm, name: str | None = None) -> "Geometry":
         structure = Spin7Form.from_form(phi)
-        lee_routes = lee_form_routes(structure, algebra)
-        torsion_routes = spin7_torsion_routes(structure, algebra, lee_routes[2])
+        dphi, d_star_phi = phi_derivatives(structure, algebra)
+        lee_routes = lee_form_routes(structure, dphi, d_star_phi)
+        torsion_routes = spin7_torsion_routes(structure, dphi, d_star_phi, lee_routes[2])
         lc = levi_civita(algebra, structure.metric)
         conn = connection_from_torsion(lc, torsion_routes[0])
         return cls(
             name=name or algebra.name,
             algebra=algebra,
             structure=structure,
+            dphi=dphi,
             lee_routes=lee_routes,
             torsion_routes=torsion_routes,
             lc=lc,
@@ -113,6 +118,20 @@ class Geometry:
     def t3(self) -> np.ndarray:
         return self.torsion.to_array()
 
+    # _upN: the first N slots raised
+
+    @cached_property
+    def phi_up2(self) -> np.ndarray:
+        return raise_slots(self.phi4, self.metric, (0, 1))
+
+    @cached_property
+    def t_up2(self) -> np.ndarray:
+        return raise_slots(self.t3, self.metric, (0, 1))
+
+    @cached_property
+    def t_up3(self) -> np.ndarray:
+        return raise_slots(self.t3, self.metric, (0, 1, 2))
+
     @cached_property
     def theta_vec(self) -> np.ndarray:
         return self.theta.covector_components()
@@ -120,10 +139,6 @@ class Geometry:
     @cached_property
     def theta_up(self) -> np.ndarray:
         return raise_slots(self.theta_vec, self.metric, (0,))
-
-    @cached_property
-    def dphi(self) -> KForm:
-        return ce_differential(self.structure.phi, self.algebra)
 
     @cached_property
     def dtorsion(self) -> KForm:
@@ -186,6 +201,10 @@ class Geometry:
     def delta_phi48(self) -> KForm:
         """The 48-part of delta phi."""
         return project_lambda3(self.delta_phi, self.structure)[1]
+
+    @cached_property
+    def delta_phi48_norm_sq(self) -> float:
+        return norm_sq(self.delta_phi48, self.metric)
 
     @cached_property
     def ric(self) -> np.ndarray:

@@ -14,12 +14,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, canonical_indices
+from .forms import DIM, KForm, _index_array, _merge_table
 
 JACOBI_TOL = 1e-12
 
@@ -64,8 +63,9 @@ class LieAlgebra8:
         c = 0.5 * (c - ct)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+        # the Jacobi sum is quadratic in c, so its rounding scales with max|c|^2
         res, where = self.jacobi_residual()
-        if res > JACOBI_TOL:
+        if res > JACOBI_TOL * max(1.0, float(np.max(np.abs(c)))) ** 2:
             raise ValueError(
                 f"algebra {self.name!r} violates the Jacobi identity at "
                 f"(i,j,k,l)={where} with residual {res:.3e}"
@@ -156,21 +156,20 @@ def _d_pattern(k: int):
     sign[n] * -c.ravel()[where[n]] to the flat matrix position target[n].
     The pattern does not depend on the algebra.
     """
-    # index sets as bit masks
-    row_of = {sum(1 << i for i in J): r for r, J in enumerate(canonical_indices(k + 1))}
-    cols = canonical_indices(k)
-    target, where, sign = [], [], []
-    for col, I in enumerate(cols):
-        for p, m in enumerate(I):
-            rest = sum(1 << i for i in I if i != m)
-            free = [x for x in range(DIM) if not rest >> x & 1]
-            for a, b in combinations(free, 2):
-                # e^a and e^b move past the indices of rest below them
-                below = (rest & ((1 << a) - 1)).bit_count() + (rest & ((1 << b) - 1)).bit_count()
-                target.append(row_of[rest | 1 << a | 1 << b] * len(cols) + col)
-                where.append((a * DIM + b) * DIM + m)
-                sign.append(-1.0 if (p + below) % 2 else 1.0)
-    return np.array(target, dtype=np.intp), np.array(where, dtype=np.intp), np.array(sign)
+    # e^m ^ e^rest = (-1)^p e^I and e^ab ^ e^rest = +/- e^K, paired on rest
+    def by_rest(table, shape):
+        return [x[np.argsort(table[2], kind="stable")].reshape(shape) for x in table]
+
+    n_rest = math.comb(DIM, k - 1)
+    cols, m, _, s1 = by_rest(_merge_table(1, k - 1), (n_rest, -1, 1))
+    rows, ab, _, s2 = by_rest(_merge_table(2, k - 1), (n_rest, 1, -1))
+    a, b = np.moveaxis(_index_array(2)[ab], -1, 0)
+    cols, m, rows, ab, a, b, sign = (
+        x.ravel() for x in np.broadcast_arrays(cols, m, rows, ab, a, b, s1 * s2))
+    # summed per matrix entry in one fixed order: column, then m, then (a, b)
+    order = np.lexsort((ab, m, cols))
+    target = rows * math.comb(DIM, k) + cols
+    return target[order], ((a * DIM + b) * DIM + m)[order], sign[order]
 
 
 def ce_differential(beta: KForm, alg: LieAlgebra8) -> KForm:
@@ -189,8 +188,5 @@ def ce_differential(beta: KForm, alg: LieAlgebra8) -> KForm:
         raise ValueError("no degree-8 differential in dimension eight")
     if k == 0:
         return KForm.zero(1)
-    vec = np.array([beta.coeffs.get(idx, 0.0) for idx in canonical_indices(k)])
-    out = alg.d_matrix(k) @ vec
-    return KForm(k + 1, {J: v for J, v in zip(canonical_indices(k + 1), out.tolist())
-                         if v != 0.0})
+    return KForm.from_vector(k + 1, alg.d_matrix(k) @ beta.vec)
 

@@ -20,6 +20,7 @@ from .forms import (
     IDENTITY_METRIC,
     KForm,
     canonical_indices,
+    compound_matrix,
     contract_into,
     hodge_star,
     interior_product,
@@ -194,14 +195,8 @@ def project_lambda4(sigma: KForm, structure: Spin7Form) -> tuple[KForm, KForm, K
 
 def projector_matrix(project, degree: int, n_parts: int) -> list[np.ndarray]:
     """Matrices of the projectors over the canonical monomial basis."""
-    idxs = canonical_indices(degree)
-    mats = [np.zeros((len(idxs), len(idxs))) for _ in range(n_parts)]
-    for col, idx in enumerate(idxs):
-        parts = project(KForm.monomial(idx))
-        for mat, part in zip(mats, parts):
-            for row, jdx in enumerate(idxs):
-                mat[row, col] = part.coeffs.get(jdx, 0.0)
-    return mats
+    columns = [project(KForm.monomial(idx)) for idx in canonical_indices(degree)]
+    return [np.array([parts[n].vec for parts in columns]).T for n in range(n_parts)]
 
 
 def lambda2_ranks(structure: Spin7Form, tol: float = 1e-6) -> tuple[int, int]:
@@ -261,24 +256,19 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     )
     r3 = float(np.max(np.abs(lhs3 - rhs3)))
     rep.add(entry("contraction_two_index", anchor, r3, tol))
-    # one shared index: the full 4-index identity; the right side is summed
-    # in one buffer from transposed views of the outer products g g g and g phi
-    # (a term names the axes of its product: "ibjcka" is g_ib g_jc g_ka);
-    # at most two 8^6 arrays are alive at a time
-    ggg = np.multiply.outer(np.multiply.outer(g, g), g)
-    rhs4 = np.einsum("iajbkc->ijkabc", ggg).copy()
-    for term in ("ibjcka", "icjakb"):
-        rhs4 += np.einsum(term + "->ijkabc", ggg)
-    for term in ("iajckb", "ibjakc", "icjbka"):
-        rhs4 -= np.einsum(term + "->ijkabc", ggg)
-    del ggg
-    gp = np.multiply.outer(g, p)
-    for term in ("iajkbc", "jakibc", "kaijbc", "ibjkca", "jbkica",
-                 "kbijca", "icjkab", "jckiab", "kcijab"):
-        rhs4 -= np.einsum(term + "->ijkabc", gp)
-    del gp
-    lhs4 = np.einsum("ijks,abcs->ijkabc", raise_slots(p, m, (3,)), p)
-    lhs4 -= rhs4
-    r4 = float(np.max(np.abs(lhs4, out=lhs4)))
+    # one shared index: phi_ijk^s phi_abcs = (g g g) - (g phi).  Both sides
+    # are antisymmetric in (i, j, k) and in (a, b, c), so their largest
+    # difference is reached on canonical triples I = ijk, J = abc.  The
+    # g g g part is the 3x3 minor det g[I, J]; the g phi part sums the
+    # cyclic rotations of g_ia phi_jkbc over ijk and over abc.
+    triples = tuple(np.array(canonical_indices(3), dtype=np.intp).T)
+    i, j, k = (n[:, None] for n in triples)
+    a, b, c = (n[None, :] for n in triples)
+    rhs4 = compound_matrix(g, 3)
+    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            rhs4 -= g[x, u] * p[y, z, v, w]
+    lhs4 = raise_slots(p, m, (3,))[triples] @ p[triples].T
+    r4 = float(np.max(np.abs(lhs4 - rhs4)))
     rep.add(entry("contraction_one_index", anchor, r4, tol))
     return rep

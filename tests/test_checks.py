@@ -192,21 +192,38 @@ def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
 
 
 def test_derived_quantities_are_computed_once(monkeypatch):
-    # one build plus one report; the second route call of each kind is the
-    # mirror algebra's torsion in check_bi_spin7
+    # one build plus one report; the second route call of each kind, and two
+    # of the four d's of 4-forms, are the mirror algebra's torsion in
+    # check_bi_spin7
+    geom = build_geometry("su2su2u1u1", "remark_b")
+    phi4, t3 = geom.phi4.tobytes(), geom.t3.tobytes()
     calls = Counter()
     wrappers = {}
-    names = ("lee_form_routes", "spin7_torsion_routes", "metric_from_phi")
+    keys = {
+        "lee_form_routes": lambda *args: "lee_form_routes",
+        "spin7_torsion_routes": lambda *args: "spin7_torsion_routes",
+        "metric_from_phi": lambda *args: "metric_from_phi",
+        "ce_differential": lambda beta, alg: ("ce_differential", beta.degree),
+        "norm_sq": lambda a, m: ("norm_sq", a.degree),
+        "raise_slots": lambda arr, m, slots: ("raise_slots", arr.tobytes(), tuple(slots)),
+    }
     for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "spin7"]:
-        for name in names:
+        for name, key in keys.items():
             fn = getattr(mod, name, None)
             if fn is None:
                 continue
             if fn not in wrappers:
-                def counted(*args, _fn=fn, _name=name, **kwargs):
-                    calls[_name] += 1
+                def counted(*args, _fn=fn, _key=key, **kwargs):
+                    calls[_key(*args, **kwargs)] += 1
                     return _fn(*args, **kwargs)
                 wrappers[fn] = counted
             monkeypatch.setattr(mod, name, wrappers[fn])
     full_report(build_geometry("su2su2u1u1", "remark_b"))
-    assert calls == {"lee_form_routes": 2, "spin7_torsion_routes": 2, "metric_from_phi": 1}
+    assert calls["lee_form_routes"] == 2
+    assert calls["spin7_torsion_routes"] == 2
+    assert calls["metric_from_phi"] == 1
+    assert calls[("ce_differential", 4)] == 4
+    assert calls[("norm_sq", 3)] == 2
+    assert calls[("raise_slots", phi4, (0, 1))] == 1
+    assert calls[("raise_slots", t3, (0, 1))] == 1
+    assert calls[("raise_slots", t3, (0, 1, 2))] == 1

@@ -15,6 +15,7 @@ from spin7.connection import (
     lee_form,
     lee_form_routes,
     levi_civita,
+    phi_derivatives,
     ricci,
     scalar_curv,
     sigma_t,
@@ -28,6 +29,7 @@ from spin7.forms import (
     IDENTITY_METRIC,
     KForm,
     canonical_indices,
+    interior_product,
     residual,
     wedge,
 )
@@ -75,6 +77,25 @@ def test_load_rejects_jacobi_violation():
                           {"i": 1, "j": 3, "k": 1, "c": 1}]}
     with pytest.raises(ValueError, match="Jacobi"):
         load_algebra(spec)
+
+
+def frame(seed: int) -> np.ndarray:
+    """A = I + 0.3 N with N seeded standard normal, redrawn until det A > 0."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
+        if np.linalg.det(a) > 0.0:
+            return a
+
+
+def test_jacobi_tolerance_is_relative_to_the_constants(su3):
+    # the Jacobi sum is quadratic in c: a badly conditioned change of frame
+    # (cond(A^T A) ~ 8e4) and a large rescaling both leave rounding above
+    # an absolute 1e-12, and both are Lie algebras
+    a = frame(3)
+    moved = np.einsum("ai,bj,abm,km->ijk", a, a, su3.c, np.linalg.inv(a))
+    assert LieAlgebra8("su3-moved", moved).jacobi_residual()[0] > 1e-12
+    assert LieAlgebra8("su3-scaled", 1000.0 * su3.c).jacobi_residual()[0] > 1e-12
 
 
 def test_load_abelian_and_single_bracket():
@@ -301,6 +322,16 @@ def test_sigma_generic_is_nonzero(rng):
     assert sigma_t(t).max_abs() > 1e-3
 
 
+def test_sigma_matches_interior_product_definition(rng):
+    # on an orthonormal frame sigma_T = (1/2) sum_j (e_j . T) ^ (e_j . T)
+    t = KForm(3, {idx: rng.standard_normal() for idx in canonical_indices(3)})
+    ref = KForm.zero(4)
+    for j in range(8):
+        tj = interior_product(KForm.basis_covector(j), t)
+        ref = ref + wedge(tj, tj)
+    assert residual(sigma_t(t), 0.5 * ref) < 1e-13
+
+
 def test_sigma_orthonormalization_matches_rescaled_frame(rng):
     # diagonal metric: sigma computed through Cholesky equals the direct
     # computation in the rescaled orthonormal coframe mapped back
@@ -321,7 +352,7 @@ def test_sigma_orthonormalization_matches_rescaled_frame(rng):
 
 def test_lee_form_product_example(su2):
     s = canonical_phi()
-    theta = lee_form_routes(s, su2)
+    theta = lee_form_routes(s, *phi_derivatives(s, su2))
     for route in theta:
         assert residual(route, (6.0 / 7.0) * (KForm.basis_covector(4)
                                               - KForm.basis_covector(3))) < 1e-13
@@ -329,13 +360,13 @@ def test_lee_form_product_example(su2):
 
 def test_lee_form_abelian_vanishes():
     s = canonical_phi()
-    for route in lee_form_routes(s, LieAlgebra8.abelian()):
+    for route in lee_form_routes(s, *phi_derivatives(s, LieAlgebra8.abelian())):
         assert route.max_abs() == 0.0
 
 
 def test_torsion_product_example(su2):
     s = canonical_phi()
-    t_star, t_delta = spin7_torsion_routes(s, su2, lee_form(s, su2))
+    t_star, t_delta = spin7_torsion_routes(s, *phi_derivatives(s, su2), lee_form(s, su2))
     expect = KForm.monomial((1, 2, 3)) + KForm.monomial((4, 5, 6))
     assert residual(t_star, expect) < 1e-13
     assert residual(t_delta, expect) < 1e-13

@@ -12,8 +12,8 @@ from spin7.forms import (
     IDENTITY_METRIC,
     FrameMetric,
     KForm,
-    _minor_matrix,
     canonical_indices,
+    compound_matrix,
     contract_into,
     form_from_dict,
     form_from_json,
@@ -21,7 +21,6 @@ from spin7.forms import (
     full_contraction,
     hodge_star,
     interior_product,
-    merge_with_sign,
     norm_sq,
     raise_slots,
     residual,
@@ -58,11 +57,6 @@ def random_spd_metric(rng):
 ])
 def test_sort_with_sign(seq, expected):
     assert sort_with_sign(seq) == expected
-
-
-def test_merge_with_sign_matches_sort():
-    assert merge_with_sign((0, 2), (1, 3)) == ((0, 1, 2, 3), -1)
-    assert merge_with_sign((0, 1), (0, 2))[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +252,14 @@ def test_star_interior_identities_against_phi(rng):
 
 @pytest.mark.parametrize("degree", range(9))
 def test_minor_matrix_matches_one_determinant_per_pair(degree):
-    gi = random_spd_metric(np.random.default_rng(degree)).inv
+    m = random_spd_metric(np.random.default_rng(degree))
+    gi = m.inv
     idxs = canonical_indices(degree)
     loop = np.array([[np.linalg.det(gi[np.ix_(I, J)]) for J in idxs] for I in idxs])
-    assert np.max(np.abs(_minor_matrix(gi, degree) - loop)) <= 1e-15
+    assert np.max(np.abs(compound_matrix(gi, degree) - loop)) <= 1e-15
+    # the metric keeps it per degree, built once
+    assert m.raise_matrix(degree) is m.raise_matrix(degree)
+    assert np.array_equal(m.raise_matrix(degree), compound_matrix(gi, degree))
 
 
 def test_raise_slots_raises_exactly_the_named_slots():
