@@ -15,18 +15,12 @@ import functools
 
 import numpy as np
 
-from .connection import (
-    covariant_derivative,
-    dt_via_expansion,
-    spin7_torsion,
-    torsion_tensor,
-)
+from .connection import covariant_derivative, spin7_torsion, torsion_tensor
 from .forms import KForm, interior_product, raise_slots, residual, wedge
 from .geometry import Geometry, SolitonData
 from .liealgebra import ce_differential
 from .report import (
     DEFAULT_TOL,
-    CheckEntry,
     VerificationReport,
     agreement_entry,
     entry,
@@ -59,11 +53,10 @@ def check_structure(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationRep
 
 @_report_of
 def check_algebra(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    jac, _ = geom.algebra.jacobi_residual()
-    dd = 0.0
-    for k in range(8):
-        ek = KForm.basis_covector(k)
-        dd = max(dd, ce_differential(ce_differential(ek, geom.algebra), geom.algebra).max_abs())
+    alg = geom.algebra
+    jac, _ = alg.jacobi_residual()
+    # d of every basis covector, then d again: its columns are d(d e^k)
+    dd = _maxabs(alg.d_matrix(2) @ alg.d_matrix(1))
     return [
         entry("jacobi_identity", "id:jacobi", jac, tol),
         entry("differential_squares_to_zero", "id:d-squared", dd, tol),
@@ -80,7 +73,8 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
         _maxabs(covariant_derivative(geom.conn, m.g)),
         _maxabs(covariant_derivative(geom.lc, m.g)),
     )
-    rr = _maxabs(np.einsum("ijab,abkl->ijkl", geom.curv.R, geom.phi_up2) - 2.0 * geom.curv.R)
+    rr = _maxabs(np.einsum("ijab,abkl->ijkl", geom.curv.R, geom.structure.up((0, 1)))
+                 - 2.0 * geom.curv.R)
     return [
         entry("lc_metric_compatibility", "id:metric-connection", geom.lc.metric_compat_residual(), tol),
         entry("lc_torsion_free", "id:levi-civita", torsion_free, tol),
@@ -160,6 +154,20 @@ def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
 
 
 @_report_of
+def check_dt_expansion(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """dT = nabla T's five-term expansion + 2 sigma_T, and nabla^g T - nabla T = sigma_T / 2."""
+    nt, sig = geom.nabla_t, geom.sigma4
+    cyclic = nt + np.einsum("yzxv->xyzv", nt) + np.einsum("zxyv->xyzv", nt)
+    expansion = cyclic + 2.0 * sig - np.einsum("vxyz->xyzv", nt)
+    return [
+        entry("dT_five_term_expansion", "id:dT-covariant-expansion",
+              _maxabs(geom.dt4 - expansion), tol),
+        entry("lc_vs_torsion_derivative", "id:dT-derivative-difference",
+              _maxabs(geom.nabla_t_lc - nt - 0.5 * sig), tol),
+    ]
+
+
+@_report_of
 def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     gi = geom.metric.inv
     tt = np.einsum("xia,yjb,ij,ab->xy", geom.t3, geom.t3, gi, gi)
@@ -177,8 +185,8 @@ def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
 def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     m = geom.metric
     # full contractions raise all of phi; the Ricci-type ones keep phi_j lower
-    phi_up4 = raise_slots(geom.phi4, m, (0, 1, 2, 3))
-    phi_j_up3 = raise_slots(geom.phi4, m, (1, 2, 3))
+    phi_up4 = geom.structure.up((0, 1, 2, 3))
+    phi_j_up3 = geom.structure.up((1, 2, 3))
     nt = geom.nabla_t
     ntheta = geom.nabla_theta
     tn, thn = geom.torsion_norm_sq, geom.theta_norm_sq
@@ -196,8 +204,7 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationR
     scal1_b = abs(geom.scal_lc - (3.5 * dth + (21.0 / 8.0) * thn - n48 / 12.0))
 
     sig_phi = float(np.einsum("jabc,jabc->", geom.sigma4, phi_up4))
-    mid = 3.0 * float(np.einsum("jas,bcs,jabc->", geom.t3, raise_slots(geom.t3, m, (2,)),
-                                phi_up4))
+    mid = 3.0 * float(np.einsum("jas,bcs,jabc->", geom.t3, geom.t_last_up, phi_up4))
     ng4 = max(abs(sig_phi - mid), abs(sig_phi - (2.0 * tn - (49.0 / 3.0) * thn)))
 
     dt_phi = float(np.einsum("jabc,jabc->", geom.dt4, phi_up4))
@@ -310,16 +317,17 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
     nth = geom.nabla_theta
     dnth = nth - nth.T
     th_t = np.einsum("s,sij->ij", geom.theta_up, geom.t3)
-    th_t_phi = np.einsum("ab,abij->ij", np.einsum("s,sab->ab", geom.theta_up, geom.t3), geom.phi_up2)
+    phi_up2 = geom.structure.up((0, 1))
+    th_t_phi = np.einsum("ab,abij->ij", th_t, phi_up2)
     new_formula = max(
         _maxabs(dnth - (-(1.0 / 3.0) * th_t + (1.0 / 6.0) * th_t_phi)),
-        _maxabs(dnth + (1.0 / 6.0) * np.einsum("ab,abij->ij", dnth, geom.phi_up2)),
+        _maxabs(dnth + (1.0 / 6.0) * np.einsum("ab,abij->ij", dnth, phi_up2)),
     )
     out.append(entry("lee_nabla_exterior_formula", anchor, new_formula, tol))
     _, part21 = project_lambda2(KForm.from_array(dnth), geom.structure)
     out.append(entry("lee_nabla_exterior_in_7part", anchor, part21.max_abs(), tol))
 
-    sym_v = _maxabs(nth - nth.T) <= tol
+    sym_v = _maxabs(dnth) <= tol
     tth_v = _maxabs(th_t_phi - 2.0 * th_t) <= tol
     dth_v = geom.dtheta7.max_abs() <= tol
     out.append(agreement_entry("symmetric_ricci_equivalence", anchor, [sym_v, tth_v, dth_v], tol))
@@ -366,8 +374,8 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificatio
         return [na_entry(i, anchor, "pair-symmetry hypotheses fail here") for i in ids]
 
     # phi_j^{abc} against the Ricci-type terms, phi^{jkl}_i against the quartic ones
-    phi_j_up3 = raise_slots(geom.phi4, geom.metric, (1, 2, 3))
-    phi_up3_i = raise_slots(geom.phi4, geom.metric, (0, 1, 2))
+    phi_j_up3 = geom.structure.up((1, 2, 3))
+    phi_up3_i = geom.structure.up((0, 1, 2))
     ntheta = geom.nabla_theta
     su1 = _maxabs(geom.ric + 3.5 * ntheta
                   + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.sigma4, phi_j_up3))
@@ -445,6 +453,12 @@ def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> list[str]:
 
 
 @_report_of
+def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+    labels = ",".join(classify_fernandez(geom, tol)) or "generic"
+    return [entry("fernandez_classes", "id:structure-classes", 0.0, tol, notes=labels)]
+
+
+@_report_of
 def check_bi_spin7(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     anchor = "id:bi-structure"
     mirror = geom.algebra.mirrored()
@@ -460,27 +474,21 @@ def check_bi_spin7(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationRepo
     return out
 
 
+# The report order: every report lists its entries group by group in this order.
+CHECKS = (check_structure, check_algebra, check_connection_contracts, check_lee_and_torsion,
+          check_bianchi_family, check_dt_expansion, check_ricci_relations, check_spin7_ricci,
+          check_riemannian_bianchi, check_s2lambda2, check_closed_torsion, check_symmetric_ricci,
+          check_second_bianchi, check_main_theorems, check_soliton, check_fernandez,
+          check_bi_spin7)
+
+
 def full_report(geom: Geometry, soliton: SolitonData | None = None,
                 tol: float = DEFAULT_TOL) -> VerificationReport:
-    """All checks in a fixed order; identical inputs give identical reports."""
+    """Every group of ``CHECKS`` in order; identical inputs give identical reports."""
     rep = VerificationReport(geom.name)
-    rep.extend(check_structure(geom, tol).entries)
-    rep.extend(check_algebra(geom, tol).entries)
-    rep.extend(check_connection_contracts(geom, tol).entries)
-    rep.extend(check_lee_and_torsion(geom, tol).entries)
-    rep.extend(check_bianchi_family(geom, tol).entries)
-    rep.extend(dt_via_expansion(geom.torsion, geom.conn, geom.algebra, tol).entries)
-    rep.extend(check_ricci_relations(geom, tol).entries)
-    rep.extend(check_spin7_ricci(geom, tol).entries)
-    rep.extend(check_riemannian_bianchi(geom, tol).entries)
-    rep.extend(check_s2lambda2(geom, tol).entries)
-    rep.extend(check_closed_torsion(geom, tol).entries)
-    rep.extend(check_symmetric_ricci(geom, tol).entries)
-    rep.extend(check_second_bianchi(geom, tol).entries)
-    rep.extend(check_main_theorems(geom, tol).entries)
-    rep.extend(check_soliton(geom, soliton, tol).entries)
-    labels = classify_fernandez(geom, tol)
-    rep.add(entry("fernandez_classes", "id:structure-classes", 0.0, tol,
-                  notes=",".join(labels) if labels else "generic"))
-    rep.extend(check_bi_spin7(geom, tol).entries)
+    for group in CHECKS:
+        # looked up by name, so a wrapper set on the module (perfbench's tracer) sees it
+        check = globals()[group.__name__]
+        args = (soliton,) if check is check_soliton else ()
+        rep.extend(check(geom, *args, tol=tol).entries)
     return rep

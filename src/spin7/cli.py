@@ -32,11 +32,6 @@ from .structure import (
 )
 
 
-def _parse_soliton(text: str) -> SolitonData:
-    parts = [parse_scalar(p) for p in text.split(",")]
-    return SolitonData(parts)
-
-
 def cmd_verify(args) -> int:
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
@@ -50,7 +45,8 @@ def cmd_verify(args) -> int:
         geom = Geometry.build(alg, phi, name=geometry_id(name, args.structure, args.t)
                               if args.structure in ("canonical", "phi_t", "remark_b")
                               else f"{name}+{Path(args.structure).stem}")
-        soliton = _parse_soliton(args.soliton_df) if args.soliton_df else None
+        soliton = (SolitonData([parse_scalar(p) for p in args.soliton_df.split(",")])
+                   if args.soliton_df else None)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

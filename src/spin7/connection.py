@@ -28,7 +28,6 @@ from .forms import (
     wedge,
 )
 from .liealgebra import LieAlgebra8, ce_differential
-from .report import VerificationReport, entry
 from .structure import Spin7Form, lambda3_covector
 
 
@@ -238,33 +237,3 @@ def spin7_torsion_routes(structure: Spin7Form, dphi: KForm, d_star_phi: KForm,
     via_delta = delta_phi + (7.0 / 6.0) * interior_product(theta, phi, m)
     return via_star, via_delta
 
-
-def dt_via_expansion(torsion: KForm, conn: FrameConnection,
-                     alg: LieAlgebra8, tol: float = 1e-9) -> VerificationReport:
-    """Check the two covariant expansions of dT against the invariant d.
-
-    First entry: the five-term expansion of dT through the torsion
-    connection plus twice the quartic 4-form.  Second entry: the difference
-    of Levi-Civita and torsion covariant derivatives of T equals half the
-    quartic 4-form.
-    """
-    m = conn.metric
-    dt = ce_differential(torsion, alg).to_array()
-    t3 = torsion.to_array()
-    nt = covariant_derivative(conn, t3)
-    sig = sigma_t(torsion, m).to_array()
-    expansion = (
-        nt
-        + np.einsum("yzxv->xyzv", nt)
-        + np.einsum("zxyv->xyzv", nt)
-        + 2.0 * sig
-        - np.einsum("vxyz->xyzv", nt)
-    )
-    rep = VerificationReport("exterior-derivative-expansions")
-    rep.add(entry("dT_five_term_expansion", "id:dT-covariant-expansion",
-                  float(np.max(np.abs(dt - expansion))), tol))
-    lc = FrameConnection(conn.gamma - 0.5 * raise_slots(t3, m, (2,)), m)
-    nt_g = covariant_derivative(lc, t3)
-    rep.add(entry("lc_vs_torsion_derivative", "id:dT-derivative-difference",
-                  float(np.max(np.abs(nt_g - nt - 0.5 * sig))), tol))
-    return rep

@@ -289,9 +289,6 @@ class KForm:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vec)))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
-
     def covector_components(self) -> np.ndarray:
         if self.degree != 1:
             raise ValueError(f"not a covector: degree {self.degree}")

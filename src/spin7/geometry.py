@@ -5,8 +5,9 @@ the three Lee-form routes (``lee_routes``; ``theta`` is the last), the two
 torsion routes (``torsion_routes``; ``torsion`` is the first), the
 Levi-Civita and torsion connections and both curvatures.  Everything else
 the identity suite reads, the 7-part of d theta, the 48-part of delta phi
-and its norm, and phi and T with raised slots among it, is a cached
-property computed on first use.
+and its norm, and T with slots (0, 1), (0, 1, 2) or 2 raised among it, is a
+cached property computed on first use.  phi with raised slots is kept on
+the structure (``Spin7Form.up``).
 """
 
 from __future__ import annotations
@@ -121,16 +122,17 @@ class Geometry:
     # _upN: the first N slots raised
 
     @cached_property
-    def phi_up2(self) -> np.ndarray:
-        return raise_slots(self.phi4, self.metric, (0, 1))
-
-    @cached_property
     def t_up2(self) -> np.ndarray:
         return raise_slots(self.t3, self.metric, (0, 1))
 
     @cached_property
     def t_up3(self) -> np.ndarray:
         return raise_slots(self.t3, self.metric, (0, 1, 2))
+
+    @cached_property
+    def t_last_up(self) -> np.ndarray:
+        """T_xy^a: slot 2 raised."""
+        return raise_slots(self.t3, self.metric, (2,))
 
     @cached_property
     def theta_vec(self) -> np.ndarray:
@@ -169,10 +171,6 @@ class Geometry:
         return covariant_derivative(self.conn, self.theta_vec)
 
     @cached_property
-    def nabla_theta_lc(self) -> np.ndarray:
-        return covariant_derivative(self.lc, self.theta_vec)
-
-    @cached_property
     def dtheta(self) -> KForm:
         return ce_differential(self.theta, self.algebra)
 
@@ -191,7 +189,8 @@ class Geometry:
 
     @cached_property
     def delta_theta(self) -> float:
-        return -float(np.einsum("ab,ab->", self.metric.inv, self.nabla_theta_lc))
+        return -float(np.einsum("ab,ab->", self.metric.inv,
+                                covariant_derivative(self.lc, self.theta_vec)))
 
     @cached_property
     def delta_phi(self) -> KForm:

@@ -9,9 +9,10 @@ c * e_ij" stores c^k_{ij} = -c.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
-import re
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -22,8 +23,24 @@ from .forms import DIM, KForm, _index_array, _merge_table
 
 JACOBI_TOL = 1e-12
 
-_SCALAR_RE = re.compile(r"^[0-9a-z+\-*/(). ]+$")
-_SCALAR_NAMES = {"sqrt": math.sqrt, "pi": math.pi}
+_SCALAR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv, ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _scalar_value(node: ast.AST) -> float:
+    """Numbers, unary +/-, + - * /, sqrt(...) and pi; anything else is rejected unevaluated."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SCALAR_OPS:
+        return _SCALAR_OPS[type(node.op)](_scalar_value(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _SCALAR_OPS:
+        return _SCALAR_OPS[type(node.op)](_scalar_value(node.left), _scalar_value(node.right))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt" and len(node.args) == 1 and not node.keywords):
+        return math.sqrt(_scalar_value(node.args[0]))
+    raise ValueError(f"{type(getattr(node, 'op', node)).__name__} is not allowed")
 
 
 def parse_scalar(value) -> float:
@@ -31,12 +48,15 @@ def parse_scalar(value) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).strip().lower()
-    if not text or not _SCALAR_RE.match(text):
-        raise ValueError(f"cannot parse scalar {value!r}")
+    # the parser reports nesting beyond its stack as MemoryError
     try:
-        return float(eval(text, {"__builtins__": {}}, dict(_SCALAR_NAMES)))
-    except Exception as exc:
-        raise ValueError(f"cannot parse scalar {value!r}: {exc}") from None
+        result = _scalar_value(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
+        reason = str(exc) or "nested too deeply"
+        raise ValueError(f"cannot parse scalar {value!r}: {reason}") from None
+    if not math.isfinite(result):
+        raise ValueError(f"cannot parse scalar {value!r}: not a finite number")
+    return result
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ eigenvalues -24, -12, 4, 0 and the projectors are Lagrange polynomials in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,14 +78,12 @@ class Spin7Form:
 
     phi: KForm
     metric: FrameMetric
+    # slot tuple -> phi with those slots raised, filled on first use
+    _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_form(cls, phi: KForm) -> "Spin7Form":
         return cls(phi, metric_from_phi(phi))
-
-    @classmethod
-    def canonical(cls) -> "Spin7Form":
-        return cls(canonical_phi_form(), IDENTITY_METRIC)
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -93,9 +91,17 @@ class Spin7Form:
         arr.setflags(write=False)
         return arr
 
+    def up(self, slots: tuple[int, ...]) -> np.ndarray:
+        """phi with ``slots`` raised by ``raise_slots``; read-only, built once per slot tuple."""
+        if slots not in self._up:
+            self._up[slots] = raise_slots(self.dense, self.metric, slots)
+            self._up[slots].setflags(write=False)
+        return self._up[slots]
+
+
 def canonical_phi() -> Spin7Form:
     """The canonical fundamental form; induced metric is the identity."""
-    return Spin7Form.canonical()
+    return Spin7Form(canonical_phi_form(), IDENTITY_METRIC)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +168,7 @@ def omega_operator(sigma: KForm, structure: Spin7Form) -> KForm:
     if sigma.degree != 4:
         raise ValueError(f"expected a 4-form, got degree {sigma.degree}")
     s = sigma.to_array()
-    p = raise_slots(structure.dense, structure.metric, (0, 1))
+    p = structure.up((0, 1))
     out = (
         np.einsum("ijpq,pqkl->ijkl", s, p)
         + np.einsum("ikpq,pqlj->ijkl", s, p)
@@ -241,14 +247,14 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     p = structure.dense
     g = m.g
     # full contraction = 336
-    r1 = abs(np.einsum("ijpq,ijpq->", p, raise_slots(p, m, (0, 1, 2, 3))) - 336.0)
+    r1 = abs(np.einsum("ijpq,ijpq->", p, structure.up((0, 1, 2, 3))) - 336.0)
     rep.add(entry("contraction_scalar_336", anchor, r1, tol))
     # three-index contraction = 42 g
-    two = np.einsum("ijpq,ajpq->ia", p, raise_slots(p, m, (1, 2, 3)))
+    two = np.einsum("ijpq,ajpq->ia", p, structure.up((1, 2, 3)))
     r2 = float(np.max(np.abs(two - 42.0 * g)))
     rep.add(entry("contraction_metric_42", anchor, r2, tol))
     # two shared indices: 6(g g - g g) - 4 phi
-    lhs3 = np.einsum("ijpq,klpq->ijkl", p, raise_slots(p, m, (2, 3)))
+    lhs3 = np.einsum("ijpq,klpq->ijkl", p, structure.up((2, 3)))
     rhs3 = (
         6.0 * np.einsum("ik,jl->ijkl", g, g)
         - 6.0 * np.einsum("il,jk->ijkl", g, g)
@@ -268,7 +274,7 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
             rhs4 -= g[x, u] * p[y, z, v, w]
-    lhs4 = raise_slots(p, m, (3,))[triples] @ p[triples].T
+    lhs4 = structure.up((3,))[triples] @ p[triples].T
     r4 = float(np.max(np.abs(lhs4 - rhs4)))
     rep.add(entry("contraction_one_index", anchor, r4, tol))
     return rep

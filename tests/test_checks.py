@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from spin7 import checks
 from spin7.checks import (
     check_bi_spin7,
     check_bianchi_family,
@@ -194,7 +195,9 @@ def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
 def test_derived_quantities_are_computed_once(monkeypatch):
     # one build plus one report; the second route call of each kind, and two
     # of the four d's of 4-forms, are the mirror algebra's torsion in
-    # check_bi_spin7
+    # check_bi_spin7.  The three 3-tensor derivatives are nabla T for both
+    # connections and the divergence in delta T; the three T_xy^a tables are
+    # built by connection_from_torsion, sigma_t and Geometry.t_last_up.
     geom = build_geometry("su2su2u1u1", "remark_b")
     phi4, t3 = geom.phi4.tobytes(), geom.t3.tobytes()
     calls = Counter()
@@ -206,6 +209,8 @@ def test_derived_quantities_are_computed_once(monkeypatch):
         "ce_differential": lambda beta, alg: ("ce_differential", beta.degree),
         "norm_sq": lambda a, m: ("norm_sq", a.degree),
         "raise_slots": lambda arr, m, slots: ("raise_slots", arr.tobytes(), tuple(slots)),
+        "sigma_t": lambda torsion, m: "sigma_t",
+        "covariant_derivative": lambda conn, t: ("covariant_derivative", t.ndim),
     }
     for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "spin7"]:
         for name, key in keys.items():
@@ -222,8 +227,37 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     assert calls["lee_form_routes"] == 2
     assert calls["spin7_torsion_routes"] == 2
     assert calls["metric_from_phi"] == 1
+    assert calls[("ce_differential", 1)] == 1
+    assert calls[("ce_differential", 2)] == 0
+    assert calls[("ce_differential", 3)] == 3
     assert calls[("ce_differential", 4)] == 4
+    assert calls["sigma_t"] == 1
+    assert calls[("covariant_derivative", 3)] == 3
     assert calls[("norm_sq", 3)] == 2
     assert calls[("raise_slots", phi4, (0, 1))] == 1
     assert calls[("raise_slots", t3, (0, 1))] == 1
     assert calls[("raise_slots", t3, (0, 1, 2))] == 1
+    assert calls[("raise_slots", t3, (2,))] <= 3
+    for slots in [(0, 1, 2, 3), (1, 2, 3), (0, 1, 2), (2, 3), (3,)]:
+        assert calls[("raise_slots", phi4, slots)] == 1, slots
+
+
+def test_checks_tuple_holds_every_public_group_once():
+    groups = {fn for name, fn in vars(checks).items() if name.startswith("check_")}
+    assert len(checks.CHECKS) == len(set(checks.CHECKS))
+    assert set(checks.CHECKS) == groups
+
+
+def test_full_report_calls_each_group_through_the_module(monkeypatch):
+    # profilers and perfbench's tracer wrap the module attributes; the soliton
+    # still reaches its group through the wrapper
+    seen = []
+    for group in checks.CHECKS:
+        def wrapped(*args, _group=group, **kwargs):
+            seen.append(_group.__name__)
+            return _group(*args, **kwargs)
+        monkeypatch.setattr(checks, group.__name__, wrapped)
+    rep = full_report(build_geometry("abelian"), SolitonData(np.ones(8)))
+    assert seen == [group.__name__ for group in checks.CHECKS]
+    notes = {e.check_id: e.notes for e in rep.entries}
+    assert notes["soliton_vector_parallel"] == "user-supplied gradient"

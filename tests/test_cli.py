@@ -106,6 +106,15 @@ def test_verify_bad_tolerance_exits_two(value, capsys):
     assert captured.out == ""
 
 
+def test_verify_power_tower_t_exits_two(capsys):
+    # --t is parsed, never evaluated: a power tower is refused at once
+    assert run_cli("verify", "--algebra", "abelian", "--structure", "phi_t",
+                   "--t", "9**9**9**9") == 2
+    captured = capsys.readouterr()
+    assert _single_error_line(captured.err) and "Pow is not allowed" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_heisenberg_reports_probe_failures(tmp_path, capsys):
     # the generic smoke entry fails the pair-symmetry probes by design;
     # the report is still complete and the exit code says "checks failed"

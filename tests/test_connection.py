@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spin7.checks import check_dt_expansion
 from spin7.connection import (
     FrameConnection,
     codifferential,
@@ -11,7 +12,6 @@ from spin7.connection import (
     connection_from_torsion,
     covariant_derivative,
     curvature,
-    dt_via_expansion,
     lee_form,
     lee_form_routes,
     levi_civita,
@@ -34,7 +34,8 @@ from spin7.forms import (
     wedge,
 )
 from spin7.liealgebra import LieAlgebra8, ce_differential, load_algebra, parse_scalar
-from spin7.structure import canonical_phi
+from spin7.geometry import Geometry
+from spin7.structure import canonical_phi, canonical_phi_form
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,23 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("__import__('os')")
     with pytest.raises(ValueError):
         parse_scalar("sqrt(-1)")
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("2**10", "Pow is not allowed"),
+    ("9**9**9**9", "Pow is not allowed"),
+    ("(1).real", "Attribute is not allowed"),
+    ("2 % 3", "Mod is not allowed"),
+    ("sqrt(4, 5)", "Call is not allowed"),
+    ("1/0", "division by zero"),
+    ("1e308*10", "not a finite number"),
+    ("-" * 100000 + "1", "cannot parse scalar"),  # beyond the parser's stack
+])
+def test_parse_scalar_rejects_without_evaluating(text, reason):
+    # only numbers, unary +/-, + - * /, sqrt(...) and pi are evaluated; the
+    # power tower would not finish if it were
+    with pytest.raises(ValueError, match=reason):
+        parse_scalar(text)
 
 
 def test_load_rejects_jacobi_violation():
@@ -395,10 +413,9 @@ def test_characteristic_connection_annihilates_phi(su2, su3, heisenberg):
 
 @pytest.mark.parametrize("alg_name", ["su2su2u1u1", "heisenberg", "abelian"])
 def test_dt_expansion_report(alg_name):
-    alg = corpus_algebra(alg_name)
-    s = canonical_phi()
-    t = spin7_torsion(s, alg)
-    conn = connection_from_torsion(levi_civita(alg, s.metric), t)
-    rep = dt_via_expansion(t, conn, alg)
+    geom = Geometry.build(corpus_algebra(alg_name), canonical_phi_form())
+    rep = check_dt_expansion(geom)
+    assert [e.check_id for e in rep.entries] == ["dT_five_term_expansion",
+                                                 "lc_vs_torsion_derivative"]
     assert rep.all_passed()
     assert rep.max_residual() < 1e-9
