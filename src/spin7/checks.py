@@ -139,7 +139,7 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
 def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     R, dt, sig = geom.curv.R, geom.dt4, geom.sigma4
     nt = geom.nabla_t
-    cyc = R + np.einsum("yzxv->xyzv", R) + np.einsum("zxyv->xyzv", R)
+    cyc = geom.bianchi_cycle
     rcyc = (np.einsum("vxyz->xyzv", R) + np.einsum("vyzx->xyzv", R)
             + np.einsum("vzxy->xyzv", R))
     nt_last = np.einsum("vxyz->xyzv", nt)
@@ -234,8 +234,8 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationR
 
 @_report_of
 def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    R, dt, sig, nt = geom.curv.R, geom.dt4, geom.sigma4, geom.nabla_t
-    rb = _maxabs(R + np.einsum("yzxv->xyzv", R) + np.einsum("zxyv->xyzv", R))
+    dt, sig, nt = geom.dt4, geom.sigma4, geom.nabla_t
+    rb = _maxabs(geom.bianchi_cycle)
     out = [entry("riemannian_first_bianchi", "id:riemannian-first-bianchi", rb, tol)]
     fbt = max(_maxabs(dt + 2.0 * nt), _maxabs(dt - (2.0 / 3.0) * sig))
     out.append(entry("parallel_type_torsion_relations", "id:riemannian-first-bianchi", fbt, tol))
@@ -250,9 +250,9 @@ def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> Verifi
 
 @_report_of
 def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    nt, R, dt = geom.nabla_t, geom.curv.R, geom.dt4
+    nt, dt = geom.nabla_t, geom.dt4
     four_form = _maxabs(nt + np.einsum("yxzv->xyzv", nt))
-    pair = _maxabs(R - np.einsum("zvxy->xyzv", R))
+    pair = _maxabs(geom.pair_asymmetry)
     dt_rel = _maxabs(dt - 4.0 * geom.nabla_t_lc)
     verdicts = [four_form <= tol, pair <= tol, dt_rel <= tol]
     return [
@@ -368,7 +368,7 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificatio
     ids = ["ricci_quartic_balance", "lc_parallel_torsion", "parallel_torsion",
            "lee_parallel_under_pair_symmetry", "quartic_lee_contractions"]
     hyp_lee = geom.dtheta7.max_abs() <= tol
-    pair = _maxabs(geom.curv.R - np.einsum("zvxy->xyzv", geom.curv.R)) <= tol
+    pair = _maxabs(geom.pair_asymmetry) <= tol
     ric0 = _maxabs(geom.ric) <= tol
     if not (hyp_lee and pair and ric0):
         return [na_entry(i, anchor, "pair-symmetry hypotheses fail here") for i in ids]

@@ -2,14 +2,23 @@
 
 Everything here works on full 8^k component tables and recomputes signs,
 shuffles and duals from first principles, deliberately sharing no logic
-with the sparse implementation in ``forms``.  Intended for tests; dense
-tables are only reasonable for k <= 4 (8^4 = 4096 entries).
+with the vector implementation in ``forms``.  Intended for tests.
+
+The Hodge star sums over one table of all 8! permutations of the frame
+indices, built once on first use by inserting each index into every
+position of the permutations of the smaller ones.  Each row's sign comes
+from counting its cycles, a third way of computing a sign next to
+``parity``'s selection sort and the inversion count in ``forms``.  The
+wedge is the shuffle sum over transposed views of a (x) b, and
+``dense_components`` scatters each coefficient onto every reordering of
+its index tuple.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -30,17 +39,47 @@ def parity(seq) -> int:
     return sign
 
 
+@lru_cache(maxsize=None)
+def _permutation_table() -> tuple[np.ndarray, np.ndarray]:
+    """All 8! permutations of range(8) as int8 rows, and their signs.
+
+    Row r maps i to perms[r, i].  The sign is (-1)^(8 - cycles); i starts
+    a cycle when it is the smallest index on its orbit.
+    """
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for n in range(DIM):
+        perms = np.concatenate([np.insert(perms, pos, n, axis=1) for pos in range(n + 1)])
+    orbit_min = np.broadcast_to(np.arange(DIM, dtype=np.int8), perms.shape)
+    image = perms
+    for _ in range(DIM - 1):
+        orbit_min = np.minimum(orbit_min, image)
+        image = np.take_along_axis(perms, image, axis=1)
+    cycles = np.count_nonzero(orbit_min == np.arange(DIM), axis=1)
+    signs = np.where((DIM - cycles) % 2 == 0, 1, -1).astype(np.int8)
+    perms.setflags(write=False)
+    signs.setflags(write=False)
+    return perms, signs
+
+
+def _flat_index(columns: np.ndarray) -> np.ndarray:
+    """Row-major flat index into an 8^m table of each row of an (n, m) array."""
+    flat = np.zeros(len(columns), dtype=np.intp)
+    for j in range(columns.shape[1]):
+        flat *= DIM
+        flat += columns[:, j]
+    return flat
+
+
 def dense_components(form) -> np.ndarray:
     """Full 8^k component table of a sparse form."""
     k = form.degree
     if k == 0:
         return np.array(form.coeffs.get((), 0.0))
     arr = np.zeros((DIM,) * k)
-    for idx in product(range(DIM), repeat=k):
-        sign = parity(idx)
-        if sign == 0:
-            continue
-        arr[idx] = sign * form.coeffs.get(tuple(sorted(idx)), 0.0)
+    idx = np.array(list(form.coeffs), dtype=np.intp).reshape(-1, k)
+    vals = np.array(list(form.coeffs.values()), dtype=float)
+    for order in permutations(range(k)):
+        arr[tuple(idx[:, order].T)] = parity(order) * vals
     return arr
 
 
@@ -54,17 +93,17 @@ def dense_wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return float(a) * b
     if l == 0:
         return float(b) * a
+    ab = np.multiply.outer(a, b)
     out = np.zeros((DIM,) * (k + l))
     positions = list(range(k + l))
-    shuffles = []
     for first in combinations(positions, k):
         rest = tuple(p for p in positions if p not in first)
-        shuffles.append((first, rest, parity(first + rest)))
-    for idx in product(range(DIM), repeat=k + l):
-        total = 0.0
-        for first, rest, sign in shuffles:
-            total += sign * a[tuple(idx[p] for p in first)] * b[tuple(idx[p] for p in rest)]
-        out[idx] = total
+        # axis first[i] of the term reads axis i of a (x) b, axis rest[j] axis k + j
+        term = ab.transpose(np.argsort(first + rest))
+        if parity(first + rest) > 0:
+            out += term
+        else:
+            out -= term
     return out
 
 
@@ -78,7 +117,10 @@ def _raise_all(a: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 
 def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1) -> np.ndarray:
-    """Hodge dual on dense tables: (*a)_J = (1/k!) a^I eps_{IJ} sqrt(det g)."""
+    """Hodge dual on dense tables: (*a)_J = (1/k!) a^I eps_{IJ} sqrt(det g).
+
+    Every permutation P of range(8) adds sign(P) a^{P[:k]} to (*a)_{P[k:]}.
+    """
     k = a.ndim if a.shape != () else 0
     if g is None:
         raised = np.asarray(a, dtype=float)
@@ -87,28 +129,12 @@ def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1)
         g = np.asarray(g, dtype=float)
         raised = _raise_all(np.asarray(a, dtype=float), np.linalg.inv(g)) if k else np.asarray(a, dtype=float)
         scale = math.sqrt(np.linalg.det(g)) * orientation
-    kk = DIM - k
-    if kk == 0:
-        total = 0.0
-        for idx in permutations(range(DIM)):
-            total += raised[idx] * parity(idx)
-        return np.array(total * scale / math.factorial(k))
-    out = np.zeros((DIM,) * kk)
-    for J in combinations(range(DIM), kk):
-        rest = tuple(i for i in range(DIM) if i not in J)
-        total = 0.0
-        if k == 0:
-            total = float(raised) * parity(J)
-        else:
-            for I in permutations(rest):
-                total += raised[I] * parity(I + J)
-            total /= math.factorial(k)
-        val = total * scale
-        if val == 0.0:
-            continue
-        for Jp in permutations(J):
-            out[Jp] = parity(Jp) * val
-    return out
+    perms, signs = _permutation_table()
+    weights = signs * raised.ravel()[_flat_index(perms[:, :k])]
+    out = np.bincount(_flat_index(perms[:, k:]), weights, minlength=DIM ** (DIM - k))
+    out /= math.factorial(k)
+    out *= scale
+    return out.reshape((DIM,) * (DIM - k))
 
 
 def dense_full_contraction(a: np.ndarray, b: np.ndarray, g: np.ndarray | None = None) -> float:

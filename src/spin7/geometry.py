@@ -5,9 +5,10 @@ the three Lee-form routes (``lee_routes``; ``theta`` is the last), the two
 torsion routes (``torsion_routes``; ``torsion`` is the first), the
 Levi-Civita and torsion connections and both curvatures.  Everything else
 the identity suite reads, the 7-part of d theta, the 48-part of delta phi
-and its norm, and T with slots (0, 1), (0, 1, 2) or 2 raised among it, is a
-cached property computed on first use.  phi with raised slots is kept on
-the structure (``Spin7Form.up``).
+and its norm, delta T from the stored nabla^g T, the cyclic sum and the
+pair asymmetry of the curvature, and T with slots (0, 1), (0, 1, 2) or 2
+raised among it, is a cached property computed on first use.  phi with
+raised slots is kept on the structure (``Spin7Form.up``).
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ class Geometry:
 
     @cached_property
     def delta_torsion(self) -> KForm:
-        return codifferential(self.torsion, self.algebra, self.lc)
+        """delta T = -g^{ab} (nabla^g_a T)_{b..}, from the stored nabla^g T."""
+        return KForm.from_array(-np.einsum("ab,ab...->...", self.metric.inv, self.nabla_t_lc))
 
     @cached_property
     def delta_t2(self) -> np.ndarray:
@@ -204,6 +206,17 @@ class Geometry:
     @cached_property
     def delta_phi48_norm_sq(self) -> float:
         return norm_sq(self.delta_phi48, self.metric)
+
+    @cached_property
+    def bianchi_cycle(self) -> np.ndarray:
+        """R_xyzv + R_yzxv + R_zxyv of the torsion connection."""
+        R = self.curv.R
+        return R + np.einsum("yzxv->xyzv", R) + np.einsum("zxyv->xyzv", R)
+
+    @cached_property
+    def pair_asymmetry(self) -> np.ndarray:
+        """R_xyzv - R_zvxy of the torsion connection."""
+        return self.curv.R - np.einsum("zvxy->xyzv", self.curv.R)
 
     @cached_property
     def ric(self) -> np.ndarray:

@@ -195,9 +195,11 @@ def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
 def test_derived_quantities_are_computed_once(monkeypatch):
     # one build plus one report; the second route call of each kind, and two
     # of the four d's of 4-forms, are the mirror algebra's torsion in
-    # check_bi_spin7.  The three 3-tensor derivatives are nabla T for both
-    # connections and the divergence in delta T; the three T_xy^a tables are
-    # built by connection_from_torsion, sigma_t and Geometry.t_last_up.
+    # check_bi_spin7.  The two 3-tensor derivatives are nabla T for both
+    # connections (delta T reads the Levi-Civita one); the three T_xy^a
+    # tables are built by connection_from_torsion, sigma_t and
+    # Geometry.t_last_up.  The cyclic sum and the pair asymmetry of R are
+    # each one permutation of R, whatever the number of groups reading them.
     geom = build_geometry("su2su2u1u1", "remark_b")
     phi4, t3 = geom.phi4.tobytes(), geom.t3.tobytes()
     calls = Counter()
@@ -223,7 +225,16 @@ def test_derived_quantities_are_computed_once(monkeypatch):
                     return _fn(*args, **kwargs)
                 wrappers[fn] = counted
             monkeypatch.setattr(mod, name, wrappers[fn])
-    full_report(build_geometry("su2su2u1u1", "remark_b"))
+    built = build_geometry("su2su2u1u1", "remark_b")
+    einsum = np.einsum
+
+    def counted_einsum(subscripts, *operands, **kwargs):
+        if any(op is built.curv.R for op in operands):
+            calls[("einsum of R", subscripts)] += 1
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    full_report(built)
     assert calls["lee_form_routes"] == 2
     assert calls["spin7_torsion_routes"] == 2
     assert calls["metric_from_phi"] == 1
@@ -232,7 +243,10 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     assert calls[("ce_differential", 3)] == 3
     assert calls[("ce_differential", 4)] == 4
     assert calls["sigma_t"] == 1
-    assert calls[("covariant_derivative", 3)] == 3
+    assert calls[("covariant_derivative", 3)] == 2
+    assert calls[("einsum of R", "yzxv->xyzv")] == 1
+    assert calls[("einsum of R", "zxyv->xyzv")] == 1
+    assert calls[("einsum of R", "zvxy->xyzv")] == 1
     assert calls[("norm_sq", 3)] == 2
     assert calls[("raise_slots", phi4, (0, 1))] == 1
     assert calls[("raise_slots", t3, (0, 1))] == 1

@@ -1,9 +1,15 @@
 """Sparse pipeline against the brute-force dense oracle."""
 
+import ast
+from itertools import combinations, product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spin7.dense
 from spin7.dense import (
+    _permutation_table,
     dense_components,
     dense_full_contraction,
     dense_star,
@@ -122,3 +128,49 @@ def test_norm_convention_brute_force():
     arr = dense_components(t)
     assert float(np.sum(arr * arr)) == 12.0
     assert norm_sq(t) == 12.0
+
+
+def test_permutation_table_signs_match_parity():
+    perms, signs = _permutation_table()
+    assert perms.dtype == signs.dtype == np.int8
+    assert len({row.tobytes() for row in perms}) == len(perms) == 40320
+    assert np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(8), perms.shape))
+    assert [parity(row) for row in perms.tolist()] == signs.tolist()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_star_of_every_monomial_is_signed_complement(degree):
+    for idx in combinations(range(8), degree):
+        rest = tuple(i for i in range(8) if i not in idx)
+        expected = parity(idx + rest) * dense_components(KForm.monomial(rest))
+        assert np.array_equal(dense_star(dense_components(KForm.monomial(idx))), expected), idx
+
+
+def test_components_and_wedge_match_index_loops():
+    # the per-index definitions, evaluated one tuple at a time; same
+    # arithmetic in the same order, so the results are bit-identical
+    rng = np.random.default_rng(7)
+    c = random_form(rng, 3)
+    dc = dense_components(c)
+    for idx in product(range(8), repeat=3):
+        assert dc[idx] == parity(idx) * c.coeffs.get(tuple(sorted(idx)), 0.0), idx
+    da, db = dense_components(random_form(rng, 2)), dense_components(random_form(rng, 2))
+    shuffles = [(first, tuple(p for p in range(4) if p not in first))
+                for first in combinations(range(4), 2)]
+    loop = np.zeros((8,) * 4)
+    for idx in product(range(8), repeat=4):
+        total = 0.0
+        for first, rest in shuffles:
+            total += (parity(first + rest) * da[tuple(idx[p] for p in first)]
+                      * db[tuple(idx[p] for p in rest)])
+        loop[idx] = total
+    assert np.array_equal(dense_wedge(da, db), loop)
+
+
+def test_dense_imports_nothing_from_spin7():
+    tree = ast.parse(Path(spin7.dense.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "spin7" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "spin7", node.module
