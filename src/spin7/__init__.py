@@ -1,145 +1,17 @@
-"""Exterior calculus and identity verification for Spin(7)-structures with torsion."""
+"""Exterior calculus and identity verification for Spin(7)-structures with torsion.
 
-from .forms import (
-    DIM,
-    FrameMetric,
-    IDENTITY_METRIC,
-    KForm,
-    contract_into,
-    form_from_json,
-    form_to_json,
-    full_contraction,
-    hodge_star,
-    interior_product,
-    norm_sq,
-    residual,
-    star_interior_identities_check,
-    volume_form,
-    wedge,
-)
-from .structure import (
-    Spin7Form,
-    canonical_phi,
-    canonical_phi_form,
-    d_operator,
-    metric_from_phi,
-    omega_operator,
-    project_lambda2,
-    project_lambda3,
-    project_lambda4,
-    validate_phi,
-)
-from .liealgebra import LieAlgebra8, ce_differential, load_algebra, parse_scalar
-from .connection import (
-    CurvatureTensor,
-    FrameConnection,
-    codifferential,
-    connection_from_torsion,
-    covariant_derivative,
-    curvature,
-    lee_form,
-    levi_civita,
-    ricci,
-    scalar_curv,
-    sigma_t,
-    spin7_torsion,
-)
-from .geometry import Geometry, SolitonData
-from .checks import (
-    CHECKS,
-    check_algebra,
-    check_bi_spin7,
-    check_bianchi_family,
-    check_closed_torsion,
-    check_connection_contracts,
-    check_dt_expansion,
-    check_fernandez,
-    check_lee_and_torsion,
-    check_main_theorems,
-    check_ricci_relations,
-    check_riemannian_bianchi,
-    check_s2lambda2,
-    check_second_bianchi,
-    check_soliton,
-    check_spin7_ricci,
-    check_structure,
-    check_symmetric_ricci,
-    classify_fernandez,
-    full_report,
-)
-from .report import DEFAULT_TOL, CheckEntry, VerificationReport
-from .corpus import build_geometry, corpus_listing, get_algebra
+The package root holds the names of the README's "Library use" example;
+everything else is imported from its module (``spin7.forms``,
+``spin7.structure``, ``spin7.connection``, ``spin7.geometry``,
+``spin7.checks``, ...).
+"""
+
+from .checks import full_report
+from .corpus import build_geometry
+from .forms import hodge_star, wedge
+from .structure import canonical_phi, project_lambda4
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHECKS",
-    "DIM",
-    "DEFAULT_TOL",
-    "CheckEntry",
-    "CurvatureTensor",
-    "FrameConnection",
-    "FrameMetric",
-    "Geometry",
-    "IDENTITY_METRIC",
-    "KForm",
-    "LieAlgebra8",
-    "SolitonData",
-    "Spin7Form",
-    "VerificationReport",
-    "build_geometry",
-    "canonical_phi",
-    "canonical_phi_form",
-    "ce_differential",
-    "check_algebra",
-    "check_bi_spin7",
-    "check_bianchi_family",
-    "check_closed_torsion",
-    "check_connection_contracts",
-    "check_dt_expansion",
-    "check_fernandez",
-    "check_lee_and_torsion",
-    "check_main_theorems",
-    "check_ricci_relations",
-    "check_riemannian_bianchi",
-    "check_s2lambda2",
-    "check_second_bianchi",
-    "check_soliton",
-    "check_spin7_ricci",
-    "check_structure",
-    "check_symmetric_ricci",
-    "classify_fernandez",
-    "codifferential",
-    "connection_from_torsion",
-    "contract_into",
-    "corpus_listing",
-    "covariant_derivative",
-    "curvature",
-    "d_operator",
-    "form_from_json",
-    "form_to_json",
-    "full_contraction",
-    "full_report",
-    "get_algebra",
-    "hodge_star",
-    "interior_product",
-    "lee_form",
-    "levi_civita",
-    "load_algebra",
-    "metric_from_phi",
-    "norm_sq",
-    "omega_operator",
-    "parse_scalar",
-    "project_lambda2",
-    "project_lambda3",
-    "project_lambda4",
-    "residual",
-    "ricci",
-    "scalar_curv",
-    "sigma_t",
-    "spin7_torsion",
-    "star_interior_identities_check",
-    "validate_phi",
-    "volume_form",
-    "wedge",
-]
+__all__ = ["build_geometry", "canonical_phi", "full_report", "hodge_star",
+           "project_lambda4", "wedge"]

@@ -68,7 +68,7 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
     alg, m = geom.algebra, geom.metric
     torsion_free = _maxabs(geom.lc.gamma - np.einsum("ijk->jik", geom.lc.gamma) - alg.c)
     recovery = _maxabs(torsion_tensor(geom.conn, alg) - geom.t3)
-    nabla_phi = _maxabs(covariant_derivative(geom.conn, geom.phi4))
+    nabla_phi = _maxabs(covariant_derivative(geom.conn, geom.structure.dense))
     nabla_g = max(
         _maxabs(covariant_derivative(geom.conn, m.g)),
         _maxabs(covariant_derivative(geom.lc, m.g)),
@@ -91,7 +91,7 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
 @_report_of
 def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     m = geom.metric
-    phi = geom.phi4
+    phi = geom.structure.dense
     out = []
 
     r1, r2, r3 = geom.lee_routes
@@ -301,7 +301,7 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
     # codifferential of the torsion from the Lee form, always applicable
     dth_up = raise_slots(geom.dtheta.to_array(), m, (0, 1))
     rhs = (7.0 / 6.0) * (
-        0.5 * np.einsum("st,stlm->lm", dth_up, geom.phi4)
+        0.5 * np.einsum("st,stlm->lm", dth_up, geom.structure.dense)
         - np.einsum("k,klm->lm", geom.theta_up, dphi3)
     )
     deltat = _maxabs(geom.delta_t2 - rhs)

@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checks import full_report
 from .corpus import (
     ALGEBRA_NAMES,
@@ -41,17 +43,17 @@ def cmd_verify(args) -> int:
         phi, warnings = build_structure_form(args.structure, args.t)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        name = args.algebra if args.algebra in ALGEBRA_NAMES else Path(args.algebra).stem
-        geom = Geometry.build(alg, phi, name=geometry_id(name, args.structure, args.t)
-                              if args.structure in ("canonical", "phi_t", "remark_b")
-                              else f"{name}+{Path(args.structure).stem}")
         soliton = (SolitonData([parse_scalar(p) for p in args.soliton_df.split(",")])
                    if args.soliton_df else None)
+        # constants too large for double precision overflow into a non-finite
+        # residual, which the report refuses: one error line, no numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            geom = Geometry.build(alg, phi, name=geometry_id(args.algebra, args.structure, args.t))
+            rep = full_report(geom, soliton, tol=args.tolerance)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rep = full_report(geom, soliton, tol=args.tolerance)
     text = rep.to_json()
     if args.out:
         Path(args.out).write_text(text)

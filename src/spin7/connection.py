@@ -24,7 +24,6 @@ from .forms import (
     hodge_star,
     interior_product,
     raise_slots,
-    residual,
     wedge,
 )
 from .liealgebra import LieAlgebra8, ce_differential
@@ -80,10 +79,9 @@ def levi_civita(alg: LieAlgebra8, m: FrameMetric) -> FrameConnection:
     return FrameConnection(raise_slots(low, m, (2,)), m)
 
 
-def connection_from_torsion(lc: FrameConnection, torsion: KForm) -> FrameConnection:
-    """Metric connection with prescribed totally skew torsion 3-form."""
-    gamma = lc.gamma + 0.5 * raise_slots(torsion.to_array(), lc.metric, (2,))
-    return FrameConnection(gamma, lc.metric)
+def connection_from_torsion(lc: FrameConnection, t_up: np.ndarray) -> FrameConnection:
+    """Metric connection with prescribed totally skew torsion T_ij^k (slot 2 raised)."""
+    return FrameConnection(lc.gamma + 0.5 * t_up, lc.metric)
 
 
 def torsion_tensor(conn: FrameConnection, alg: LieAlgebra8) -> np.ndarray:
@@ -93,30 +91,16 @@ def torsion_tensor(conn: FrameConnection, alg: LieAlgebra8) -> np.ndarray:
 
 
 def covariant_derivative(conn: FrameConnection, t: np.ndarray) -> np.ndarray:
-    """(nabla_i t)_{j1..jr} for an invariant covariant tensor, rank <= 4."""
+    """(nabla_i t)_{j1..jr} of an invariant covariant tensor of any rank.
+
+    -sum_s Gamma^m_{i j_s} t_{j1..m..jr}: one tensordot per slot s, the
+    same idiom as ``raise_slots``.
+    """
     t = np.asarray(t, dtype=float)
-    rank = t.ndim
-    if rank == 0:
-        return np.zeros(DIM)
-    if rank > 4:
-        raise ValueError(f"rank {rank} not supported")
-    g = conn.gamma
-    if rank == 1:
-        return -np.einsum("ijm,m->ij", g, t)
-    if rank == 2:
-        return -np.einsum("ijm,mk->ijk", g, t) - np.einsum("ikm,jm->ijk", g, t)
-    if rank == 3:
-        return (
-            -np.einsum("ijm,mkl->ijkl", g, t)
-            - np.einsum("ikm,jml->ijkl", g, t)
-            - np.einsum("ilm,jkm->ijkl", g, t)
-        )
-    return (
-        -np.einsum("ijm,mklp->ijklp", g, t)
-        - np.einsum("ikm,jmlp->ijklp", g, t)
-        - np.einsum("ilm,jkmp->ijklp", g, t)
-        - np.einsum("ipm,jklm->ijklp", g, t)
-    )
+    out = np.zeros((DIM,) * (t.ndim + 1))
+    for s in range(t.ndim):
+        out -= np.moveaxis(np.tensordot(conn.gamma, t, axes=([2], [s])), 1, 1 + s)
+    return out
 
 
 def curvature(conn: FrameConnection, alg: LieAlgebra8) -> CurvatureTensor:
@@ -158,36 +142,25 @@ def codifferential(beta: KForm, alg: LieAlgebra8, conn_lc: FrameConnection) -> K
     return KForm.from_array(out)
 
 
-def codifferential_paths_residual(beta: KForm, alg: LieAlgebra8,
-                                  conn_lc: FrameConnection) -> float:
-    """Agreement of the divergence and -*d* computations of delta."""
-    return residual(
-        codifferential(beta, alg, conn_lc),
-        codifferential_via_star(beta, alg, conn_lc.metric),
-    )
-
-
 # ---------------------------------------------------------------------------
 # torsion-specific forms
 
-def sigma_t(torsion: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
+def sigma_t(t3: np.ndarray, t_up: np.ndarray) -> KForm:
     """The quartic torsion 4-form sigma_xyzv = S_xyz T_xya T_zv^a.
 
-    S_xyz is the cyclic sum over (x, y, z) and slot 2 of the second T is
-    raised with g; on an orthonormal frame this is
+    S_xyz is the cyclic sum over (x, y, z); ``t3`` is T_xyz and ``t_up`` is
+    T_xy^a, slot 2 raised with g.  On an orthonormal frame this is
     (1/2) sum_j (e_j . T) ^ (e_j . T).
     """
-    if torsion.degree != 3:
-        raise ValueError(f"torsion must be a 3-form, got degree {torsion.degree}")
-    t3 = torsion.to_array()
-    s = np.einsum("xya,zva->xyzv", t3, raise_slots(t3, m, (2,)))
+    s = np.einsum("xya,zva->xyzv", t3, t_up)
     return KForm.from_array(s + np.einsum("yzxv->xyzv", s) + np.einsum("zxyv->xyzv", s))
 
 
-def phi_derivatives(structure: Spin7Form, alg: LieAlgebra8) -> tuple[KForm, KForm]:
-    """d(phi) and d(*phi), the two derivatives the Lee-form and torsion routes read."""
-    phi = structure.phi
-    return ce_differential(phi, alg), ce_differential(hodge_star(phi, structure.metric), alg)
+def phi_derivatives(structure: Spin7Form, alg: LieAlgebra8) -> tuple[KForm, KForm, KForm]:
+    """d(phi), *d(phi) and delta(phi) = -*d*(phi): what the Lee-form and torsion routes read."""
+    dphi = ce_differential(structure.phi, alg)
+    return (dphi, hodge_star(dphi, structure.metric),
+            codifferential_via_star(structure.phi, alg, structure.metric))
 
 
 def lee_form(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
@@ -196,21 +169,20 @@ def lee_form(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
     Computed from the codifferential route; ``lee_form_routes`` exposes all
     three equivalent expressions for cross-checking.
     """
-    return lee_form_routes(structure, *phi_derivatives(structure, alg))[2]
+    return lee_form_routes(structure, *phi_derivatives(structure, alg)[1:])[2]
 
 
-def lee_form_routes(structure: Spin7Form, dphi: KForm,
-                    d_star_phi: KForm) -> tuple[KForm, KForm, KForm]:
+def lee_form_routes(structure: Spin7Form, star_dphi: KForm,
+                    delta_phi: KForm) -> tuple[KForm, KForm, KForm]:
     """Three expressions for the Lee form, which must agree:
 
     -(1/7) * ( *d(phi) ^ phi ),  (1/7) * ( delta(phi) ^ phi ),
     (1/7) (delta phi) . phi  (three-index contraction),
-    given d(phi) and d(*phi) (see ``phi_derivatives``).
+    given *d(phi) and delta(phi) = -*d*(phi) (see ``phi_derivatives``).
     """
     m = structure.metric
     phi = structure.phi
-    via_d = (-1.0 / 7.0) * hodge_star(wedge(hodge_star(dphi, m), phi), m)
-    delta_phi = -1.0 * hodge_star(d_star_phi, m)
+    via_d = (-1.0 / 7.0) * hodge_star(wedge(star_dphi, phi), m)
     via_delta = (1.0 / 7.0) * hodge_star(wedge(delta_phi, phi), m)
     via_contraction = -1.0 * lambda3_covector(delta_phi, structure)
     return via_d, via_delta, via_contraction
@@ -222,18 +194,16 @@ def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
     T = -*d(phi) + (7/6) * (theta ^ phi); the equivalent route
     delta(phi) + (7/6) theta . phi is exposed by ``spin7_torsion_routes``.
     """
-    derivatives = phi_derivatives(structure, alg)
-    theta = lee_form_routes(structure, *derivatives)[2]
-    return spin7_torsion_routes(structure, *derivatives, theta)[0]
+    _, star_dphi, delta_phi = phi_derivatives(structure, alg)
+    theta = lee_form_routes(structure, star_dphi, delta_phi)[2]
+    return spin7_torsion_routes(structure, star_dphi, delta_phi, theta)[0]
 
 
-def spin7_torsion_routes(structure: Spin7Form, dphi: KForm, d_star_phi: KForm,
+def spin7_torsion_routes(structure: Spin7Form, star_dphi: KForm, delta_phi: KForm,
                          theta: KForm) -> tuple[KForm, KForm]:
-    """The two torsion expressions of ``spin7_torsion``, given d(phi), d(*phi) and the Lee form."""
+    """The two torsion expressions of ``spin7_torsion``, given *d(phi), delta(phi) and the Lee form."""
     m = structure.metric
     phi = structure.phi
-    via_star = -1.0 * hodge_star(dphi, m) + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
-    delta_phi = -1.0 * hodge_star(d_star_phi, m)
+    via_star = -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
     via_delta = delta_phi + (7.0 / 6.0) * interior_product(theta, phi, m)
     return via_star, via_delta
-

@@ -142,8 +142,13 @@ def build_structure_form(structure: str, t=None) -> tuple[KForm, list[str]]:
 
 
 def geometry_id(algebra: str, structure: str, t=None) -> str:
+    """The report name of a geometry; a file path is named by its stem."""
+    if algebra not in ALGEBRA_NAMES:
+        algebra = Path(algebra).stem
     if structure == "phi_t":
         return f"{algebra}+phi_t({parse_scalar(t) if t is not None else 0.0:g})"
+    if structure not in STRUCTURE_NAMES:
+        structure = Path(structure).stem
     return f"{algebra}+{structure}"
 
 

@@ -11,14 +11,15 @@ from counting its cycles, a third way of computing a sign next to
 ``parity``'s selection sort and the inversion count in ``forms``.  The
 wedge is the shuffle sum over transposed views of a (x) b, and
 ``dense_components`` scatters each coefficient onto every reordering of
-its index tuple.
+its index tuple at once, the reorderings of range(k) being the rows of the
+table that fix k..7.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -70,6 +71,14 @@ def _flat_index(columns: np.ndarray) -> np.ndarray:
     return flat
 
 
+@lru_cache(maxsize=None)
+def _reorderings(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k) and their signs: the rows of the 8! table fixing k..7."""
+    perms, signs = _permutation_table()
+    keep = np.all(perms[:, k:] == np.arange(k, DIM), axis=1)
+    return perms[keep, :k], signs[keep]
+
+
 def dense_components(form) -> np.ndarray:
     """Full 8^k component table of a sparse form."""
     k = form.degree
@@ -78,8 +87,9 @@ def dense_components(form) -> np.ndarray:
     arr = np.zeros((DIM,) * k)
     idx = np.array(list(form.coeffs), dtype=np.intp).reshape(-1, k)
     vals = np.array(list(form.coeffs.values()), dtype=float)
-    for order in permutations(range(k)):
-        arr[tuple(idx[:, order].T)] = parity(order) * vals
+    orders, signs = _reorderings(k)
+    # idx[:, orders][n, r] is reordering r of index tuple n
+    arr[tuple(np.moveaxis(idx[:, orders], -1, 0))] = vals[:, None] * signs
     return arr
 
 

@@ -1,14 +1,16 @@
 """Assembled geometry: an algebra plus a fundamental form and everything derived.
 
-Building a Geometry computes once the induced metric, d phi and d(*phi),
-the three Lee-form routes (``lee_routes``; ``theta`` is the last), the two
-torsion routes (``torsion_routes``; ``torsion`` is the first), the
-Levi-Civita and torsion connections and both curvatures.  Everything else
-the identity suite reads, the 7-part of d theta, the 48-part of delta phi
-and its norm, delta T from the stored nabla^g T, the cyclic sum and the
-pair asymmetry of the curvature, and T with slots (0, 1), (0, 1, 2) or 2
-raised among it, is a cached property computed on first use.  phi with
-raised slots is kept on the structure (``Spin7Form.up``).
+Building a Geometry computes once the induced metric, d phi, *d phi and
+-*d*phi, the three Lee-form routes (``lee_routes``; ``theta`` is the
+last), the two torsion routes (``torsion_routes``; ``torsion`` is the
+first), T_xy^a (``t_last_up``, which the torsion connection and sigma_T
+read), the Levi-Civita and torsion connections and both curvatures.
+Everything else the identity suite reads, the 7-part of d theta, delta phi
+by divergence with its 48-part and that part's norm, delta T from the
+stored nabla^g T, the cyclic sum and the pair asymmetry of the curvature,
+and T with slots (0, 1) or (0, 1, 2) raised among it, is a cached property
+computed on first use.  phi with raised slots is kept on the structure
+(``Spin7Form.up``).
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ class Geometry:
     dphi: KForm
     lee_routes: tuple[KForm, KForm, KForm]
     torsion_routes: tuple[KForm, KForm]
+    t_last_up: np.ndarray  # T_xy^a: slot 2 raised
     lc: FrameConnection
     conn: FrameConnection
     curv: CurvatureTensor
@@ -78,11 +81,12 @@ class Geometry:
     @classmethod
     def build(cls, algebra: LieAlgebra8, phi: KForm, name: str | None = None) -> "Geometry":
         structure = Spin7Form.from_form(phi)
-        dphi, d_star_phi = phi_derivatives(structure, algebra)
-        lee_routes = lee_form_routes(structure, dphi, d_star_phi)
-        torsion_routes = spin7_torsion_routes(structure, dphi, d_star_phi, lee_routes[2])
+        dphi, star_dphi, delta_phi = phi_derivatives(structure, algebra)
+        lee_routes = lee_form_routes(structure, star_dphi, delta_phi)
+        torsion_routes = spin7_torsion_routes(structure, star_dphi, delta_phi, lee_routes[2])
+        t_last_up = raise_slots(torsion_routes[0].to_array(), structure.metric, (2,))
         lc = levi_civita(algebra, structure.metric)
-        conn = connection_from_torsion(lc, torsion_routes[0])
+        conn = connection_from_torsion(lc, t_last_up)
         return cls(
             name=name or algebra.name,
             algebra=algebra,
@@ -90,6 +94,7 @@ class Geometry:
             dphi=dphi,
             lee_routes=lee_routes,
             torsion_routes=torsion_routes,
+            t_last_up=t_last_up,
             lc=lc,
             conn=conn,
             curv=curvature(conn, algebra),
@@ -113,10 +118,6 @@ class Geometry:
         return self.structure.metric
 
     @cached_property
-    def phi4(self) -> np.ndarray:
-        return self.structure.dense
-
-    @cached_property
     def t3(self) -> np.ndarray:
         return self.torsion.to_array()
 
@@ -129,11 +130,6 @@ class Geometry:
     @cached_property
     def t_up3(self) -> np.ndarray:
         return raise_slots(self.t3, self.metric, (0, 1, 2))
-
-    @cached_property
-    def t_last_up(self) -> np.ndarray:
-        """T_xy^a: slot 2 raised."""
-        return raise_slots(self.t3, self.metric, (2,))
 
     @cached_property
     def theta_vec(self) -> np.ndarray:
@@ -153,7 +149,7 @@ class Geometry:
 
     @cached_property
     def sigma(self) -> KForm:
-        return sigma_t(self.torsion, self.metric)
+        return sigma_t(self.t3, self.t_last_up)
 
     @cached_property
     def sigma4(self) -> np.ndarray:

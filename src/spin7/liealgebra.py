@@ -85,7 +85,8 @@ class LieAlgebra8:
         object.__setattr__(self, "c", c)
         # the Jacobi sum is quadratic in c, so its rounding scales with max|c|^2
         res, where = self.jacobi_residual()
-        if res > JACOBI_TOL * max(1.0, float(np.max(np.abs(c)))) ** 2:
+        scale = max(1.0, float(np.max(np.abs(c))))
+        if res > JACOBI_TOL * (scale * scale):  # inf, not OverflowError, past 1.34e154
             raise ValueError(
                 f"algebra {self.name!r} violates the Jacobi identity at "
                 f"(i,j,k,l)={where} with residual {res:.3e}"

@@ -18,6 +18,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "spin7.cli", *argv],
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("target", VERIFY_TARGETS,
                          ids=lambda t: geometry_id(*t))
 def test_verify_corpus_targets_exit_zero(target, tmp_path, capsys):
@@ -172,7 +177,47 @@ def test_corpus_listing(capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "spin7.cli", "corpus"],
-                          capture_output=True, text=True)
+    proc = run_cli_process("corpus")
     assert proc.returncode == 0
     assert "su2su2u1u1" in proc.stdout
+
+
+def test_verify_names_file_path_geometries_by_stem(tmp_path, capsys):
+    alg = tmp_path / "myalg.json"
+    alg.write_text('{"name": "x", "dim": 8, "convention": "brackets", '
+                   '"constants": [{"i": 2, "j": 3, "k": 1, "c": 1}]}')
+    phi = tmp_path / "myphi.json"
+    phi.write_text(form_to_json(canonical_phi_form()))
+    for structure, expected in ((str(phi), "myalg+myphi"), ("canonical", "myalg+canonical"),
+                                ("phi_t", "myalg+phi_t(0)")):
+        run_cli("verify", "--algebra", str(alg), "--structure", structure, "--format", "json")
+        assert json.loads(capsys.readouterr().out)["geometry_id"] == expected
+
+
+def test_verify_huge_constant_exits_two(tmp_path):
+    # max|c|^2 overflows: the Jacobi bound must not raise OverflowError
+    spec = tmp_path / "alg.json"
+    spec.write_text('{"name": "x", "dim": 8, "convention": "brackets", '
+                    '"constants": [{"i": 2, "j": 3, "k": 1, "c": 1e200}]}')
+    proc = run_cli_process("verify", "--algebra", str(spec))
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr)
+
+
+@pytest.mark.parametrize("value", ["1e120", "1e150"])
+def test_verify_huge_so3_constants_end_without_traceback(value, tmp_path):
+    # [e_1, e_2] = c e_3 and cyclic.  Where the first non-finite number
+    # appears depends on the BLAS, so the exit code is not pinned; exit 2
+    # must come with one error line and nothing else on stderr
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"name": "huge", "dim": 8, "convention": "brackets", "constants": ['
+                    + ", ".join('{"i": %d, "j": %d, "k": %d, "c": %s}' % (i, j, k, value)
+                                for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+                    + "]}")
+    proc = run_cli_process("verify", "--algebra", str(spec))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1, 2)
+    if proc.returncode == 2:
+        assert _single_error_line(proc.stderr)
+    else:
+        assert proc.stderr == ""
