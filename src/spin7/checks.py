@@ -73,8 +73,9 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
         _maxabs(covariant_derivative(geom.conn, m.g)),
         _maxabs(covariant_derivative(geom.lc, m.g)),
     )
-    rr = _maxabs(np.einsum("ijab,abkl->ijkl", geom.curv.R, geom.structure.up((0, 1)))
-                 - 2.0 * geom.curv.R)
+    R = geom.curv.R
+    rr = _maxabs((R.reshape(64, 64) @ geom.structure.up((0, 1)).reshape(64, 64)).reshape(R.shape)
+                 - 2.0 * R)
     return [
         entry("lc_metric_compatibility", "id:metric-connection", geom.lc.metric_compat_residual(), tol),
         entry("lc_torsion_free", "id:levi-civita", torsion_free, tol),
@@ -105,12 +106,9 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
     out.append(entry("torsion_routes_agree", "id:characteristic-torsion",
                      residual(ta, tb), tol))
 
-    # fixed-point form of the torsion and the codifferential of phi
-    half = (
-        0.5 * np.einsum("jsk,jslm->klm", geom.t_up2, phi)
-        - 0.5 * np.einsum("jsl,jskm->klm", geom.t_up2, phi)
-        + 0.5 * np.einsum("jsm,jskl->klm", geom.t_up2, phi)
-    )
+    # fixed-point form of the torsion and the codifferential of phi; x_klm = T^js_k phi_jslm
+    x = (geom.t_up2.reshape(64, 8).T @ phi.reshape(64, 64)).reshape(8, 8, 8)
+    half = 0.5 * (x - x.transpose(1, 0, 2) + x.transpose(1, 2, 0))
     out.append(entry("delta_phi_from_torsion", "id:codifferential-of-phi",
                      _maxabs(geom.delta_phi.to_array() - half), tol))
     torcy2 = geom.t3 - (half + (7.0 / 6.0) * np.einsum("s,sklm->klm", geom.theta_up, phi))
@@ -169,9 +167,7 @@ def check_dt_expansion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verification
 
 @_report_of
 def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    gi = geom.metric.inv
-    tt = np.einsum("xia,yjb,ij,ab->xy", geom.t3, geom.t3, gi, gi)
-    ric_rel = _maxabs(geom.ric_lc - (geom.ric + 0.5 * geom.delta_t2 + 0.25 * tt))
+    ric_rel = _maxabs(geom.ric_lc - (geom.ric + 0.5 * geom.delta_t2 + 0.25 * geom.t_square))
     scal_rel = abs(geom.scal_lc - (geom.scal + 0.25 * geom.torsion_norm_sq))
     antisym = _maxabs(geom.ric - geom.ric.T + geom.delta_t2)
     return [
@@ -204,7 +200,7 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationR
     scal1_b = abs(geom.scal_lc - (3.5 * dth + (21.0 / 8.0) * thn - n48 / 12.0))
 
     sig_phi = float(np.einsum("jabc,jabc->", geom.sigma4, phi_up4))
-    mid = 3.0 * float(np.einsum("jas,bcs,jabc->", geom.t3, geom.t_last_up, phi_up4))
+    mid = 3.0 * float(np.vdot(geom.t3, phi_up4.reshape(64, 64) @ geom.t_last_up.reshape(64, 8)))
     ng4 = max(abs(sig_phi - mid), abs(sig_phi - (2.0 * tn - (49.0 / 3.0) * thn)))
 
     dt_phi = float(np.einsum("jabc,jabc->", geom.dt4, phi_up4))
@@ -375,14 +371,14 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificatio
 
     # phi_j^{abc} against the Ricci-type terms, phi^{jkl}_i against the quartic ones
     phi_j_up3 = geom.structure.up((1, 2, 3))
-    phi_up3_i = geom.structure.up((0, 1, 2))
+    phi_up3_i = geom.structure.up((0, 1, 2)).reshape(512, 8)
     ntheta = geom.nabla_theta
     su1 = _maxabs(geom.ric + 3.5 * ntheta
                   + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.sigma4, phi_j_up3))
     nthh = max(
-        _maxabs(np.einsum("pjkl,jkli->pi", geom.nabla_t, phi_up3_i) - 7.0 * ntheta),
-        _maxabs(np.einsum("pjkl,jkli->pi", geom.sigma4, phi_up3_i) + 21.0 * ntheta),
-        _maxabs(np.einsum("pjkl,jkli->pi", geom.dt4, phi_up3_i) + 14.0 * ntheta),
+        _maxabs(geom.nabla_t.reshape(8, 512) @ phi_up3_i - 7.0 * ntheta),
+        _maxabs(geom.sigma4.reshape(8, 512) @ phi_up3_i + 21.0 * ntheta),
+        _maxabs(geom.dt4.reshape(8, 512) @ phi_up3_i + 14.0 * ntheta),
     )
     return [
         entry(ids[0], anchor, su1, tol),

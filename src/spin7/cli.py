@@ -25,7 +25,7 @@ from .corpus import (
 from .forms import form_from_json, norm_sq
 from .geometry import Geometry, SolitonData
 from .liealgebra import parse_scalar
-from .report import DEFAULT_TOL
+from .report import DEFAULT_TOL, NonFiniteResidual
 from .structure import (
     Spin7Form,
     project_lambda2,
@@ -35,24 +35,31 @@ from .structure import (
 
 
 def cmd_verify(args) -> int:
-    try:
-        if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
-            raise ValueError(
-                f"--tolerance must be a finite positive number, got {args.tolerance!r}")
-        alg = get_algebra(args.algebra)
-        phi, warnings = build_structure_form(args.structure, args.t)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        soliton = (SolitonData([parse_scalar(p) for p in args.soliton_df.split(",")])
-                   if args.soliton_df else None)
-        # constants too large for double precision overflow into a non-finite
-        # residual, which the report refuses: one error line, no numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+    # inputs too large for double precision overflow into a non-finite residual,
+    # which the report refuses: one error line naming the larger input, no numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+                raise ValueError(
+                    f"--tolerance must be a finite positive number, got {args.tolerance!r}")
+            alg = get_algebra(args.algebra)
+            phi, warnings = build_structure_form(args.structure, args.t)
+            for w in warnings:
+                print(f"warning: {w}", file=sys.stderr)
+            soliton = (SolitonData([parse_scalar(p) for p in args.soliton_df.split(",")])
+                       if args.soliton_df else None)
             geom = Geometry.build(alg, phi, name=geometry_id(args.algebra, args.structure, args.t))
             rep = full_report(geom, soliton, tol=args.tolerance)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except NonFiniteResidual as exc:
+            max_c, max_phi = float(np.max(np.abs(alg.c))), phi.max_abs()
+            culprit = (f"structure constants (max |c| = {max_c:.3g})" if max_c >= max_phi
+                       else f"fundamental form's coefficients (max |phi| = {max_phi:.3g})")
+            print(f"error: the {culprit} overflow double precision: entry {exc.check_id!r} "
+                  f"came out {exc.residual!r}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     text = rep.to_json()
     if args.out:

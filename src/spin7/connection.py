@@ -45,7 +45,7 @@ class FrameConnection:
     @cached_property
     def gamma_lowered(self) -> np.ndarray:
         """Gamma_{ijk} = Gamma^m_{ij} g_{mk}."""
-        out = np.einsum("ijm,mk->ijk", self.gamma, self.metric.g)
+        out = self.gamma @ self.metric.g
         out.setflags(write=False)
         return out
 
@@ -87,30 +87,32 @@ def connection_from_torsion(lc: FrameConnection, t_up: np.ndarray) -> FrameConne
 def torsion_tensor(conn: FrameConnection, alg: LieAlgebra8) -> np.ndarray:
     """T_{ijk} of nabla_X Y - nabla_Y X - [X, Y], lowered in the last slot."""
     t_up = conn.gamma - np.einsum("ijk->jik", conn.gamma) - alg.c
-    return np.einsum("ijm,mk->ijk", t_up, conn.metric.g)
+    return t_up @ conn.metric.g
 
 
 def covariant_derivative(conn: FrameConnection, t: np.ndarray) -> np.ndarray:
     """(nabla_i t)_{j1..jr} of an invariant covariant tensor of any rank.
 
-    -sum_s Gamma^m_{i j_s} t_{j1..m..jr}: one tensordot per slot s, the
-    same idiom as ``raise_slots``.
+    -sum_s Gamma^m_{i j_s} t_{j1..m..jr}: per slot s, one (64, 8) x (8, 8^(r-1))
+    matmul of Gamma_{(i j), m} against t with slot s moved first.
     """
     t = np.asarray(t, dtype=float)
+    gamma = conn.gamma.reshape(DIM * DIM, DIM)
     out = np.zeros((DIM,) * (t.ndim + 1))
     for s in range(t.ndim):
-        out -= np.moveaxis(np.tensordot(conn.gamma, t, axes=([2], [s])), 1, 1 + s)
+        prod = gamma @ t.swapaxes(0, s).reshape(DIM, -1)  # (i, j_s, t's slots with 0 at s)
+        out -= prod.reshape(out.shape).swapaxes(1, 1 + s)
     return out
 
 
 def curvature(conn: FrameConnection, alg: LieAlgebra8) -> CurvatureTensor:
+    """R_ijkl by (64, 8) x (8, 64) matmuls; the second product is the first with i, j swapped."""
     g = conn.gamma
-    r_up = (
-        np.einsum("jkm,iml->ijkl", g, g)
-        - np.einsum("ikm,jml->ijkl", g, g)
-        - np.einsum("ijm,mkl->ijkl", alg.c, g)
-    )
-    return CurvatureTensor(np.einsum("ijkm,ml->ijkl", r_up, conn.metric.g))
+    first = g.reshape(DIM * DIM, DIM) @ g.transpose(1, 0, 2).reshape(DIM, -1)  # (jk, il)
+    first = first.reshape((DIM,) * 4).transpose(2, 0, 1, 3)
+    bracket = (alg.c.reshape(DIM * DIM, DIM) @ g.reshape(DIM, -1)).reshape((DIM,) * 4)
+    r_up = first - first.transpose(1, 0, 2, 3) - bracket
+    return CurvatureTensor(r_up @ conn.metric.g)
 
 
 def ricci(curv: CurvatureTensor, m: FrameMetric) -> np.ndarray:
@@ -193,10 +195,12 @@ def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
 
     T = -*d(phi) + (7/6) * (theta ^ phi); the equivalent route
     delta(phi) + (7/6) theta . phi is exposed by ``spin7_torsion_routes``.
+    Only this route's pieces are computed, with the routes' own expressions.
     """
+    m, phi = structure.metric, structure.phi
     _, star_dphi, delta_phi = phi_derivatives(structure, alg)
-    theta = lee_form_routes(structure, star_dphi, delta_phi)[2]
-    return spin7_torsion_routes(structure, star_dphi, delta_phi, theta)[0]
+    theta = -1.0 * lambda3_covector(delta_phi, structure)
+    return -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
 
 
 def spin7_torsion_routes(structure: Spin7Form, star_dphi: KForm, delta_phi: KForm,

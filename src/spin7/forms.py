@@ -12,7 +12,9 @@ Conventions used throughout the package:
   swapped in the same order, and for p = q the two products of each
   unordered pair are added before accumulating.
 * Raising every index of a k-form multiplies it by the compound matrix of
-  g^{-1} (its k x k minors), kept on the ``FrameMetric`` per degree.
+  g^{-1} (its k x k minors, by Laplace expansion), kept on the
+  ``FrameMetric`` per degree.  Slots of a dense tensor are raised one at a
+  time, each as one matmul of the tensor, that slot last, with g^{-1}.
 * ``full_contraction(a, b, m)`` is a_I b^I over ALL index tuples, i.e. k!
   times the sum over canonical monomials.  Norms always mean that.
 * Hodge star is the contraction into vol = sqrt(det g) orientation e_{01234567}:
@@ -123,13 +125,27 @@ def _dense_table(degree: int):
     return _index_array(degree)[:, perms] @ place, _sign(perms)
 
 
-def compound_matrix(mat: np.ndarray, degree: int) -> np.ndarray:
-    """The k x k minors C[I, J] = det mat[I, J] over canonical monomials, one batched det.
+@lru_cache(maxsize=None)
+def _laplace_table(degree: int):
+    """_merge_table(1, k - 1) by output row: per k-tuple J and t, j_t, row of J - j_t, (-1)^t."""
+    rows, cols_i, cols_j, sign = _merge_table(1, degree - 1)
+    order = np.argsort(rows, kind="stable")
+    return tuple(col[order].reshape(-1, degree) for col in (cols_i, cols_j, sign))
 
-    For g^{-1} it raises every index of a k-form at once: b^I = sum_J C[I, J] b_J.
+
+def compound_matrix(mat: np.ndarray, degree: int) -> np.ndarray:
+    """The k x k minors C[I, J] = det mat[I, J] over canonical monomials.
+
+    Laplace expansion along the first row, degree by degree:
+    C_k[I, J] = sum_t (-1)^t mat[i_0, j_t] C_{k-1}[I - i_0, J - j_t], one
+    gather-and-sum per degree; exact on the identity.  For g^{-1} it raises
+    every index of a k-form at once: b^I = sum_J C[I, J] b_J.
     """
-    idx = _index_array(degree)
-    return np.linalg.det(mat[idx[:, None, :, None], idx[None, :, None, :]])
+    out = np.ones((1, 1))
+    for k in range(1, degree + 1):
+        col, rest, sign = _laplace_table(k)
+        out = (sign * mat[col[:, :1, None], col] * out[rest[:, :1, None], rest]).sum(axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +358,12 @@ def residual(a: KForm, b: KForm) -> float:
 def raise_slots(arr: np.ndarray, m: FrameMetric, slots) -> np.ndarray:
     """Raise the given slots of a dense tensor with the inverse metric.
 
-    One tensordot per slot, so the cost stays 8^(rank+1) per slot.  A
-    tensordot against the exact identity is exact, so orthonormal frames
-    keep their exact zeros without a special case.
+    One matmul per slot, the slot swapped to the last axis and back, so the
+    cost stays 8^(rank+1) per slot.  A matmul against the exact identity is
+    exact, so orthonormal frames keep their exact zeros without a special case.
     """
     for s in slots:
-        arr = np.moveaxis(np.tensordot(arr, m.inv, axes=([s], [0])), -1, s)
+        arr = (arr.swapaxes(s, -1) @ m.inv).swapaxes(s, -1)
     return arr
 
 

@@ -8,8 +8,8 @@ read), the Levi-Civita and torsion connections and both curvatures.
 Everything else the identity suite reads, the 7-part of d theta, delta phi
 by divergence with its 48-part and that part's norm, delta T from the
 stored nabla^g T, the cyclic sum and the pair asymmetry of the curvature,
-and T with slots (0, 1) or (0, 1, 2) raised among it, is a cached property
-computed on first use.  phi with raised slots is kept on the structure
+T with slots (0, 1) or (0, 1, 2) raised and T o T among it, is a cached
+property computed on first use.  phi with raised slots is kept on the structure
 (``Spin7Form.up``).
 """
 
@@ -130,6 +130,11 @@ class Geometry:
     @cached_property
     def t_up3(self) -> np.ndarray:
         return raise_slots(self.t3, self.metric, (0, 1, 2))
+
+    @cached_property
+    def t_square(self) -> np.ndarray:
+        """(T o T)_xy = T_xia T_y^ia, one matmul: T_y^ia = T^ia_y as T is totally skew."""
+        return self.t3.reshape(8, 64) @ self.t_up2.reshape(64, 8)
 
     @cached_property
     def theta_vec(self) -> np.ndarray:

@@ -93,12 +93,9 @@ class LieAlgebra8:
             )
 
     def jacobi_residual(self) -> tuple[float, tuple[int, int, int, int]]:
-        c = self.c
-        jac = (
-            np.einsum("ijm,mkl->ijkl", c, c)
-            + np.einsum("jkm,mil->ijkl", c, c)
-            + np.einsum("kim,mjl->ijkl", c, c)
-        )
+        # c^m_{ij} c^l_{mk}, one matmul; the cyclic terms are its transposes
+        cc = (self.c.reshape(DIM * DIM, DIM) @ self.c.reshape(DIM, -1)).reshape((DIM,) * 4)
+        jac = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
         flat = int(np.argmax(np.abs(jac)))
         where = np.unravel_index(flat, jac.shape)
         return float(np.max(np.abs(jac))), tuple(int(w) for w in where)

@@ -17,6 +17,14 @@ SCHEMA_VERSION = "1"
 DEFAULT_TOL = 1e-9
 
 
+class NonFiniteResidual(ValueError):
+    """A residual came out inf or nan, which only an overflow of the inputs produces."""
+
+    def __init__(self, check_id: str, residual: float):
+        super().__init__(f"entry {check_id!r}: residual must be finite, got {residual!r}")
+        self.check_id, self.residual = check_id, residual
+
+
 @dataclass(frozen=True)
 class CheckEntry:
     check_id: str
@@ -29,11 +37,11 @@ class CheckEntry:
 
     def __post_init__(self):
         if not self.not_applicable:
-            if not math.isfinite(self.residual) or self.residual < 0.0:
-                raise ValueError(
-                    f"entry {self.check_id!r}: residual must be finite and >= 0, "
-                    f"got {self.residual!r}"
-                )
+            if not math.isfinite(self.residual):
+                raise NonFiniteResidual(self.check_id, self.residual)
+            if self.residual < 0.0:
+                raise ValueError(f"entry {self.check_id!r}: residual must be >= 0, "
+                                 f"got {self.residual!r}")
             if self.passed != (self.residual <= self.tolerance):
                 raise ValueError(f"entry {self.check_id!r}: verdict/residual mismatch")
 

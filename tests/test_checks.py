@@ -193,12 +193,13 @@ def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
 
 
 def test_derived_quantities_are_computed_once(monkeypatch):
-    # one build plus one report; the second route call of each kind, and two
-    # of the four d's of 4-forms, are the mirror algebra's torsion in
-    # check_bi_spin7.  Each torsion stars three 5-forms: d phi, d*phi and
-    # theta ^ phi.  The two 3-tensor derivatives are nabla T for both
-    # connections (delta T reads the Levi-Civita one), the two 4-tensor
-    # ones nabla phi and the divergence delta phi; the one T_xy^a table is
+    # one build plus one report; the mirror algebra's torsion in
+    # check_bi_spin7 is one spin7_torsion call, which computes only the *d phi
+    # route (no route tuples) and two of the four d's of 4-forms.  Each
+    # torsion stars three 5-forms: d phi, d*phi and theta ^ phi.  The two
+    # 3-tensor derivatives are nabla T for both connections (delta T reads
+    # the Levi-Civita one), the two 4-tensor ones nabla phi and the
+    # divergence delta phi; the one T_xy^a table is
     # Geometry.t_last_up, which connection_from_torsion and sigma_t read.
     # The cyclic sum and the pair asymmetry of R are each one permutation
     # of R, whatever the number of groups reading them.
@@ -209,6 +210,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     keys = {
         "lee_form_routes": lambda *args: "lee_form_routes",
         "spin7_torsion_routes": lambda *args: "spin7_torsion_routes",
+        "spin7_torsion": lambda *args: "spin7_torsion",
         "metric_from_phi": lambda *args: "metric_from_phi",
         "ce_differential": lambda beta, alg: ("ce_differential", beta.degree),
         "norm_sq": lambda a, m: ("norm_sq", a.degree),
@@ -238,8 +240,9 @@ def test_derived_quantities_are_computed_once(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counted_einsum)
     full_report(built)
-    assert calls["lee_form_routes"] == 2
-    assert calls["spin7_torsion_routes"] == 2
+    assert calls["lee_form_routes"] == 1
+    assert calls["spin7_torsion_routes"] == 1
+    assert calls["spin7_torsion"] == 1
     assert calls["metric_from_phi"] == 1
     assert calls[("ce_differential", 1)] == 1
     assert calls[("ce_differential", 2)] == 0
@@ -259,6 +262,25 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     assert calls[("raise_slots", t3, (2,))] == 1
     for slots in [(0, 1, 2, 3), (1, 2, 3), (0, 1, 2), (2, 3), (3,)]:
         assert calls[("raise_slots", phi4, slots)] == 1, slots
+
+
+@pytest.mark.parametrize("target", [("su3", "canonical", None), ("heisenberg", "phi_t", 0.3)],
+                         ids=lambda t: geometry_id(*t))
+def test_no_einsum_loops_over_more_than_five_indices(target, monkeypatch):
+    # wide contractions run as matmuls over reshaped views: an einsum with
+    # three operands or six index letters is an unoptimised loop over 8^6
+    seen = []
+    einsum = np.einsum
+
+    def recorded(subscripts, *operands, **kwargs):
+        seen.append((subscripts, len(operands)))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    full_report(build_geometry(*target))
+    assert seen
+    wide = [(s, n) for s, n in seen if n > 2 or len({ch for ch in s if ch.isalpha()}) > 5]
+    assert not wide, wide
 
 
 def test_checks_tuple_holds_every_public_group_once():

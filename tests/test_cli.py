@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report files, determinism, decomposition."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -202,6 +203,21 @@ def test_verify_huge_constant_exits_two(tmp_path):
     proc = run_cli_process("verify", "--algebra", str(spec))
     assert proc.returncode == 2
     assert _single_error_line(proc.stderr)
+
+
+def test_verify_overflowing_constants_name_the_input(tmp_path):
+    # so(3) constants 1e150: cubes overflow, so some entry comes out non-finite
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"name": "huge", "dim": 8, "convention": "brackets", "constants": ['
+                    + ", ".join('{"i": %d, "j": %d, "k": %d, "c": 1e150}' % ijk
+                                for ijk in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+                    + "]}")
+    proc = run_cli_process("verify", "--algebra", str(spec))
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert proc.stderr.startswith(
+        "error: the structure constants (max |c| = 1e+150) overflow double precision: entry '")
+    assert re.search(r"entry '\w+' came out (nan|inf|-inf)$", proc.stderr.strip())
 
 
 @pytest.mark.parametrize("value", ["1e120", "1e150"])

@@ -1,5 +1,8 @@
 """Lie-frame geometry: differential, connections, curvature, torsion formulas."""
 
+from itertools import combinations
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -427,3 +430,71 @@ def test_dt_expansion_report(alg_name):
                                                  "lc_vs_torsion_derivative"]
     assert rep.all_passed()
     assert rep.max_residual() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# matmul kernels against the einsum and tensordot expressions they replaced
+
+def close(new, old, rel=1e-13):
+    return np.max(np.abs(new - old)) <= rel * np.max(np.abs(old))
+
+
+def kernel_inputs(seed):
+    """A non-orthonormal metric, a connection on it and antisymmetric constants, all random."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, 8))
+    m = FrameMetric(a @ a.T + 8.0 * np.eye(8))
+    c = rng.standard_normal((8, 8, 8))
+    return rng, m, FrameConnection(rng.standard_normal((8, 8, 8)), m), c - c.transpose(1, 0, 2)
+
+
+def test_curvature_matches_its_einsum_expression():
+    _, m, conn, c = kernel_inputs(21)
+    g = conn.gamma
+    r_up = (np.einsum("jkm,iml->ijkl", g, g) - np.einsum("ikm,jml->ijkl", g, g)
+            - np.einsum("ijm,mkl->ijkl", c, g))
+    # curvature reads only the constants of the algebra, which need no Jacobi identity here
+    assert close(curvature(conn, SimpleNamespace(c=c)).R, np.einsum("ijkm,ml->ijkl", r_up, m.g))
+
+
+def test_jacobi_residual_matches_its_einsum_expression():
+    c = kernel_inputs(22)[3]
+    jac = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
+           + np.einsum("kim,mjl->ijkl", c, c))
+    res, where = LieAlgebra8.jacobi_residual(SimpleNamespace(c=c))
+    # the maximum is reached at several permutations, so only its value is pinned
+    assert abs(res - np.max(np.abs(jac))) <= 1e-13 * res
+    assert abs(abs(jac[where]) - res) <= 1e-13 * res
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_covariant_derivative_matches_its_tensordot_expression(rank):
+    rng, _, conn, _ = kernel_inputs(30 + rank)
+    t = rng.standard_normal((8,) * rank)
+    old = np.zeros((8,) * (rank + 1))
+    for s in range(rank):
+        old -= np.moveaxis(np.tensordot(conn.gamma, t, axes=([2], [s])), 1, 1 + s)
+    assert close(covariant_derivative(conn, t), old)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_raise_slots_matches_its_tensordot_expression(rank):
+    rng, m, _, _ = kernel_inputs(40 + rank)
+    t = rng.standard_normal((8,) * rank)
+    for n in range(rank + 1):
+        for slots in combinations(range(rank), n):
+            old = t
+            for s in slots:
+                old = np.moveaxis(np.tensordot(old, m.inv, axes=([s], [0])), -1, s)
+            assert close(raise_slots(t, m, slots), old), slots
+
+
+def test_torsion_square_matches_its_einsum_expression(su3):
+    # su3 and the canonical form pulled back along A: a non-orthonormal metric
+    a = frame(11)
+    c = np.einsum("ai,bj,abm,km->ijk", a, a, su3.c, np.linalg.inv(a))
+    phi = np.einsum("abcd,ai,bj,ck,dl->ijkl", canonical_phi_form().to_array(), a, a, a, a)
+    geom = Geometry.build(LieAlgebra8("su3-moved", c), KForm.from_array(phi))
+    assert not geom.metric.is_identity
+    gi = geom.metric.inv
+    assert close(geom.t_square, np.einsum("xia,yjb,ij,ab->xy", geom.t3, geom.t3, gi, gi))
