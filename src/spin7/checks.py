@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .connection import covariant_derivative, spin7_torsion, torsion_tensor
-from .forms import KForm, interior_product, raise_slots, residual, wedge
+from .forms import KForm, contract_into, full_contraction, interior_product, residual, wedge
 from .geometry import Geometry, SolitonData
 from .liealgebra import ce_differential
 from .report import (
@@ -46,6 +46,11 @@ def _maxabs(arr) -> float:
     return float(np.max(np.abs(arr))) if np.size(arr) else 0.0
 
 
+def _phi_trace(geom: Geometry, x: np.ndarray) -> np.ndarray:
+    """X_iabc phi_j^abc, one (8, 512) x (512, 8) matmul."""
+    return x.reshape(8, 512) @ geom.structure.up((1, 2, 3)).reshape(8, 512).T
+
+
 @_report_of
 def check_structure(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     return validate_phi(geom.structure, tol).entries
@@ -66,7 +71,7 @@ def check_algebra(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationRepor
 @_report_of
 def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     alg, m = geom.algebra, geom.metric
-    torsion_free = _maxabs(geom.lc.gamma - np.einsum("ijk->jik", geom.lc.gamma) - alg.c)
+    torsion_free = _maxabs(torsion_tensor(geom.lc, alg))
     recovery = _maxabs(torsion_tensor(geom.conn, alg) - geom.t3)
     nabla_phi = _maxabs(covariant_derivative(geom.conn, geom.structure.dense))
     nabla_g = max(
@@ -91,15 +96,15 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
 
 @_report_of
 def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    m = geom.metric
-    phi = geom.structure.dense
+    m, phi = geom.metric, geom.structure.phi
     out = []
 
     r1, r2, r3 = geom.lee_routes
     routes = max(residual(r1, r3), residual(r2, r3))
     out.append(entry("lee_form_routes_agree", "id:lee-form", routes, tol))
 
-    tit = _maxabs(geom.theta_vec + (1.0 / 7.0) * np.einsum("abc,abci->i", geom.t_up3, phi))
+    # theta_i = -(1/7) T^abc phi_abci, and contract_into carries 1/3!
+    tit = residual(geom.theta, (-6.0 / 7.0) * contract_into(geom.torsion, phi, m))
     out.append(entry("lee_from_torsion_contraction", "id:lee-from-torsion", tit, tol))
 
     ta, tb = geom.torsion_routes
@@ -107,15 +112,15 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
                      residual(ta, tb), tol))
 
     # fixed-point form of the torsion and the codifferential of phi; x_klm = T^js_k phi_jslm
-    x = (geom.t_up2.reshape(64, 8).T @ phi.reshape(64, 64)).reshape(8, 8, 8)
+    x = (geom.t_up2.reshape(64, 8).T @ geom.structure.dense.reshape(64, 64)).reshape(8, 8, 8)
     half = 0.5 * (x - x.transpose(1, 0, 2) + x.transpose(1, 2, 0))
     out.append(entry("delta_phi_from_torsion", "id:codifferential-of-phi",
                      _maxabs(geom.delta_phi.to_array() - half), tol))
-    torcy2 = geom.t3 - (half + (7.0 / 6.0) * np.einsum("s,sklm->klm", geom.theta_up, phi))
+    theta_phi = interior_product(geom.theta, phi, m)
+    torcy2 = geom.t3 - (half + (7.0 / 6.0) * theta_phi.to_array())
     out.append(entry("torsion_fixed_point", "id:torsion-fixed-point", _maxabs(torcy2), tol))
 
     part48 = geom.delta_phi48
-    theta_phi = interior_product(geom.theta, geom.structure.phi, m)
     out.append(entry("codifferential_48_part", "id:codifferential-48-part",
                      residual(part48, geom.delta_phi + theta_phi), tol))
 
@@ -125,10 +130,8 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
                      - geom.delta_phi48_norm_sq - (7.0 / 6.0) * geom.theta_norm_sq)
     out.append(entry("torsion_norm_split", "id:torsion-norm-split", norm_split, tol))
 
-    thet = _maxabs(
-        np.einsum("s,sij->ij", geom.theta_up, geom.delta_phi.to_array())
-        - np.einsum("s,sij->ij", geom.theta_up, geom.t3)
-    )
+    thet = residual(interior_product(geom.theta, geom.delta_phi, m),
+                    interior_product(geom.theta, geom.torsion, m))
     out.append(entry("lee_contraction_exchange", "id:lee-contraction-exchange", thet, tol))
     return out
 
@@ -179,31 +182,27 @@ def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
 
 @_report_of
 def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    m = geom.metric
+    m, phi = geom.metric, geom.structure.phi
     # full contractions raise all of phi; the Ricci-type ones keep phi_j lower
     phi_up4 = geom.structure.up((0, 1, 2, 3))
-    phi_j_up3 = geom.structure.up((1, 2, 3))
+    dt_tr = _phi_trace(geom, geom.dt4)
     nt = geom.nabla_t
     ntheta = geom.nabla_theta
     tn, thn = geom.torsion_norm_sq, geom.theta_norm_sq
     dth = geom.delta_theta
     n48 = geom.delta_phi48_norm_sq
 
-    ric_formula = _maxabs(
-        geom.ric
-        + (1.0 / 12.0) * np.einsum("iabc,jabc->ij", geom.dt4, phi_j_up3)
-        + (7.0 / 6.0) * ntheta
-    )
+    ric_formula = _maxabs(geom.ric + (1.0 / 12.0) * dt_tr + (7.0 / 6.0) * ntheta)
     scal_a = abs(geom.scal - (3.5 * dth + (49.0 / 18.0) * thn - tn / 3.0))
     scal_b = abs(geom.scal - (3.5 * dth + (7.0 / 3.0) * thn - n48 / 3.0))
     scal1_a = abs(geom.scal_lc - (3.5 * dth + (49.0 / 18.0) * thn - tn / 12.0))
     scal1_b = abs(geom.scal_lc - (3.5 * dth + (21.0 / 8.0) * thn - n48 / 12.0))
 
-    sig_phi = float(np.einsum("jabc,jabc->", geom.sigma4, phi_up4))
+    sig_phi = full_contraction(geom.sigma, phi, m)
     mid = 3.0 * float(np.vdot(geom.t3, phi_up4.reshape(64, 64) @ geom.t_last_up.reshape(64, 8)))
     ng4 = max(abs(sig_phi - mid), abs(sig_phi - (2.0 * tn - (49.0 / 3.0) * thn)))
 
-    dt_phi = float(np.einsum("jabc,jabc->", geom.dt4, phi_up4))
+    dt_phi = full_contraction(geom.dtorsion, phi, m)
     nt_phi = float(np.einsum("jabc,jabc->", nt, phi_up4))
     tr_ntheta = float(np.einsum("jk,jk->", ntheta, m.inv))
     g22 = max(
@@ -213,9 +212,8 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationR
     )
 
     ricdt = max(
-        _maxabs(2.0 * geom.ric + np.einsum("iabc,jabc->ij", geom.curv.R, phi_j_up3)),
-        _maxabs(2.0 * geom.ric + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.dt4, phi_j_up3)
-                + (7.0 / 3.0) * ntheta),
+        _maxabs(2.0 * geom.ric + _phi_trace(geom, geom.curv.R)),
+        _maxabs(2.0 * geom.ric + (1.0 / 6.0) * dt_tr + (7.0 / 3.0) * ntheta),
     )
     return [
         entry("ricci_from_dT_and_lee", "id:torsion-ricci-formula", ric_formula, tol),
@@ -291,16 +289,12 @@ def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
 
 @_report_of
 def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    m = geom.metric
-    dphi3 = geom.delta_phi.to_array()
+    m, phi = geom.metric, geom.structure.phi
 
     # codifferential of the torsion from the Lee form, always applicable
-    dth_up = raise_slots(geom.dtheta.to_array(), m, (0, 1))
-    rhs = (7.0 / 6.0) * (
-        0.5 * np.einsum("st,stlm->lm", dth_up, geom.structure.dense)
-        - np.einsum("k,klm->lm", geom.theta_up, dphi3)
-    )
-    deltat = _maxabs(geom.delta_t2 - rhs)
+    rhs = (7.0 / 6.0) * (contract_into(geom.dtheta, phi, m)
+                         - interior_product(geom.theta, geom.delta_phi, m))
+    deltat = residual(geom.delta_torsion, rhs)
     out = [entry("codifferential_of_torsion_formula", "id:torsion-codifferential", deltat, tol)]
 
     anchor = "id:symmetric-ricci"
@@ -311,20 +305,20 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
         return out
 
     nth = geom.nabla_theta
-    dnth = nth - nth.T
-    th_t = np.einsum("s,sij->ij", geom.theta_up, geom.t3)
-    phi_up2 = geom.structure.up((0, 1))
-    th_t_phi = np.einsum("ab,abij->ij", th_t, phi_up2)
+    dnth = KForm.from_array(nth - nth.T)  # exactly skew
+    th_t = interior_product(geom.theta, geom.torsion, m)
+    # contract_into carries 1/2!: th_t_phi = (1/2) (theta . T)^ab phi_ab..
+    th_t_phi = contract_into(th_t, phi, m)
     new_formula = max(
-        _maxabs(dnth - (-(1.0 / 3.0) * th_t + (1.0 / 6.0) * th_t_phi)),
-        _maxabs(dnth + (1.0 / 6.0) * np.einsum("ab,abij->ij", dnth, phi_up2)),
+        residual(dnth, (-1.0 / 3.0) * th_t + (1.0 / 3.0) * th_t_phi),
+        residual(dnth, (-1.0 / 3.0) * contract_into(dnth, phi, m)),
     )
     out.append(entry("lee_nabla_exterior_formula", anchor, new_formula, tol))
-    _, part21 = project_lambda2(KForm.from_array(dnth), geom.structure)
+    _, part21 = project_lambda2(dnth, geom.structure)
     out.append(entry("lee_nabla_exterior_in_7part", anchor, part21.max_abs(), tol))
 
-    sym_v = _maxabs(dnth) <= tol
-    tth_v = _maxabs(th_t_phi - 2.0 * th_t) <= tol
+    sym_v = dnth.max_abs() <= tol
+    tth_v = 2.0 * residual(th_t_phi, th_t) <= tol
     dth_v = geom.dtheta7.max_abs() <= tol
     out.append(agreement_entry("symmetric_ricci_equivalence", anchor, [sym_v, tth_v, dth_v], tol))
     return out
@@ -332,20 +326,16 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificat
 
 @_report_of
 def check_second_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    gi = geom.metric.inv
+    m, gi = geom.metric, geom.metric.inv
     nric = covariant_derivative(geom.conn, geom.ric)
     div_ric = np.einsum("ijk,ik->j", nric, gi)
+    # delta T_ab T^ab_j, and T^abc dT_jabc / 6 = -(T . dT)_j
+    dt_t = 2.0 * contract_into(geom.delta_torsion, geom.torsion, m).vec
+    t_dt = -contract_into(geom.torsion, geom.dtorsion, m).vec
     # frame constants: the scalar and torsion-norm gradients vanish identically
-    e1 = _maxabs(
-        -2.0 * div_ric
-        + np.einsum("ab,abj->j", geom.delta_t2, geom.t_up2)
-        + (1.0 / 6.0) * np.einsum("abc,jabc->j", geom.t_up3, geom.dt4)
-    )
+    e1 = _maxabs(-2.0 * div_ric + dt_t + t_dt)
     ndt = covariant_derivative(geom.conn, geom.delta_t2)
-    iii = _maxabs(
-        np.einsum("ikj,ik->j", ndt, gi)
-        - 0.5 * np.einsum("ia,iaj->j", geom.delta_t2, geom.t_up2)
-    )
+    iii = _maxabs(np.einsum("ikj,ik->j", ndt, gi) - 0.5 * dt_t)
     return [
         entry("second_bianchi_contracted", "id:second-bianchi", e1, tol),
         entry("divergence_of_codifferential", "id:codifferential-divergence", iii, tol),
@@ -369,16 +359,14 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificatio
     if not (hyp_lee and pair and ric0):
         return [na_entry(i, anchor, "pair-symmetry hypotheses fail here") for i in ids]
 
-    # phi_j^{abc} against the Ricci-type terms, phi^{jkl}_i against the quartic ones
-    phi_j_up3 = geom.structure.up((1, 2, 3))
-    phi_up3_i = geom.structure.up((0, 1, 2)).reshape(512, 8)
+    # X_iabc phi_j^abc throughout; the quartic terms read X_iabc phi^abc_j, its negative
+    sig_tr = _phi_trace(geom, geom.sigma4)
     ntheta = geom.nabla_theta
-    su1 = _maxabs(geom.ric + 3.5 * ntheta
-                  + (1.0 / 6.0) * np.einsum("iabc,jabc->ij", geom.sigma4, phi_j_up3))
+    su1 = _maxabs(geom.ric + 3.5 * ntheta + (1.0 / 6.0) * sig_tr)
     nthh = max(
-        _maxabs(geom.nabla_t.reshape(8, 512) @ phi_up3_i - 7.0 * ntheta),
-        _maxabs(geom.sigma4.reshape(8, 512) @ phi_up3_i + 21.0 * ntheta),
-        _maxabs(geom.dt4.reshape(8, 512) @ phi_up3_i + 14.0 * ntheta),
+        _maxabs(_phi_trace(geom, geom.nabla_t) + 7.0 * ntheta),
+        _maxabs(sig_tr - 21.0 * ntheta),
+        _maxabs(_phi_trace(geom, geom.dt4) - 14.0 * ntheta),
     )
     return [
         entry(ids[0], anchor, su1, tol),
@@ -411,7 +399,7 @@ def check_soliton(geom: Geometry, soliton: SolitonData | None = None,
 
     nv = covariant_derivative(geom.conn, v)
     hess = covariant_derivative(geom.conn, df)
-    df_t = np.einsum("s,sij->ij", raise_slots(df, geom.metric, (0,)), geom.t3)
+    df_t = interior_product(df, geom.torsion, geom.metric)
     v_t = interior_product(v_form, geom.torsion, geom.metric)
     lie_g = covariant_derivative(geom.lc, v)
     lie_g = lie_g + lie_g.T
@@ -422,7 +410,7 @@ def check_soliton(geom: Geometry, soliton: SolitonData | None = None,
     return [
         entry(ids[0], anchor, _maxabs(nv), tol, notes=notes),
         entry(ids[1], anchor, _maxabs(geom.ric + hess), tol),
-        entry(ids[2], anchor, _maxabs(geom.delta_t2 + df_t), tol),
+        entry(ids[2], anchor, residual(geom.delta_torsion, -1.0 * df_t), tol),
         entry(ids[3], anchor, residual((7.0 / 6.0) * geom.dtheta, v_t), tol),
         entry(ids[4], anchor, _maxabs(lie_g), tol),
         entry(ids[5], anchor, lie_phi.max_abs(), tol),

@@ -135,7 +135,7 @@ def codifferential_via_star(beta: KForm, alg: LieAlgebra8,
     return -1.0 * hodge_star(ce_differential(hodge_star(beta, m), alg), m)
 
 
-def codifferential(beta: KForm, alg: LieAlgebra8, conn_lc: FrameConnection) -> KForm:
+def codifferential(beta: KForm, conn_lc: FrameConnection) -> KForm:
     """Divergence form: (delta b)_J = -g^{ab} (nabla^g_a b)_{bJ}."""
     if beta.degree == 0:
         raise ValueError("codifferential of a 0-form")

@@ -8,9 +8,11 @@ read), the Levi-Civita and torsion connections and both curvatures.
 Everything else the identity suite reads, the 7-part of d theta, delta phi
 by divergence with its 48-part and that part's norm, delta T from the
 stored nabla^g T, the cyclic sum and the pair asymmetry of the curvature,
-T with slots (0, 1) or (0, 1, 2) raised and T o T among it, is a cached
-property computed on first use.  phi with raised slots is kept on the structure
-(``Spin7Form.up``).
+T with slots (0, 1) raised and T o T among it, is a cached property
+computed on first use.  phi with raised slots is kept on the structure
+(``Spin7Form.up``).  Contractions of forms with theta, T or phi are not
+tables here: the checks call ``forms.interior_product``, ``contract_into``
+and ``full_contraction`` on the forms themselves.
 """
 
 from __future__ import annotations
@@ -121,15 +123,10 @@ class Geometry:
     def t3(self) -> np.ndarray:
         return self.torsion.to_array()
 
-    # _upN: the first N slots raised
-
     @cached_property
     def t_up2(self) -> np.ndarray:
+        """T^ab_c: slots 0 and 1 raised."""
         return raise_slots(self.t3, self.metric, (0, 1))
-
-    @cached_property
-    def t_up3(self) -> np.ndarray:
-        return raise_slots(self.t3, self.metric, (0, 1, 2))
 
     @cached_property
     def t_square(self) -> np.ndarray:
@@ -139,10 +136,6 @@ class Geometry:
     @cached_property
     def theta_vec(self) -> np.ndarray:
         return self.theta.covector_components()
-
-    @cached_property
-    def theta_up(self) -> np.ndarray:
-        return raise_slots(self.theta_vec, self.metric, (0,))
 
     @cached_property
     def dtorsion(self) -> KForm:
@@ -197,7 +190,7 @@ class Geometry:
 
     @cached_property
     def delta_phi(self) -> KForm:
-        return codifferential(self.structure.phi, self.algebra, self.lc)
+        return codifferential(self.structure.phi, self.lc)
 
     @cached_property
     def delta_phi48(self) -> KForm:

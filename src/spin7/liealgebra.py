@@ -76,26 +76,33 @@ class LieAlgebra8:
             raise ValueError("structure constants must be finite numbers")
         # a change of basis in floating point leaves a rounding-level asymmetry
         ct = np.einsum("ijk->jik", c)
+        max_c = float(np.max(np.abs(c)))
+        scale = max(1.0, max_c)
         asym = float(np.max(np.abs(c + ct)))
-        if asym > JACOBI_TOL * max(1.0, float(np.max(np.abs(c)))):
+        if asym > JACOBI_TOL * scale:
             raise ValueError(
                 f"structure constants are not antisymmetric in (i, j): residual {asym:.3e}")
         c = 0.5 * (c - ct)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        # the Jacobi sum is quadratic in c, so its rounding scales with max|c|^2
+        # the Jacobi sum is quadratic in c, so its rounding scales with max|c|^2;
+        # past max|c| ~ 1.3e154 its products overflow to inf, or inf - inf = nan
         res, where = self.jacobi_residual()
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if res > JACOBI_TOL * (scale * scale):  # inf, not OverflowError, past 1.34e154
+        if not math.isfinite(res):
+            raise ValueError(f"algebra {self.name!r}: the structure constants "
+                             f"(max |c| = {max_c:.3g}) overflow double precision")
+        if not res <= JACOBI_TOL * (scale * scale):
             raise ValueError(
                 f"algebra {self.name!r} violates the Jacobi identity at "
                 f"(i,j,k,l)={where} with residual {res:.3e}"
             )
 
     def jacobi_residual(self) -> tuple[float, tuple[int, int, int, int]]:
-        # c^m_{ij} c^l_{mk}, one matmul; the cyclic terms are its transposes
-        cc = (self.c.reshape(DIM * DIM, DIM) @ self.c.reshape(DIM, -1)).reshape((DIM,) * 4)
-        jac = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
+        # c^m_{ij} c^l_{mk}, one matmul; the cyclic terms are its transposes (inf or nan,
+        # without a warning, when the constants overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cc = (self.c.reshape(DIM * DIM, DIM) @ self.c.reshape(DIM, -1)).reshape((DIM,) * 4)
+            jac = cc + cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3)
         flat = int(np.argmax(np.abs(jac)))
         where = np.unravel_index(flat, jac.shape)
         return float(np.max(np.abs(jac))), tuple(int(w) for w in where)

@@ -253,8 +253,8 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     two = p.reshape(8, 512) @ structure.up((1, 2, 3)).reshape(8, 512).T
     r2 = float(np.max(np.abs(two - 42.0 * g)))
     rep.add(entry("contraction_metric_42", anchor, r2, tol))
-    # two shared indices: 6(g g - g g) - 4 phi
-    lhs3 = (p.reshape(64, 64) @ structure.up((2, 3)).reshape(64, 64).T).reshape(p.shape)
+    # two shared indices: 6(g g - g g) - 4 phi; phi^pq_kl = phi_kl^pq (pair swap, no sign)
+    lhs3 = (p.reshape(64, 64) @ structure.up((0, 1)).reshape(64, 64)).reshape(p.shape)
     gg = np.einsum("ik,jl->ijkl", g, g)
     rhs3 = 6.0 * (gg - gg.swapaxes(2, 3)) - 4.0 * p
     r3 = float(np.max(np.abs(lhs3 - rhs3)))
@@ -271,7 +271,7 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
             rhs4 -= g[x, u] * p[y, z, v, w]
-    lhs4 = structure.up((3,))[triples] @ p[triples].T
+    lhs4 = p[triples] @ m.inv @ p[triples].T
     r4 = float(np.max(np.abs(lhs4 - rhs4)))
     rep.add(entry("contraction_one_index", anchor, r4, tol))
     return rep

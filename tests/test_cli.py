@@ -220,6 +220,21 @@ def test_verify_overflowing_constants_name_the_input(tmp_path):
     assert re.search(r"entry '\w+' came out (nan|inf|-inf)$", proc.stderr.strip())
 
 
+def test_verify_constants_overflowing_the_jacobi_sum_exit_two(tmp_path):
+    # so(3) constants 1e160: the algebra is refused on load, before any check runs
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"name": "huge", "dim": 8, "convention": "brackets", "constants": ['
+                    + ", ".join('{"i": %d, "j": %d, "k": %d, "c": 1e160}' % ijk
+                                for ijk in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+                    + "]}")
+    proc = run_cli_process("verify", "--algebra", str(spec))
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert proc.stderr.startswith(
+        "error: algebra 'huge': the structure constants (max |c| = 1e+160) overflow")
+    assert "entry" not in proc.stderr
+
+
 @pytest.mark.parametrize("value", ["1e120", "1e150"])
 def test_verify_huge_so3_constants_end_without_traceback(value, tmp_path):
     # [e_1, e_2] = c e_3 and cyclic.  Where the first non-finite number

@@ -217,6 +217,30 @@ def test_full_contraction_degree_mismatch():
         full_contraction(KForm.monomial((0,)), KForm.monomial((0, 1)))
 
 
+def _contracted(alpha: KForm, beta: KForm, gi: np.ndarray) -> np.ndarray:
+    """(1/p!) g^{a x} .. alpha_{x ..} beta_{a .. J} as one einsum over dense tables."""
+    p, q = alpha.degree, beta.degree
+    up, low, free = "abcd"[:p], "wxyz"[:p], "ijkl"[:q - p]
+    subscripts = ",".join(u + w for u, w in zip(up, low)) + f",{low},{up}{free}->{free}"
+    dense = np.einsum(subscripts, *[gi] * p, alpha.to_array(), beta.to_array(), optimize=True)
+    return dense / math.factorial(p)
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 4)])
+def test_contractions_with_a_metric_match_their_einsum(p, q):
+    rng = np.random.default_rng(100 * p + q)
+    m = random_spd_metric(rng)
+    alpha, beta = random_form(rng, p), random_form(rng, q)
+    want = _contracted(alpha, beta, np.linalg.inv(m.g))
+    if p == q:
+        # all indices shared: full_contraction is p! times the (1/p!) contraction
+        got = full_contraction(alpha, beta, m)
+        assert abs(got - math.factorial(p) * want) <= 1e-12 * abs(math.factorial(p) * want)
+    else:
+        got = contract_into(alpha, beta, m).to_array()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # star/interior exchange identities
 

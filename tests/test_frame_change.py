@@ -1,6 +1,6 @@
 """Verdicts do not depend on the frame.
 
-Pull a corpus geometry back along a fixed A in GL+(8): the frame
+Pull a corpus geometry back along a seeded A in GL+(8), three draws: the frame
 e'_i = A_ai e_a has structure constants c'^k_ij = A_ai A_bj c^m_ab (A^-1)_km,
 the form becomes A*phi and the metric A^T A.  Every identity is tensorial,
 so each entry of the report must keep its verdict and its N/A decision.
@@ -45,10 +45,15 @@ def pulled_back(target, a):
     return LieAlgebra8(alg.name, c), KForm.from_array(phi_a)
 
 
-@pytest.mark.parametrize("target", TARGETS, ids=lambda t: geometry_id(*t))
-def test_verdicts_survive_a_change_of_frame(target, monkeypatch):
+# seed 7, the first frame tested, keeps the bare target id
+FRAMES = [pytest.param(t, seed, id=geometry_id(*t) + ("" if seed == 7 else f"-seed{seed}"))
+          for seed in (7, 11, 13) for t in TARGETS]
+
+
+@pytest.mark.parametrize("target,seed", FRAMES)
+def test_verdicts_survive_a_change_of_frame(target, seed, monkeypatch):
     orthonormal = full_report(build_geometry(*target)).entries
-    a = frame()
+    a = frame(seed)
     alg, phi = pulled_back(target, a)
     monkeypatch.setattr(spin7.structure, "metric_from_phi", lambda _: FrameMetric(a.T @ a))
     moved = full_report(Geometry.build(alg, phi)).entries
