@@ -73,7 +73,8 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> Veri
     alg, m = geom.algebra, geom.metric
     torsion_free = _maxabs(torsion_tensor(geom.lc, alg))
     recovery = _maxabs(torsion_tensor(geom.conn, alg) - geom.t3)
-    nabla_phi = _maxabs(covariant_derivative(geom.conn, geom.structure.dense))
+    # nabla phi on phi's 70 canonical components: -Gamma.reshape(8, 64) @ D
+    nabla_phi = _maxabs(geom.conn.gamma.reshape(8, 64) @ geom.structure.derivation_matrix)
     nabla_g = max(
         _maxabs(covariant_derivative(geom.conn, m.g)),
         _maxabs(covariant_derivative(geom.lc, m.g)),

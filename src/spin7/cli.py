@@ -63,7 +63,11 @@ def cmd_verify(args) -> int:
 
     text = rep.to_json()
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     if args.format == "json":
         print(text)
     else:

@@ -136,11 +136,21 @@ def codifferential_via_star(beta: KForm, alg: LieAlgebra8,
 
 
 def codifferential(beta: KForm, conn_lc: FrameConnection) -> KForm:
-    """Divergence form: (delta b)_J = -g^{ab} (nabla^g_a b)_{bJ}."""
+    """Divergence form: (delta b)_J = -g^{ab} (nabla^g_a b)_{bJ}, traced before it is summed.
+
+    With W_{bjm} = g^{ab} Gamma^m_{aj}, slot 0 of b gives v^m b_{mJ}
+    (v^m = W_{bbm}) and every other slot s gives W_{b j_s m} b_{b..m..},
+    one (8, 64) x (64, 8^(k-2)) matmul with slots 0 and s of b first.
+    """
     if beta.degree == 0:
         raise ValueError("codifferential of a 0-form")
-    nb = covariant_derivative(conn_lc, beta.to_array())
-    out = -np.einsum("ab,ab...->...", conn_lc.metric.inv, nb)
+    b = beta.to_array()
+    w = (conn_lc.metric.inv @ conn_lc.gamma.reshape(DIM, -1)).reshape((DIM,) * 3)
+    out = (np.trace(w) @ b.reshape(DIM, -1)).reshape(b.shape[1:])
+    w_jbm = w.transpose(1, 0, 2).reshape(DIM, DIM * DIM)
+    for s in range(1, b.ndim):
+        prod = w_jbm @ b.swapaxes(1, s).reshape(DIM * DIM, -1)  # (j_s, b's slots with 1 at s)
+        out += prod.reshape(out.shape).swapaxes(0, s - 1)
     return KForm.from_array(out)
 
 

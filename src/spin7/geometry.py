@@ -6,13 +6,17 @@ last), the two torsion routes (``torsion_routes``; ``torsion`` is the
 first), T_xy^a (``t_last_up``, which the torsion connection and sigma_T
 read), the Levi-Civita and torsion connections and both curvatures.
 Everything else the identity suite reads, the 7-part of d theta, delta phi
-by divergence with its 48-part and that part's norm, delta T from the
-stored nabla^g T, the cyclic sum and the pair asymmetry of the curvature,
-T with slots (0, 1) raised and T o T among it, is a cached property
-computed on first use.  phi with raised slots is kept on the structure
-(``Spin7Form.up``).  Contractions of forms with theta, T or phi are not
-tables here: the checks call ``forms.interior_product``, ``contract_into``
-and ``full_contraction`` on the forms themselves.
+and delta theta by divergence (``connection.codifferential``, which traces
+g^{ab} into the Levi-Civita coefficients before it sums, so no nabla^g phi
+table is built) with delta phi's 48-part and that part's norm, delta T from
+the stored nabla^g T, the cyclic sum and the pair asymmetry of the
+curvature, T with slots (0, 1) raised and T o T among it, is a cached
+property computed on first use.  phi with raised slots and phi's 64 x 70
+derivation matrix, which gives nabla phi in one matmul, are kept on the
+structure (``Spin7Form.up``, ``Spin7Form.derivation_matrix``).
+Contractions of forms with theta, T or phi are not tables here: the checks
+call ``forms.interior_product``, ``contract_into`` and ``full_contraction``
+on the forms themselves.
 """
 
 from __future__ import annotations
@@ -185,8 +189,7 @@ class Geometry:
 
     @cached_property
     def delta_theta(self) -> float:
-        return -float(np.einsum("ab,ab->", self.metric.inv,
-                                covariant_derivative(self.lc, self.theta_vec)))
+        return float(codifferential(self.theta, self.lc).vec[0])
 
     @cached_property
     def delta_phi(self) -> KForm:

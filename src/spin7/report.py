@@ -5,13 +5,19 @@ all free components of (left side - right side) of an identity.  An entry
 passes iff its residual is at or below its tolerance.  "Not applicable" is
 a first-class verdict, used for conditional checks whose hypothesis fails
 on the geometry at hand; such entries never count against a report.
+
+``VerificationReport.to_json`` writes the ``indent=2`` layout itself and
+encodes all values in one call of the C-accelerated encoder; its output is
+pinned byte for byte to ``json.dumps(report.to_dict(), indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 SCHEMA_VERSION = "1"
 DEFAULT_TOL = 1e-9
@@ -87,6 +93,15 @@ def na_entry(check_id: str, anchor: str, notes: str = "") -> CheckEntry:
     return CheckEntry(check_id, anchor, 0.0, 0.0, None, True, notes)
 
 
+# to_json's layout: the entry template of json.dumps(..., indent=2), and an
+# encoder (C-accelerated, as it has no indent) that writes one value per line
+_ENTRY_FIELDS = tuple(CheckEntry.__dataclass_fields__)
+_ENTRY_LAYOUT = "    {\n" + ",\n".join(f'      "{f}": %s' for f in _ENTRY_FIELDS) + "\n    }"
+_entry_values = operator.attrgetter(*_ENTRY_FIELDS)
+_ONE_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
+_SCALARS = (str, float, int, bool, type(None))
+
+
 @dataclass
 class VerificationReport:
     geometry_id: str
@@ -119,7 +134,21 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte, with the layout written here.
+
+        The values are encoded in one call; each holds no raw newline, so
+        the encoder's output splits into one value per line.  A report with
+        a non-scalar value (only ``from_dict`` can make one) goes through
+        json.dumps whole.
+        """
+        values = [SCHEMA_VERSION, self.geometry_id,
+                  *chain.from_iterable(map(_entry_values, self.entries))]
+        if not all(type(v) in _SCALARS for v in values):
+            return json.dumps(self.to_dict(), indent=2)
+        entries = ("[\n" + ",\n".join([_ENTRY_LAYOUT] * len(self.entries)) + "\n  ]"
+                   if self.entries else "[]")
+        layout = '{\n  "schema_version": %s,\n  "geometry_id": %s,\n  "entries": ' + entries + "\n}"
+        return layout % tuple(_ONE_PER_LINE.encode(values)[1:-1].split("\n"))
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":

@@ -11,14 +11,16 @@ eigenvalues -24, -12, 4, 0 and the projectors are Lagrange polynomials in it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .forms import (
+    DIM,
     FrameMetric,
     IDENTITY_METRIC,
     KForm,
+    _index_array,
     canonical_indices,
     compound_matrix,
     contract_into,
@@ -97,6 +99,36 @@ class Spin7Form:
             self._up[slots] = raise_slots(self.dense, self.metric, slots)
             self._up[slots].setflags(write=False)
         return self._up[slots]
+
+    @cached_property
+    def derivation_matrix(self) -> np.ndarray:
+        """The map X -> X . phi of gl(8) on phi's 70 canonical components, as a 64 x 70 matrix.
+
+        D[(a, m), J] = sum_s [j_s = a] phi_{J with j_s -> m}, so X[a, m]
+        acts on every slot as a derivation: (X . phi)_J = X.ravel() @ D.
+        Its left kernel is the stabilizer algebra of phi, and a connection
+        gives nabla phi = -Gamma.reshape(8, 64) @ D.  Read-only, one gather.
+        """
+        cells, source = _derivation_table()
+        out = np.zeros((DIM * DIM, len(canonical_indices(4))))
+        out[cells] = self.dense.ravel()[source]
+        out.setflags(write=False)
+        return out
+
+
+@lru_cache(maxsize=None)
+def _derivation_table() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Where ``Spin7Form.derivation_matrix`` puts phi_{J with j_s -> m}, and where it reads it.
+
+    Returns the cells (row (a, m) with a = j_s, column J) and the flat
+    position of the substituted tuple in the dense (8,)*4 table, each
+    broadcast to (s, J, m) = (4, 70, 8).  For one J the four slots hold
+    distinct a, so no two entries share a cell.
+    """
+    tuples, place = _index_array(4), DIM ** np.arange(3, -1, -1)
+    j, m = tuples.T[:, :, None], np.arange(DIM)
+    source = (tuples @ place)[:, None] + place[:, None, None] * (m - j)
+    return (DIM * j + m, np.arange(len(tuples))[:, None]), source
 
 
 def canonical_phi() -> Spin7Form:
@@ -218,6 +250,21 @@ def lambda4_ranks(structure: Spin7Form, tol: float = 1e-6) -> tuple[int, int, in
 # ---------------------------------------------------------------------------
 # admissibility
 
+def one_index_rhs(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(g g g) - (g phi), the right side of phi_ijk^s phi_abcs, on canonical triples I, J.
+
+    The g g g part is the 3x3 minor det g[I, J]; the g phi part sums the
+    nine cyclic rotations of g_ia phi_jkbc over ijk and over abc: the
+    (3 * 56)^2 products g_xu phi_yzvw of two gathers, summed block by block.
+    """
+    # (x, y, z) runs over the three rotations of every triple, rotation-major
+    x, y, z = np.concatenate([np.roll(_index_array(3), -r, axis=1) for r in range(3)]).T
+    yz = DIM * y + z
+    g_phi = g[x][:, x]
+    g_phi *= p.reshape(64, 64)[yz][:, yz]
+    return compound_matrix(g, 3) - g_phi.reshape(3, 56, 3, 56).sum(axis=(0, 2))
+
+
 def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationReport:
     """Run the full admissibility battery on a candidate fundamental form.
 
@@ -261,17 +308,8 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     rep.add(entry("contraction_two_index", anchor, r3, tol))
     # one shared index: phi_ijk^s phi_abcs = (g g g) - (g phi).  Both sides
     # are antisymmetric in (i, j, k) and in (a, b, c), so their largest
-    # difference is reached on canonical triples I = ijk, J = abc.  The
-    # g g g part is the 3x3 minor det g[I, J]; the g phi part sums the
-    # cyclic rotations of g_ia phi_jkbc over ijk and over abc.
-    triples = tuple(np.array(canonical_indices(3), dtype=np.intp).T)
-    i, j, k = (n[:, None] for n in triples)
-    a, b, c = (n[None, :] for n in triples)
-    rhs4 = compound_matrix(g, 3)
-    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            rhs4 -= g[x, u] * p[y, z, v, w]
-    lhs4 = p[triples] @ m.inv @ p[triples].T
-    r4 = float(np.max(np.abs(lhs4 - rhs4)))
+    # difference is reached on canonical triples I = ijk, J = abc.
+    p3 = p[tuple(_index_array(3).T)]
+    r4 = float(np.max(np.abs(p3 @ m.inv @ p3.T - one_index_rhs(g, p))))
     rep.add(entry("contraction_one_index", anchor, r4, tol))
     return rep

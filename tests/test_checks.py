@@ -1,5 +1,6 @@
 """Behavior of the identity suite across the corpus geometries."""
 
+import json
 import sys
 from collections import Counter
 
@@ -186,6 +187,23 @@ def test_report_round_trip(geometries):
     assert [e.check_id for e in back.entries] == [e.check_id for e in rep.entries]
 
 
+def test_to_json_is_json_dumps_byte_for_byte(geometries):
+    from spin7.report import CheckEntry, VerificationReport, entry, na_entry
+
+    reports = [full_report(geom) for geom in geometries.values()]
+    edge = VerificationReport("edge \u00e9 \" \\ \n")
+    edge.add(entry("tiny", "id:a", 5e-324, 1e-9, notes="caf\u00e9 \"quoted\" back\\slash\nnext"))
+    edge.add(entry("no_bound", "id:a", 3.0, float("inf")))
+    edge.add(na_entry("skipped", "id:b", "hypothesis fails here"))
+    edge.add(CheckEntry.from_dict({"check_id": "int_residual", "paper_anchor": "id:c",
+                                   "residual": 0, "tolerance": 1, "passed": True}))
+    edge.add(CheckEntry("nested", "id:d", [1.5, {"k": [2, None]}], 0.0, None, True))
+    reports += [VerificationReport("empty"), edge,
+                VerificationReport.from_json(reports[0].to_json())]
+    for rep in reports:
+        assert rep.to_json() == json.dumps(rep.to_dict(), indent=2), rep.geometry_id
+
+
 def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
     for geom in list(geometries.values()) + [heisenberg_geom]:
         entries = {e.check_id: e for e in check_s2lambda2(geom).entries}
@@ -198,8 +216,9 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     # route (no route tuples) and two of the four d's of 4-forms.  Each
     # torsion stars three 5-forms: d phi, d*phi and theta ^ phi.  The two
     # 3-tensor derivatives are nabla T for both connections (delta T reads
-    # the Levi-Civita one), the two 4-tensor ones nabla phi and the
-    # divergence delta phi; the one T_xy^a table is
+    # the Levi-Civita one).  No 4-tensor derivative is built: nabla phi is
+    # one matmul against phi's derivation matrix, and the divergence delta
+    # phi traces before it sums; the one T_xy^a table is
     # Geometry.t_last_up, which connection_from_torsion and sigma_t read.
     # The cyclic sum and the pair asymmetry of R are each one permutation
     # of R, whatever the number of groups reading them.
@@ -250,7 +269,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     assert calls[("ce_differential", 4)] == 4
     assert calls["sigma_t"] == 1
     assert calls[("covariant_derivative", 3)] == 2
-    assert calls[("covariant_derivative", 4)] == 2
+    assert calls[("covariant_derivative", 4)] == 0
     assert calls[("hodge_star", 5)] == 6
     assert calls[("einsum of R", "yzxv->xyzv")] == 1
     assert calls[("einsum of R", "zxyv->xyzv")] == 1

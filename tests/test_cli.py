@@ -112,6 +112,20 @@ def test_verify_bad_tolerance_exits_two(value, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_verify_unwritable_out_exits_two(where, tmp_path):
+    # a path the report cannot be written to is an input error: exit 2 with
+    # one error line, nothing on stdout, no traceback
+    out = tmp_path / "no_such_dir" / "r.json" if where == "missing_dir" else tmp_path
+    proc = run_cli_process("verify", "--algebra", "abelian", "--format", "json",
+                           "--out", str(out))
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert str(out) in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "no_such_dir").exists()
+
+
 def test_verify_power_tower_t_exits_two(capsys):
     # --t is parsed, never evaluated: a power tower is refused at once
     assert run_cli("verify", "--algebra", "abelian", "--structure", "phi_t",

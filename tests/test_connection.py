@@ -33,6 +33,7 @@ from spin7.forms import (
     IDENTITY_METRIC,
     KForm,
     canonical_indices,
+    compound_matrix,
     interior_product,
     raise_slots,
     residual,
@@ -40,7 +41,7 @@ from spin7.forms import (
 )
 from spin7.liealgebra import LieAlgebra8, ce_differential, load_algebra, parse_scalar
 from spin7.geometry import Geometry
-from spin7.structure import canonical_phi, canonical_phi_form
+from spin7.structure import canonical_phi, canonical_phi_form, one_index_rhs
 
 
 @pytest.fixture(scope="module")
@@ -505,12 +506,58 @@ def test_raise_slots_matches_its_tensordot_expression(rank):
             assert close(raise_slots(t, m, slots), old), slots
 
 
-def test_torsion_square_matches_its_einsum_expression(su3):
-    # su3 and the canonical form pulled back along A: a non-orthonormal metric
+def moved_su3(su3) -> Geometry:
+    """su3 and the canonical form pulled back along A: a non-orthonormal metric."""
     a = frame(11)
     c = np.einsum("ai,bj,abm,km->ijk", a, a, su3.c, np.linalg.inv(a))
     phi = np.einsum("abcd,ai,bj,ck,dl->ijkl", canonical_phi_form().to_array(), a, a, a, a)
     geom = Geometry.build(LieAlgebra8("su3-moved", c), KForm.from_array(phi))
     assert not geom.metric.is_identity
+    return geom
+
+
+def test_torsion_square_matches_its_einsum_expression(su3):
+    geom = moved_su3(su3)
     gi = geom.metric.inv
     assert close(geom.t_square, np.einsum("xia,yjb,ij,ab->xy", geom.t3, geom.t3, gi, gi))
+
+
+def test_nabla_phi_is_one_matmul_against_the_derivation_matrix(su3):
+    # nabla phi on the 70 canonical components, -Gamma.reshape(8, 64) @ D,
+    # against the full 8^5 covariant derivative: on the pulled-back frame's
+    # torsion connection and on random coefficients
+    geom = moved_su3(su3)
+    phi = geom.structure.dense
+    canonical = (slice(None),) + tuple(np.array(canonical_indices(4)).T)
+    for conn in (geom.conn, FrameConnection(kernel_inputs(50)[2].gamma, geom.metric)):
+        full = covariant_derivative(conn, phi)
+        new = -conn.gamma.reshape(8, 64) @ geom.structure.derivation_matrix
+        assert new.shape == (8, 70)
+        bound = 1e-13 * np.max(np.abs(conn.gamma)) * np.max(np.abs(phi))
+        assert np.max(np.abs(new - full[canonical])) <= bound
+        assert abs(np.max(np.abs(new)) - np.max(np.abs(full))) <= bound
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_codifferential_matches_the_trace_of_the_full_derivative(degree):
+    # the trace-first divergence against tracing the whole (k+1)-tensor
+    # nabla b, under a non-orthonormal metric and random coefficients
+    rng, m, conn, _ = kernel_inputs(60 + degree)
+    beta = KForm(degree, {idx: rng.standard_normal() for idx in canonical_indices(degree)})
+    old = -np.einsum("ab,ab...->...", m.inv, covariant_derivative(conn, beta.to_array()))
+    assert close(codifferential(beta, conn).to_array(), old)
+
+
+def test_one_index_rhs_matches_its_rotation_loop(rng):
+    # (g g g) - (g phi) on canonical triples, against the nine broadcast
+    # gathers it replaced, for a random metric and a random 4-form
+    g = kernel_inputs(70)[1].g
+    p = KForm(4, {idx: rng.standard_normal() for idx in canonical_indices(4)}).to_array()
+    triples = tuple(np.array(canonical_indices(3)).T)
+    i, j, k = (n[:, None] for n in triples)
+    a, b, c = (n[None, :] for n in triples)
+    old = compound_matrix(g, 3)
+    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            old -= g[x, u] * p[y, z, v, w]
+    assert close(one_index_rhs(g, p), old)
