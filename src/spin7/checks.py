@@ -59,7 +59,7 @@ def check_structure(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationRep
 @_report_of
 def check_algebra(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
     alg = geom.algebra
-    jac, _ = alg.jacobi_residual()
+    jac, _ = alg.jacobi
     # d of every basis covector, then d again: its columns are d(d e^k)
     dd = _maxabs(alg.d_matrix(2) @ alg.d_matrix(1))
     return [

@@ -15,11 +15,15 @@ Algebras (see data/*.json):
 Structures: the canonical 14-monomial form, the one-parameter rotation
 family built from the product SU(3)-structure on the S^3 x S^3 factor, and
 the closed-Lee-form combination of three Kaehler-type 2-forms.
+
+Shipped algebras and structure forms (phi_t at the corpus t only) are built
+once per process and shared read-only; files given by path are read afresh.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -56,11 +60,11 @@ VERIFY_TARGETS = (
 )
 
 
+@lru_cache(maxsize=None)  # an unknown name raises, so only the shipped names are kept
 def corpus_algebra(name: str) -> LieAlgebra8:
     if name not in ALGEBRA_NAMES:
         raise ValueError(f"unknown corpus algebra {name!r}; have {ALGEBRA_NAMES}")
-    path = resources.files("spin7.data").joinpath(f"{name}.json")
-    return load_algebra(path)
+    return load_algebra(resources.files("spin7.data").joinpath(f"{name}.json"))
 
 
 def get_algebra(name_or_path: str) -> LieAlgebra8:
@@ -122,23 +126,29 @@ def remark_b_form() -> KForm:
 def build_structure_form(structure: str, t=None) -> tuple[KForm, list[str]]:
     """Resolve a structure spec to a 4-form; returns (form, warnings)."""
     warnings: list[str] = []
-    if structure == "canonical":
-        return canonical_phi_form(), warnings
+    if structure in ("canonical", "remark_b"):
+        return _shipped_form(structure), warnings
     if structure == "phi_t":
         t_val = parse_scalar(t) if t is not None else 0.0
+        if t_val in PHI_T_CORPUS_VALUES:
+            return _shipped_form(structure, t_val), warnings
         if not any(abs(t_val - c) <= 1e-12 for c in PHI_T_CORPUS_VALUES):
             warnings.append(
                 f"t = {t_val!r} is outside the corpus values 0, pi/4, 3pi/4; "
                 "proceeding anyway"
             )
         return phi_t_form(t_val), warnings
-    if structure == "remark_b":
-        return remark_b_form(), warnings
     # otherwise: path to a serialized 4-form
     form = form_from_json(Path(structure).read_text())
     if form.degree != 4:
         raise ValueError(f"structure file must hold a 4-form, got degree {form.degree}")
     return form, warnings
+
+
+@lru_cache(maxsize=None)
+def _shipped_form(structure: str, *t: float) -> KForm:
+    build = {"canonical": canonical_phi_form, "phi_t": phi_t_form, "remark_b": remark_b_form}
+    return build[structure](*t)
 
 
 def geometry_id(algebra: str, structure: str, t=None) -> str:

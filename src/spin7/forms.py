@@ -139,12 +139,14 @@ def compound_matrix(mat: np.ndarray, degree: int) -> np.ndarray:
     Laplace expansion along the first row, degree by degree:
     C_k[I, J] = sum_t (-1)^t mat[i_0, j_t] C_{k-1}[I - i_0, J - j_t], one
     gather-and-sum per degree; exact on the identity.  For g^{-1} it raises
-    every index of a k-form at once: b^I = sum_J C[I, J] b_J.
+    every index of a k-form at once: b^I = sum_J C[I, J] b_J.  It is made C-ordered,
+    as BLAS rounds the raising downstream differently on an F-ordered operand.
     """
     out = np.ones((1, 1))
     for k in range(1, degree + 1):
         col, rest, sign = _laplace_table(k)
-        out = (sign * mat[col[:, :1, None], col] * out[rest[:, :1, None], rest]).sum(axis=-1)
+        out = np.ascontiguousarray(
+            (sign * mat[col[:, 0]][:, col] * out[rest[:, 0]][:, rest]).sum(axis=-1))
     return out
 
 
@@ -167,7 +169,9 @@ class FrameMetric:
         g = np.asarray(self.g, dtype=float)
         if g.shape != (DIM, DIM):
             raise ValueError(f"metric must be {DIM}x{DIM}, got {g.shape}")
-        if not np.allclose(g, g.T, atol=1e-14):
+        if not np.all(np.isfinite(g)):
+            raise ValueError("metric table has non-finite entries")
+        if not np.all(np.abs(g - g.T) <= 1e-14 + 1e-5 * np.abs(g.T)):  # np.allclose's test
             raise ValueError("metric table is not symmetric")
         g = 0.5 * (g + g.T)
         g.setflags(write=False)

@@ -65,8 +65,9 @@ class LieAlgebra8:
 
     name: str
     c: np.ndarray  # c[i, j, k] = c^k_{ij}
-    # degree k -> matrix of d on k-forms, filled on first use
-    _d: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    jacobi: tuple = field(init=False, repr=False, compare=False)  # jacobi_residual() at load
+    # degree k -> matrix of d on k-forms, "mirror" -> mirrored(); filled on first use
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -88,6 +89,7 @@ class LieAlgebra8:
         # the Jacobi sum is quadratic in c, so its rounding scales with max|c|^2;
         # past max|c| ~ 1.3e154 its products overflow to inf, or inf - inf = nan
         res, where = self.jacobi_residual()
+        object.__setattr__(self, "jacobi", (res, where))
         if not math.isfinite(res):
             raise ValueError(f"algebra {self.name!r}: the structure constants "
                              f"(max |c| = {max_c:.3g}) overflow double precision")
@@ -125,8 +127,11 @@ class LieAlgebra8:
         return cls(name, c)
 
     def mirrored(self) -> "LieAlgebra8":
-        """Opposite bracket: the right-invariant counterpart of this frame."""
-        return LieAlgebra8(self.name + "-mirror", -self.c)
+        """Opposite bracket: the right-invariant counterpart of this frame, built once and
+        kept (a shipped algebra has one shared mirror per process; a user file, one per load)."""
+        if "mirror" not in self._cache:
+            self._cache["mirror"] = LieAlgebra8(self.name + "-mirror", -self.c)
+        return self._cache["mirror"]
 
     def is_abelian(self) -> bool:
         return not np.any(self.c)
@@ -137,14 +142,14 @@ class LieAlgebra8:
 
     def d_matrix(self, k: int) -> np.ndarray:
         """The matrix of d on k-forms; see ``ce_differential``."""
-        mat = self._d.get(k)
+        mat = self._cache.get(k)
         if mat is None:
             target, where, sign = _d_pattern(k)
             shape = (math.comb(DIM, k + 1), math.comb(DIM, k))
             mat = np.bincount(target, sign * -self.c.ravel()[where],
                               minlength=shape[0] * shape[1]).reshape(shape)
             mat.setflags(write=False)
-            self._d[k] = mat
+            self._cache[k] = mat
         return mat
 
 

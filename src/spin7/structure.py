@@ -61,13 +61,14 @@ def canonical_phi_form() -> KForm:
 def metric_from_phi(phi: KForm) -> FrameMetric:
     """Metric induced by a fundamental 4-form: g_ij = (1/42) phi_iklm phi_jklm.
 
-    Raises ValueError when the result is not positive-definite (the form is
-    then not admissible).
+    Raises ValueError when the result is not finite (the form overflows
+    double precision) or not positive-definite (the form is not admissible).
     """
     if phi.degree != 4:
         raise ValueError(f"fundamental form must have degree 4, got {phi.degree}")
     p = phi.to_array().reshape(8, 512)
-    g = p @ p.T / 42.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = p @ p.T / 42.0
     try:
         return FrameMetric(g)
     except ValueError as exc:

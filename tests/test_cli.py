@@ -104,6 +104,17 @@ def test_non_finite_form_coefficient_exits_two(value, tmp_path, capsys):
     assert _single_error_line(err) and "not finite" in err
 
 
+def test_verify_form_overflowing_its_metric_exits_two(tmp_path):
+    # the induced metric of 1e200 phi0 is all inf: refused at load, without a numpy warning
+    path = tmp_path / "huge_phi.json"
+    path.write_text(form_to_json(1e200 * canonical_phi_form()))
+    proc = run_cli_process("verify", "--algebra", "su3", "--structure", str(path))
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert "not an admissible fundamental form" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
 def test_verify_bad_tolerance_exits_two(value, capsys):
     assert run_cli("verify", "--algebra", "abelian", f"--tolerance={value}") == 2

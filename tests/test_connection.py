@@ -1,5 +1,7 @@
 """Lie-frame geometry: differential, connections, curvature, torsion formulas."""
 
+import json
+import math
 import re
 import warnings
 from itertools import combinations
@@ -8,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spin7.checks import check_dt_expansion
+from spin7.checks import check_algebra, check_dt_expansion
 from spin7.connection import (
     FrameConnection,
     codifferential,
@@ -27,13 +29,23 @@ from spin7.connection import (
     spin7_torsion_routes,
     torsion_tensor,
 )
-from spin7.corpus import corpus_algebra
+from spin7.corpus import (
+    ALGEBRA_NAMES,
+    PHI_T_CORPUS_VALUES,
+    build_geometry,
+    build_structure_form,
+    corpus_algebra,
+    get_algebra,
+    phi_t_form,
+    remark_b_form,
+)
 from spin7.forms import (
     FrameMetric,
     IDENTITY_METRIC,
     KForm,
     canonical_indices,
     compound_matrix,
+    form_to_json,
     interior_product,
     raise_slots,
     residual,
@@ -203,6 +215,59 @@ def test_differential_matches_reference(name, rng):
             beta = KForm(degree, {idx: rng.standard_normal()
                                   for idx in canonical_indices(degree)})
             assert residual(ce_differential(beta, a), reference_differential(beta, a)) < 1e-14
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_shipped_algebra_and_its_mirror_are_built_once_per_process(name):
+    alg = corpus_algebra(name)
+    assert corpus_algebra(name) is alg and get_algebra(name) is alg
+    mirror = alg.mirrored()
+    assert alg.mirrored() is mirror
+    assert not alg.c.flags.writeable and not mirror.c.flags.writeable
+    # d is linear in c: the mirror's own d matrices are the negated originals, exactly
+    for k in range(1, 5):
+        assert np.array_equal(mirror.d_matrix(k), -alg.d_matrix(k))
+    # check_algebra reads the residual taken at load, which is jacobi_residual()'s
+    entries = {e.check_id: e for e in check_algebra(build_geometry(name)).entries}
+    assert entries["jacobi_identity"].residual == alg.jacobi_residual()[0]
+    assert alg.jacobi == alg.jacobi_residual()
+
+
+def test_user_files_are_read_on_every_call(tmp_path):
+    spec = {"name": "x", "dim": 8, "convention": "brackets",
+            "constants": [{"i": 2, "j": 3, "k": 1, "c": 1.0}]}
+    alg_path, phi_path = tmp_path / "alg.json", tmp_path / "phi.json"
+    alg_path.write_text(json.dumps(spec))
+    phi_path.write_text(form_to_json(canonical_phi_form()))
+    first, first_phi = get_algebra(str(alg_path)), build_structure_form(str(phi_path))[0]
+    spec["constants"][0]["c"] = 2.0
+    alg_path.write_text(json.dumps(spec))
+    phi_path.write_text(form_to_json(2.0 * canonical_phi_form()))
+    second, second_phi = get_algebra(str(alg_path)), build_structure_form(str(phi_path))[0]
+    assert first.c[2, 3, 1] == 1.0 and second.c[2, 3, 1] == 2.0
+    assert second.mirrored() is not first.mirrored()
+    assert second_phi == 2.0 * first_phi
+
+
+@pytest.mark.parametrize("structure,t", [("canonical", None), ("remark_b", None)]
+                         + [("phi_t", t) for t in PHI_T_CORPUS_VALUES])
+def test_shipped_structure_forms_are_built_once_and_read_only(structure, t):
+    form, warned = build_structure_form(structure, t)
+    assert build_structure_form(structure, t)[0] is form and not warned
+    fresh = {"canonical": canonical_phi_form, "remark_b": remark_b_form}.get(structure)
+    assert form == (phi_t_form(t) if fresh is None else fresh())
+    assert not form.vec.flags.writeable
+    with pytest.raises(ValueError):
+        form.vec[0] = 1.0
+
+
+def test_phi_t_off_the_corpus_values_is_built_fresh():
+    # exact text gives the corpus value itself, so the shared form
+    assert build_structure_form("phi_t", "3*pi/4")[0] is build_structure_form(
+        "phi_t", 3.0 * math.pi / 4.0)[0]
+    form = build_structure_form("phi_t", 0.7)[0]
+    assert build_structure_form("phi_t", 0.7)[0] is not form
+    assert form == phi_t_form(0.7)
 
 
 def test_differential_degree_bounds(su3):

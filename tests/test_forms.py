@@ -29,6 +29,7 @@ from spin7.forms import (
     volume_form,
     wedge,
 )
+from spin7.forms import _laplace_table
 from spin7.structure import canonical_phi_form
 
 
@@ -286,6 +287,25 @@ def test_minor_matrix_matches_one_determinant_per_pair(degree):
     assert np.array_equal(m.raise_matrix(degree), compound_matrix(gi, degree))
 
 
+def broadcast_gather_compound(mat, degree):
+    """The earlier Laplace step, kept as the reference: one broadcast (I, J, t) gather per factor."""
+    out = np.ones((1, 1))
+    for k in range(1, degree + 1):
+        col, rest, sign = _laplace_table(k)
+        out = (sign * mat[col[:, :1, None], col] * out[rest[:, :1, None], rest]).sum(axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_compound_matrix_is_the_broadcast_gather_bit_for_bit(degree):
+    # rows are gathered before columns; the result must come back C-ordered,
+    # since BLAS rounds a raising with an F-ordered operand differently
+    gi = random_spd_metric(np.random.default_rng(100 + degree)).inv
+    got = compound_matrix(gi, degree)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == broadcast_gather_compound(gi, degree).tobytes()
+
+
 def test_raise_slots_raises_exactly_the_named_slots():
     rng = np.random.default_rng(11)
     t = rng.standard_normal((8,) * 4)
@@ -294,6 +314,33 @@ def test_raise_slots_raises_exactly_the_named_slots():
     assert np.max(np.abs(raise_slots(t, m, (0, 2)) - expect)) <= 1e-14
     # against the exact identity the tensor comes back unchanged, bit for bit
     assert np.array_equal(raise_slots(t, IDENTITY_METRIC, (0, 1, 2, 3)), t)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_frame_metric_rejects_a_non_finite_entry(value):
+    g = np.eye(8)
+    g[2, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        FrameMetric(g)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3, 1e150])
+def test_frame_metric_symmetry_test_is_np_allclose(scale):
+    # one comparison in place of np.allclose(g, g.T, atol=1e-14): every finite
+    # table is accepted or refused as before, also right at the tolerance
+    base = random_spd_metric(np.random.default_rng(9)).g * scale
+    for i, j in [(0, 1), (1, 0), (5, 2)]:
+        bound = 1e-14 + 1e-5 * abs(base[j, i])
+        for factor in [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]:
+            g = base.copy()
+            g[i, j] += factor * bound
+            try:
+                FrameMetric(g)
+                accepted = True
+            except ValueError as exc:
+                assert "symmetric" in str(exc)
+                accepted = False
+            assert accepted == np.allclose(g, g.T, atol=1e-14), (i, j, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ last bits; it may not change a verdict, an N/A decision or a note.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spin7.checks import full_report
@@ -26,7 +29,10 @@ def test_golden_covers_every_target():
 @pytest.mark.parametrize("target,golden", list(zip(VERIFY_TARGETS, GOLDEN)),
                          ids=[r["geometry_id"] for r in GOLDEN])
 def test_report_matches_golden(target, golden):
-    report = full_report(build_geometry(*target)).to_dict()
+    assert_matches_golden(full_report(build_geometry(*target)).to_dict(), golden)
+
+
+def assert_matches_golden(report, golden):
     assert report["geometry_id"] == golden["geometry_id"]
     assert [e["check_id"] for e in report["entries"]] == \
         [e["check_id"] for e in golden["entries"]]
@@ -34,3 +40,22 @@ def test_report_matches_golden(target, golden):
         for key in ("paper_anchor", "tolerance", "passed", "not_applicable", "notes"):
             assert got[key] == want[key], (got["check_id"], key)
         assert abs(got["residual"] - want["residual"]) <= RESIDUAL_TOL, got["check_id"]
+
+
+def test_shared_inputs_carry_no_state_from_op_to_op():
+    # the shipped algebras, their mirrors and the shipped forms are shared by
+    # every op of a process: two passes in seeded interleaved orders must give
+    # the bytes a fresh process gives for each target, and those match golden
+    code = ("import sys\nfrom spin7.checks import full_report\n"
+            "from spin7.corpus import build_geometry\n"
+            "sys.stdout.write(full_report(build_geometry(*{!r})).to_json())")
+    fresh = {target: subprocess.run([sys.executable, "-c", code.format(target)], check=True,
+                                    capture_output=True, text=True).stdout
+             for target in VERIFY_TARGETS}
+    for target, golden in zip(VERIFY_TARGETS, GOLDEN):
+        assert_matches_golden(json.loads(fresh[target]), golden)
+    for seed in (1, 2):
+        order = np.random.default_rng(seed).permutation(len(VERIFY_TARGETS))
+        for i in order:
+            target = VERIFY_TARGETS[i]
+            assert full_report(build_geometry(*target)).to_json() == fresh[target], target

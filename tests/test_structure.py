@@ -1,6 +1,7 @@
 """The fundamental form, its identities and the irreducible projections."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ def test_canonical_metric_is_exact_identity():
 def test_metric_scaling_is_quadratic():
     m = metric_from_phi(2.0 * canonical_phi_form())
     assert np.array_equal(m.g, 4.0 * np.eye(8))
+
+
+def test_form_overflowing_its_metric_is_refused_quietly():
+    # 1e200 phi0: g = phi phi^T / 42 overflows to inf, which FrameMetric refuses,
+    # with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not an admissible fundamental form: .*non-finite"):
+            metric_from_phi(1e200 * canonical_phi_form())
 
 
 def test_zero_form_is_rejected():
