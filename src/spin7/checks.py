@@ -43,7 +43,8 @@ FERNANDEZ_LABELS = ("W_0", "W_1", "W_2", "locally_conformally_balanced", "strong
 
 
 def _maxabs(arr) -> float:
-    return float(np.max(np.abs(arr))) if np.size(arr) else 0.0
+    arr = np.abs(arr)
+    return float(arr.max()) if arr.size else 0.0
 
 
 def _phi_trace(geom: Geometry, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .checks import full_report
 from .corpus import (
     ALGEBRA_NAMES,
-    build_structure_form,
+    _resolve_structure,
     corpus_listing,
     geometry_id,
     get_algebra,
@@ -43,7 +43,7 @@ def cmd_verify(args) -> int:
                 raise ValueError(
                     f"--tolerance must be a finite positive number, got {args.tolerance!r}")
             alg = get_algebra(args.algebra)
-            phi, warnings = build_structure_form(args.structure, args.t)
+            phi, warnings = _resolve_structure(args.structure, args.t)
             for w in warnings:
                 print(f"warning: {w}", file=sys.stderr)
             soliton = (SolitonData([parse_scalar(p) for p in args.soliton_df.split(",")])
@@ -51,7 +51,7 @@ def cmd_verify(args) -> int:
             geom = Geometry.build(alg, phi, name=geometry_id(args.algebra, args.structure, args.t))
             rep = full_report(geom, soliton, tol=args.tolerance)
         except NonFiniteResidual as exc:
-            max_c, max_phi = float(np.max(np.abs(alg.c))), phi.max_abs()
+            max_c, max_phi = float(np.max(np.abs(alg.c))), geom.structure.phi.max_abs()
             culprit = (f"structure constants (max |c| = {max_c:.3g})" if max_c >= max_phi
                        else f"fundamental form's coefficients (max |phi| = {max_phi:.3g})")
             print(f"error: the {culprit} overflow double precision: entry {exc.check_id!r} "
@@ -82,7 +82,7 @@ def cmd_decompose(args) -> int:
         if form.degree != args.degree:
             raise ValueError(
                 f"form has degree {form.degree}, --degree says {args.degree}")
-        phi, warnings = build_structure_form(args.structure, args.t)
+        phi, warnings = _resolve_structure(args.structure, args.t)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         structure = Spin7Form.from_form(phi)

@@ -16,8 +16,9 @@ Structures: the canonical 14-monomial form, the one-parameter rotation
 family built from the product SU(3)-structure on the S^3 x S^3 factor, and
 the closed-Lee-form combination of three Kaehler-type 2-forms.
 
-Shipped algebras and structure forms (phi_t at the corpus t only) are built
-once per process and shared read-only; files given by path are read afresh.
+Shipped algebras and structures (phi_t at the corpus t only) are built once
+per process and shared read-only, each structure as one ``Spin7Form`` with its
+metric and derived tables; files given by path, and any other t, are built afresh.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from .forms import KForm, form_from_json, hodge_star, wedge
 from .geometry import Geometry
 from .liealgebra import LieAlgebra8, load_algebra, parse_scalar
-from .structure import canonical_phi_form
+from .structure import Spin7Form, canonical_phi_form
 
 ALGEBRA_NAMES = ("abelian", "su2su2u1u1", "su3", "heisenberg")
 STRUCTURE_NAMES = ("canonical", "phi_t", "remark_b")
@@ -125,13 +126,19 @@ def remark_b_form() -> KForm:
 
 def build_structure_form(structure: str, t=None) -> tuple[KForm, list[str]]:
     """Resolve a structure spec to a 4-form; returns (form, warnings)."""
+    form, warnings = _resolve_structure(structure, t)
+    return (form.phi if isinstance(form, Spin7Form) else form), warnings
+
+
+def _resolve_structure(structure: str, t=None) -> tuple[KForm | Spin7Form, list[str]]:
+    """A shipped structure as its shared Spin7Form, anything else as a fresh 4-form."""
     warnings: list[str] = []
     if structure in ("canonical", "remark_b"):
-        return _shipped_form(structure), warnings
+        return _shipped_structure(structure), warnings
     if structure == "phi_t":
         t_val = parse_scalar(t) if t is not None else 0.0
         if t_val in PHI_T_CORPUS_VALUES:
-            return _shipped_form(structure, t_val), warnings
+            return _shipped_structure(structure, t_val), warnings
         if not any(abs(t_val - c) <= 1e-12 for c in PHI_T_CORPUS_VALUES):
             warnings.append(
                 f"t = {t_val!r} is outside the corpus values 0, pi/4, 3pi/4; "
@@ -146,9 +153,9 @@ def build_structure_form(structure: str, t=None) -> tuple[KForm, list[str]]:
 
 
 @lru_cache(maxsize=None)
-def _shipped_form(structure: str, *t: float) -> KForm:
+def _shipped_structure(structure: str, *t: float) -> Spin7Form:
     build = {"canonical": canonical_phi_form, "phi_t": phi_t_form, "remark_b": remark_b_form}
-    return build[structure](*t)
+    return Spin7Form.from_form(build[structure](*t))
 
 
 def geometry_id(algebra: str, structure: str, t=None) -> str:
@@ -164,7 +171,7 @@ def geometry_id(algebra: str, structure: str, t=None) -> str:
 
 def build_geometry(algebra: str, structure: str = "canonical", t=None) -> Geometry:
     alg = get_algebra(algebra)
-    phi, _ = build_structure_form(structure, t)
+    phi, _ = _resolve_structure(structure, t)
     return Geometry.build(alg, phi, name=geometry_id(algebra, structure, t))
 
 

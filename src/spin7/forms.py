@@ -243,12 +243,15 @@ class KForm:
     @classmethod
     def from_vector(cls, degree: int, vec) -> "KForm":
         """The form with coefficient vector vec over canonical_indices(degree) (copied)."""
-        form, vec = cls(degree, {}), np.array(vec, dtype=float)
-        if vec.shape != form.vec.shape:
+        if not 0 <= degree <= DIM:
+            raise ValueError(f"degree must be 0..{DIM}, got {degree}")
+        vec, shape = np.array(vec, dtype=float), (math.comb(DIM, degree),)
+        if vec.shape != shape:
             raise ValueError(f"degree-{degree} coefficient vector needs shape "
-                             f"{form.vec.shape}, got {vec.shape}")
+                             f"{shape}, got {vec.shape}")
         vec.setflags(write=False)
-        form.vec = vec
+        form = cls.__new__(cls)
+        form.degree, form.vec = degree, vec
         return form
 
     @classmethod
@@ -307,7 +310,7 @@ class KForm:
         return list(self.coeffs.items())
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.vec)))
+        return float(np.abs(self.vec).max())
 
     def covector_components(self) -> np.ndarray:
         if self.degree != 1:
@@ -336,11 +339,13 @@ class KForm:
         self._require_same_degree(other)
         return KForm.from_vector(self.degree, self.vec + other.vec)
 
+    # a - b is a + (-b) and -a is (-1.0) * a, bit for bit (IEEE 754)
     def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-1.0) * other
+        self._require_same_degree(other)
+        return KForm.from_vector(self.degree, self.vec - other.vec)
 
     def __neg__(self) -> "KForm":
-        return (-1.0) * self
+        return KForm.from_vector(self.degree, -self.vec)
 
     def __mul__(self, scalar: float) -> "KForm":
         return KForm.from_vector(self.degree, self.vec * scalar)
@@ -356,7 +361,8 @@ class KForm:
 
 def residual(a: KForm, b: KForm) -> float:
     """Max-abs componentwise difference (components are signed coefficients)."""
-    return (a - b).max_abs()
+    a._require_same_degree(b)
+    return float(np.abs(a.vec - b.vec).max())
 
 
 def raise_slots(arr: np.ndarray, m: FrameMetric, slots) -> np.ndarray:
@@ -491,11 +497,18 @@ def form_to_json(a: KForm) -> str:
     return json.dumps(form_to_dict(a), indent=2)
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer field as it is; a bool, float or str is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def form_from_dict(d: dict) -> KForm:
-    degree = int(d["degree"])
+    degree = _json_int(d["degree"], "degree")
     coeffs: dict = {}
     for term in d["terms"]:
-        idx = validate_multi_index(term["idx"], degree)
+        idx = validate_multi_index([_json_int(i, "idx") for i in term["idx"]], degree)
         if idx in coeffs:
             raise ValueError(f"duplicate multi-index {idx} in serialized form")
         c = float(term["c"])

@@ -13,10 +13,11 @@ the stored nabla^g T, the cyclic sum and the pair asymmetry of the
 curvature, T with slots (0, 1) raised and T o T among it, is a cached
 property computed on first use.  phi with raised slots and phi's 64 x 70
 derivation matrix, which gives nabla phi in one matmul, are kept on the
-structure (``Spin7Form.up``, ``Spin7Form.derivation_matrix``).
-Contractions of forms with theta, T or phi are not tables here: the checks
-call ``forms.interior_product``, ``contract_into`` and ``full_contraction``
-on the forms themselves.
+structure (``Spin7Form.up``, ``Spin7Form.derivation_matrix``); a shipped
+structure is one Spin7Form shared by every geometry on it, so these and its
+metric are computed once per process.  Contractions of forms with theta, T
+or phi are not tables here: the checks call ``forms.interior_product``,
+``contract_into`` and ``full_contraction`` on the forms themselves.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class Geometry:
     curv_lc: CurvatureTensor
 
     @classmethod
-    def build(cls, algebra: LieAlgebra8, phi: KForm, name: str | None = None) -> "Geometry":
+    def build(cls, algebra: LieAlgebra8, phi: KForm | Spin7Form, name: str | None = None) -> "Geometry":
         structure = Spin7Form.from_form(phi)
         dphi, star_dphi, delta_phi = phi_derivatives(structure, algebra)
         lee_routes = lee_form_routes(structure, star_dphi, delta_phi)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, _index_array, _merge_table
+from .forms import DIM, KForm, _index_array, _json_int, _merge_table
 
 JACOBI_TOL = 1e-12
 
@@ -164,7 +164,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
         spec = json.loads(Path(spec).read_text())
     if not isinstance(spec, dict):
         raise ValueError("algebra spec must be a dict or a path to a JSON file")
-    if int(spec.get("dim", DIM)) != DIM:
+    if _json_int(spec.get("dim", DIM), "dim") != DIM:
         raise ValueError(f"only dim = {DIM} algebras are supported")
     convention = spec.get("convention", "brackets")
     if convention not in ("brackets", "structure_equations"):
@@ -172,7 +172,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
     sign = 1.0 if convention == "brackets" else -1.0
     constants = []
     for entry in spec.get("constants", []):
-        i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
+        i, j, k = (_json_int(entry[key], key) for key in "ijk")
         constants.append((i, j, k, sign * parse_scalar(entry["c"])))
     return LieAlgebra8.from_brackets(constants, name or spec.get("name", "algebra"))
 

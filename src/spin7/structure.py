@@ -61,8 +61,8 @@ def canonical_phi_form() -> KForm:
 def metric_from_phi(phi: KForm) -> FrameMetric:
     """Metric induced by a fundamental 4-form: g_ij = (1/42) phi_iklm phi_jklm.
 
-    Raises ValueError when the result is not finite (the form overflows
-    double precision) or not positive-definite (the form is not admissible).
+    An exact identity table is the shared IDENTITY_METRIC.  Raises ValueError when
+    the result is not finite (overflow) or not positive-definite (not admissible).
     """
     if phi.degree != 4:
         raise ValueError(f"fundamental form must have degree 4, got {phi.degree}")
@@ -70,7 +70,7 @@ def metric_from_phi(phi: KForm) -> FrameMetric:
     with np.errstate(over="ignore", invalid="ignore"):
         g = p @ p.T / 42.0
     try:
-        return FrameMetric(g)
+        return IDENTITY_METRIC if np.array_equal(g, IDENTITY_METRIC.g) else FrameMetric(g)
     except ValueError as exc:
         raise ValueError(f"not an admissible fundamental form: {exc}") from exc
 
@@ -85,8 +85,9 @@ class Spin7Form:
     _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_form(cls, phi: KForm) -> "Spin7Form":
-        return cls(phi, metric_from_phi(phi))
+    def from_form(cls, phi: KForm | Spin7Form) -> "Spin7Form":
+        """phi with its induced metric; a Spin7Form is returned as it is."""
+        return phi if isinstance(phi, Spin7Form) else cls(phi, metric_from_phi(phi))
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -258,12 +259,17 @@ def one_index_rhs(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     nine cyclic rotations of g_ia phi_jkbc over ijk and over abc: the
     (3 * 56)^2 products g_xu phi_yzvw of two gathers, summed block by block.
     """
-    # (x, y, z) runs over the three rotations of every triple, rotation-major
-    x, y, z = np.concatenate([np.roll(_index_array(3), -r, axis=1) for r in range(3)]).T
-    yz = DIM * y + z
+    x, yz = _rotations()
     g_phi = g[x][:, x]
     g_phi *= p.reshape(64, 64)[yz][:, yz]
     return compound_matrix(g, 3) - g_phi.reshape(3, 56, 3, 56).sum(axis=(0, 2))
+
+
+@lru_cache(maxsize=None)
+def _rotations() -> tuple[np.ndarray, np.ndarray]:
+    """x and 8y + z, as (x, y, z) runs over the three rotations of every triple, rotation-major."""
+    x, y, z = np.concatenate([np.roll(_index_array(3), -r, axis=1) for r in range(3)]).T
+    return x, DIM * y + z
 
 
 def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationReport:
@@ -278,14 +284,11 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     """
     rep = VerificationReport("fundamental-form-admissibility")
     anchor = "id:fundamental-form-identities"
-    if isinstance(phi, Spin7Form):
-        structure = phi
-    else:
-        try:
-            structure = Spin7Form.from_form(phi)
-        except ValueError as exc:
-            rep.add(entry("induced_metric_spd", anchor, 1.0, tol, notes=str(exc)))
-            return rep
+    try:
+        structure = Spin7Form.from_form(phi)
+    except ValueError as exc:
+        rep.add(entry("induced_metric_spd", anchor, 1.0, tol, notes=str(exc)))
+        return rep
     rep.add(entry("induced_metric_spd", anchor, 0.0, tol))
     phi, m = structure.phi, structure.metric
 

@@ -25,6 +25,7 @@ from spin7.corpus import (
     build_geometry,
     corpus_algebra,
     geometry_id,
+    remark_b_form,
 )
 from spin7.forms import KForm
 from spin7.geometry import Geometry, SolitonData
@@ -210,6 +211,38 @@ def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
         assert entries["pair_symmetry_equivalence"].passed, geom.name
 
 
+COUNTED = {
+    "lee_form_routes": lambda *args: "lee_form_routes",
+    "spin7_torsion_routes": lambda *args: "spin7_torsion_routes",
+    "spin7_torsion": lambda *args: "spin7_torsion",
+    "metric_from_phi": lambda *args: "metric_from_phi",
+    "ce_differential": lambda beta, alg: ("ce_differential", beta.degree),
+    "norm_sq": lambda a, m: ("norm_sq", a.degree),
+    "raise_slots": lambda arr, m, slots: ("raise_slots", arr.tobytes(), tuple(slots)),
+    "sigma_t": lambda t3, t_up: "sigma_t",
+    "hodge_star": lambda a, *m: ("hodge_star", a.degree),
+    "covariant_derivative": lambda conn, t: ("covariant_derivative", t.ndim),
+}
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Count calls of the COUNTED functions, keyed as there, in every spin7 namespace."""
+    calls = Counter()
+    wrappers = {}
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "spin7"]:
+        for name, key in COUNTED.items():
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+            if fn not in wrappers:
+                def counted(*args, _fn=fn, _key=key, **kwargs):
+                    calls[_key(*args, **kwargs)] += 1
+                    return _fn(*args, **kwargs)
+                wrappers[fn] = counted
+            monkeypatch.setattr(mod, name, wrappers[fn])
+    return calls
+
+
 def test_derived_quantities_are_computed_once(monkeypatch):
     # one build plus one report; the mirror algebra's torsion in
     # check_bi_spin7 is one spin7_torsion call, which computes only the *d phi
@@ -221,35 +254,14 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     # phi traces before it sums; the one T_xy^a table is
     # Geometry.t_last_up, which connection_from_torsion and sigma_t read.
     # The cyclic sum and the pair asymmetry of R are each one permutation
-    # of R, whatever the number of groups reading them.
-    geom = build_geometry("su2su2u1u1", "remark_b")
+    # of R, whatever the number of groups reading them.  A fresh KForm gets
+    # a Spin7Form of its own, so every count holds per build (a shipped
+    # structure is shared: see the test below).
+    alg = corpus_algebra("su2su2u1u1")
+    geom = Geometry.build(alg, remark_b_form())
     phi4, t3 = geom.structure.dense.tobytes(), geom.t3.tobytes()
-    calls = Counter()
-    wrappers = {}
-    keys = {
-        "lee_form_routes": lambda *args: "lee_form_routes",
-        "spin7_torsion_routes": lambda *args: "spin7_torsion_routes",
-        "spin7_torsion": lambda *args: "spin7_torsion",
-        "metric_from_phi": lambda *args: "metric_from_phi",
-        "ce_differential": lambda beta, alg: ("ce_differential", beta.degree),
-        "norm_sq": lambda a, m: ("norm_sq", a.degree),
-        "raise_slots": lambda arr, m, slots: ("raise_slots", arr.tobytes(), tuple(slots)),
-        "sigma_t": lambda t3, t_up: "sigma_t",
-        "hodge_star": lambda a, *m: ("hodge_star", a.degree),
-        "covariant_derivative": lambda conn, t: ("covariant_derivative", t.ndim),
-    }
-    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "spin7"]:
-        for name, key in keys.items():
-            fn = getattr(mod, name, None)
-            if fn is None:
-                continue
-            if fn not in wrappers:
-                def counted(*args, _fn=fn, _key=key, **kwargs):
-                    calls[_key(*args, **kwargs)] += 1
-                    return _fn(*args, **kwargs)
-                wrappers[fn] = counted
-            monkeypatch.setattr(mod, name, wrappers[fn])
-    built = build_geometry("su2su2u1u1", "remark_b")
+    calls = count_calls(monkeypatch)
+    built = Geometry.build(alg, remark_b_form())
     einsum = np.einsum
 
     def counted_einsum(subscripts, *operands, **kwargs):
@@ -287,6 +299,42 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     # and the Levi-Civita coefficients; every other contraction goes through forms
     assert sum(n for key, n in calls.items()
                if isinstance(key, tuple) and key[0] == "raise_slots") == 6
+
+
+@pytest.mark.parametrize("target", VERIFY_TARGETS, ids=lambda t: geometry_id(*t))
+def test_a_shipped_structure_is_derived_once_per_process(target, monkeypatch):
+    # the second build of a shipped target reuses the shared Spin7Form: its
+    # metric and phi's raised copies are not derived again, and every check still runs
+    first = build_geometry(*target)
+    full_report(first)
+    calls = count_calls(monkeypatch)
+    phi4 = first.structure.dense.tobytes()
+    second = build_geometry(*target)
+    rep = full_report(second)
+    assert second.structure is first.structure
+    assert calls["metric_from_phi"] == 0
+    assert sum(n for key, n in calls.items()
+               if isinstance(key, tuple) and key[:2] == ("raise_slots", phi4)) == 0
+    assert calls["lee_form_routes"] == 1 and calls["spin7_torsion"] == 1
+    assert rep.to_json() == full_report(first).to_json()
+
+
+def test_one_report_builds_a_bounded_number_of_forms(monkeypatch):
+    # a deterministic guard on the per-result Python overhead: one full_report
+    # of su3+canonical builds 81 KForm results, each by one from_vector call
+    # (117 when a - b and -a still built an intermediate (-1.0) * b)
+    full_report(build_geometry("su3", "canonical"))
+    geom = build_geometry("su3", "canonical")
+    calls = Counter()
+    from_vector = KForm.from_vector.__func__
+
+    def counted(cls, degree, vec):
+        calls[degree] += 1
+        return from_vector(cls, degree, vec)
+
+    monkeypatch.setattr(KForm, "from_vector", classmethod(counted))
+    full_report(geom)
+    assert sum(calls.values()) <= 81, calls
 
 
 @pytest.mark.parametrize("target", [("su3", "canonical", None), ("heisenberg", "phi_t", 0.3)],

@@ -115,6 +115,24 @@ def test_verify_form_overflowing_its_metric_exits_two(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("which", ["algebra", "structure"])
+def test_verify_non_integer_index_exits_two(which, tmp_path):
+    # an index read through int() was truncated (1.5 -> 1) and the wrong geometry verified
+    path = tmp_path / f"{which}.json"
+    if which == "algebra":
+        path.write_text('{"name": "x", "dim": 8, "convention": "brackets", '
+                        '"constants": [{"i": 2, "j": 3, "k": 1.5, "c": 1}]}')
+        argv, field = ["--algebra", str(path)], "'k'"
+    else:
+        path.write_text('{"degree": 4, "terms": [{"idx": [0.9, 1, 2, 7], "c": -1}]}')
+        argv, field = ["--algebra", "su3", "--structure", str(path)], "'idx'"
+    proc = run_cli_process("verify", *argv)
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert f"field {field} must be an integer" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
 def test_verify_bad_tolerance_exits_two(value, capsys):
     assert run_cli("verify", "--algebra", "abelian", f"--tolerance={value}") == 2

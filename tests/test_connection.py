@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spin7.checks import check_algebra, check_dt_expansion
+from spin7.checks import check_algebra, check_dt_expansion, full_report
 from spin7.connection import (
     FrameConnection,
     codifferential,
@@ -32,6 +32,7 @@ from spin7.connection import (
 from spin7.corpus import (
     ALGEBRA_NAMES,
     PHI_T_CORPUS_VALUES,
+    VERIFY_TARGETS,
     build_geometry,
     build_structure_form,
     corpus_algebra,
@@ -113,6 +114,18 @@ def test_load_rejects_jacobi_violation():
                           {"i": 1, "j": 3, "k": 1, "c": 1}]}
     with pytest.raises(ValueError, match="Jacobi"):
         load_algebra(spec)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("i", 1.5), ("j", 3.0), ("k", "1"), ("i", True), ("dim", 8.0), ("dim", "8"), ("dim", True),
+])
+def test_load_refuses_an_index_that_is_not_a_json_integer(key, value):
+    # int() would truncate 1.5 to 1 and read "1" and true as 1; the field is named instead
+    spec = {"name": "h", "dim": 8, "convention": "brackets",
+            "constants": [{"i": 2, "j": 3, "k": 1, "c": 1}]}
+    (spec if key == "dim" else spec["constants"][0])[key] = value
+    with pytest.raises(ValueError, match=f"field '{key}' must be an integer, got {value!r}"):
+        load_algebra(json.loads(json.dumps(spec)))
 
 
 def frame(seed: int) -> np.ndarray:
@@ -268,6 +281,34 @@ def test_phi_t_off_the_corpus_values_is_built_fresh():
     form = build_structure_form("phi_t", 0.7)[0]
     assert build_structure_form("phi_t", 0.7)[0] is not form
     assert form == phi_t_form(0.7)
+
+
+def test_canonical_structure_is_one_read_only_object_across_algebras():
+    # the three canonical targets share one Spin7Form, whose tables no caller may write
+    geoms = [build_geometry(name, "canonical") for name in ("abelian", "su2su2u1u1", "su3")]
+    s = geoms[0].structure
+    assert all(g.structure is s for g in geoms)
+    assert s.phi is build_structure_form("canonical")[0]
+    # every shipped form induces the exact identity: one metric and its raise matrices for all
+    assert all(build_geometry(*t).structure.metric is IDENTITY_METRIC for t in VERIFY_TARGETS)
+    full_report(geoms[0])
+    tables = [s.dense, s.derivation_matrix, s.metric.g, s.metric.inv]
+    tables += [s.up(slots) for slots in [(0, 1), (1, 2, 3), (0, 1, 2, 3)]]
+    tables += [s.metric.raise_matrix(k) for k in range(9)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.flat[0] = 1.0
+
+
+def test_off_corpus_structures_get_a_fresh_spin7form_on_every_call(tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text(form_to_json(canonical_phi_form()))
+    for structure, t in [("phi_t", 0.7), (str(path), None)]:
+        first, second = (build_geometry("su2su2u1u1", structure, t) for _ in range(2))
+        assert second.structure is not first.structure
+        assert second.structure.phi is not first.structure.phi
+        assert second.structure.phi == first.structure.phi
 
 
 def test_differential_degree_bounds(su3):
@@ -626,3 +667,25 @@ def test_one_index_rhs_matches_its_rotation_loop(rng):
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
             old -= g[x, u] * p[y, z, v, w]
     assert close(one_index_rhs(g, p), old)
+
+
+def roll_and_concatenate_rhs(g, p):
+    """The earlier one_index_rhs, kept as the reference: the rotation indices rebuilt per call."""
+    x, y, z = np.concatenate([np.roll(np.array(canonical_indices(3)), -r, axis=1)
+                              for r in range(3)]).T
+    yz = 8 * y + z
+    g_phi = g[x][:, x]
+    g_phi *= p.reshape(64, 64)[yz][:, yz]
+    return compound_matrix(g, 3) - g_phi.reshape(3, 56, 3, 56).sum(axis=(0, 2))
+
+
+@pytest.mark.parametrize("metric", ["identity", "spd"])
+def test_one_index_rhs_is_the_roll_and_concatenate_version_bit_for_bit(metric):
+    rng = np.random.default_rng(72)
+    if metric == "identity":
+        g, p = IDENTITY_METRIC.g, canonical_phi_form().to_array()
+    else:
+        g = kernel_inputs(71)[1].g
+        p = KForm(4, {idx: rng.standard_normal() for idx in canonical_indices(4)}).to_array()
+    for _ in range(2):  # the cached indices are not changed by a call
+        assert one_index_rhs(g, p).tobytes() == roll_and_concatenate_rhs(g, p).tobytes()

@@ -343,6 +343,52 @@ def test_frame_metric_symmetry_test_is_np_allclose(scale):
             assert accepted == np.allclose(g, g.T, atol=1e-14), (i, j, factor)
 
 
+def signed_zero_vectors(degree):
+    """Two seeded coefficient vectors holding +0.0 and -0.0 among random entries."""
+    rng = np.random.default_rng(40 + degree)
+    a, b = rng.standard_normal((2, math.comb(8, degree)))
+    for v in (a, b):
+        v[rng.random(v.shape) < 0.3] = 0.0
+        v[rng.random(v.shape) < 0.3] = -0.0
+    return KForm.from_vector(degree, a), KForm.from_vector(degree, b)
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_difference_negation_and_residual_are_the_sum_forms_bit_for_bit(degree):
+    # a - b, -a and residual(a, b) once went through a + (-1.0) * b; IEEE 754
+    # defines a - b as a + (-b), so the bytes must not move
+    a, b = signed_zero_vectors(degree)
+    for x, y in [(a, b), (b, a), (a, a), (a, -1.0 * a)]:
+        old = x + (-1.0) * y
+        assert (x - y).vec.tobytes() == old.vec.tobytes()
+        assert (-x).vec.tobytes() == ((-1.0) * x).vec.tobytes()
+        old_residual = float(np.max(np.abs(old.vec)))
+        assert np.float64(residual(x, y)).tobytes() == np.float64(old_residual).tobytes()
+        assert (x - y).degree == (-x).degree == degree
+        assert not (x - y).vec.flags.writeable and not (-x).vec.flags.writeable
+    with pytest.raises(ValueError, match="degree mismatch"):
+        residual(a, KForm.zero((degree + 1) % 9))
+
+
+@pytest.mark.parametrize("degree,vec,message", [
+    (9, [1.0], "degree must be 0..8, got 9"),
+    (-1, [1.0], "degree must be 0..8, got -1"),
+    (2, np.zeros(27), r"degree-2 coefficient vector needs shape \(28,\), got \(27,\)"),
+    (0, np.zeros((1, 1)), r"degree-0 coefficient vector needs shape \(1,\), got \(1, 1\)"),
+])
+def test_from_vector_refuses_a_bad_degree_or_shape(degree, vec, message):
+    with pytest.raises(ValueError, match=message):
+        KForm.from_vector(degree, vec)
+
+
+def test_from_vector_copies_its_input():
+    vec = np.arange(8.0)
+    a = KForm.from_vector(1, vec)
+    vec[0] = 5.0
+    assert a.vec[0] == 0.0 and not a.vec.flags.writeable
+    assert a == KForm(1, {(i,): float(i) for i in range(1, 8)})
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -359,6 +405,26 @@ def test_form_json_rejects_non_canonical():
     with pytest.raises(ValueError):
         form_from_dict({"degree": 2, "terms": [{"idx": [0, 1], "c": 1.0},
                                                {"idx": [0, 1], "c": 2.0}]})
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"degree": 2, "terms": [{"idx": [0.9, "1"], "c": 1}, {"idx": [true, 2], "c": 2}]}', "idx"),
+    ('{"degree": 2, "terms": [{"idx": [0, 1.0], "c": 1}]}', "idx"),
+    ('{"degree": 2, "terms": [{"idx": [true, 2], "c": 1}]}', "idx"),
+    ('{"degree": 2, "terms": [{"idx": "01", "c": 1}]}', "idx"),
+    ('{"degree": 2.0, "terms": []}', "degree"),
+    ('{"degree": "2", "terms": []}', "degree"),
+    ('{"degree": true, "terms": []}', "degree"),
+])
+def test_form_json_refuses_indices_that_are_not_json_integers(text, field):
+    # int() would read 0.9 as 0 and "1" and true as 1: a different form, silently
+    with pytest.raises(ValueError, match=f"field '{field}' must be"):
+        form_from_json(text)
+
+
+def test_kform_still_takes_numpy_integers():
+    a = KForm(np.int64(2), {(np.int64(0), np.intp(1)): 1.0})
+    assert a == form_from_json('{"degree": 2, "terms": [{"idx": [0, 1], "c": 1}]}')
 
 
 def test_form_json_layout():
