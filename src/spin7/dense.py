@@ -8,11 +8,15 @@ The Hodge star sums over one table of all 8! permutations of the frame
 indices, built once on first use by inserting each index into every
 position of the permutations of the smaller ones.  Each row's sign comes
 from counting its cycles, a third way of computing a sign next to
-``parity``'s selection sort and the inversion count in ``forms``.  The
-wedge is the shuffle sum over transposed views of a (x) b, and
-``dense_components`` scatters each coefficient onto every reordering of
-its index tuple at once, the reorderings of range(k) being the rows of the
-table that fix k..7.
+``parity``'s selection sort and the inversion count in ``forms``.  Per
+degree k, a second table built once from it holds the flat index of each
+row's first k entries and the group of its last 8 - k, one group per
+distinct tail: the star sums into the 8!/k! groups, applies 1/k! and
+sqrt(det g) to those sums, and only then scatters them into the 8^(8-k)
+output.  The wedge is the shuffle sum over transposed views of a (x) b,
+and ``dense_components`` scatters each coefficient onto every reordering
+of its index tuple at once, the reorderings of range(k) being the rows of
+the table that fix k..7.
 """
 
 from __future__ import annotations
@@ -126,10 +130,28 @@ def _raise_all(a: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _star_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree k's scatter of the 8! table, as read-only int32 (8^7 < 2^31).
+
+    For each permutation P: the flat index of its head P[:k] and the group
+    id of its tail P[k:], which is the rank of that tail among the 8!/k!
+    distinct tails; and the flat index of each distinct tail, in rank order.
+    """
+    perms, _ = _permutation_table()
+    tails, group = np.unique(_flat_index(perms[:, k:]), return_inverse=True)
+    tables = tuple(x.astype(np.int32) for x in (_flat_index(perms[:, :k]), group, tails))
+    for x in tables:
+        x.setflags(write=False)
+    return tables
+
+
 def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1) -> np.ndarray:
     """Hodge dual on dense tables: (*a)_J = (1/k!) a^I eps_{IJ} sqrt(det g).
 
     Every permutation P of range(8) adds sign(P) a^{P[:k]} to (*a)_{P[k:]}.
+    The sums run over the 8!/k! tails that occur, in permutation order, and
+    are divided by k! and scaled before they are placed in the 8^(8-k) table.
     """
     k = a.ndim if a.shape != () else 0
     if g is None:
@@ -139,11 +161,13 @@ def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1)
         g = np.asarray(g, dtype=float)
         raised = _raise_all(np.asarray(a, dtype=float), np.linalg.inv(g)) if k else np.asarray(a, dtype=float)
         scale = math.sqrt(np.linalg.det(g)) * orientation
-    perms, signs = _permutation_table()
-    weights = signs * raised.ravel()[_flat_index(perms[:, :k])]
-    out = np.bincount(_flat_index(perms[:, k:]), weights, minlength=DIM ** (DIM - k))
-    out /= math.factorial(k)
-    out *= scale
+    _, signs = _permutation_table()
+    head, group, tails = _star_table(k)
+    sums = np.bincount(group, signs * raised.ravel()[head], minlength=len(tails))
+    sums /= math.factorial(k)
+    sums *= scale
+    out = np.zeros(DIM ** (DIM - k))
+    out[tails] = sums
     return out.reshape((DIM,) * (DIM - k))
 
 

@@ -504,14 +504,32 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_shape(value, kind: type, what: str):
+    """A JSON object (dict) or array (list) as it is; any other value is refused."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
+
+
 def form_from_dict(d: dict) -> KForm:
+    """A k-form from its JSON dict; coefficients must be JSON numbers, not bool or text."""
+    d = _json_shape(d, dict, "a k-form")
     degree = _json_int(d["degree"], "degree")
     coeffs: dict = {}
-    for term in d["terms"]:
-        idx = validate_multi_index([_json_int(i, "idx") for i in term["idx"]], degree)
+    for term in _json_shape(d["terms"], list, "field 'terms'"):
+        term = _json_shape(term, dict, "each entry of 'terms'")
+        idx = _json_shape(term["idx"], list, "field 'idx'")
+        idx = validate_multi_index([_json_int(i, "idx") for i in idx], degree)
         if idx in coeffs:
             raise ValueError(f"duplicate multi-index {idx} in serialized form")
-        c = float(term["c"])
+        c = term["c"]
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValueError(f"field 'c' must be a number, got {c!r}")
+        try:
+            c = float(c)
+        except OverflowError:  # a JSON integer beyond double range
+            c = math.inf
         if not math.isfinite(c):
             raise ValueError(f"coefficient of multi-index {idx} is not finite: {c!r}")
         coeffs[idx] = c

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, _index_array, _json_int, _merge_table
+from .forms import DIM, KForm, _index_array, _json_int, _json_shape, _merge_table
 
 JACOBI_TOL = 1e-12
 
@@ -44,9 +44,14 @@ def _scalar_value(node: ast.AST) -> float:
 
 
 def parse_scalar(value) -> float:
-    """Parse a scalar that may be exact text like "sqrt(3)/2" or "-1/2"."""
+    """Parse a number, or exact text like "sqrt(3)/2" or "-1/2"; a bool is refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"cannot parse scalar {value!r}: a boolean is not a number")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond double range
+            raise ValueError("cannot parse scalar: an integer beyond double range") from None
     text = str(value).strip().lower()
     # the parser reports nesting beyond its stack as MemoryError
     try:
@@ -158,7 +163,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
 
     Schema: {"name": str, "dim": 8, "convention": "brackets" |
     "structure_equations", "constants": [{"i", "j", "k", "c"}, ...]} where
-    "c" may be a number or exact text such as "sqrt(3)/2".
+    "c" may be a JSON number (not a bool) or exact text such as "sqrt(3)/2".
     """
     if isinstance(spec, (str, Path)):
         spec = json.loads(Path(spec).read_text())
@@ -171,7 +176,8 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
         raise ValueError(f"unknown convention {convention!r}")
     sign = 1.0 if convention == "brackets" else -1.0
     constants = []
-    for entry in spec.get("constants", []):
+    for entry in _json_shape(spec.get("constants", []), list, "field 'constants'"):
+        entry = _json_shape(entry, dict, "each entry of 'constants'")
         i, j, k = (_json_int(entry[key], key) for key in "ijk")
         constants.append((i, j, k, sign * parse_scalar(entry["c"])))
     return LieAlgebra8.from_brackets(constants, name or spec.get("name", "algebra"))

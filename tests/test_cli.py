@@ -115,6 +115,29 @@ def test_verify_form_overflowing_its_metric_exits_two(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    (["verify", "--algebra", "su3", "--structure"],
+     '{"degree": 1, "terms": [{"idx": 3, "c": 1}]}', "field 'idx' must be a list, got int"),
+    (["verify", "--algebra", "su3", "--structure"],
+     '{"degree": 4, "terms": 7}', "field 'terms' must be a list, got int"),
+    (["verify", "--algebra", "su3", "--structure"],
+     '[1, 2]', "a k-form must be an object, got list"),
+    (["decompose", "--degree", "2", "--form"],
+     '{"degree": 1, "terms": [{"idx": 3, "c": 1}]}', "field 'idx' must be a list, got int"),
+    (["verify", "--algebra"],
+     '{"dim": 8, "constants": [5]}', "each entry of 'constants' must be an object, got int"),
+], ids=["idx", "terms", "top-level", "decompose", "constants"])
+def test_wrong_shaped_json_exits_two_without_traceback(argv, text, message, tmp_path):
+    # each of these ended in a TypeError traceback and exit 1
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = run_cli_process(*argv, str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert message in proc.stderr
+
+
 @pytest.mark.parametrize("which", ["algebra", "structure"])
 def test_verify_non_integer_index_exits_two(which, tmp_path):
     # an index read through int() was truncated (1.5 -> 1) and the wrong geometry verified

@@ -107,6 +107,39 @@ def test_parse_scalar_rejects_without_evaluating(text, reason):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_scalar_refuses_a_bool(value):
+    # float(True) is 1.0
+    with pytest.raises(ValueError, match="a boolean is not a number"):
+        parse_scalar(value)
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "a boolean is not a number"),
+    (10 ** 400, "an integer beyond double range"),
+])
+def test_load_refuses_a_constant_that_is_not_a_double(value, message):
+    spec = {"name": "h", "dim": 8, "convention": "brackets",
+            "constants": [{"i": 2, "j": 3, "k": 1, "c": value}]}
+    with pytest.raises(ValueError, match=message):
+        load_algebra(json.loads(json.dumps(spec)))
+
+
+def test_load_keeps_exact_text_constants():
+    spec = {"name": "h", "dim": 8, "convention": "brackets",
+            "constants": [{"i": 2, "j": 3, "k": 1, "c": "sqrt(3)/2"}]}
+    assert load_algebra(spec).c[2, 3, 1] == np.sqrt(3) / 2
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"dim": 8, "constants": [5]}, "each entry of 'constants' must be an object, got int"),
+    ({"dim": 8, "constants": {"i": 1}}, "field 'constants' must be a list, got dict"),
+])
+def test_load_refuses_constants_of_the_wrong_shape(spec, message):
+    with pytest.raises(ValueError, match=message):
+        load_algebra(spec)
+
+
 def test_load_rejects_jacobi_violation():
     # [e1,e2] = e3 with [e1,e3] = e1 leaves a cyclic-sum defect -e3
     spec = {"name": "bad", "dim": 8, "convention": "brackets",

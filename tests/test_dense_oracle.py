@@ -1,6 +1,7 @@
 """Sparse pipeline against the brute-force dense oracle."""
 
 import ast
+import math
 from itertools import combinations, product
 from pathlib import Path
 
@@ -9,7 +10,10 @@ import pytest
 
 import spin7.dense
 from spin7.dense import (
+    _flat_index,
     _permutation_table,
+    _raise_all,
+    _star_table,
     dense_components,
     dense_full_contraction,
     dense_star,
@@ -138,7 +142,7 @@ def test_permutation_table_signs_match_parity():
     assert [parity(row) for row in perms.tolist()] == signs.tolist()
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7])
 def test_star_of_every_monomial_is_signed_complement(degree):
     for idx in combinations(range(8), degree):
         rest = tuple(i for i in range(8) if i not in idx)
@@ -174,3 +178,76 @@ def test_dense_imports_nothing_from_spin7():
             assert not any(alias.name.split(".")[0] == "spin7" for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0 and node.module.split(".")[0] != "spin7", node.module
+
+
+def spd_metric(seed):
+    q = np.random.default_rng(seed).standard_normal((8, 8))
+    return q @ q.T + 8.0 * np.eye(8)
+
+
+def reference_star(a, g=None, orientation=1):
+    """The star summed into all 8^(8-k) bins, then divided and scaled over the whole table."""
+    k = a.ndim if a.shape != () else 0
+    if g is None:
+        raised = np.asarray(a, dtype=float)
+        scale = float(orientation)
+    else:
+        g = np.asarray(g, dtype=float)
+        raised = _raise_all(np.asarray(a, dtype=float), np.linalg.inv(g)) if k else np.asarray(a, dtype=float)
+        scale = math.sqrt(np.linalg.det(g)) * orientation
+    perms, signs = _permutation_table()
+    weights = signs * raised.ravel()[_flat_index(perms[:, :k])]
+    out = np.bincount(_flat_index(perms[:, k:]), weights, minlength=8 ** (8 - k))
+    out /= math.factorial(k)
+    out *= scale
+    return out.reshape((8,) * (8 - k))
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("degree,metric", [
+    # raising all eight slots of an 8^8 table takes ~1 s and ~400 MB per call,
+    # so degree 8 runs under the identity only
+    (k, m) for k in range(1, 9) for m in ("identity", "spd") if (k, m) != (8, "spd")])
+def test_star_matches_the_full_table_reference_bit_for_bit(degree, metric, orientation):
+    # the group sums add the same products in the same order as the full
+    # bincount, and 1/k! and the scale are the same elementwise operations
+    a = dense_components(random_form(np.random.default_rng(degree), degree, 1.0))
+    g = spd_metric(10 + degree) if metric == "spd" else None
+    got, want = dense_star(a, g, orientation), reference_star(a, g, orientation)
+    assert got.shape == want.shape
+    nonzero = want != 0.0
+    assert np.count_nonzero(nonzero) == 40320 // math.factorial(degree)
+    assert np.array_equal(got != 0.0, nonzero)
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7])
+def test_star_squares_to_the_degree_sign_under_a_metric(degree):
+    # ** = (-1)^(k(8-k)) = (-1)^k on k-forms in dimension eight
+    rng = np.random.default_rng(100 + degree)
+    g = spd_metric(200 + degree)
+    a = dense_components(random_form(rng, degree))
+    twice = dense_star(dense_star(a, g), g)
+    assert np.max(np.abs(twice - (-1) ** degree * a)) < 1e-10 * max(1.0, np.max(np.abs(a)))
+
+
+def test_star_tables_are_read_only_and_built_once(monkeypatch):
+    a = dense_components(KForm.monomial((0, 3, 5)))
+    first = dense_star(a)
+    calls = []
+    monkeypatch.setattr(spin7.dense, "_flat_index",
+                        lambda cols: calls.append(cols.shape) or _flat_index(cols))
+    for g in (None, spd_metric(3)):
+        dense_star(a, g)
+        dense_star(a, g, orientation=-1)
+    assert calls == []
+    assert np.array_equal(dense_star(a), first)
+    head, group, tails = _star_table(3)
+    assert _star_table(3)[0] is head
+    for x in (head, group, tails):
+        assert x.dtype == np.int32 and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0
+    assert len(head) == len(group) == 40320
+    assert len(tails) == 40320 // math.factorial(3) == group.max() + 1
+    assert np.all(np.diff(tails) > 0)

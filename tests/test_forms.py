@@ -422,6 +422,29 @@ def test_form_json_refuses_indices_that_are_not_json_integers(text, field):
         form_from_json(text)
 
 
+@pytest.mark.parametrize("value", ["true", '"2.5"', "null", "[1]"])
+def test_form_json_refuses_coefficients_that_are_not_numbers(value):
+    # float() read true as 1.0 and "2.5" as 2.5
+    with pytest.raises(ValueError, match="field 'c' must be a number"):
+        form_from_json('{"degree": 4, "terms": [{"idx": [0, 1, 2, 7], "c": %s}]}' % value)
+
+
+def test_form_json_integer_beyond_double_range_is_not_finite():
+    with pytest.raises(ValueError, match="is not finite"):
+        form_from_json('{"degree": 1, "terms": [{"idx": [0], "c": 1%s}]}' % ("0" * 400))
+
+
+@pytest.mark.parametrize("d,message", [
+    ([1, 2], "a k-form must be an object, got list"),
+    ({"degree": 4, "terms": 7}, "field 'terms' must be a list, got int"),
+    ({"degree": 4, "terms": [[0, 1, 2, 7]]}, "each entry of 'terms' must be an object, got list"),
+    ({"degree": 1, "terms": [{"idx": 3, "c": 1}]}, "field 'idx' must be a list, got int"),
+])
+def test_form_dict_of_the_wrong_shape_names_the_field(d, message):
+    with pytest.raises(ValueError, match=message):
+        form_from_dict(d)
+
+
 def test_kform_still_takes_numpy_integers():
     a = KForm(np.int64(2), {(np.int64(0), np.intp(1)): 1.0})
     assert a == form_from_json('{"degree": 2, "terms": [{"idx": [0, 1], "c": 1}]}')
