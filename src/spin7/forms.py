@@ -512,18 +512,25 @@ def _json_shape(value, kind: type, what: str):
     return value
 
 
+def _json_field(obj: dict, name: str, what: str):
+    """obj[name]; a missing field is refused, naming it and the object that lacks it."""
+    if name not in obj:
+        raise ValueError(f"{what} needs field {name!r}")
+    return obj[name]
+
+
 def form_from_dict(d: dict) -> KForm:
     """A k-form from its JSON dict; coefficients must be JSON numbers, not bool or text."""
     d = _json_shape(d, dict, "a k-form")
-    degree = _json_int(d["degree"], "degree")
+    degree = _json_int(_json_field(d, "degree", "a k-form"), "degree")
     coeffs: dict = {}
-    for term in _json_shape(d["terms"], list, "field 'terms'"):
+    for term in _json_shape(_json_field(d, "terms", "a k-form"), list, "field 'terms'"):
         term = _json_shape(term, dict, "each entry of 'terms'")
-        idx = _json_shape(term["idx"], list, "field 'idx'")
+        idx = _json_shape(_json_field(term, "idx", "each entry of 'terms'"), list, "field 'idx'")
         idx = validate_multi_index([_json_int(i, "idx") for i in idx], degree)
         if idx in coeffs:
             raise ValueError(f"duplicate multi-index {idx} in serialized form")
-        c = term["c"]
+        c = _json_field(term, "c", "each entry of 'terms'")
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise ValueError(f"field 'c' must be a number, got {c!r}")
         try:

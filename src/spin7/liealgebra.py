@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, _index_array, _json_int, _json_shape, _merge_table
+from .forms import DIM, KForm, _index_array, _json_field, _json_int, _json_shape, _merge_table
 
 JACOBI_TOL = 1e-12
 
@@ -177,9 +177,10 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
     sign = 1.0 if convention == "brackets" else -1.0
     constants = []
     for entry in _json_shape(spec.get("constants", []), list, "field 'constants'"):
-        entry = _json_shape(entry, dict, "each entry of 'constants'")
-        i, j, k = (_json_int(entry[key], key) for key in "ijk")
-        constants.append((i, j, k, sign * parse_scalar(entry["c"])))
+        what = "each entry of 'constants'"
+        entry = _json_shape(entry, dict, what)
+        i, j, k = (_json_int(_json_field(entry, key, what), key) for key in "ijk")
+        constants.append((i, j, k, sign * parse_scalar(_json_field(entry, "c", what))))
     return LieAlgebra8.from_brackets(constants, name or spec.get("name", "algebra"))
 
 

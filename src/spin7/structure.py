@@ -2,16 +2,16 @@
 
 The canonical form, the metric it induces, contraction identities, and the
 orthogonal projections of 2-, 3- and 4-forms onto irreducible pieces
-(dimensions 7+21, 8+48 and 1+7+27+35).  Projectors are built from the
-eigenvalue characterizations: on 2-forms the operator b -> *(b ^ phi) has
-eigenvalues -3 and +1; on 4-forms the six-term contraction operator has
-eigenvalues -24, -12, 4, 0 and the projectors are Lagrange polynomials in it.
+(dimensions 7+21, 8+48 and 1+7+27+35).  On 2-forms b -> *(b ^ phi) has
+eigenvalues -3, +1; on 4-forms the six-term contraction operator has -24,
+-12, 4, 0.  Both split by Lagrange polynomials in the operator's matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -50,8 +50,8 @@ CANONICAL_PHI_TERMS = (
     (+1, (2, 4, 6, 7)),
 )
 
-LAMBDA2_EIGENVALUES = {"7": -3.0, "21": 1.0}
-LAMBDA4_EIGENVALUES = {"1": -24.0, "7": -12.0, "27": 4.0, "35": 0.0}
+# lambda2_operator on the 7-, 21-parts; omega_operator on the 1-, 7-, 27-, 35-parts
+EIGENVALUES = {2: (-3, 1), 4: (-24, -12, 4, 0)}
 
 
 def canonical_phi_form() -> KForm:
@@ -83,6 +83,8 @@ class Spin7Form:
     metric: FrameMetric
     # slot tuple -> phi with those slots raised, filled on first use
     _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree -> that degree's Lagrange projectors, filled on first use
+    _projectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_form(cls, phi: KForm | Spin7Form) -> "Spin7Form":
@@ -117,6 +119,26 @@ class Spin7Form:
         out.setflags(write=False)
         return out
 
+    def projectors(self, degree: int) -> tuple[tuple[np.ndarray, int], ...]:
+        """Lagrange projectors of degree 2 or 4: prod (A - mu I) and prod (lam - mu), mu != lam.
+
+        One pair per lam of ``EIGENVALUES[degree]``; A is the operator's matrix over the
+        canonical monomials.  Read-only, built once per degree; apply, then divide.
+        """
+        if degree not in self._projectors:
+            if degree not in EIGENVALUES:
+                raise ValueError(f"only 2- and 4-forms split by projector, got degree {degree}")
+            op = lambda2_operator if degree == 2 else omega_operator
+            a = np.array([op(KForm.monomial(idx), self).vec for idx in canonical_indices(degree)]).T
+            eigs, parts = EIGENVALUES[degree], []
+            for lam in eigs:
+                others = [mu for mu in eigs if mu != lam]
+                num = reduce(np.matmul, [a - mu * np.eye(len(a)) for mu in others])
+                num.setflags(write=False)
+                parts.append((num, math.prod(lam - mu for mu in others)))
+            self._projectors[degree] = tuple(parts)
+        return self._projectors[degree]
+
 
 @lru_cache(maxsize=None)
 def _derivation_table() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -148,27 +170,16 @@ def lambda2_operator(beta: KForm, structure: Spin7Form) -> KForm:
 
 def project_lambda2(beta: KForm, structure: Spin7Form) -> tuple[KForm, KForm]:
     """Split a 2-form into its 7- and 21-dimensional parts."""
-    lb = lambda2_operator(beta, structure)
-    part7 = 0.25 * (beta - lb)
-    part21 = 0.25 * (lb + 3.0 * beta)
-    return part7, part21
+    return _split(beta, structure, 2)
 
 
 def d_operator(alpha: KForm, structure: Spin7Form) -> KForm:
     """Four-term contraction of a 2-form against phi; kernel is the 21-part."""
     if alpha.degree != 2:
         raise ValueError(f"expected a 2-form, got degree {alpha.degree}")
-    p = structure.dense
-    # contracted slot raised; one substitution per slot of phi, same index
-    # pattern in each term, so the kernel is exactly the stabilizer algebra
-    a2 = raise_slots(alpha.to_array(), structure.metric, (1,))
-    out = (
-        np.einsum("is,sjkl->ijkl", a2, p)
-        + np.einsum("js,iskl->ijkl", a2, p)
-        + np.einsum("ks,ijsl->ijkl", a2, p)
-        + np.einsum("ls,ijks->ijkl", a2, p)
-    )
-    return KForm.from_array(out)
+    # alpha_i^s phi_sjkl + ... is X . phi for X = alpha with its second slot raised
+    x = raise_slots(alpha.to_array(), structure.metric, (1,))
+    return KForm.from_vector(4, x.ravel() @ structure.derivation_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -201,52 +212,29 @@ def omega_operator(sigma: KForm, structure: Spin7Form) -> KForm:
     """Six-term double contraction of a 4-form against phi."""
     if sigma.degree != 4:
         raise ValueError(f"expected a 4-form, got degree {sigma.degree}")
-    s = sigma.to_array()
-    p = structure.up((0, 1))
-    out = (
-        np.einsum("ijpq,pqkl->ijkl", s, p)
-        + np.einsum("ikpq,pqlj->ijkl", s, p)
-        + np.einsum("ilpq,pqjk->ijkl", s, p)
-        + np.einsum("jkpq,pqil->ijkl", s, p)
-        + np.einsum("jlpq,pqki->ijkl", s, p)
-        + np.einsum("klpq,pqij->ijkl", s, p)
-    )
-    return KForm.from_array(out)
+    # M_ijkl = sigma_ijpq phi^pq_kl; Omega = M + M_iklj + M_iljk + M_jkil + M_jlki + M_klij
+    m = sigma.to_array().reshape(64, 64) @ structure.up((0, 1)).reshape(64, 64)
+    axes = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 3, 1), (2, 0, 1, 3), (3, 0, 2, 1), (2, 3, 0, 1))
+    return KForm.from_array(sum(m.reshape((DIM,) * 4).transpose(ax) for ax in axes))
 
 
 def project_lambda4(sigma: KForm, structure: Spin7Form) -> tuple[KForm, KForm, KForm, KForm]:
     """Split a 4-form into the 1-, 7-, 27- and 35-dimensional eigenparts."""
-    eigs = [LAMBDA4_EIGENVALUES[k] for k in ("1", "7", "27", "35")]
-    parts = []
-    for lam in eigs:
-        out = sigma
-        denom = 1.0
-        for mu in eigs:
-            if mu == lam:
-                continue
-            out = omega_operator(out, structure) - mu * out
-            denom *= lam - mu
-        parts.append((1.0 / denom) * out)
-    return tuple(parts)
+    return _split(sigma, structure, 4)
 
 
-# ---------------------------------------------------------------------------
-# projector ranks (used by the representation-theory acceptance tests)
-
-def projector_matrix(project, degree: int, n_parts: int) -> list[np.ndarray]:
-    """Matrices of the projectors over the canonical monomial basis."""
-    columns = [project(KForm.monomial(idx)) for idx in canonical_indices(degree)]
-    return [np.array([parts[n].vec for parts in columns]).T for n in range(n_parts)]
-
-
-def lambda2_ranks(structure: Spin7Form, tol: float = 1e-6) -> tuple[int, int]:
-    mats = projector_matrix(lambda b: project_lambda2(b, structure), 2, 2)
-    return tuple(int(np.linalg.matrix_rank(m, tol=tol)) for m in mats)
+def _split(form: KForm, structure: Spin7Form, degree: int) -> tuple[KForm, ...]:
+    """form's parts under ``structure.projectors(degree)``, each numerator applied, then divided."""
+    if form.degree != degree:
+        raise ValueError(f"expected a {degree}-form, got degree {form.degree}")
+    return tuple(KForm.from_vector(degree, (1.0 / denom) * (num @ form.vec))
+                 for num, denom in structure.projectors(degree))
 
 
-def lambda4_ranks(structure: Spin7Form, tol: float = 1e-6) -> tuple[int, int, int, int]:
-    mats = projector_matrix(lambda s: project_lambda4(s, structure), 4, 4)
-    return tuple(int(np.linalg.matrix_rank(m, tol=tol)) for m in mats)
+def projector_ranks(structure: Spin7Form, degree: int, tol: float = 1e-6) -> tuple[int, ...]:
+    """Ranks of the degree's projectors: (7, 21) and (1, 7, 27, 35) for an admissible form."""
+    return tuple(int(np.linalg.matrix_rank(num / denom, tol=tol))
+                 for num, denom in structure.projectors(degree))
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,11 @@ from spin7.structure import (
     canonical_phi_form,
     d_operator,
     lambda2_operator,
-    lambda2_ranks,
-    lambda4_ranks,
     metric_from_phi,
     omega_operator,
     project_lambda2,
     project_lambda4,
+    projector_ranks,
     validate_phi,
 )
 
@@ -120,7 +119,7 @@ def test_criterion_1_canonical_form_battery():
 
 def test_criterion_2_representation_theory(rng):
     s = canonical_phi()
-    ok = lambda2_ranks(s) == (7, 21) and lambda4_ranks(s) == (1, 7, 27, 35)
+    ok = projector_ranks(s, 2) == (7, 21) and projector_ranks(s, 4) == (1, 7, 27, 35)
     worst2 = worst4 = worst_d = 0.0
     for idx in canonical_indices(2):
         p7, p21 = project_lambda2(KForm.monomial(idx), s)

@@ -138,6 +138,27 @@ def test_wrong_shaped_json_exits_two_without_traceback(argv, text, message, tmp_
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    (["verify", "--algebra", "su3", "--structure"], '{"terms": []}', "a k-form needs field 'degree'"),
+    (["decompose", "--degree", "4", "--form"], '{"terms": []}', "a k-form needs field 'degree'"),
+    (["verify", "--algebra", "su3", "--structure"], '{"degree": 4}', "a k-form needs field 'terms'"),
+    (["verify", "--algebra", "su3", "--structure"], '{"degree": 4, "terms": [{"c": 1}]}',
+     "each entry of 'terms' needs field 'idx'"),
+    (["verify", "--algebra", "su3", "--structure"], '{"degree": 4, "terms": [{"idx": [0, 1, 2, 7]}]}',
+     "each entry of 'terms' needs field 'c'"),
+    (["verify", "--algebra"], '{"dim": 8, "constants": [{"i": 0, "j": 1, "c": 1}]}',
+     "each entry of 'constants' needs field 'k'"),
+], ids=["degree", "decompose", "terms", "idx", "c", "k"])
+def test_missing_json_field_is_named(argv, text, message, tmp_path, capsys):
+    # each of these printed the bare key, e.g. "error: 'degree'"
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run_cli(*argv, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("which", ["algebra", "structure"])
 def test_verify_non_integer_index_exits_two(which, tmp_path):
     # an index read through int() was truncated (1.5 -> 1) and the wrong geometry verified

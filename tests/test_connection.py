@@ -328,6 +328,7 @@ def test_canonical_structure_is_one_read_only_object_across_algebras():
     tables = [s.dense, s.derivation_matrix, s.metric.g, s.metric.inv]
     tables += [s.up(slots) for slots in [(0, 1), (1, 2, 3), (0, 1, 2, 3)]]
     tables += [s.metric.raise_matrix(k) for k in range(9)]
+    tables += [num for degree in (2, 4) for num, _ in s.projectors(degree)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):

@@ -6,32 +6,35 @@ import warnings
 import numpy as np
 import pytest
 
+import spin7.structure
 from spin7.forms import (
+    FrameMetric,
     KForm,
     canonical_indices,
     full_contraction,
     hodge_star,
     interior_product,
     norm_sq,
+    raise_slots,
     residual,
     wedge,
 )
 from spin7.structure import (
+    EIGENVALUES,
     Spin7Form,
     canonical_phi,
     canonical_phi_form,
     d_operator,
     lambda2_operator,
-    lambda2_ranks,
-    lambda4_ranks,
     metric_from_phi,
     omega_operator,
     project_lambda2,
     project_lambda3,
     project_lambda4,
+    projector_ranks,
     validate_phi,
 )
-from spin7.corpus import phi_t_form, remark_b_form
+from spin7.corpus import build_structure_form, phi_t_form, remark_b_form
 
 
 def random_form(rng, degree):
@@ -106,7 +109,7 @@ def test_remark_b_form_is_admissible():
 # degree-2 split
 
 def test_lambda2_projector_ranks():
-    assert lambda2_ranks(canonical_phi()) == (7, 21)
+    assert projector_ranks(canonical_phi(), 2) == (7, 21)
 
 
 def test_lambda2_eigenvalues_and_recombination(rng):
@@ -188,7 +191,7 @@ def test_lambda3_zero():
 # degree-4 split
 
 def test_lambda4_projector_ranks():
-    assert lambda4_ranks(canonical_phi()) == (1, 7, 27, 35)
+    assert projector_ranks(canonical_phi(), 4) == (1, 7, 27, 35)
 
 
 def test_omega_eigenvalue_on_phi():
@@ -245,6 +248,140 @@ def test_operators_reject_wrong_degree():
         d_operator(KForm.monomial((0, 1, 2)), s)
     with pytest.raises(ValueError):
         omega_operator(KForm.monomial((0, 1)), s)
+    with pytest.raises(ValueError, match="expected a 2-form"):
+        project_lambda2(KForm.monomial((0, 1, 2)), s)
+    with pytest.raises(ValueError, match="expected a 4-form"):
+        project_lambda4(KForm.monomial((0, 1)), s)
+    with pytest.raises(ValueError, match="got degree 3"):
+        s.projectors(3)
+
+
+# ---------------------------------------------------------------------------
+# the split under a non-identity metric, and against the bodies it replaced
+
+def frame(seed):
+    """A = I + 0.3 N with N seeded standard normal, redrawn until det A > 0."""
+    rng = np.random.default_rng(seed)
+    while True:
+        a = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
+        if np.linalg.det(a) > 0.0:
+            return a
+
+
+def pulled_back_structure(seed):
+    """A*phi0 with its induced metric A^T A, given directly, as tests/test_frame_change.py
+    patches it: metric_from_phi is only right in orthonormal frames."""
+    a = frame(seed)
+    phi = np.einsum("abcd,ai,bj,ck,dl->ijkl", canonical_phi_form().to_array(), a, a, a, a,
+                    optimize=True)
+    return Spin7Form(KForm.from_array(phi), FrameMetric(a.T @ a))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 13])
+def test_split_under_a_non_identity_metric(seed, rng):
+    s = pulled_back_structure(seed)
+    # cond(A^T A) is 49, 100.1 and 16 for these frames; the tolerances hold at cond <= 101.
+    # At cond 8.2e4 (seed 3) the ranks still hold, but P^2 - P reaches 1.3e-7 and the
+    # g-products 3.5e-10 |sigma|^2
+    assert np.linalg.cond(s.metric.g) < 101.0
+    assert projector_ranks(s, 2) == (7, 21)
+    assert projector_ranks(s, 4) == (1, 7, 27, 35)
+    for num, denom in s.projectors(2) + s.projectors(4):
+        p = num / denom
+        assert np.max(np.abs(p @ p - p)) < 1e-11  # measured <= 1e-13
+    for degree, op in ((2, lambda2_operator), (4, omega_operator)):
+        sigma = random_form(rng, degree)
+        n2 = norm_sq(sigma, s.metric)
+        parts = project_lambda2(sigma, s) if degree == 2 else project_lambda4(sigma, s)
+        # measured: recombination <= 2e-16 |sigma|, eigen-equations <= 1.1e-14 |sigma|,
+        # g-products <= 1e-14 |sigma|^2
+        assert residual(sum(parts[1:], parts[0]), sigma) < 1e-13 * math.sqrt(n2)
+        for lam, part in zip(EIGENVALUES[degree], parts):
+            assert residual(op(part, s), lam * part) < 1e-12 * math.sqrt(n2)
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                assert abs(full_contraction(parts[i], parts[j], s.metric)) < 1e-12 * n2
+
+
+def reference_omega(sigma, s):
+    """The six einsums that omega_operator's one matmul replaced."""
+    a, p = sigma.to_array(), s.up((0, 1))
+    return KForm.from_array(
+        np.einsum("ijpq,pqkl->ijkl", a, p) + np.einsum("ikpq,pqlj->ijkl", a, p)
+        + np.einsum("ilpq,pqjk->ijkl", a, p) + np.einsum("jkpq,pqil->ijkl", a, p)
+        + np.einsum("jlpq,pqki->ijkl", a, p) + np.einsum("klpq,pqij->ijkl", a, p))
+
+
+def reference_d_operator(alpha, s):
+    """The four einsums that d_operator's derivation-matrix product replaced."""
+    a2, p = raise_slots(alpha.to_array(), s.metric, (1,)), s.dense
+    return KForm.from_array(
+        np.einsum("is,sjkl->ijkl", a2, p) + np.einsum("js,iskl->ijkl", a2, p)
+        + np.einsum("ks,ijsl->ijkl", a2, p) + np.einsum("ls,ijks->ijkl", a2, p))
+
+
+def reference_project_lambda2(beta, s):
+    """The two-part formula: (beta - L beta) / 4 and (L beta + 3 beta) / 4."""
+    lb = lambda2_operator(beta, s)
+    return 0.25 * (beta - lb), 0.25 * (lb + 3.0 * beta)
+
+
+def reference_project_lambda4(sigma, s):
+    """Lagrange polynomials in Omega, applied to sigma one factor at a time."""
+    eigs = EIGENVALUES[4]
+    parts = []
+    for lam in eigs:
+        out, denom = sigma, 1.0
+        for mu in eigs:
+            if mu != lam:
+                out = reference_omega(out, s) - mu * out
+                denom *= lam - mu
+        parts.append((1.0 / denom) * out)
+    return tuple(parts)
+
+
+SHIPPED = [("canonical", None), ("phi_t", 0.0), ("phi_t", math.pi / 4.0),
+           ("phi_t", 3.0 * math.pi / 4.0), ("remark_b", None)]
+
+
+@pytest.mark.parametrize("structure", SHIPPED + ["pullback"], ids=[
+    "canonical", "phi_t(0)", "phi_t(pi/4)", "phi_t(3pi/4)", "remark_b", "pullback"])
+def test_operators_and_splits_match_their_reference_bodies(structure, rng):
+    if structure == "pullback":
+        s, tol = pulled_back_structure(7), 1e-13  # measured 6e-15
+    else:
+        s, tol = Spin7Form.from_form(build_structure_form(*structure)[0]), 4e-15  # measured 6e-16
+    integer_phi = structure in (("canonical", None), ("remark_b", None))
+    sigma, beta = random_form(rng, 4), random_form(rng, 2)
+    want = reference_omega(sigma, s)
+    assert residual(omega_operator(sigma, s), want) <= 2e-15 * want.max_abs()  # measured 4e-16
+    want = reference_d_operator(beta, s)
+    if integer_phi:
+        assert d_operator(beta, s) == want
+    assert residual(d_operator(beta, s), want) <= 2e-15 * want.max_abs()  # measured 4e-16
+    for got, want in zip(project_lambda2(beta, s), reference_project_lambda2(beta, s)):
+        assert residual(got, want) < tol * beta.max_abs()
+    for got, want in zip(project_lambda4(sigma, s), reference_project_lambda4(sigma, s)):
+        assert residual(got, want) < tol * sigma.max_abs()
+    if integer_phi:  # exact parts stay exact: (phi, 0, 0, 0)
+        assert project_lambda4(s.phi, s) == reference_project_lambda4(s.phi, s)
+
+
+def test_projectors_are_built_once_per_structure(monkeypatch):
+    calls = []
+
+    def spy(sigma, structure):
+        calls.append(sigma)
+        return omega_operator(sigma, structure)
+
+    monkeypatch.setattr(spin7.structure, "omega_operator", spy)
+    s = Spin7Form.from_form(canonical_phi_form())
+    first = s.projectors(4)
+    assert len(calls) == 70
+    project_lambda4(s.phi, s)
+    projector_ranks(s, 4)
+    assert s.projectors(4) is first and len(calls) == 70
+    assert [denom for _, denom in first] == [-8064, 2304, 1792, -1152]
 
 
 def test_spin7form_norm_is_336_under_own_metric():
