@@ -6,26 +6,19 @@ R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_{[X,Y]}Z, lowered in the last slot,
 and the Ricci trace is Ric(X,Y) = sum_a R(e_a, X, Y, e_a).
 
 All tensors are invariant (constant frame components), so covariant
-derivatives reduce to the connection-coefficient corrections.
+derivatives reduce to the connection-coefficient corrections.  Connections,
+curvature, Ricci traces and the divergence take the frame to be orthonormal
+(``Geometry.build`` maps into one first) and take no metric; what takes a
+Spin7Form hands its metric on to ``forms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .forms import (
-    DIM,
-    FrameMetric,
-    IDENTITY_METRIC,
-    KForm,
-    hodge_star,
-    interior_product,
-    raise_slots,
-    wedge,
-)
+from .forms import DIM, FrameMetric, IDENTITY_METRIC, KForm, hodge_star, interior_product, wedge
 from .liealgebra import LieAlgebra8, ce_differential
 from .structure import Spin7Form, lambda3_covector
 
@@ -33,7 +26,6 @@ from .structure import Spin7Form, lambda3_covector
 @dataclass(frozen=True)
 class FrameConnection:
     gamma: np.ndarray  # gamma[i, j, k] = Gamma^k_{ij}
-    metric: FrameMetric
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
@@ -42,16 +34,8 @@ class FrameConnection:
         gamma.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
 
-    @cached_property
-    def gamma_lowered(self) -> np.ndarray:
-        """Gamma_{ijk} = Gamma^m_{ij} g_{mk}."""
-        out = self.gamma @ self.metric.g
-        out.setflags(write=False)
-        return out
-
     def metric_compat_residual(self) -> float:
-        gl = self.gamma_lowered
-        return float(np.max(np.abs(gl + np.einsum("ijk->ikj", gl))))
+        return float(np.max(np.abs(self.gamma + np.einsum("ijk->ikj", self.gamma))))
 
 
 @dataclass(frozen=True)
@@ -72,22 +56,20 @@ class CurvatureTensor:
         return float(max(r1, r2))
 
 
-def levi_civita(alg: LieAlgebra8, m: FrameMetric) -> FrameConnection:
-    """Koszul formula on an invariant frame with constant metric table."""
-    cl = alg.lowered(m.g)
-    low = 0.5 * (cl - np.einsum("jki->ijk", cl) + np.einsum("kij->ijk", cl))
-    return FrameConnection(raise_slots(low, m, (2,)), m)
+def levi_civita(alg: LieAlgebra8) -> FrameConnection:
+    """Koszul formula on an orthonormal invariant frame."""
+    c = alg.c
+    return FrameConnection(0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c)))
 
 
-def connection_from_torsion(lc: FrameConnection, t_up: np.ndarray) -> FrameConnection:
-    """Metric connection with prescribed totally skew torsion T_ij^k (slot 2 raised)."""
-    return FrameConnection(lc.gamma + 0.5 * t_up, lc.metric)
+def connection_from_torsion(lc: FrameConnection, t3: np.ndarray) -> FrameConnection:
+    """Metric connection with prescribed totally skew torsion T_ijk."""
+    return FrameConnection(lc.gamma + 0.5 * t3)
 
 
 def torsion_tensor(conn: FrameConnection, alg: LieAlgebra8) -> np.ndarray:
-    """T_{ijk} of nabla_X Y - nabla_Y X - [X, Y], lowered in the last slot."""
-    t_up = conn.gamma - np.einsum("ijk->jik", conn.gamma) - alg.c
-    return t_up @ conn.metric.g
+    """T_{ijk} of nabla_X Y - nabla_Y X - [X, Y]."""
+    return conn.gamma - np.einsum("ijk->jik", conn.gamma) - alg.c
 
 
 def covariant_derivative(conn: FrameConnection, t: np.ndarray) -> np.ndarray:
@@ -111,17 +93,16 @@ def curvature(conn: FrameConnection, alg: LieAlgebra8) -> CurvatureTensor:
     first = g.reshape(DIM * DIM, DIM) @ g.transpose(1, 0, 2).reshape(DIM, -1)  # (jk, il)
     first = first.reshape((DIM,) * 4).transpose(2, 0, 1, 3)
     bracket = (alg.c.reshape(DIM * DIM, DIM) @ g.reshape(DIM, -1)).reshape((DIM,) * 4)
-    r_up = first - first.transpose(1, 0, 2, 3) - bracket
-    return CurvatureTensor(r_up @ conn.metric.g)
+    return CurvatureTensor(first - first.transpose(1, 0, 2, 3) - bracket)
 
 
-def ricci(curv: CurvatureTensor, m: FrameMetric) -> np.ndarray:
-    """Ric_{jk} = g^{ab} R_{ajkb}."""
-    return np.einsum("ajkb,ab->jk", curv.R, m.inv)
+def ricci(curv: CurvatureTensor) -> np.ndarray:
+    """Ric_{jk} = R_{ajka}, traced over a."""
+    return np.trace(curv.R, axis1=0, axis2=3)
 
 
-def scalar_curv(ric: np.ndarray, m: FrameMetric) -> float:
-    return float(np.einsum("jk,jk->", ric, m.inv))
+def scalar_curv(ric: np.ndarray) -> float:
+    return float(np.trace(ric))
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +117,16 @@ def codifferential_via_star(beta: KForm, alg: LieAlgebra8,
 
 
 def codifferential(beta: KForm, conn_lc: FrameConnection) -> KForm:
-    """Divergence form: (delta b)_J = -g^{ab} (nabla^g_a b)_{bJ}, traced before it is summed.
+    """Divergence form: (delta b)_J = -(nabla^g_a b)_{aJ}, traced before it is summed.
 
-    With W_{bjm} = g^{ab} Gamma^m_{aj}, slot 0 of b gives v^m b_{mJ}
-    (v^m = W_{bbm}) and every other slot s gives W_{b j_s m} b_{b..m..},
-    one (8, 64) x (64, 8^(k-2)) matmul with slots 0 and s of b first.
+    With W_{ajm} = Gamma^m_{aj}, slot 0 of b gives v^m b_{mJ} (v^m = W_{aam})
+    and every other slot s gives W_{a j_s m} b_{a..m..}, one
+    (8, 64) x (64, 8^(k-2)) matmul with slots 0 and s of b first.
     """
     if beta.degree == 0:
         raise ValueError("codifferential of a 0-form")
     b = beta.to_array()
-    w = (conn_lc.metric.inv @ conn_lc.gamma.reshape(DIM, -1)).reshape((DIM,) * 3)
+    w = conn_lc.gamma
     out = (np.trace(w) @ b.reshape(DIM, -1)).reshape(b.shape[1:])
     w_jbm = w.transpose(1, 0, 2).reshape(DIM, DIM * DIM)
     for s in range(1, b.ndim):
@@ -157,14 +138,12 @@ def codifferential(beta: KForm, conn_lc: FrameConnection) -> KForm:
 # ---------------------------------------------------------------------------
 # torsion-specific forms
 
-def sigma_t(t3: np.ndarray, t_up: np.ndarray) -> KForm:
-    """The quartic torsion 4-form sigma_xyzv = S_xyz T_xya T_zv^a.
+def sigma_t(t3: np.ndarray) -> KForm:
+    """The quartic torsion 4-form sigma_xyzv = S_xyz T_xya T_zva of ``t3`` = T_xyz.
 
-    S_xyz is the cyclic sum over (x, y, z); ``t3`` is T_xyz and ``t_up`` is
-    T_xy^a, slot 2 raised with g.  On an orthonormal frame this is
-    (1/2) sum_j (e_j . T) ^ (e_j . T).
+    S_xyz is the cyclic sum over (x, y, z); this is (1/2) sum_j (e_j . T) ^ (e_j . T).
     """
-    s = np.einsum("xya,zva->xyzv", t3, t_up)
+    s = np.einsum("xya,zva->xyzv", t3, t3)
     return KForm.from_array(s + np.einsum("yzxv->xyzv", s) + np.einsum("zxyv->xyzv", s))
 
 

@@ -187,26 +187,22 @@ class FrameMetric:
     def identity(cls) -> "FrameMetric":
         return cls(np.eye(DIM))
 
-    @cached_property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.g, np.eye(DIM)))
-
+    # on the identity, inv, det and every compound matrix come out exact, with no -0.0
     @cached_property
     def inv(self) -> np.ndarray:
-        out = np.eye(DIM) if self.is_identity else np.linalg.inv(self.g)
+        out = np.linalg.inv(self.g)
         out.setflags(write=False)
         return out
 
     @cached_property
     def sqrt_det(self) -> float:
-        return 1.0 if self.is_identity else float(math.sqrt(np.linalg.det(self.g)))
+        return float(math.sqrt(np.linalg.det(self.g)))
 
     def raise_matrix(self, degree: int) -> np.ndarray:
         """The compound matrix of g^{-1} on k-forms; see ``compound_matrix``."""
         mat = self._raise.get(degree)
         if mat is None:
-            mat = (np.eye(math.comb(DIM, degree)) if self.is_identity
-                   else compound_matrix(self.inv, degree))
+            mat = compound_matrix(self.inv, degree)
             mat.setflags(write=False)
             self._raise[degree] = mat
         return mat

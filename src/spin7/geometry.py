@@ -1,23 +1,25 @@
 """Assembled geometry: an algebra plus a fundamental form and everything derived.
 
-Building a Geometry computes once the induced metric, d phi, *d phi and
--*d*phi, the three Lee-form routes (``lee_routes``; ``theta`` is the
-last), the two torsion routes (``torsion_routes``; ``torsion`` is the
-first), T_xy^a (``t_last_up``, which the torsion connection and sigma_T
-read), the Levi-Civita and torsion connections and both curvatures.
-Everything else the identity suite reads, the 7-part of d theta, delta phi
-and delta theta by divergence (``connection.codifferential``, which traces
-g^{ab} into the Levi-Civita coefficients before it sums, so no nabla^g phi
-table is built) with delta phi's 48-part and that part's norm, delta T from
-the stored nabla^g T, the cyclic sum and the pair asymmetry of the
-curvature, T with slots (0, 1) raised and T o T among it, is a cached
-property computed on first use.  phi with raised slots and phi's 64 x 70
-derivation matrix, which gives nabla phi in one matmul, are kept on the
-structure (``Spin7Form.up``, ``Spin7Form.derivation_matrix``); a shipped
-structure is one Spin7Form shared by every geometry on it, so these and its
-metric are computed once per process.  Contractions of forms with theta, T
-or phi are not tables here: the checks call ``forms.interior_product``,
-``contract_into`` and ``full_contraction`` on the forms themselves.
+Verification runs in the g-orthonormal frame: ``Geometry.build`` maps a
+structure whose metric is not IDENTITY_METRIC to the frame e'_i = B_ai e_a
+with B^T g B = I (``structure.orthonormal_frame``), the constants to
+B B c B^-1 (``LieAlgebra8.in_frame``), and keeps B as ``frame`` so a user's
+gradient df is read as B^T df.  No index is raised after that: traces sum
+over repeated frame indices.  Only ``forms`` and what takes a Spin7Form keep
+metrics, for ``spin7 decompose`` reports parts in the input frame.
+
+Building computes once d phi, *d phi and -*d*phi, the three Lee-form routes
+(``lee_routes``; ``theta`` is the last), the two torsion routes
+(``torsion_routes``; ``torsion`` is the first), the Levi-Civita and torsion
+connections and both curvatures.  Everything else the identity suite reads
+is a cached property computed on first use: the 7-part of d theta, delta
+phi and delta theta by divergence (``connection.codifferential`` traces the
+Levi-Civita coefficients before it sums, so no nabla^g phi table is built),
+delta phi's 48-part and its norm, delta T from the stored nabla^g T, the
+cyclic sum and pair asymmetry of the curvature, and T o T.  phi's derivation
+matrix, which gives nabla phi in one matmul, is kept on the structure, so a
+shipped structure computes it once per process.  Contractions of forms with
+theta, T or phi go through ``forms`` on the forms themselves.
 """
 
 from __future__ import annotations
@@ -42,17 +44,17 @@ from .connection import (
     sigma_t,
     spin7_torsion_routes,
 )
-from .forms import KForm, norm_sq, raise_slots
+from .forms import KForm, norm_sq
 from .liealgebra import LieAlgebra8, ce_differential
-from .structure import Spin7Form, project_lambda2, project_lambda3
+from .structure import Spin7Form, orthonormal_frame, project_lambda2, project_lambda3
 
 
 @dataclass(frozen=True)
 class SolitonData:
     """Gradient data for the steady soliton checks.
 
-    f_gradient holds the frame components of df; the zero covector means a
-    constant potential, which is the invariant-geometry default.
+    f_gradient holds the components of df in the input frame; the zero
+    covector means a constant potential, which is the invariant-geometry default.
     """
 
     f_gradient: np.ndarray
@@ -79,7 +81,7 @@ class Geometry:
     dphi: KForm
     lee_routes: tuple[KForm, KForm, KForm]
     torsion_routes: tuple[KForm, KForm]
-    t_last_up: np.ndarray  # T_xy^a: slot 2 raised
+    frame: np.ndarray  # B: column i holds e'_i in the input frame
     lc: FrameConnection
     conn: FrameConnection
     curv: CurvatureTensor
@@ -87,13 +89,16 @@ class Geometry:
 
     @classmethod
     def build(cls, algebra: LieAlgebra8, phi: KForm | Spin7Form, name: str | None = None) -> "Geometry":
-        structure = Spin7Form.from_form(phi)
+        """The geometry in phi's g-orthonormal frame; an identity metric keeps the input frame."""
+        given = Spin7Form.from_form(phi)
+        structure, frame = orthonormal_frame(given)
+        if structure is not given:
+            algebra = algebra.in_frame(frame)
         dphi, star_dphi, delta_phi = phi_derivatives(structure, algebra)
         lee_routes = lee_form_routes(structure, star_dphi, delta_phi)
         torsion_routes = spin7_torsion_routes(structure, star_dphi, delta_phi, lee_routes[2])
-        t_last_up = raise_slots(torsion_routes[0].to_array(), structure.metric, (2,))
-        lc = levi_civita(algebra, structure.metric)
-        conn = connection_from_torsion(lc, t_last_up)
+        lc = levi_civita(algebra)
+        conn = connection_from_torsion(lc, torsion_routes[0].to_array())
         return cls(
             name=name or algebra.name,
             algebra=algebra,
@@ -101,7 +106,7 @@ class Geometry:
             dphi=dphi,
             lee_routes=lee_routes,
             torsion_routes=torsion_routes,
-            t_last_up=t_last_up,
+            frame=frame,
             lc=lc,
             conn=conn,
             curv=curvature(conn, algebra),
@@ -120,23 +125,14 @@ class Geometry:
 
     # -- cached dense tables --------------------------------------------------
 
-    @property
-    def metric(self):
-        return self.structure.metric
-
     @cached_property
     def t3(self) -> np.ndarray:
         return self.torsion.to_array()
 
     @cached_property
-    def t_up2(self) -> np.ndarray:
-        """T^ab_c: slots 0 and 1 raised."""
-        return raise_slots(self.t3, self.metric, (0, 1))
-
-    @cached_property
     def t_square(self) -> np.ndarray:
-        """(T o T)_xy = T_xia T_y^ia, one matmul: T_y^ia = T^ia_y as T is totally skew."""
-        return self.t3.reshape(8, 64) @ self.t_up2.reshape(64, 8)
+        """(T o T)_xy = T_xia T_yia, one matmul: T_yia = T_iay as T is totally skew."""
+        return self.t3.reshape(8, 64) @ self.t3.reshape(64, 8)
 
     @cached_property
     def theta_vec(self) -> np.ndarray:
@@ -152,7 +148,7 @@ class Geometry:
 
     @cached_property
     def sigma(self) -> KForm:
-        return sigma_t(self.t3, self.t_last_up)
+        return sigma_t(self.t3)
 
     @cached_property
     def sigma4(self) -> np.ndarray:
@@ -181,8 +177,8 @@ class Geometry:
 
     @cached_property
     def delta_torsion(self) -> KForm:
-        """delta T = -g^{ab} (nabla^g_a T)_{b..}, from the stored nabla^g T."""
-        return KForm.from_array(-np.einsum("ab,ab...->...", self.metric.inv, self.nabla_t_lc))
+        """delta T = -(nabla^g_a T)_{a..}, from the stored nabla^g T."""
+        return KForm.from_array(-np.trace(self.nabla_t_lc))
 
     @cached_property
     def delta_t2(self) -> np.ndarray:
@@ -203,7 +199,7 @@ class Geometry:
 
     @cached_property
     def delta_phi48_norm_sq(self) -> float:
-        return norm_sq(self.delta_phi48, self.metric)
+        return norm_sq(self.delta_phi48)
 
     @cached_property
     def bianchi_cycle(self) -> np.ndarray:
@@ -218,24 +214,24 @@ class Geometry:
 
     @cached_property
     def ric(self) -> np.ndarray:
-        return ricci(self.curv, self.metric)
+        return ricci(self.curv)
 
     @cached_property
     def ric_lc(self) -> np.ndarray:
-        return ricci(self.curv_lc, self.metric)
+        return ricci(self.curv_lc)
 
     @cached_property
     def scal(self) -> float:
-        return scalar_curv(self.ric, self.metric)
+        return scalar_curv(self.ric)
 
     @cached_property
     def scal_lc(self) -> float:
-        return scalar_curv(self.ric_lc, self.metric)
+        return scalar_curv(self.ric_lc)
 
     @cached_property
     def torsion_norm_sq(self) -> float:
-        return norm_sq(self.torsion, self.metric)
+        return norm_sq(self.torsion)
 
     @cached_property
     def theta_norm_sq(self) -> float:
-        return norm_sq(self.theta, self.metric)
+        return norm_sq(self.theta)

@@ -135,15 +135,28 @@ class LieAlgebra8:
         """Opposite bracket: the right-invariant counterpart of this frame, built once and
         kept (a shipped algebra has one shared mirror per process; a user file, one per load)."""
         if "mirror" not in self._cache:
-            self._cache["mirror"] = LieAlgebra8(self.name + "-mirror", -self.c)
+            self._cache["mirror"] = self._derived(self.name + "-mirror", -self.c)
         return self._cache["mirror"]
+
+    def in_frame(self, b: np.ndarray) -> "LieAlgebra8":
+        """The constants in the frame e'_i = b_ai e_a: c'^k_ij = b_ai b_bj c^m_ab (b^-1)_km."""
+        return self._derived(self.name, np.einsum("ai,bj,abm,km->ijk", b, b, self.c,
+                                                  np.linalg.inv(b), optimize=True))
+
+    def _derived(self, name: str, c: np.ndarray) -> "LieAlgebra8":
+        """The algebra of constants c, antisymmetrized, derived from this one's by a negation
+        or a change of frame.  Both keep the Jacobi identity, so this algebra's ``jacobi``
+        is carried over, not checked again: a re-check in another frame sees other rounding
+        against another bound, and may refuse a tensor validated at load."""
+        alg = object.__new__(LieAlgebra8)
+        c = 0.5 * (c - c.transpose(1, 0, 2))
+        c.setflags(write=False)
+        for key, value in (("name", name), ("c", c), ("jacobi", self.jacobi), ("_cache", {})):
+            object.__setattr__(alg, key, value)
+        return alg
 
     def is_abelian(self) -> bool:
         return not np.any(self.c)
-
-    def lowered(self, g: np.ndarray) -> np.ndarray:
-        """c_{ijk} = c^m_{ij} g_{mk}."""
-        return np.einsum("ijm,mk->ijk", self.c, g)
 
     def d_matrix(self, k: int) -> np.ndarray:
         """The matrix of d on k-forms; see ``ce_differential``."""

@@ -25,7 +25,6 @@ from spin7.forms import (
     canonical_indices,
     hodge_star,
     norm_sq,
-    raise_slots,
     residual,
     wedge,
 )
@@ -163,9 +162,8 @@ def test_criterion_4_su3_regression():
     alg = corpus_algebra("su3")
     s = canonical_phi()
     t = spin7_torsion(s, alg)
-    cartan_torsion = KForm.from_array(-alg.lowered(np.eye(8)))
-    conn = connection_from_torsion(levi_civita(alg, s.metric),
-                                   raise_slots(t.to_array(), s.metric, (2,)))
+    cartan_torsion = KForm.from_array(-alg.c)
+    conn = connection_from_torsion(levi_civita(alg), t.to_array())
     mirror_t = spin7_torsion(s, alg.mirrored())
     checks = {
         "torsion_is_minus_bracket": residual(t, cartan_torsion),

@@ -326,7 +326,6 @@ def test_canonical_structure_is_one_read_only_object_across_algebras():
     assert all(build_geometry(*t).structure.metric is IDENTITY_METRIC for t in VERIFY_TARGETS)
     full_report(geoms[0])
     tables = [s.dense, s.derivation_matrix, s.metric.g, s.metric.inv]
-    tables += [s.up(slots) for slots in [(0, 1), (1, 2, 3), (0, 1, 2, 3)]]
     tables += [s.metric.raise_matrix(k) for k in range(9)]
     tables += [num for degree in (2, 4) for num, _ in s.projectors(degree)]
     for table in tables:
@@ -370,32 +369,31 @@ def test_differential_on_abelian_is_zero(rng):
 # Levi-Civita and torsion connections
 
 def test_levi_civita_abelian_is_flat():
-    conn = levi_civita(LieAlgebra8.abelian(), IDENTITY_METRIC)
+    conn = levi_civita(LieAlgebra8.abelian())
     assert not np.any(conn.gamma)
 
 
 def test_levi_civita_biinvariant_is_half_bracket(su2, su3):
     for alg in (su2, su3):
-        # ad-invariance first: lowered constants are totally antisymmetric
-        cl = alg.lowered(np.eye(8))
-        assert np.max(np.abs(cl + np.einsum("ijk->ikj", cl))) == 0.0
-        conn = levi_civita(alg, IDENTITY_METRIC)
+        # ad-invariance first: the constants are totally antisymmetric
+        assert np.max(np.abs(alg.c + np.einsum("ijk->ikj", alg.c))) == 0.0
+        conn = levi_civita(alg)
         assert np.max(np.abs(conn.gamma - 0.5 * alg.c)) < 1e-15
         assert conn.metric_compat_residual() < 1e-15
 
 
 def test_levi_civita_general_metric_torsion_free(heisenberg, rng):
+    # heisenberg under the metric a a^T + 8 I, in the frame that metric makes orthonormal
     a = rng.standard_normal((8, 8))
-    m = FrameMetric(a @ a.T + 8.0 * np.eye(8))
-    conn = levi_civita(heisenberg, m)
+    alg = heisenberg.in_frame(np.linalg.inv(np.linalg.cholesky(a @ a.T + 8.0 * np.eye(8))).T)
+    conn = levi_civita(alg)
     assert conn.metric_compat_residual() < 1e-12
-    tf = conn.gamma - np.einsum("ijk->jik", conn.gamma) - heisenberg.c
+    tf = conn.gamma - np.einsum("ijk->jik", conn.gamma) - alg.c
     assert np.max(np.abs(tf)) < 1e-12
 
 
 def test_connection_from_torsion_recovers_input(su2, rng):
-    lc = levi_civita(su2, IDENTITY_METRIC)
-    # on an orthonormal frame T_ij^k = T_ijk
+    lc = levi_civita(su2)
     t3 = KForm(3, {idx: rng.standard_normal() for idx in canonical_indices(3)}).to_array()
     conn = connection_from_torsion(lc, t3)
     assert np.max(np.abs(torsion_tensor(conn, su2) - t3)) < 1e-12
@@ -407,44 +405,44 @@ def test_connection_from_torsion_recovers_input(su2, rng):
 
 def test_cartan_connection_is_flat(su2):
     # prescribing minus the bracket form cancels the Levi-Civita half
-    lc = levi_civita(su2, IDENTITY_METRIC)
-    conn = connection_from_torsion(lc, -su2.lowered(np.eye(8)))
+    lc = levi_civita(su2)
+    conn = connection_from_torsion(lc, -su2.c)
     assert not np.any(conn.gamma)
     assert np.max(np.abs(curvature(conn, su2).R)) == 0.0
 
 
 def test_covariant_derivative_flat_and_metric(su2):
-    lc = levi_civita(su2, IDENTITY_METRIC)
+    lc = levi_civita(su2)
     s = canonical_phi()
-    flat = FrameConnection(np.zeros((8, 8, 8)), IDENTITY_METRIC)
+    flat = FrameConnection(np.zeros((8, 8, 8)))
     assert not np.any(covariant_derivative(flat, s.dense))
     assert np.max(np.abs(covariant_derivative(lc, np.eye(8)))) < 1e-15
     assert np.array_equal(covariant_derivative(lc, np.array(3.0)), np.zeros(8))
 
 
 def test_curvature_biinvariant_quarter_double_bracket(su2):
-    lc = levi_civita(su2, IDENTITY_METRIC)
+    lc = levi_civita(su2)
     R = curvature(lc, su2)
     c = su2.c
-    expect = -0.25 * np.einsum("ijm,mkl->ijkl", c, su2.lowered(np.eye(8)))
+    expect = -0.25 * np.einsum("ijm,mkl->ijkl", c, su2.c)
     assert np.max(np.abs(R.R - expect)) < 1e-14
     assert R.antisymmetry_residual() < 1e-14
 
 
 def test_ricci_of_product_metric(su2):
-    lc = levi_civita(su2, IDENTITY_METRIC)
-    ric = ricci(curvature(lc, su2), IDENTITY_METRIC)
+    lc = levi_civita(su2)
+    ric = ricci(curvature(lc, su2))
     expect = 0.5 * np.diag([0, 1, 1, 1, 1, 1, 1, 0])
     assert np.max(np.abs(ric - expect)) < 1e-14
-    assert scalar_curv(ric, IDENTITY_METRIC) == pytest.approx(3.0)
+    assert scalar_curv(ric) == pytest.approx(3.0)
 
 
 def test_flat_connection_has_zero_ricci():
     alg = LieAlgebra8.abelian()
-    conn = levi_civita(alg, IDENTITY_METRIC)
-    ric = ricci(curvature(conn, alg), IDENTITY_METRIC)
+    conn = levi_civita(alg)
+    ric = ricci(curvature(conn, alg))
     assert not np.any(ric)
-    assert scalar_curv(ric, IDENTITY_METRIC) == 0.0
+    assert scalar_curv(ric) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -453,35 +451,35 @@ def test_flat_connection_has_zero_ricci():
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_codifferential_paths_agree(degree, su2, su3, heisenberg, rng):
     for alg in (su2, su3, heisenberg):
-        lc = levi_civita(alg, IDENTITY_METRIC)
+        lc = levi_civita(alg)
         beta = KForm(degree, {idx: rng.standard_normal()
                               for idx in canonical_indices(degree)})
         assert residual(codifferential(beta, lc),
-                        codifferential_via_star(beta, alg, lc.metric)) < 1e-12
+                        codifferential_via_star(beta, alg)) < 1e-12
 
 
 def test_codifferential_abelian_vanishes(rng):
     alg = LieAlgebra8.abelian()
-    lc = levi_civita(alg, IDENTITY_METRIC)
+    lc = levi_civita(alg)
     beta = KForm(2, {idx: rng.standard_normal() for idx in canonical_indices(2)})
     assert codifferential(beta, lc).coeffs == {}
 
 
 def test_codifferential_squares_to_zero(su2, rng):
-    lc = levi_civita(su2, IDENTITY_METRIC)
+    lc = levi_civita(su2)
     beta = KForm(3, {idx: rng.standard_normal() for idx in canonical_indices(3)})
     assert codifferential(codifferential(beta, lc), lc).max_abs() < 1e-12
 
 
 def test_torsion_of_product_example_is_coclosed(su2):
-    lc = levi_civita(su2, IDENTITY_METRIC)
+    lc = levi_civita(su2)
     t = KForm.monomial((1, 2, 3)) + KForm.monomial((4, 5, 6))
     assert codifferential(t, lc).max_abs() == 0.0
     assert ce_differential(t, su2).max_abs() == 0.0
 
 
 def test_codifferential_rejects_scalars(su2):
-    lc = levi_civita(su2, IDENTITY_METRIC)
+    lc = levi_civita(su2)
     with pytest.raises(ValueError):
         codifferential(KForm.scalar(1.0), lc)
     with pytest.raises(ValueError):
@@ -492,8 +490,7 @@ def test_codifferential_rejects_scalars(su2):
 # quartic torsion form
 
 def sigma_orthonormal(t: KForm) -> KForm:
-    # on an orthonormal frame T_xy^a = T_xya
-    return sigma_t(t.to_array(), t.to_array())
+    return sigma_t(t.to_array())
 
 
 def test_sigma_of_decomposable_product_torsion():
@@ -515,21 +512,6 @@ def test_sigma_matches_interior_product_definition(rng):
         tj = interior_product(KForm.basis_covector(j), t)
         ref = ref + wedge(tj, tj)
     assert residual(sigma_orthonormal(t), 0.5 * ref) < 1e-13
-
-
-def test_sigma_orthonormalization_matches_rescaled_frame(rng):
-    # diagonal metric: sigma computed through Cholesky equals the direct
-    # computation in the rescaled orthonormal coframe mapped back
-    d = np.exp(rng.standard_normal(8))
-    m = FrameMetric(np.diag(d))
-    t = KForm(3, {idx: rng.standard_normal() for idx in canonical_indices(3)})
-    got = sigma_t(t.to_array(), raise_slots(t.to_array(), m, (2,)))
-    scale = np.sqrt(d)
-    t_on = np.einsum("ijk,i,j,k->ijk", t.to_array(),
-                     1 / scale, 1 / scale, 1 / scale)
-    flat = sigma_orthonormal(KForm.from_array(t_on)).to_array()
-    expect = np.einsum("abcd,a,b,c,d->abcd", flat, scale, scale, scale, scale)
-    assert np.max(np.abs(got.to_array() - expect)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +542,7 @@ def test_torsion_product_example(su2):
 def test_torsion_su3_is_minus_bracket_form(su3):
     s = canonical_phi()
     t = spin7_torsion(s, su3)
-    expect = KForm.from_array(-su3.lowered(np.eye(8)))
+    expect = KForm.from_array(-su3.c)
     assert residual(t, expect) < 1e-13
     assert ce_differential(t, su3).max_abs() < 1e-13
 
@@ -574,8 +556,7 @@ def test_characteristic_connection_annihilates_phi(su2, su3, heisenberg):
     s = canonical_phi()
     for alg in (su2, su3, heisenberg):
         t = spin7_torsion(s, alg)
-        conn = connection_from_torsion(levi_civita(alg, s.metric),
-                                       raise_slots(t.to_array(), s.metric, (2,)))
+        conn = connection_from_torsion(levi_civita(alg), t.to_array())
         assert np.max(np.abs(covariant_derivative(conn, s.dense))) < 1e-13
 
 
@@ -597,25 +578,23 @@ def close(new, old, rel=1e-13):
 
 
 def kernel_inputs(seed):
-    """A non-orthonormal metric, a connection on it and antisymmetric constants, all random."""
+    """A connection and antisymmetric constants, both random."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((8, 8))
-    m = FrameMetric(a @ a.T + 8.0 * np.eye(8))
     c = rng.standard_normal((8, 8, 8))
-    return rng, m, FrameConnection(rng.standard_normal((8, 8, 8)), m), c - c.transpose(1, 0, 2)
+    return rng, FrameConnection(rng.standard_normal((8, 8, 8))), c - c.transpose(1, 0, 2)
 
 
 def test_curvature_matches_its_einsum_expression():
-    _, m, conn, c = kernel_inputs(21)
+    _, conn, c = kernel_inputs(21)
     g = conn.gamma
-    r_up = (np.einsum("jkm,iml->ijkl", g, g) - np.einsum("ikm,jml->ijkl", g, g)
-            - np.einsum("ijm,mkl->ijkl", c, g))
+    r = (np.einsum("jkm,iml->ijkl", g, g) - np.einsum("ikm,jml->ijkl", g, g)
+         - np.einsum("ijm,mkl->ijkl", c, g))
     # curvature reads only the constants of the algebra, which need no Jacobi identity here
-    assert close(curvature(conn, SimpleNamespace(c=c)).R, np.einsum("ijkm,ml->ijkl", r_up, m.g))
+    assert close(curvature(conn, SimpleNamespace(c=c)).R, r)
 
 
 def test_jacobi_residual_matches_its_einsum_expression():
-    c = kernel_inputs(22)[3]
+    c = kernel_inputs(22)[2]
     jac = (np.einsum("ijm,mkl->ijkl", c, c) + np.einsum("jkm,mil->ijkl", c, c)
            + np.einsum("kim,mjl->ijkl", c, c))
     res, where = LieAlgebra8.jacobi_residual(SimpleNamespace(c=c))
@@ -626,7 +605,7 @@ def test_jacobi_residual_matches_its_einsum_expression():
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_covariant_derivative_matches_its_tensordot_expression(rank):
-    rng, _, conn, _ = kernel_inputs(30 + rank)
+    rng, conn, _ = kernel_inputs(30 + rank)
     t = rng.standard_normal((8,) * rank)
     old = np.zeros((8,) * (rank + 1))
     for s in range(rank):
@@ -636,7 +615,9 @@ def test_covariant_derivative_matches_its_tensordot_expression(rank):
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_raise_slots_matches_its_tensordot_expression(rank):
-    rng, m, _, _ = kernel_inputs(40 + rank)
+    rng = np.random.default_rng(40 + rank)
+    a = rng.standard_normal((8, 8))
+    m = FrameMetric(a @ a.T + 8.0 * np.eye(8))
     t = rng.standard_normal((8,) * rank)
     for n in range(rank + 1):
         for slots in combinations(range(rank), n):
@@ -647,19 +628,19 @@ def test_raise_slots_matches_its_tensordot_expression(rank):
 
 
 def moved_su3(su3) -> Geometry:
-    """su3 and the canonical form pulled back along A: a non-orthonormal metric."""
+    """su3 and the canonical form pulled back along A, built in its metric's orthonormal frame."""
     a = frame(11)
     c = np.einsum("ai,bj,abm,km->ijk", a, a, su3.c, np.linalg.inv(a))
-    phi = np.einsum("abcd,ai,bj,ck,dl->ijkl", canonical_phi_form().to_array(), a, a, a, a)
+    phi = np.einsum("abcd,ai,bj,ck,dl->ijkl", canonical_phi_form().to_array(), a, a, a, a,
+                    optimize=True)
     geom = Geometry.build(LieAlgebra8("su3-moved", c), KForm.from_array(phi))
-    assert not geom.metric.is_identity
+    assert geom.structure.metric is IDENTITY_METRIC
     return geom
 
 
 def test_torsion_square_matches_its_einsum_expression(su3):
     geom = moved_su3(su3)
-    gi = geom.metric.inv
-    assert close(geom.t_square, np.einsum("xia,yjb,ij,ab->xy", geom.t3, geom.t3, gi, gi))
+    assert close(geom.t_square, np.einsum("xia,yia->xy", geom.t3, geom.t3))
 
 
 def test_nabla_phi_is_one_matmul_against_the_derivation_matrix(su3):
@@ -669,7 +650,7 @@ def test_nabla_phi_is_one_matmul_against_the_derivation_matrix(su3):
     geom = moved_su3(su3)
     phi = geom.structure.dense
     canonical = (slice(None),) + tuple(np.array(canonical_indices(4)).T)
-    for conn in (geom.conn, FrameConnection(kernel_inputs(50)[2].gamma, geom.metric)):
+    for conn in (geom.conn, kernel_inputs(50)[1]):
         full = covariant_derivative(conn, phi)
         new = -conn.gamma.reshape(8, 64) @ geom.structure.derivation_matrix
         assert new.shape == (8, 70)
@@ -681,17 +662,17 @@ def test_nabla_phi_is_one_matmul_against_the_derivation_matrix(su3):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_codifferential_matches_the_trace_of_the_full_derivative(degree):
     # the trace-first divergence against tracing the whole (k+1)-tensor
-    # nabla b, under a non-orthonormal metric and random coefficients
-    rng, m, conn, _ = kernel_inputs(60 + degree)
+    # nabla b, under random coefficients
+    rng, conn, _ = kernel_inputs(60 + degree)
     beta = KForm(degree, {idx: rng.standard_normal() for idx in canonical_indices(degree)})
-    old = -np.einsum("ab,ab...->...", m.inv, covariant_derivative(conn, beta.to_array()))
+    old = -np.trace(covariant_derivative(conn, beta.to_array()))
     assert close(codifferential(beta, conn).to_array(), old)
 
 
 def test_one_index_rhs_matches_its_rotation_loop(rng):
-    # (g g g) - (g phi) on canonical triples, against the nine broadcast
-    # gathers it replaced, for a random metric and a random 4-form
-    g = kernel_inputs(70)[1].g
+    # (g g g) - (g phi) at g = I on canonical triples, against the nine
+    # broadcast gathers it replaced, for a random 4-form
+    g = np.eye(8)
     p = KForm(4, {idx: rng.standard_normal() for idx in canonical_indices(4)}).to_array()
     triples = tuple(np.array(canonical_indices(3)).T)
     i, j, k = (n[:, None] for n in triples)
@@ -700,7 +681,7 @@ def test_one_index_rhs_matches_its_rotation_loop(rng):
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
             old -= g[x, u] * p[y, z, v, w]
-    assert close(one_index_rhs(g, p), old)
+    assert close(one_index_rhs(p), old)
 
 
 def roll_and_concatenate_rhs(g, p):
@@ -713,13 +694,11 @@ def roll_and_concatenate_rhs(g, p):
     return compound_matrix(g, 3) - g_phi.reshape(3, 56, 3, 56).sum(axis=(0, 2))
 
 
-@pytest.mark.parametrize("metric", ["identity", "spd"])
-def test_one_index_rhs_is_the_roll_and_concatenate_version_bit_for_bit(metric):
+@pytest.mark.parametrize("form", ["identity", "random_form"])
+def test_one_index_rhs_is_the_roll_and_concatenate_version_bit_for_bit(form):
+    # at g = I, the only metric it is now called with; "identity" is the canonical form
     rng = np.random.default_rng(72)
-    if metric == "identity":
-        g, p = IDENTITY_METRIC.g, canonical_phi_form().to_array()
-    else:
-        g = kernel_inputs(71)[1].g
-        p = KForm(4, {idx: rng.standard_normal() for idx in canonical_indices(4)}).to_array()
+    p = canonical_phi_form().to_array() if form == "identity" else KForm(
+        4, {idx: rng.standard_normal() for idx in canonical_indices(4)}).to_array()
     for _ in range(2):  # the cached indices are not changed by a call
-        assert one_index_rhs(g, p).tobytes() == roll_and_concatenate_rhs(g, p).tobytes()
+        assert one_index_rhs(p).tobytes() == roll_and_concatenate_rhs(np.eye(8), p).tobytes()

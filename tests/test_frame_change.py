@@ -1,22 +1,29 @@
 """Verdicts do not depend on the frame.
 
-Pull a corpus geometry back along a seeded A in GL+(8), three draws: the frame
+Pull a corpus geometry back along a seeded A in GL+(8): the frame
 e'_i = A_ai e_a has structure constants c'^k_ij = A_ai A_bj c^m_ab (A^-1)_km,
-the form becomes A*phi and the metric A^T A.  Every identity is tensorial,
-so each entry of the report must keep its verdict and its N/A decision.
+the form becomes A*phi, the metric A^T A and a covector df becomes A^T df.
+Every identity is tensorial, so each entry of the report must keep its
+verdict and its N/A decision.  ``Geometry.build`` verifies in the frame the
+metric makes orthonormal, so no index is raised with an ill-conditioned
+A^T A on the way.
 
 ``metric_from_phi`` is patched to return A^T A, the true induced metric of
 A*phi: the package's formula for it is only right in orthonormal frames.
+The patch goes when that formula is replaced by one that holds in every
+frame (ROADMAP item 1); ``Geometry.build`` maps whatever it returns.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spin7.structure
 from spin7.checks import full_report
 from spin7.corpus import build_geometry, build_structure_form, geometry_id, get_algebra
-from spin7.forms import FrameMetric, KForm
-from spin7.geometry import Geometry
+from spin7.forms import FrameMetric, IDENTITY_METRIC, KForm
+from spin7.geometry import Geometry, SolitonData
 from spin7.liealgebra import LieAlgebra8
 
 TARGETS = (
@@ -39,25 +46,72 @@ def frame(seed: int = 7) -> np.ndarray:
 def pulled_back(target, a):
     algebra, structure, t = target
     alg = get_algebra(algebra)
-    c = np.einsum("ai,bj,abm,km->ijk", a, a, alg.c, np.linalg.inv(a))
+    c = np.einsum("ai,bj,abm,km->ijk", a, a, alg.c, np.linalg.inv(a), optimize=True)
     phi, _ = build_structure_form(structure, t)
-    phi_a = np.einsum("abcd,ai,bj,ck,dl->ijkl", phi.to_array(), a, a, a, a)
+    phi_a = np.einsum("abcd,ai,bj,ck,dl->ijkl", phi.to_array(), a, a, a, a, optimize=True)
     return LieAlgebra8(alg.name, c), KForm.from_array(phi_a)
 
 
-# seed 7, the first frame tested, keeps the bare target id
+def moved_geometry(target, a, monkeypatch) -> Geometry:
+    alg, phi = pulled_back(target, a)
+    monkeypatch.setattr(spin7.structure, "metric_from_phi", lambda _: FrameMetric(a.T @ a))
+    return Geometry.build(alg, phi)
+
+
+def assert_same_verdicts(moved, orthonormal):
+    assert [e.check_id for e in moved] == [e.check_id for e in orthonormal]
+    for got, want in zip(moved, orthonormal):
+        assert (got.passed, got.not_applicable) == (want.passed, want.not_applicable), \
+            (got.check_id, got.residual, want.residual)
+
+
+# seed 7, the first frame tested, keeps the bare target id; seed 3 has cond(A^T A) = 8.2e4
 FRAMES = [pytest.param(t, seed, id=geometry_id(*t) + ("" if seed == 7 else f"-seed{seed}"))
-          for seed in (7, 11, 13) for t in TARGETS]
+          for seed in (7, 11, 13, 3) for t in TARGETS]
 
 
 @pytest.mark.parametrize("target,seed", FRAMES)
 def test_verdicts_survive_a_change_of_frame(target, seed, monkeypatch):
     orthonormal = full_report(build_geometry(*target)).entries
+    moved = moved_geometry(target, frame(seed), monkeypatch)
+    assert moved.structure.metric is IDENTITY_METRIC
+    assert_same_verdicts(full_report(moved).entries, orthonormal)
+
+
+# Measured: 0 flipped entries over the four targets on the 40 frames of seeds
+# 1000-1039 (cond(A^T A) up to 7.0e4) and on seed 3 (8.2e4); raising indices
+# with g^-1 instead flipped entries from cond 2.7e3 on.  The bound keeps a margin.
+WELL_CONDITIONED = st.integers(0, 2**32 - 1).map(frame).filter(
+    lambda a: np.linalg.cond(a.T @ a) <= 1e4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(target=st.sampled_from(TARGETS), a=WELL_CONDITIONED)
+def test_verdicts_survive_a_drawn_change_of_frame(target, a):
+    orthonormal = full_report(build_geometry(*target)).entries
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        moved = moved_geometry(target, a, monkeypatch)
+        assert_same_verdicts(full_report(moved).entries, orthonormal)
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_soliton_gradient_is_read_in_the_input_frame(seed, monkeypatch):
+    # df = 1e-3 e^7 along the abelian factor of su2su2u1u1+canonical passes every
+    # soliton entry; the moved frame's components are A^T df, which the build maps
+    # back by B^T (read unmapped, the same numbers flip 3 soliton entries)
+    target, df = ("su2su2u1u1", "canonical", None), 1e-3 * np.eye(8)[7]
+    orthonormal = full_report(build_geometry(*target), SolitonData(df)).entries
+    assert all(e.passed for e in orthonormal if e.check_id.startswith("soliton_"))
     a = frame(seed)
-    alg, phi = pulled_back(target, a)
-    monkeypatch.setattr(spin7.structure, "metric_from_phi", lambda _: FrameMetric(a.T @ a))
-    moved = full_report(Geometry.build(alg, phi)).entries
-    assert [e.check_id for e in moved] == [e.check_id for e in orthonormal]
-    for got, want in zip(moved, orthonormal):
-        assert (got.passed, got.not_applicable) == (want.passed, want.not_applicable), \
-            (got.check_id, got.residual, want.residual)
+    moved = full_report(moved_geometry(target, a, monkeypatch), SolitonData(a.T @ df)).entries
+    assert_same_verdicts(moved, orthonormal)
+
+
+def test_a_mapped_algebra_carries_its_jacobi_result_to_its_mirror(monkeypatch):
+    # neither the map nor the negation is validated again: the Jacobi identity
+    # is tensorial and negation is exact, so the load-time result carries over
+    alg = moved_geometry(TARGETS[0], frame(3), monkeypatch).algebra
+    mirror = alg.mirrored()
+    assert mirror.jacobi == alg.jacobi
+    assert np.array_equal(mirror.c, -alg.c)
+    assert not mirror.c.flags.writeable

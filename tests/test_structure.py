@@ -105,6 +105,18 @@ def test_remark_b_form_is_admissible():
     assert rep.max_residual() == 0.0
 
 
+def test_the_orthonormal_frame_keeps_a_negative_orientation():
+    # e^7 -> -e^7 takes phi0 to a form that is self-dual, and admissible, only
+    # under the opposite orientation; the map into the orthonormal frame must
+    # carry that orientation over to IDENTITY_METRIC's
+    reflected = KForm(4, {idx: -c if 7 in idx else c for idx, c in canonical_phi_form().terms()})
+    s = Spin7Form(reflected, FrameMetric(np.eye(8), orientation=-1))
+    assert not validate_phi(reflected).all_passed()
+    rep = validate_phi(s)
+    assert rep.all_passed(), [e.check_id for e in rep.failed()]
+    assert rep.max_residual() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # degree-2 split
 
@@ -305,7 +317,7 @@ def test_split_under_a_non_identity_metric(seed, rng):
 
 def reference_omega(sigma, s):
     """The six einsums that omega_operator's one matmul replaced."""
-    a, p = sigma.to_array(), s.up((0, 1))
+    a, p = sigma.to_array(), raise_slots(s.dense, s.metric, (0, 1))
     return KForm.from_array(
         np.einsum("ijpq,pqkl->ijkl", a, p) + np.einsum("ikpq,pqlj->ijkl", a, p)
         + np.einsum("ilpq,pqjk->ijkl", a, p) + np.einsum("jkpq,pqil->ijkl", a, p)
