@@ -22,16 +22,11 @@ from .corpus import (
     geometry_id,
     get_algebra,
 )
-from .forms import form_from_json, norm_sq
+from .forms import form_from_dict, norm_sq, read_json
 from .geometry import Geometry, SolitonData
 from .liealgebra import parse_scalar
 from .report import DEFAULT_TOL, NonFiniteResidual
-from .structure import (
-    Spin7Form,
-    project_lambda2,
-    project_lambda3,
-    project_lambda4,
-)
+from .structure import Spin7Form, project_lambda2, project_lambda3, project_lambda4
 
 
 def cmd_verify(args) -> int:
@@ -78,7 +73,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     try:
-        form = form_from_json(Path(args.form).read_text())
+        form = form_from_dict(read_json(args.form))
         if form.degree != args.degree:
             raise ValueError(
                 f"form has degree {form.degree}, --degree says {args.degree}")
@@ -90,21 +85,12 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.degree == 2:
-        named = zip(("part_7", "part_21"), project_lambda2(form, structure))
-    elif args.degree == 3:
-        named = zip(("part_8", "part_48"), project_lambda3(form, structure))
-    else:
-        named = zip(("part_1", "part_7", "part_27", "part_35"),
-                    project_lambda4(form, structure))
-    named = list(named)
-    total = None
-    for label, part in named:
-        print(f"{label}: norm_sq = {norm_sq(part, structure.metric):.12g}")
+    parts = {2: project_lambda2, 3: project_lambda3, 4: project_lambda4}[args.degree](form, structure)
+    for dim, part in zip({2: (7, 21), 3: (8, 48), 4: (1, 7, 27, 35)}[args.degree], parts):
+        print(f"part_{dim}: norm_sq = {norm_sq(part, structure.metric):.12g}")
         for idx, c in part.terms():
             print(f"    e_{''.join(map(str, idx))}  {c:+.12g}")
-        total = part if total is None else total + part
-    print(f"recombination residual: {(total - form).max_abs():.3e}")
+    print(f"recombination residual: {(sum(parts[1:], parts[0]) - form).max_abs():.3e}")
     return 0
 
 

@@ -6,10 +6,11 @@ R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_{[X,Y]}Z, lowered in the last slot,
 and the Ricci trace is Ric(X,Y) = sum_a R(e_a, X, Y, e_a).
 
 All tensors are invariant (constant frame components), so covariant
-derivatives reduce to the connection-coefficient corrections.  Connections,
-curvature, Ricci traces and the divergence take the frame to be orthonormal
-(``Geometry.build`` maps into one first) and take no metric; what takes a
-Spin7Form hands its metric on to ``forms``.
+derivatives reduce to the connection-coefficient corrections.  Everything
+here takes the frame to be orthonormal (``Geometry.build`` maps into one
+first) and takes no metric: stars and contractions are at g = I, and the
+Lee-form and torsion routes refuse, through ``lambda3_covector``, a
+structure whose metric is not the identity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DIM, FrameMetric, IDENTITY_METRIC, KForm, hodge_star, interior_product, wedge
+from .forms import DIM, KForm, hodge_star, interior_product, wedge
 from .liealgebra import LieAlgebra8, ce_differential
 from .structure import Spin7Form, lambda3_covector
 
@@ -108,12 +109,11 @@ def scalar_curv(ric: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # codifferential
 
-def codifferential_via_star(beta: KForm, alg: LieAlgebra8,
-                            m: FrameMetric = IDENTITY_METRIC) -> KForm:
+def codifferential_via_star(beta: KForm, alg: LieAlgebra8) -> KForm:
     """delta = -*d* on every degree in dimension eight."""
     if beta.degree == 0:
         raise ValueError("codifferential of a 0-form")
-    return -1.0 * hodge_star(ce_differential(hodge_star(beta, m), alg), m)
+    return -1.0 * hodge_star(ce_differential(hodge_star(beta), alg))
 
 
 def codifferential(beta: KForm, conn_lc: FrameConnection) -> KForm:
@@ -150,8 +150,7 @@ def sigma_t(t3: np.ndarray) -> KForm:
 def phi_derivatives(structure: Spin7Form, alg: LieAlgebra8) -> tuple[KForm, KForm, KForm]:
     """d(phi), *d(phi) and delta(phi) = -*d*(phi): what the Lee-form and torsion routes read."""
     dphi = ce_differential(structure.phi, alg)
-    return (dphi, hodge_star(dphi, structure.metric),
-            codifferential_via_star(structure.phi, alg, structure.metric))
+    return dphi, hodge_star(dphi), codifferential_via_star(structure.phi, alg)
 
 
 def lee_form(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
@@ -171,10 +170,9 @@ def lee_form_routes(structure: Spin7Form, star_dphi: KForm,
     (1/7) (delta phi) . phi  (three-index contraction),
     given *d(phi) and delta(phi) = -*d*(phi) (see ``phi_derivatives``).
     """
-    m = structure.metric
     phi = structure.phi
-    via_d = (-1.0 / 7.0) * hodge_star(wedge(star_dphi, phi), m)
-    via_delta = (1.0 / 7.0) * hodge_star(wedge(delta_phi, phi), m)
+    via_d = (-1.0 / 7.0) * hodge_star(wedge(star_dphi, phi))
+    via_delta = (1.0 / 7.0) * hodge_star(wedge(delta_phi, phi))
     via_contraction = -1.0 * lambda3_covector(delta_phi, structure)
     return via_d, via_delta, via_contraction
 
@@ -186,17 +184,15 @@ def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
     delta(phi) + (7/6) theta . phi is exposed by ``spin7_torsion_routes``.
     Only this route's pieces are computed, with the routes' own expressions.
     """
-    m, phi = structure.metric, structure.phi
     _, star_dphi, delta_phi = phi_derivatives(structure, alg)
     theta = -1.0 * lambda3_covector(delta_phi, structure)
-    return -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
+    return -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, structure.phi))
 
 
 def spin7_torsion_routes(structure: Spin7Form, star_dphi: KForm, delta_phi: KForm,
                          theta: KForm) -> tuple[KForm, KForm]:
     """The two torsion expressions of ``spin7_torsion``, given *d(phi), delta(phi) and the Lee form."""
-    m = structure.metric
     phi = structure.phi
-    via_star = -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi), m)
-    via_delta = delta_phi + (7.0 / 6.0) * interior_product(theta, phi, m)
+    via_star = -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi))
+    via_delta = delta_phi + (7.0 / 6.0) * interior_product(theta, phi)
     return via_star, via_delta

@@ -28,7 +28,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .forms import KForm, form_from_json, hodge_star, wedge
+from .forms import KForm, form_from_dict, hodge_star, read_json, wedge
 from .geometry import Geometry
 from .liealgebra import LieAlgebra8, load_algebra, parse_scalar
 from .structure import Spin7Form, canonical_phi_form
@@ -146,7 +146,7 @@ def _resolve_structure(structure: str, t=None) -> tuple[KForm | Spin7Form, list[
             )
         return phi_t_form(t_val), warnings
     # otherwise: path to a serialized 4-form
-    form = form_from_json(Path(structure).read_text())
+    form = form_from_dict(read_json(structure))
     if form.degree != 4:
         raise ValueError(f"structure file must hold a 4-form, got degree {form.degree}")
     return form, warnings

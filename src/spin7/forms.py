@@ -13,8 +13,8 @@ Conventions used throughout the package:
   unordered pair are added before accumulating.
 * Raising every index of a k-form multiplies it by the compound matrix of
   g^{-1} (its k x k minors, by Laplace expansion), kept on the
-  ``FrameMetric`` per degree.  Slots of a dense tensor are raised one at a
-  time, each as one matmul of the tensor, that slot last, with g^{-1}.
+  ``FrameMetric`` per degree.  This is the package's one way to raise an
+  index; the structure layer works in orthonormal frames and raises none.
 * ``full_contraction(a, b, m)`` is a_I b^I over ALL index tuples, i.e. k!
   times the sum over canonical monomials.  Norms always mean that.
 * Hodge star is the contraction into vol = sqrt(det g) orientation e_{01234567}:
@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, permutations
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -361,18 +362,6 @@ def residual(a: KForm, b: KForm) -> float:
     return float(np.abs(a.vec - b.vec).max())
 
 
-def raise_slots(arr: np.ndarray, m: FrameMetric, slots) -> np.ndarray:
-    """Raise the given slots of a dense tensor with the inverse metric.
-
-    One matmul per slot, the slot swapped to the last axis and back, so the
-    cost stays 8^(rank+1) per slot.  A matmul against the exact identity is
-    exact, so orthonormal frames keep their exact zeros without a special case.
-    """
-    for s in slots:
-        arr = (arr.swapaxes(s, -1) @ m.inv).swapaxes(s, -1)
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -491,6 +480,14 @@ def form_to_dict(a: KForm) -> dict:
 
 def form_to_json(a: KForm) -> str:
     return json.dumps(form_to_dict(a), indent=2)
+
+
+def read_json(path):
+    """The JSON value in the file at path; nesting too deep to parse is refused, naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _json_int(value, name: str) -> int:

@@ -2,11 +2,11 @@
 
 Verification runs in the g-orthonormal frame: ``Geometry.build`` maps a
 structure whose metric is not IDENTITY_METRIC to the frame e'_i = B_ai e_a
-with B^T g B = I (``structure.orthonormal_frame``), the constants to
-B B c B^-1 (``LieAlgebra8.in_frame``), and keeps B as ``frame`` so a user's
-gradient df is read as B^T df.  No index is raised after that: traces sum
-over repeated frame indices.  Only ``forms`` and what takes a Spin7Form keep
-metrics, for ``spin7 decompose`` reports parts in the input frame.
+with B^T g B = I (``structure.orthonormal_frame``, kept on the structure),
+the constants to B_ai B_bj c^m_ab (B^-1)_km (``LieAlgebra8.in_frame``), and
+keeps B as ``frame`` so a user's gradient df is read as B^T df.  No index is
+raised after that: traces sum over repeated frame indices.  Only ``forms``
+keeps metrics; ``spin7 decompose`` splits in the same frame and maps back.
 
 Building computes once d phi, *d phi and -*d*phi, the three Lee-form routes
 (``lee_routes``; ``theta`` is the last), the two torsion routes

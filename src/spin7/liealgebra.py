@@ -10,7 +10,6 @@ c * e_ij" stores c^k_{ij} = -c.
 from __future__ import annotations
 
 import ast
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, _index_array, _json_field, _json_int, _json_shape, _merge_table
+from .forms import DIM, KForm, _index_array, _json_field, _json_int, _json_shape, _merge_table, read_json
 
 JACOBI_TOL = 1e-12
 
@@ -118,19 +117,6 @@ class LieAlgebra8:
     def abelian(cls, name: str = "abelian") -> "LieAlgebra8":
         return cls(name, np.zeros((DIM, DIM, DIM)))
 
-    @classmethod
-    def from_brackets(cls, constants, name: str) -> "LieAlgebra8":
-        """constants: iterable of (i, j, k, value) meaning [e_i,e_j] ∋ value*e_k."""
-        c = np.zeros((DIM, DIM, DIM))
-        for i, j, k, v in constants:
-            if not (0 <= i < DIM and 0 <= j < DIM and 0 <= k < DIM):
-                raise ValueError(f"index out of range in constant ({i},{j},{k})")
-            if i == j:
-                raise ValueError(f"bracket constant with i == j == {i}")
-            c[i, j, k] += v
-            c[j, i, k] -= v
-        return cls(name, c)
-
     def mirrored(self) -> "LieAlgebra8":
         """Opposite bracket: the right-invariant counterpart of this frame, built once and
         kept (a shipped algebra has one shared mirror per process; a user file, one per load)."""
@@ -172,14 +158,15 @@ class LieAlgebra8:
 
 
 def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
-    """Build a validated algebra from a spec dict, JSON text or file path.
+    """Build a validated algebra from a spec dict or the path of a JSON file.
 
     Schema: {"name": str, "dim": 8, "convention": "brackets" |
     "structure_equations", "constants": [{"i", "j", "k", "c"}, ...]} where
-    "c" may be a JSON number (not a bool) or exact text such as "sqrt(3)/2".
+    "c" may be a JSON number (not a bool) or exact text such as "sqrt(3)/2".  A second
+    entry for the same {i, j} and k, in either order, is refused.
     """
     if isinstance(spec, (str, Path)):
-        spec = json.loads(Path(spec).read_text())
+        spec = read_json(spec)
     if not isinstance(spec, dict):
         raise ValueError("algebra spec must be a dict or a path to a JSON file")
     if _json_int(spec.get("dim", DIM), "dim") != DIM:
@@ -188,13 +175,22 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
     if convention not in ("brackets", "structure_equations"):
         raise ValueError(f"unknown convention {convention!r}")
     sign = 1.0 if convention == "brackets" else -1.0
-    constants = []
+    c, seen = np.zeros((DIM, DIM, DIM)), set()
     for entry in _json_shape(spec.get("constants", []), list, "field 'constants'"):
         what = "each entry of 'constants'"
         entry = _json_shape(entry, dict, what)
         i, j, k = (_json_int(_json_field(entry, key, what), key) for key in "ijk")
-        constants.append((i, j, k, sign * parse_scalar(_json_field(entry, "c", what))))
-    return LieAlgebra8.from_brackets(constants, name or spec.get("name", "algebra"))
+        if not (0 <= i < DIM and 0 <= j < DIM and 0 <= k < DIM):
+            raise ValueError(f"index out of range in constant ({i},{j},{k})")
+        if i == j:
+            raise ValueError(f"bracket constant with i == j == {i}")
+        if (which := (min(i, j), max(i, j), k)) in seen:
+            raise ValueError(f"duplicate constant for [e_{i}, e_{j}] -> e_{k}")
+        seen.add(which)
+        v = sign * parse_scalar(_json_field(entry, "c", what))
+        c[i, j, k] += v
+        c[j, i, k] -= v
+    return LieAlgebra8(name or spec.get("name", "algebra"), c)
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,10 @@ orthogonal projections of 2-, 3- and 4-forms onto irreducible pieces
 (dimensions 7+21, 8+48 and 1+7+27+35).  On 2-forms b -> *(b ^ phi) has
 eigenvalues -3, +1; on 4-forms the six-term contraction operator has -24,
 -12, 4, 0.  Both split by Lagrange polynomials in the operator's matrix.
+
+The splittings are Spin(7)-equivariant, so the operators take no metric and work
+at g = I: a form is split in its structure's g-orthonormal frame (``orthonormal_frame``,
+kept on the structure) and each part is pulled back by b^-1 (``pull_back``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .forms import (
     contract_into,
     hodge_star,
     interior_product,
-    raise_slots,
     residual,
     wedge,
 )
@@ -80,8 +83,8 @@ class Spin7Form:
 
     phi: KForm
     metric: FrameMetric
-    # degree -> that degree's Lagrange projectors, filled on first use
-    _projectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree -> that degree's Lagrange projectors, "frame" -> orthonormal_frame(); filled on first use
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_form(cls, phi: KForm | Spin7Form) -> "Spin7Form":
@@ -113,9 +116,12 @@ class Spin7Form:
         """Lagrange projectors of degree 2 or 4: prod (A - mu I) and prod (lam - mu), mu != lam.
 
         One pair per lam of ``EIGENVALUES[degree]``; A is the operator's matrix over the
-        canonical monomials.  Read-only, built once per degree; apply, then divide.
+        canonical monomials.  Read-only, built once per degree; apply, then divide.  A
+        structure that ``orthonormal_frame`` maps returns its mapped structure's.
         """
-        if degree not in self._projectors:
+        if (mapped := orthonormal_frame(self)[0]) is not self:
+            return mapped.projectors(degree)
+        if degree not in self._cache:
             if degree not in EIGENVALUES:
                 raise ValueError(f"only 2- and 4-forms split by projector, got degree {degree}")
             op = lambda2_operator if degree == 2 else omega_operator
@@ -126,8 +132,8 @@ class Spin7Form:
                 num = reduce(np.matmul, [a - mu * np.eye(len(a)) for mu in others])
                 num.setflags(write=False)
                 parts.append((num, math.prod(lam - mu for mu in others)))
-            self._projectors[degree] = tuple(parts)
-        return self._projectors[degree]
+            self._cache[degree] = tuple(parts)
+        return self._cache[degree]
 
 
 @lru_cache(maxsize=None)
@@ -145,22 +151,30 @@ def _derivation_table() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return (DIM * j + m, np.arange(len(tuples))[:, None]), source
 
 
+def pull_back(form: KForm, b: np.ndarray) -> KForm:
+    """b* form: (b* beta)_ij.. = beta_ab.. b_ai b_bj ..., one slot matmul per index."""
+    arr = form.to_array()
+    for s in range(form.degree):
+        arr = (arr.swapaxes(s, -1) @ b).swapaxes(s, -1)
+    return KForm.from_array(arr)
+
+
 def orthonormal_frame(structure: Spin7Form) -> tuple[Spin7Form, np.ndarray]:
     """The structure in its g-orthonormal frame e'_i = b_ai e_a, carrying IDENTITY_METRIC, and b.
 
     b = L^-T for g = L L^T (last column negated on a negative orientation), so b^T g b = I;
-    phi' = b* phi.  A structure with IDENTITY_METRIC is returned as it is, with b = I.
+    phi' = b* phi.  A structure with IDENTITY_METRIC is returned as it is, with b = I
+    (the metric's own read-only table); any other's map is built once and kept on it.
     """
-    m, b = structure.metric, np.eye(DIM)
-    if m is not IDENTITY_METRIC:
+    m = structure.metric
+    if m is IDENTITY_METRIC:
+        return structure, m.g
+    if "frame" not in structure._cache:
         b = np.linalg.inv(np.linalg.cholesky(m.g)).T
         b[:, -1] *= m.orientation
-        p = structure.dense
-        for s in range(4):  # phi'_ijkl = phi_abcd b_ai b_bj b_ck b_dl, one slot at a time
-            p = (p.swapaxes(s, -1) @ b).swapaxes(s, -1)
-        structure = Spin7Form(KForm.from_array(p), IDENTITY_METRIC)
-    b.setflags(write=False)
-    return structure, b
+        b.setflags(write=False)
+        structure._cache["frame"] = Spin7Form(pull_back(structure.phi, b), IDENTITY_METRIC), b
+    return structure._cache["frame"]
 
 
 def canonical_phi() -> Spin7Form:
@@ -172,8 +186,8 @@ def canonical_phi() -> Spin7Form:
 # degree 2
 
 def lambda2_operator(beta: KForm, structure: Spin7Form) -> KForm:
-    """beta -> *(beta ^ phi); eigenvalues -3 on the 7-part, +1 on the 21-part."""
-    return hodge_star(wedge(beta, structure.phi), structure.metric)
+    """beta -> *(beta ^ phi) at g = I; eigenvalues -3 on the 7-part, +1 on the 21-part."""
+    return hodge_star(wedge(beta, structure.phi))
 
 
 def project_lambda2(beta: KForm, structure: Spin7Form) -> tuple[KForm, KForm]:
@@ -182,47 +196,46 @@ def project_lambda2(beta: KForm, structure: Spin7Form) -> tuple[KForm, KForm]:
 
 
 def d_operator(alpha: KForm, structure: Spin7Form) -> KForm:
-    """Four-term contraction of a 2-form against phi; kernel is the 21-part."""
+    """Four-term contraction of a 2-form against phi at g = I; kernel is the 21-part."""
     if alpha.degree != 2:
         raise ValueError(f"expected a 2-form, got degree {alpha.degree}")
-    # alpha_i^s phi_sjkl + ... is X . phi for X = alpha with its second slot raised
-    x = raise_slots(alpha.to_array(), structure.metric, (1,))
-    return KForm.from_vector(4, x.ravel() @ structure.derivation_matrix)
+    # alpha_is phi_sjkl + ... is X . phi for X = alpha
+    return KForm.from_vector(4, alpha.to_array().ravel() @ structure.derivation_matrix)
 
 
 # ---------------------------------------------------------------------------
 # degree 3
 
 def lambda3_covector(gamma: KForm, structure: Spin7Form) -> KForm:
-    """The covector a with 8-part = a . phi: a = -(1/7) gamma . phi.
+    """The covector a with 8-part = a . phi at g = I: a = -(1/7) gamma . phi.
 
     The sign is fixed so that the codifferential of phi recovers minus the
     Lee form (the convention every torsion formula in this package relies on).
+    A structure that ``orthonormal_frame`` maps is refused, not read at g = I.
     """
     if gamma.degree != 3:
         raise ValueError(f"expected a 3-form, got degree {gamma.degree}")
-    # contract_into carries 1/3!, so -(1/42) gamma^{ijk} phi_{ijka} = -(1/7) * it
-    return (-1.0 / 7.0) * contract_into(gamma, structure.phi, structure.metric)
+    if orthonormal_frame(structure)[0] is not structure:
+        raise ValueError("the structure's metric is not the identity: map it with "
+                         "orthonormal_frame first, as Geometry.build and project_* do")
+    # contract_into carries 1/3!, so -(1/42) gamma_ijk phi_ijka = -(1/7) * it
+    return (-1.0 / 7.0) * contract_into(gamma, structure.phi)
 
 
 def project_lambda3(gamma: KForm, structure: Spin7Form) -> tuple[KForm, KForm]:
     """Split a 3-form into its 8-part (a . phi) and 48-part (ker of ^ phi)."""
-    alpha = lambda3_covector(gamma, structure)
-    part8 = interior_product(alpha, structure.phi, structure.metric)
-    part48 = gamma - part8
-    return part8, part48
+    return _split(gamma, structure, 3)
 
 
 # ---------------------------------------------------------------------------
 # degree 4
 
 def omega_operator(sigma: KForm, structure: Spin7Form) -> KForm:
-    """Six-term double contraction of a 4-form against phi."""
+    """Six-term double contraction of a 4-form against phi at g = I."""
     if sigma.degree != 4:
         raise ValueError(f"expected a 4-form, got degree {sigma.degree}")
-    # M_ijkl = sigma_ijpq phi^pq_kl; Omega = M + M_iklj + M_iljk + M_jkil + M_jlki + M_klij
-    phi_up = raise_slots(structure.dense, structure.metric, (0, 1))
-    m = sigma.to_array().reshape(64, 64) @ phi_up.reshape(64, 64)
+    # M_ijkl = sigma_ijpq phi_pqkl; Omega = M + M_iklj + M_iljk + M_jkil + M_jlki + M_klij
+    m = sigma.to_array().reshape(64, 64) @ structure.dense.reshape(64, 64)
     axes = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 3, 1), (2, 0, 1, 3), (3, 0, 2, 1), (2, 3, 0, 1))
     return KForm.from_array(sum(m.reshape((DIM,) * 4).transpose(ax) for ax in axes))
 
@@ -233,11 +246,21 @@ def project_lambda4(sigma: KForm, structure: Spin7Form) -> tuple[KForm, KForm, K
 
 
 def _split(form: KForm, structure: Spin7Form, degree: int) -> tuple[KForm, ...]:
-    """form's parts under ``structure.projectors(degree)``, each numerator applied, then divided."""
+    """form's parts, split in the structure's orthonormal frame and pulled back by b^-1: each
+    projector numerator applied, then divided, or a . phi and form - a . phi, recombining exactly."""
     if form.degree != degree:
         raise ValueError(f"expected a {degree}-form, got degree {form.degree}")
-    return tuple(KForm.from_vector(degree, (1.0 / denom) * (num @ form.vec))
-                 for num, denom in structure.projectors(degree))
+    mapped, b = orthonormal_frame(structure)
+    x = form if mapped is structure else pull_back(form, b)
+    if degree == 3:
+        parts = (interior_product(lambda3_covector(x, mapped), mapped.phi),)
+    else:
+        parts = tuple(KForm.from_vector(degree, (1.0 / denom) * (num @ x.vec))
+                      for num, denom in mapped.projectors(degree))
+    if mapped is not structure:
+        b_inv = np.linalg.inv(b)
+        parts = tuple(pull_back(part, b_inv) for part in parts)
+    return parts + (form - parts[0],) if degree == 3 else parts
 
 
 def projector_ranks(structure: Spin7Form, degree: int, tol: float = 1e-6) -> tuple[int, ...]:

@@ -138,6 +138,36 @@ def test_wrong_shaped_json_exits_two_without_traceback(argv, text, message, tmp_
     assert message in proc.stderr
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--algebra"],
+    ["verify", "--algebra", "su3", "--structure"],
+    ["decompose", "--degree", "4", "--form"],
+], ids=["algebra", "structure", "decompose-form"])
+def test_deeply_nested_json_exits_two_naming_the_file(argv, tmp_path):
+    # a 100,000-deep list ended in a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    proc = run_cli_process(*argv, str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert f"{path}: JSON nested too deeply to read" in proc.stderr
+
+
+@pytest.mark.parametrize("second", [(0, 1, 2), (1, 0, 2)], ids=["same-order", "swapped"])
+def test_duplicate_algebra_constant_exits_two(second, tmp_path, capsys):
+    # two entries for [e_0, e_1] -> e_2 loaded silently as their sum
+    i, j, k = second
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"dim": 8, "constants": [
+        {"i": 0, "j": 1, "k": 2, "c": 1}, {"i": i, "j": j, "k": k, "c": 2}]}))
+    assert run_cli("verify", "--algebra", str(path)) == 2
+    assert capsys.readouterr().err == f"error: duplicate constant for [e_{i}, e_{j}] -> e_2\n"
+
+
 @pytest.mark.parametrize("argv,text,message", [
     (["verify", "--algebra", "su3", "--structure"], '{"terms": []}', "a k-form needs field 'degree'"),
     (["decompose", "--degree", "4", "--form"], '{"terms": []}', "a k-form needs field 'degree'"),

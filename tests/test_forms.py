@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin7.forms import (
-    IDENTITY_METRIC,
     FrameMetric,
     KForm,
     canonical_indices,
@@ -22,7 +21,6 @@ from spin7.forms import (
     hodge_star,
     interior_product,
     norm_sq,
-    raise_slots,
     residual,
     sort_with_sign,
     star_interior_identities_check,
@@ -304,16 +302,6 @@ def test_compound_matrix_is_the_broadcast_gather_bit_for_bit(degree):
     got = compound_matrix(gi, degree)
     assert got.flags.c_contiguous
     assert got.tobytes() == broadcast_gather_compound(gi, degree).tobytes()
-
-
-def test_raise_slots_raises_exactly_the_named_slots():
-    rng = np.random.default_rng(11)
-    t = rng.standard_normal((8,) * 4)
-    m = random_spd_metric(rng)
-    expect = np.einsum("abcd,ap,cr->pbrd", t, m.inv, m.inv)
-    assert np.max(np.abs(raise_slots(t, m, (0, 2)) - expect)) <= 1e-14
-    # against the exact identity the tensor comes back unchanged, bit for bit
-    assert np.array_equal(raise_slots(t, IDENTITY_METRIC, (0, 1, 2, 3)), t)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 import spin7.structure
+from spin7.connection import lee_form
 from spin7.forms import (
     FrameMetric,
+    IDENTITY_METRIC,
     KForm,
     canonical_indices,
+    contract_into,
     full_contraction,
     hodge_star,
     interior_product,
     norm_sq,
-    raise_slots,
     residual,
     wedge,
 )
@@ -26,15 +28,17 @@ from spin7.structure import (
     canonical_phi_form,
     d_operator,
     lambda2_operator,
+    lambda3_covector,
     metric_from_phi,
     omega_operator,
+    orthonormal_frame,
     project_lambda2,
     project_lambda3,
     project_lambda4,
     projector_ranks,
     validate_phi,
 )
-from spin7.corpus import build_structure_form, phi_t_form, remark_b_form
+from spin7.corpus import build_structure_form, corpus_algebra, phi_t_form, remark_b_form
 
 
 def random_form(rng, degree):
@@ -269,7 +273,8 @@ def test_operators_reject_wrong_degree():
 
 
 # ---------------------------------------------------------------------------
-# the split under a non-identity metric, and against the bodies it replaced
+# the split under a non-identity metric, and against the bodies it replaced.  The
+# references work in the input frame and raise indices with their own einsum.
 
 def frame(seed):
     """A = I + 0.3 N with N seeded standard normal, redrawn until det A > 0."""
@@ -289,35 +294,15 @@ def pulled_back_structure(seed):
     return Spin7Form(KForm.from_array(phi), FrameMetric(a.T @ a))
 
 
-@pytest.mark.parametrize("seed", [7, 11, 13])
-def test_split_under_a_non_identity_metric(seed, rng):
-    s = pulled_back_structure(seed)
-    # cond(A^T A) is 49, 100.1 and 16 for these frames; the tolerances hold at cond <= 101.
-    # At cond 8.2e4 (seed 3) the ranks still hold, but P^2 - P reaches 1.3e-7 and the
-    # g-products 3.5e-10 |sigma|^2
-    assert np.linalg.cond(s.metric.g) < 101.0
-    assert projector_ranks(s, 2) == (7, 21)
-    assert projector_ranks(s, 4) == (1, 7, 27, 35)
-    for num, denom in s.projectors(2) + s.projectors(4):
-        p = num / denom
-        assert np.max(np.abs(p @ p - p)) < 1e-11  # measured <= 1e-13
-    for degree, op in ((2, lambda2_operator), (4, omega_operator)):
-        sigma = random_form(rng, degree)
-        n2 = norm_sq(sigma, s.metric)
-        parts = project_lambda2(sigma, s) if degree == 2 else project_lambda4(sigma, s)
-        # measured: recombination <= 2e-16 |sigma|, eigen-equations <= 1.1e-14 |sigma|,
-        # g-products <= 1e-14 |sigma|^2
-        assert residual(sum(parts[1:], parts[0]), sigma) < 1e-13 * math.sqrt(n2)
-        for lam, part in zip(EIGENVALUES[degree], parts):
-            assert residual(op(part, s), lam * part) < 1e-12 * math.sqrt(n2)
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                assert abs(full_contraction(parts[i], parts[j], s.metric)) < 1e-12 * n2
+def reference_lambda2(beta, s):
+    """*(beta ^ phi) under the structure's own metric."""
+    return hodge_star(wedge(beta, s.phi), s.metric)
 
 
 def reference_omega(sigma, s):
-    """The six einsums that omega_operator's one matmul replaced."""
-    a, p = sigma.to_array(), raise_slots(s.dense, s.metric, (0, 1))
+    """The six einsums that omega_operator's one matmul replaced, phi^pq_kl raised by g^-1."""
+    gi = s.metric.inv
+    a, p = sigma.to_array(), np.einsum("pa,qb,abkl->pqkl", gi, gi, s.dense)
     return KForm.from_array(
         np.einsum("ijpq,pqkl->ijkl", a, p) + np.einsum("ikpq,pqlj->ijkl", a, p)
         + np.einsum("ilpq,pqjk->ijkl", a, p) + np.einsum("jkpq,pqil->ijkl", a, p)
@@ -325,8 +310,8 @@ def reference_omega(sigma, s):
 
 
 def reference_d_operator(alpha, s):
-    """The four einsums that d_operator's derivation-matrix product replaced."""
-    a2, p = raise_slots(alpha.to_array(), s.metric, (1,)), s.dense
+    """The four einsums that d_operator's derivation-matrix product replaced, alpha_i^s raised."""
+    a2, p = np.einsum("ia,as->is", alpha.to_array(), s.metric.inv), s.dense
     return KForm.from_array(
         np.einsum("is,sjkl->ijkl", a2, p) + np.einsum("js,iskl->ijkl", a2, p)
         + np.einsum("ks,ijsl->ijkl", a2, p) + np.einsum("ls,ijks->ijkl", a2, p))
@@ -334,8 +319,14 @@ def reference_d_operator(alpha, s):
 
 def reference_project_lambda2(beta, s):
     """The two-part formula: (beta - L beta) / 4 and (L beta + 3 beta) / 4."""
-    lb = lambda2_operator(beta, s)
+    lb = reference_lambda2(beta, s)
     return 0.25 * (beta - lb), 0.25 * (lb + 3.0 * beta)
+
+
+def reference_project_lambda3(gamma, s):
+    """a = -(1/7) gamma . phi under the structure's metric; the 8-part a . phi and the rest."""
+    part8 = interior_product((-1.0 / 7.0) * contract_into(gamma, s.phi, s.metric), s.phi, s.metric)
+    return part8, gamma - part8
 
 
 def reference_project_lambda4(sigma, s):
@@ -352,6 +343,48 @@ def reference_project_lambda4(sigma, s):
     return tuple(parts)
 
 
+REFERENCE_SPLITS = {2: reference_project_lambda2, 3: reference_project_lambda3,
+                    4: reference_project_lambda4}
+SPLITS = {2: project_lambda2, 3: project_lambda3, 4: project_lambda4}
+
+# seed -> (cond(A^T A), bound on P^2 - P, bound on the input-frame checks per |sigma|_g).
+# Measured at cond <= 100: P^2 - P <= 9.7e-16, input-frame checks <= 8.7e-15.  At seed 3
+# the projectors, built in the orthonormal frame, keep P^2 - P at 2.7e-13 (1.3e-7 when
+# they were built in the input frame); the input-frame references raise with g^-1 at
+# cond 8.2e4, and the checks against them reach 3.5e-10.
+SPLIT_BOUNDS = {7: (50.0, 1e-14, 1e-13), 11: (101.0, 1e-14, 1e-13), 13: (17.0, 1e-14, 1e-13),
+                3: (8.3e4, 1e-12, 1e-9)}
+
+
+@pytest.mark.parametrize("seed", [7, 11, 13, 3])
+def test_split_under_a_non_identity_metric(seed):
+    s, (cond, idem_bound, bound) = pulled_back_structure(seed), SPLIT_BOUNDS[seed]
+    rng = np.random.default_rng(seed)
+    assert np.linalg.cond(s.metric.g) < cond
+    assert projector_ranks(s, 2) == (7, 21)
+    assert projector_ranks(s, 4) == (1, 7, 27, 35)
+    for num, denom in s.projectors(2) + s.projectors(4):
+        p = num / denom
+        assert np.max(np.abs(p @ p - p)) < idem_bound
+    for degree in (2, 3, 4):
+        sigma = random_form(rng, degree)
+        n = math.sqrt(norm_sq(sigma, s.metric))
+        parts = SPLITS[degree](sigma, s)
+        # measured: recombination <= 9.4e-17 |sigma|, and exact for the 3-form
+        assert residual(sum(parts[1:], parts[0]), sigma) < 1e-15 * n
+        if degree == 3:
+            assert residual(parts[1], sigma - parts[0]) == 0.0
+        for got, want in zip(parts, REFERENCE_SPLITS[degree](sigma, s)):
+            assert residual(got, want) < bound * n
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                assert abs(full_contraction(parts[i], parts[j], s.metric)) < bound * n * n
+        if degree != 3:
+            op = reference_lambda2 if degree == 2 else reference_omega
+            for lam, part in zip(EIGENVALUES[degree], parts):
+                assert residual(op(part, s), lam * part) < bound * n
+
+
 SHIPPED = [("canonical", None), ("phi_t", 0.0), ("phi_t", math.pi / 4.0),
            ("phi_t", 3.0 * math.pi / 4.0), ("remark_b", None)]
 
@@ -359,24 +392,69 @@ SHIPPED = [("canonical", None), ("phi_t", 0.0), ("phi_t", math.pi / 4.0),
 @pytest.mark.parametrize("structure", SHIPPED + ["pullback"], ids=[
     "canonical", "phi_t(0)", "phi_t(pi/4)", "phi_t(3pi/4)", "remark_b", "pullback"])
 def test_operators_and_splits_match_their_reference_bodies(structure, rng):
+    # the operators work at g = I, so on the pullback they run on its orthonormal frame;
+    # the splits are compared in the input frame
     if structure == "pullback":
-        s, tol = pulled_back_structure(7), 1e-13  # measured 6e-15
+        s, tol = pulled_back_structure(7), 1e-13  # measured <= 2e-14 over 20 draws
     else:
-        s, tol = Spin7Form.from_form(build_structure_form(*structure)[0]), 4e-15  # measured 6e-16
+        s, tol = Spin7Form.from_form(build_structure_form(*structure)[0]), 4e-15  # measured <= 9.4e-16
+    at_identity = orthonormal_frame(s)[0]
     integer_phi = structure in (("canonical", None), ("remark_b", None))
-    sigma, beta = random_form(rng, 4), random_form(rng, 2)
-    want = reference_omega(sigma, s)
-    assert residual(omega_operator(sigma, s), want) <= 2e-15 * want.max_abs()  # measured 4e-16
-    want = reference_d_operator(beta, s)
+    sigma, beta, gamma = random_form(rng, 4), random_form(rng, 2), random_form(rng, 3)
+    want = reference_omega(sigma, at_identity)
+    assert residual(omega_operator(sigma, at_identity), want) <= 2e-15 * want.max_abs()  # measured 6.4e-16
+    want = reference_d_operator(beta, at_identity)
     if integer_phi:
-        assert d_operator(beta, s) == want
-    assert residual(d_operator(beta, s), want) <= 2e-15 * want.max_abs()  # measured 4e-16
+        assert d_operator(beta, at_identity) == want
+    assert residual(d_operator(beta, at_identity), want) <= 2e-15 * want.max_abs()  # measured 4e-16
     for got, want in zip(project_lambda2(beta, s), reference_project_lambda2(beta, s)):
         assert residual(got, want) < tol * beta.max_abs()
+    for got, want in zip(project_lambda3(gamma, s), reference_project_lambda3(gamma, s)):
+        assert residual(got, want) < tol * gamma.max_abs()
     for got, want in zip(project_lambda4(sigma, s), reference_project_lambda4(sigma, s)):
         assert residual(got, want) < tol * sigma.max_abs()
     if integer_phi:  # exact parts stay exact: (phi, 0, 0, 0)
         assert project_lambda4(s.phi, s) == reference_project_lambda4(s.phi, s)
+
+
+def test_a_structure_is_mapped_once_and_splits_with_the_mapped_projectors():
+    s = pulled_back_structure(7)
+    mapped, b = orthonormal_frame(s)
+    assert orthonormal_frame(s) is orthonormal_frame(s)
+    assert mapped.metric is IDENTITY_METRIC and not b.flags.writeable
+    assert s.projectors(2) is mapped.projectors(2)
+    assert s.projectors(4) is mapped.projectors(4)
+    again, b_again = orthonormal_frame(mapped)
+    assert again is mapped and b_again is IDENTITY_METRIC.g
+
+
+def test_lambda3_covector_refuses_a_structure_it_would_read_at_the_identity(rng):
+    s, gamma = pulled_back_structure(7), random_form(rng, 3)
+    with pytest.raises(ValueError, match="Geometry.build and project_"):
+        lambda3_covector(gamma, s)
+    # the Lee form reaches it: computed at g = I it would be silently wrong
+    with pytest.raises(ValueError, match="orthonormal_frame first"):
+        lee_form(s, corpus_algebra("su2su2u1u1"))
+    mapped = orthonormal_frame(s)[0]
+    assert lambda3_covector(gamma, mapped).degree == 1
+
+
+@pytest.mark.parametrize("structure", SHIPPED + ["pullback"], ids=[
+    "canonical", "phi_t(0)", "phi_t(pi/4)", "phi_t(3pi/4)", "remark_b", "pullback"])
+def test_derivation_matrix_is_orthogonal_to_the_27_part(structure):
+    # X -> X . phi maps gl(8) onto Lambda^4_1 + 7 + 35 (dim 43), so D's left kernel, the
+    # stabilizer spin(7), has dimension 21 and every row of D is orthogonal to the 27-part.
+    # Measured: singular values 43 and 44 are 2 and <= 1.5e-15; |P_27 D^T| <= 1.8e-15
+    # (5.6e-17 on phi0), against 0.44-0.5 for each other part
+    if structure == "pullback":
+        s = orthonormal_frame(pulled_back_structure(7))[0]
+    else:
+        s = Spin7Form.from_form(build_structure_form(*structure)[0])
+    d = s.derivation_matrix
+    assert np.linalg.matrix_rank(d, tol=1e-9) == 43
+    for (num, denom), dim in zip(s.projectors(4), (1, 7, 27, 35)):
+        size = np.max(np.abs((num / denom) @ d.T))
+        assert size < 1e-14 if dim == 27 else size > 0.1, (dim, size)
 
 
 def test_projectors_are_built_once_per_structure(monkeypatch):
