@@ -28,14 +28,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations, compress, permutations
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .report import VerificationReport, entry, na_entry
+from .report import VerificationReport, _json_loads, entry, na_entry
 
 DIM = 8
 FULL_INDEX = tuple(range(DIM))
@@ -69,7 +69,22 @@ def validate_multi_index(idx, degree: int) -> tuple[int, ...]:
     return t
 
 
-@lru_cache(maxsize=None)
+def _read_only(value):
+    """value, with every array in it (nested in tuples or not) made read-only."""
+    if isinstance(value, tuple):
+        for x in value:
+            _read_only(x)
+    else:
+        value.setflags(write=False)
+    return value
+
+
+def _shared_table(build):
+    """lru_cache for a function that builds a table every later call shares: made read-only."""
+    return lru_cache(maxsize=None)(wraps(build)(lambda *args: _read_only(build(*args))))
+
+
+@_shared_table
 def _index_array(degree: int) -> np.ndarray:
     """canonical_indices(degree) as a C(8, k) x k integer array."""
     return np.array(canonical_indices(degree), dtype=np.intp).reshape(math.comb(DIM, degree), degree)
@@ -86,7 +101,7 @@ def _sign(seqs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tables, built once per degree or degree pair
 
-@lru_cache(maxsize=None)
+@_shared_table
 def _merge_table(p: int, q: int):
     """Every disjoint pair (I, J) of canonical p- and q-tuples, ordered by I, then J.
 
@@ -101,7 +116,7 @@ def _merge_table(p: int, q: int):
     return row_of[mask_p[cols_i] | mask_q[cols_j]], cols_i, cols_j, _sign(merged)
 
 
-@lru_cache(maxsize=None)
+@_shared_table
 def _wedge_table(p: int, q: int):
     """The merge table of a p-form ^ q-form as (output row, left column, right column, sign).
 
@@ -115,7 +130,7 @@ def _wedge_table(p: int, q: int):
     return tuple(col[table[1] < table[2]] for col in table) if p == q else table
 
 
-@lru_cache(maxsize=None)
+@_shared_table
 def _dense_table(degree: int):
     """Where every reordering of every canonical k-tuple sits in the flat (8,)*k array.
 
@@ -126,7 +141,7 @@ def _dense_table(degree: int):
     return _index_array(degree)[:, perms] @ place, _sign(perms)
 
 
-@lru_cache(maxsize=None)
+@_shared_table
 def _laplace_table(degree: int):
     """_merge_table(1, k - 1) by output row: per k-tuple J and t, j_t, row of J - j_t, (-1)^t."""
     rows, cols_i, cols_j, sign = _merge_table(1, degree - 1)
@@ -174,8 +189,7 @@ class FrameMetric:
             raise ValueError("metric table has non-finite entries")
         if not np.all(np.abs(g - g.T) <= 1e-14 + 1e-5 * np.abs(g.T)):  # np.allclose's test
             raise ValueError("metric table is not symmetric")
-        g = 0.5 * (g + g.T)
-        g.setflags(write=False)
+        g = _read_only(0.5 * (g + g.T))
         object.__setattr__(self, "g", g)
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
@@ -191,9 +205,7 @@ class FrameMetric:
     # on the identity, inv, det and every compound matrix come out exact, with no -0.0
     @cached_property
     def inv(self) -> np.ndarray:
-        out = np.linalg.inv(self.g)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.linalg.inv(self.g))
 
     @cached_property
     def sqrt_det(self) -> float:
@@ -203,9 +215,7 @@ class FrameMetric:
         """The compound matrix of g^{-1} on k-forms; see ``compound_matrix``."""
         mat = self._raise.get(degree)
         if mat is None:
-            mat = compound_matrix(self.inv, degree)
-            mat.setflags(write=False)
-            self._raise[degree] = mat
+            mat = self._raise[degree] = _read_only(compound_matrix(self.inv, degree))
         return mat
 
 
@@ -232,8 +242,7 @@ class KForm:
         vec = np.zeros(len(basis))
         for idx, c in coeffs.items():
             vec[basis.index(validate_multi_index(idx, degree))] = float(c)
-        vec.setflags(write=False)
-        self.degree, self.vec = degree, vec
+        self.degree, self.vec = degree, _read_only(vec)
 
     # -- constructors -------------------------------------------------------
 
@@ -246,9 +255,8 @@ class KForm:
         if vec.shape != shape:
             raise ValueError(f"degree-{degree} coefficient vector needs shape "
                              f"{shape}, got {vec.shape}")
-        vec.setflags(write=False)
         form = cls.__new__(cls)
-        form.degree, form.vec = degree, vec
+        form.degree, form.vec = degree, _read_only(vec)
         return form
 
     @classmethod
@@ -484,10 +492,7 @@ def form_to_json(a: KForm) -> str:
 
 def read_json(path):
     """The JSON value in the file at path; nesting too deep to parse is refused, naming the file."""
-    try:
-        return json.loads(Path(path).read_text())
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    return _json_loads(Path(path).read_text(), path)
 
 
 def _json_int(value, name: str) -> int:
@@ -537,4 +542,4 @@ def form_from_dict(d: dict) -> KForm:
 
 
 def form_from_json(text: str) -> KForm:
-    return form_from_dict(json.loads(text))
+    return form_from_dict(_json_loads(text))

@@ -13,12 +13,12 @@ import ast
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, _index_array, _json_field, _json_int, _json_shape, _merge_table, read_json
+from .forms import (DIM, KForm, _index_array, _json_field, _json_int, _json_shape, _merge_table,
+                    _read_only, _shared_table, read_json)
 
 JACOBI_TOL = 1e-12
 
@@ -87,9 +87,7 @@ class LieAlgebra8:
         if asym > JACOBI_TOL * scale:
             raise ValueError(
                 f"structure constants are not antisymmetric in (i, j): residual {asym:.3e}")
-        c = 0.5 * (c - ct)
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _read_only(0.5 * (c - ct)))
         # the Jacobi sum is quadratic in c, so its rounding scales with max|c|^2;
         # past max|c| ~ 1.3e154 its products overflow to inf, or inf - inf = nan
         res, where = self.jacobi_residual()
@@ -135,8 +133,7 @@ class LieAlgebra8:
         is carried over, not checked again: a re-check in another frame sees other rounding
         against another bound, and may refuse a tensor validated at load."""
         alg = object.__new__(LieAlgebra8)
-        c = 0.5 * (c - c.transpose(1, 0, 2))
-        c.setflags(write=False)
+        c = _read_only(0.5 * (c - c.transpose(1, 0, 2)))
         for key, value in (("name", name), ("c", c), ("jacobi", self.jacobi), ("_cache", {})):
             object.__setattr__(alg, key, value)
         return alg
@@ -150,10 +147,8 @@ class LieAlgebra8:
         if mat is None:
             target, where, sign = _d_pattern(k)
             shape = (math.comb(DIM, k + 1), math.comb(DIM, k))
-            mat = np.bincount(target, sign * -self.c.ravel()[where],
-                              minlength=shape[0] * shape[1]).reshape(shape)
-            mat.setflags(write=False)
-            self._cache[k] = mat
+            mat = np.bincount(target, sign * -self.c.ravel()[where], minlength=shape[0] * shape[1])
+            mat = self._cache[k] = _read_only(mat.reshape(shape))
         return mat
 
 
@@ -193,7 +188,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
     return LieAlgebra8(name or spec.get("name", "algebra"), c)
 
 
-@lru_cache(maxsize=None)
+@_shared_table
 def _d_pattern(k: int):
     """Where each structure constant lands in the matrix of d on k-forms.
 

@@ -93,6 +93,14 @@ def na_entry(check_id: str, anchor: str, notes: str = "") -> CheckEntry:
     return CheckEntry(check_id, anchor, 0.0, 0.0, None, True, notes)
 
 
+def _json_loads(text: str, source: str = "JSON text"):
+    """json.loads(text); nesting too deep to parse is refused as a ValueError naming the source."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply to read") from None
+
+
 # to_json's layout: the entry template of json.dumps(..., indent=2), and an
 # encoder (C-accelerated, as it has no indent) that writes one value per line
 _ENTRY_FIELDS = tuple(CheckEntry.__dataclass_fields__)
@@ -158,7 +166,7 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_json_loads(text))
 
     def summary_lines(self) -> list[str]:
         lines = []

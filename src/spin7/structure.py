@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .forms import (
     IDENTITY_METRIC,
     KForm,
     _index_array,
+    _read_only,
+    _shared_table,
     canonical_indices,
     contract_into,
     hodge_star,
@@ -54,6 +56,10 @@ CANONICAL_PHI_TERMS = (
 
 # lambda2_operator on the 7-, 21-parts; omega_operator on the 1-, 7-, 27-, 35-parts
 EIGENVALUES = {2: (-3, 1), 4: (-24, -12, 4, 0)}
+
+# 6 (g_ik g_jl - g_il g_jk) at g = I, the metric side of validate_phi's two-index identity
+_TWO_INDEX_G = np.einsum("ik,jl->ijkl", 6.0 * np.eye(DIM), np.eye(DIM))
+_TWO_INDEX_G = _read_only(_TWO_INDEX_G - _TWO_INDEX_G.swapaxes(2, 3))
 
 
 def canonical_phi_form() -> KForm:
@@ -93,9 +99,7 @@ class Spin7Form:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        arr = self.phi.to_array()
-        arr.setflags(write=False)
-        return arr
+        return _read_only(self.phi.to_array())
 
     @cached_property
     def derivation_matrix(self) -> np.ndarray:
@@ -109,8 +113,7 @@ class Spin7Form:
         cells, source = _derivation_table()
         out = np.zeros((DIM * DIM, len(canonical_indices(4))))
         out[cells] = self.dense.ravel()[source]
-        out.setflags(write=False)
-        return out
+        return _read_only(out)
 
     def projectors(self, degree: int) -> tuple[tuple[np.ndarray, int], ...]:
         """Lagrange projectors of degree 2 or 4: prod (A - mu I) and prod (lam - mu), mu != lam.
@@ -129,14 +132,13 @@ class Spin7Form:
             eigs, parts = EIGENVALUES[degree], []
             for lam in eigs:
                 others = [mu for mu in eigs if mu != lam]
-                num = reduce(np.matmul, [a - mu * np.eye(len(a)) for mu in others])
-                num.setflags(write=False)
+                num = _read_only(reduce(np.matmul, [a - mu * np.eye(len(a)) for mu in others]))
                 parts.append((num, math.prod(lam - mu for mu in others)))
             self._cache[degree] = tuple(parts)
         return self._cache[degree]
 
 
-@lru_cache(maxsize=None)
+@_shared_table
 def _derivation_table() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Where ``Spin7Form.derivation_matrix`` puts phi_{J with j_s -> m}, and where it reads it.
 
@@ -275,20 +277,26 @@ def projector_ranks(structure: Spin7Form, degree: int, tol: float = 1e-6) -> tup
 def one_index_rhs(p: np.ndarray) -> np.ndarray:
     """(g g g) - (g phi) at g = I, the right side of phi_ijks phi_abcs, on canonical triples I, J.
 
-    The g g g part is the 3x3 minor of I, [I = J]; the g phi part sums the
-    nine cyclic rotations of g_ia phi_jkbc over ijk and over abc: the
-    (3 * 56)^2 products [x = u] phi_yzvw of two gathers, summed block by block.
+    [I = J] minus the nine cyclic rotations of g_ia phi_jkbc over ijk and abc,
+    which at g = I is a fixed sum of 3,528 terms phi_yzvw: one gather and one
+    bincount over the table of ``_rotations``, in the order it fixes.
     """
-    x, yz = _rotations()
-    g_phi = (x[:, None] == x) * p.reshape(64, 64)[yz][:, yz]
-    return np.eye(56) - g_phi.reshape(3, 56, 3, 56).sum(axis=(0, 2))
+    src, dst = _rotations()
+    return np.eye(56) - np.bincount(dst, p.ravel()[src], 56 * 56).reshape(56, 56)
 
 
-@lru_cache(maxsize=None)
+@_shared_table
 def _rotations() -> tuple[np.ndarray, np.ndarray]:
-    """x and 8y + z, as (x, y, z) runs over the three rotations of every triple, rotation-major."""
+    """The 3,528 terms of ``one_index_rhs``: flat index into phi's 8^4 table, and cell 56 I + J.
+
+    Rows r and columns s run over the rotations (x, y, z) of the canonical triples,
+    rotation-major.  Each (r, s) with x_r = x_s, in row-major order, reads 64 yz_r + yz_s,
+    yz = 8y + z, into cell (r mod 56, s mod 56), so a cell adds by I's rotation, then J's.
+    A cell I != J gets at most two terms; I = J gets three phi_yzyz, 0 on any 4-form.
+    """
     x, y, z = np.concatenate([np.roll(_index_array(3), -r, axis=1) for r in range(3)]).T
-    return x, DIM * y + z
+    (r, s), yz = np.nonzero(x[:, None] == x), DIM * y + z
+    return DIM * DIM * yz[r] + yz[s], r % 56 * 56 + s % 56
 
 
 def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationReport:
@@ -313,19 +321,16 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
     rep.add(entry("self_dual", anchor, residual(hodge_star(structure.phi), structure.phi), tol))
 
     p = structure.dense
-    eye = np.eye(DIM)
     # full contraction = 336
     r1 = abs(np.einsum("ijpq,ijpq->", p, p) - 336.0)
     rep.add(entry("contraction_scalar_336", anchor, r1, tol))
     # three-index contraction = 42 g, g = I in this frame
     two = p.reshape(8, 512) @ p.reshape(8, 512).T
-    r2 = float(np.max(np.abs(two - 42.0 * eye)))
+    r2 = float(np.max(np.abs(two - 42.0 * np.eye(DIM))))
     rep.add(entry("contraction_metric_42", anchor, r2, tol))
     # two shared indices: 6(g g - g g) - 4 phi; phi_pqkl = phi_klpq (pair swap, no sign)
     lhs3 = (p.reshape(64, 64) @ p.reshape(64, 64)).reshape(p.shape)
-    gg = np.einsum("ik,jl->ijkl", eye, eye)
-    rhs3 = 6.0 * (gg - gg.swapaxes(2, 3)) - 4.0 * p
-    r3 = float(np.max(np.abs(lhs3 - rhs3)))
+    r3 = float(np.max(np.abs(lhs3 - (_TWO_INDEX_G - 4.0 * p))))
     rep.add(entry("contraction_two_index", anchor, r3, tol))
     # one shared index: phi_ijks phi_abcs = (g g g) - (g phi).  Both sides
     # are antisymmetric in (i, j, k) and in (a, b, c), so their largest

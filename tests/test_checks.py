@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spin7
-from spin7 import checks
+from spin7 import checks, structure
 from spin7.checks import (
     check_bi_spin7,
     check_bianchi_family,
@@ -191,6 +191,14 @@ def test_report_round_trip(geometries):
     assert [e.check_id for e in back.entries] == [e.check_id for e in rep.entries]
 
 
+def test_report_json_text_nested_too_deeply_is_a_value_error():
+    # json.loads ended in a raw RecursionError on text nested 100,000 deep
+    from spin7.report import VerificationReport
+
+    with pytest.raises(ValueError, match="JSON text: JSON nested too deeply to read"):
+        VerificationReport.from_json("[" * 100000 + "]" * 100000)
+
+
 def test_to_json_is_json_dumps_byte_for_byte(geometries):
     from spin7.report import CheckEntry, VerificationReport, entry, na_entry
 
@@ -313,6 +321,22 @@ def test_a_shipped_structure_is_derived_once_per_process(target, monkeypatch):
     assert not slot_raisers()
     assert calls["lee_form_routes"] == 1 and calls["spin7_torsion"] == 1
     assert rep.to_json() == full_report(first).to_json()
+
+
+def test_every_report_runs_the_one_index_identity(monkeypatch):
+    # no check result is cached: a shipped structure reported twice in one process
+    # runs validate_phi's one-index identity once per report, both times
+    calls = []
+    one_index_rhs = structure.one_index_rhs
+
+    def spy(p):
+        calls.append(p)
+        return one_index_rhs(p)
+
+    monkeypatch.setattr(structure, "one_index_rhs", spy)
+    for expected in (1, 2):
+        full_report(build_geometry("su3", "canonical"))
+        assert len(calls) == expected
 
 
 def test_one_report_builds_a_bounded_number_of_forms(monkeypatch):

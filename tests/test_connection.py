@@ -40,6 +40,7 @@ from spin7.corpus import (
     remark_b_form,
 )
 from spin7.forms import (
+    FrameMetric,
     IDENTITY_METRIC,
     KForm,
     canonical_indices,
@@ -51,7 +52,15 @@ from spin7.forms import (
 )
 from spin7.liealgebra import LieAlgebra8, ce_differential, load_algebra, parse_scalar
 from spin7.geometry import Geometry
-from spin7.structure import canonical_phi, canonical_phi_form, one_index_rhs, pull_back
+from spin7.structure import (
+    Spin7Form,
+    canonical_phi,
+    canonical_phi_form,
+    one_index_rhs,
+    orthonormal_frame,
+    pull_back,
+    validate_phi,
+)
 
 
 @pytest.fixture(scope="module")
@@ -690,11 +699,61 @@ def roll_and_concatenate_rhs(g, p):
     return compound_matrix(g, 3) - g_phi.reshape(3, 56, 3, 56).sum(axis=(0, 2))
 
 
-@pytest.mark.parametrize("form", ["identity", "random_form"])
+def pulled_back_orthonormal_phi():
+    """phi' of A*phi0, A = I + 0.3 N (seed 5, det A > 0), mapped by its metric A^T A to its
+    orthonormal frame: an admissible form whose entries carry rounding, not only 0 and +-1."""
+    a = np.eye(8) + 0.3 * np.random.default_rng(5).standard_normal((8, 8))
+    assert np.linalg.det(a) > 0.0
+    structure = Spin7Form(pull_back(canonical_phi_form(), a), FrameMetric(a.T @ a))
+    return orthonormal_frame(structure)[0].dense
+
+
+def random_form_table(seed):
+    rng = np.random.default_rng(seed)
+    return KForm(4, {idx: rng.standard_normal() for idx in canonical_indices(4)}).to_array()
+
+
+ONE_INDEX_INPUTS = {
+    "identity": lambda: canonical_phi_form().to_array(),
+    "random_form": lambda: random_form_table(72),
+    "phi_t(pi/4)": lambda: phi_t_form(math.pi / 4.0).to_array(),
+    "remark_b": lambda: remark_b_form().to_array(),
+    "pulled_back": pulled_back_orthonormal_phi,
+    # no 4-form: its cells I = J get three nonzero terms, so this case pins their summation order
+    "random_table": lambda: np.random.default_rng(73).standard_normal((8,) * 4),
+}
+
+
+@pytest.mark.parametrize("form", ONE_INDEX_INPUTS)
 def test_one_index_rhs_is_the_roll_and_concatenate_version_bit_for_bit(form):
     # at g = I, the only metric it is now called with; "identity" is the canonical form
-    rng = np.random.default_rng(72)
-    p = canonical_phi_form().to_array() if form == "identity" else KForm(
-        4, {idx: rng.standard_normal() for idx in canonical_indices(4)}).to_array()
+    p = ONE_INDEX_INPUTS[form]()
     for _ in range(2):  # the cached indices are not changed by a call
         assert one_index_rhs(p).tobytes() == roll_and_concatenate_rhs(np.eye(8), p).tobytes()
+
+
+def one_index_residual(p):
+    """max |phi_ijks phi_abcs - rhs| over canonical triples, with the reference rhs."""
+    p3 = p[tuple(np.array(canonical_indices(3)).T)]
+    return float(np.max(np.abs(p3 @ p3.T - roll_and_concatenate_rhs(np.eye(8), p))))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_index_residual_of_a_non_admissible_form_is_the_reference_bit_for_bit(seed):
+    # a random 4-form is no Spin(7) form; under the identity metric validate_phi reads it
+    # as it is, so its one-index residual is the reference's, to the last bit
+    p = random_form_table(seed)
+    rep = validate_phi(Spin7Form(KForm.from_array(p), IDENTITY_METRIC))
+    got = next(e for e in rep.entries if e.check_id == "contraction_one_index")
+    assert got.residual == one_index_residual(p)
+    assert not got.passed
+
+
+def test_single_sign_flip_fails_the_one_index_identity():
+    # one flipped monomial of phi0, its metric given as the identity, so the verdict
+    # does not rest on metric_from_phi: the one-index identity misses by 2
+    coeffs = dict(canonical_phi_form().coeffs)
+    coeffs[(0, 1, 2, 7)] = 1.0
+    rep = validate_phi(Spin7Form(KForm(4, coeffs), IDENTITY_METRIC))
+    got = next(e for e in rep.entries if e.check_id == "contraction_one_index")
+    assert not got.passed and got.residual >= 1.0

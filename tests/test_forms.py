@@ -27,7 +27,8 @@ from spin7.forms import (
     volume_form,
     wedge,
 )
-from spin7.forms import _laplace_table
+from spin7 import forms, liealgebra, structure
+from spin7.forms import _laplace_table, read_json
 from spin7.structure import canonical_phi_form
 
 
@@ -442,3 +443,53 @@ def test_form_json_layout():
     f = KForm(2, {(0, 1): 1.5})
     assert json.loads(form_to_json(f)) == {
         "degree": 2, "terms": [{"idx": [0, 1], "c": 1.5}]}
+
+
+def test_form_json_text_nested_too_deeply_is_a_value_error():
+    # json.loads ended in a raw RecursionError on text nested 100,000 deep
+    with pytest.raises(ValueError, match="JSON text: JSON nested too deeply to read"):
+        form_from_json("[" * 100000 + "]" * 100000)
+
+
+def test_json_file_nested_too_deeply_is_a_value_error_naming_it(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match="deep.json: JSON nested too deeply to read"):
+        read_json(path)
+
+
+def shared_tables():
+    """Every table the package builds once and hands to every later call, by name."""
+    pairs = [(p, q) for p in range(1, 8) for q in range(1, 9 - p)]
+    yield from ((f"forms._index_array({k})", forms._index_array(k)) for k in range(9))
+    yield from ((f"forms._merge_table{pq}", forms._merge_table(*pq)) for pq in pairs)
+    yield from ((f"forms._wedge_table{pq}", forms._wedge_table(*pq)) for pq in pairs)
+    yield from ((f"forms._dense_table({k})", forms._dense_table(k)) for k in range(1, 9))
+    yield from ((f"forms._laplace_table({k})", forms._laplace_table(k)) for k in range(2, 9))
+    yield from ((f"liealgebra._d_pattern({k})", liealgebra._d_pattern(k)) for k in range(1, 8))
+    yield "structure._derivation_table()", structure._derivation_table()
+    yield "structure._rotations()", structure._rotations()
+    yield "structure._TWO_INDEX_G", structure._TWO_INDEX_G
+
+
+def arrays_in(table):
+    if isinstance(table, tuple):
+        for part in table:
+            yield from arrays_in(part)
+    else:
+        yield table
+
+
+def refuses_a_write(arr):
+    try:
+        arr[...] = arr.copy()  # the same values, so a table that takes the write is not changed
+    except ValueError:
+        return True
+    return False
+
+
+def test_shared_tables_are_read_only():
+    # a caller that wrote into one would change every later verdict in the process
+    writable = [name for name, table in shared_tables()
+                for arr in arrays_in(table) if not refuses_a_write(arr)]
+    assert not writable
