@@ -180,13 +180,11 @@ def lee_form_routes(structure: Spin7Form, star_dphi: KForm,
 def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
     """Torsion 3-form of the unique metric connection preserving the structure.
 
-    T = -*d(phi) + (7/6) * (theta ^ phi); the equivalent route
-    delta(phi) + (7/6) theta . phi is exposed by ``spin7_torsion_routes``.
-    Only this route's pieces are computed, with the routes' own expressions.
+    T = -*d(phi) + (7/6) * (theta ^ phi), the first of ``spin7_torsion_routes``.
     """
     _, star_dphi, delta_phi = phi_derivatives(structure, alg)
     theta = -1.0 * lambda3_covector(delta_phi, structure)
-    return -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, structure.phi))
+    return spin7_torsion_routes(structure, star_dphi, delta_phi, theta)[0]
 
 
 def spin7_torsion_routes(structure: Spin7Form, star_dphi: KForm, delta_phi: KForm,

@@ -35,7 +35,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .report import VerificationReport, _json_loads, entry, na_entry
+from .report import (VerificationReport, _json_field, _json_int, _json_loads, _json_number,
+                     _json_shape, entry, na_entry)
 
 DIM = 8
 FULL_INDEX = tuple(range(DIM))
@@ -495,28 +496,6 @@ def read_json(path):
     return _json_loads(Path(path).read_text(), path)
 
 
-def _json_int(value, name: str) -> int:
-    """A JSON integer field as it is; a bool, float or str is refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _json_shape(value, kind: type, what: str):
-    """A JSON object (dict) or array (list) as it is; any other value is refused."""
-    if not isinstance(value, kind):
-        shape = "an object" if kind is dict else "a list"
-        raise ValueError(f"{what} must be {shape}, got {type(value).__name__}")
-    return value
-
-
-def _json_field(obj: dict, name: str, what: str):
-    """obj[name]; a missing field is refused, naming it and the object that lacks it."""
-    if name not in obj:
-        raise ValueError(f"{what} needs field {name!r}")
-    return obj[name]
-
-
 def form_from_dict(d: dict) -> KForm:
     """A k-form from its JSON dict; coefficients must be JSON numbers, not bool or text."""
     d = _json_shape(d, dict, "a k-form")
@@ -528,9 +507,7 @@ def form_from_dict(d: dict) -> KForm:
         idx = validate_multi_index([_json_int(i, "idx") for i in idx], degree)
         if idx in coeffs:
             raise ValueError(f"duplicate multi-index {idx} in serialized form")
-        c = _json_field(term, "c", "each entry of 'terms'")
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ValueError(f"field 'c' must be a number, got {c!r}")
+        c = _json_number(_json_field(term, "c", "each entry of 'terms'"), "c")
         try:
             c = float(c)
         except OverflowError:  # a JSON integer beyond double range

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forms import (DIM, KForm, _index_array, _json_field, _json_int, _json_shape, _merge_table,
-                    _read_only, _shared_table, read_json)
+from .forms import DIM, KForm, _index_array, _merge_table, _read_only, _shared_table, read_json
+from .report import _json_field, _json_int, _json_shape
 
 JACOBI_TOL = 1e-12
 

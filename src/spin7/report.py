@@ -52,27 +52,16 @@ class CheckEntry:
                 raise ValueError(f"entry {self.check_id!r}: verdict/residual mismatch")
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "paper_anchor": self.paper_anchor,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "not_applicable": self.not_applicable,
-            "notes": self.notes,
-        }
+        return dict(zip(_ENTRY_FIELDS, _entry_values(self)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckEntry":
-        return cls(
-            check_id=d["check_id"],
-            paper_anchor=d["paper_anchor"],
-            residual=d["residual"],
-            tolerance=d["tolerance"],
-            passed=d["passed"],
-            not_applicable=d.get("not_applicable", False),
-            notes=d.get("notes", ""),
-        )
+        what = "each entry of 'entries'"
+        d = _json_shape(d, dict, what)
+        check_id, anchor, residual, tol, passed = (_json_field(d, name, what) for name in (
+            "check_id", "paper_anchor", "residual", "tolerance", "passed"))
+        return cls(check_id, anchor, _json_number(residual, "residual"), _json_number(tol, "tolerance"),
+                   passed, d.get("not_applicable", False), d.get("notes", ""))
 
 
 def entry(check_id: str, anchor: str, residual: float, tol: float, notes: str = "") -> CheckEntry:
@@ -99,6 +88,35 @@ def _json_loads(text: str, source: str = "JSON text"):
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply to read") from None
+
+
+def _json_int(value, name: str) -> int:
+    """A JSON integer field as it is; a bool, float or str is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value, name: str):
+    """A JSON number field as it is; a bool or str is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {name!r} must be a number, got {value!r}")
+    return value
+
+
+def _json_shape(value, kind: type, what: str):
+    """A JSON object (dict) or array (list) as it is; any other value is refused."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
+
+
+def _json_field(obj: dict, name: str, what: str):
+    """obj[name]; a missing field is refused, naming it and the object that lacks it."""
+    if name not in obj:
+        raise ValueError(f"{what} needs field {name!r}")
+    return obj[name]
 
 
 # to_json's layout: the entry template of json.dumps(..., indent=2), and an
@@ -160,9 +178,12 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
+        d = _json_shape(d, dict, "a report")
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {d.get('schema_version')!r}")
-        return cls(d["geometry_id"], [CheckEntry.from_dict(e) for e in d["entries"]])
+        geometry_id = _json_field(d, "geometry_id", "a report")
+        entries = _json_shape(_json_field(d, "entries", "a report"), list, "field 'entries'")
+        return cls(geometry_id, [CheckEntry.from_dict(e) for e in entries])
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -171,10 +192,7 @@ class VerificationReport:
     def summary_lines(self) -> list[str]:
         lines = []
         for e in self.entries:
-            if e.not_applicable:
-                verdict = "N/A "
-            else:
-                verdict = "PASS" if e.passed else "FAIL"
+            verdict = "N/A " if e.not_applicable else "PASS" if e.passed else "FAIL"
             line = f"{verdict}  {e.check_id:<34} residual={e.residual:.3e} tol={e.tolerance:.1e}"
             if e.notes:
                 line += f"  [{e.notes}]"

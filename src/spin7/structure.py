@@ -3,8 +3,9 @@
 The canonical form, the metric it induces, contraction identities, and the
 orthogonal projections of 2-, 3- and 4-forms onto irreducible pieces
 (dimensions 7+21, 8+48 and 1+7+27+35).  On 2-forms b -> *(b ^ phi) has
-eigenvalues -3, +1; on 4-forms the six-term contraction operator has -24,
--12, 4, 0.  Both split by Lagrange polynomials in the operator's matrix.
+eigenvalues -3, +1; on 4-forms the six-term contraction Omega has -24, -12,
+4, 0.  Both operator matrices are read off phi's coefficients through the
+(2, 2) merge table, and each degree splits by Lagrange polynomials in its matrix.
 
 The splittings are Spin(7)-equivariant, so the operators take no metric and work
 at g = I: a form is split in its structure's g-orthonormal frame (``orthonormal_frame``,
@@ -25,6 +26,7 @@ from .forms import (
     IDENTITY_METRIC,
     KForm,
     _index_array,
+    _merge_table,
     _read_only,
     _shared_table,
     canonical_indices,
@@ -32,7 +34,6 @@ from .forms import (
     hodge_star,
     interior_product,
     residual,
-    wedge,
 )
 from .report import VerificationReport, entry
 
@@ -54,7 +55,7 @@ CANONICAL_PHI_TERMS = (
     (+1, (2, 4, 6, 7)),
 )
 
-# lambda2_operator on the 7-, 21-parts; omega_operator on the 1-, 7-, 27-, 35-parts
+# b -> *(b ^ phi) on the 7-, 21-parts; Omega on the 1-, 7-, 27-, 35-parts (Spin7Form.projectors)
 EIGENVALUES = {2: (-3, 1), 4: (-24, -12, 4, 0)}
 
 # 6 (g_ik g_jl - g_il g_jk) at g = I, the metric side of validate_phi's two-index identity
@@ -118,17 +119,14 @@ class Spin7Form:
     def projectors(self, degree: int) -> tuple[tuple[np.ndarray, int], ...]:
         """Lagrange projectors of degree 2 or 4: prod (A - mu I) and prod (lam - mu), mu != lam.
 
-        One pair per lam of ``EIGENVALUES[degree]``; A is the operator's matrix over the
-        canonical monomials.  Read-only, built once per degree; apply, then divide.  A
-        structure that ``orthonormal_frame`` maps returns its mapped structure's.
+        One pair per lam of ``EIGENVALUES[degree]``; A = ``operator_matrix(phi, degree)``.
+        Read-only, built once per degree; apply, then divide.  A structure that
+        ``orthonormal_frame`` maps returns its mapped structure's.
         """
         if (mapped := orthonormal_frame(self)[0]) is not self:
             return mapped.projectors(degree)
         if degree not in self._cache:
-            if degree not in EIGENVALUES:
-                raise ValueError(f"only 2- and 4-forms split by projector, got degree {degree}")
-            op = lambda2_operator if degree == 2 else omega_operator
-            a = np.array([op(KForm.monomial(idx), self).vec for idx in canonical_indices(degree)]).T
+            a = operator_matrix(self.phi, degree)
             eigs, parts = EIGENVALUES[degree], []
             for lam in eigs:
                 others = [mu for mu in eigs if mu != lam]
@@ -136,6 +134,29 @@ class Spin7Form:
                 parts.append((num, math.prod(lam - mu for mu in others)))
             self._cache[degree] = tuple(parts)
         return self._cache[degree]
+
+
+def operator_matrix(phi: KForm, degree: int) -> np.ndarray:
+    """b -> *(b ^ phi) on 2-forms or Omega on 4-forms at g = I, read off phi's coefficients.
+
+    A 4-form f has the pair matrix F[P, Q] = sign(P Q) f_K over the (2, 2) merge table's
+    splits K = P u Q of 4-tuples.  *(b ^ phi) = b . *phi: *phi's pair matrix.  Omega(sigma)_K
+    sums sign(P Q) M[P, Q] over K's six splits, M = 2 S Phi for S, Phi sigma's and phi's pair
+    matrices, so on sigma = e^I only P = I n K gives a term: the table, 15 rows P u R per P,
+    writes 2 sign(P Q) sign(P R) Phi[Q, R] to cell (P u Q, P u R): once, or 0 on the diagonal.
+    """
+    if degree not in EIGENVALUES:
+        raise ValueError(f"only 2- and 4-forms split by projector, got degree {degree}")
+    rows, left, right, sign = _merge_table(2, 2)
+    pair = np.zeros((len(canonical_indices(2)),) * 2)
+    pair[left, right] = sign * (hodge_star(phi) if degree == 2 else phi).vec[rows]
+    if degree == 2:
+        return pair
+    k, c, s = (col.reshape(len(pair), -1) for col in (rows, right, sign))
+    a = np.zeros((len(canonical_indices(4)),) * 2)
+    a[k[:, :, None], k[:, None, :]] = (2.0 * s[:, :, None] * s[:, None, :]
+                                       * pair[c[:, :, None], c[:, None, :]])
+    return a
 
 
 @_shared_table
@@ -187,11 +208,6 @@ def canonical_phi() -> Spin7Form:
 # ---------------------------------------------------------------------------
 # degree 2
 
-def lambda2_operator(beta: KForm, structure: Spin7Form) -> KForm:
-    """beta -> *(beta ^ phi) at g = I; eigenvalues -3 on the 7-part, +1 on the 21-part."""
-    return hodge_star(wedge(beta, structure.phi))
-
-
 def project_lambda2(beta: KForm, structure: Spin7Form) -> tuple[KForm, KForm]:
     """Split a 2-form into its 7- and 21-dimensional parts."""
     return _split(beta, structure, 2)
@@ -231,16 +247,6 @@ def project_lambda3(gamma: KForm, structure: Spin7Form) -> tuple[KForm, KForm]:
 
 # ---------------------------------------------------------------------------
 # degree 4
-
-def omega_operator(sigma: KForm, structure: Spin7Form) -> KForm:
-    """Six-term double contraction of a 4-form against phi at g = I."""
-    if sigma.degree != 4:
-        raise ValueError(f"expected a 4-form, got degree {sigma.degree}")
-    # M_ijkl = sigma_ijpq phi_pqkl; Omega = M + M_iklj + M_iljk + M_jkil + M_jlki + M_klij
-    m = sigma.to_array().reshape(64, 64) @ structure.dense.reshape(64, 64)
-    axes = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 3, 1), (2, 0, 1, 3), (3, 0, 2, 1), (2, 3, 0, 1))
-    return KForm.from_array(sum(m.reshape((DIM,) * 4).transpose(ax) for ax in axes))
-
 
 def project_lambda4(sigma: KForm, structure: Spin7Form) -> tuple[KForm, KForm, KForm, KForm]:
     """Split a 4-form into the 1-, 7-, 27- and 35-dimensional eigenparts."""

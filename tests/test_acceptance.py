@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from operator_references import lambda2_operator, omega_operator
 from spin7.checks import check_closed_torsion, check_soliton, full_report
 from spin7.cli import main as cli_main
 from spin7.connection import (
@@ -34,9 +35,7 @@ from spin7.structure import (
     canonical_phi,
     canonical_phi_form,
     d_operator,
-    lambda2_operator,
     metric_from_phi,
-    omega_operator,
     project_lambda2,
     project_lambda4,
     projector_ranks,

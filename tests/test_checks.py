@@ -3,6 +3,7 @@
 import importlib
 import json
 import pkgutil
+import re
 import sys
 from collections import Counter
 
@@ -199,6 +200,31 @@ def test_report_json_text_nested_too_deeply_is_a_value_error():
         VerificationReport.from_json("[" * 100000 + "]" * 100000)
 
 
+ENTRY = {"check_id": "c", "paper_anchor": "id:a", "residual": 0.0, "tolerance": 1e-9,
+         "passed": True}
+
+
+@pytest.mark.parametrize("report,message", [
+    ([], "a report must be an object, got list"),
+    ({"schema_version": "1"}, "a report needs field 'geometry_id'"),
+    ({"schema_version": "1", "geometry_id": "g"}, "a report needs field 'entries'"),
+    ({"schema_version": "1", "geometry_id": "g", "entries": [5]},
+     "each entry of 'entries' must be an object, got int"),
+    ({"schema_version": "1", "geometry_id": "g",
+      "entries": [{k: v for k, v in ENTRY.items() if k != "paper_anchor"}]},
+     "each entry of 'entries' needs field 'paper_anchor'"),
+    ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "residual": "x"}]},
+     "field 'residual' must be a number, got 'x'"),
+], ids=["list", "no_geometry_id", "no_entries", "entry_not_an_object", "no_paper_anchor",
+        "residual_not_a_number"])
+def test_report_json_of_the_wrong_shape_is_a_value_error(report, message):
+    # each ended in a raw AttributeError, KeyError or TypeError
+    from spin7.report import VerificationReport
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        VerificationReport.from_json(json.dumps(report))
+
+
 def test_to_json_is_json_dumps_byte_for_byte(geometries):
     from spin7.report import CheckEntry, VerificationReport, entry, na_entry
 
@@ -262,8 +288,8 @@ def count_calls(monkeypatch) -> Counter:
 
 def test_derived_quantities_are_computed_once(monkeypatch):
     # one build plus one report; the mirror algebra's torsion in
-    # check_bi_spin7 is one spin7_torsion call, which computes only the *d phi
-    # route (no route tuples) and two of the four d's of 4-forms.  Each
+    # check_bi_spin7 is one spin7_torsion call, which takes the first of the
+    # route tuple and makes two of the four d's of 4-forms.  Each
     # torsion stars three 5-forms: d phi, d*phi and theta ^ phi.  The two
     # 3-tensor derivatives are nabla T for both connections (delta T reads
     # the Levi-Civita one).  No 4-tensor derivative is built: nabla phi is
@@ -289,7 +315,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     monkeypatch.setattr(np, "einsum", counted_einsum)
     full_report(built)
     assert calls["lee_form_routes"] == 1
-    assert calls["spin7_torsion_routes"] == 1
+    assert calls["spin7_torsion_routes"] == 2
     assert calls["spin7_torsion"] == 1
     assert calls["metric_from_phi"] == 1
     assert calls[("ce_differential", 1)] == 1

@@ -5,9 +5,16 @@
 antiderivation form of ``ce_differential`` and four-operand einsums in
 ``validate_phi``.  A rewrite of the numerics may move residuals in their
 last bits; it may not change a verdict, an N/A decision or a note.
+
+``data/golden_decompose.json`` holds the printed output of ``spin7
+decompose`` for seeded random 2-, 3- and 4-forms and phi0, each against
+canonical, remark_b, phi_t at t = 0.7 and a rotated phi0 (the CI's
+``rotated.json``, kept in the file), recorded while the Lambda^4 operator
+was still built one monomial at a time.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +23,12 @@ import numpy as np
 import pytest
 
 from spin7.checks import full_report
+from spin7.cli import main as cli_main
 from spin7.corpus import VERIFY_TARGETS, build_geometry, geometry_id
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_reports.json").read_text())
+DECOMPOSE = json.loads((DATA / "golden_decompose.json").read_text())
 RESIDUAL_TOL = 1e-12
 
 
@@ -59,3 +69,49 @@ def test_shared_inputs_carry_no_state_from_op_to_op():
         for i in order:
             target = VERIFY_TARGETS[i]
             assert full_report(build_geometry(*target)).to_json() == fresh[target], target
+
+
+def parse_decompose(text):
+    """decompose's printout as [(part name, norm_sq, {monomial: coefficient})], and the residual."""
+    parts = []
+    for line in text.splitlines():
+        if line.startswith("part_"):
+            name, norm = line.split(": norm_sq = ")
+            parts.append((name, float(norm), {}))
+        elif line.startswith("    e_"):
+            monomial, c = line.split()
+            parts[-1][2][monomial] = float(c)
+        else:
+            residual = float(line.removeprefix("recombination residual: "))
+    return parts, residual
+
+
+def printed_close(got, want):
+    """Within RESIDUAL_TOL, beyond the last of the 12 significant digits decompose prints."""
+    last_digit = 10.0 ** (math.floor(math.log10(abs(want))) - 11) if want else 0.0
+    return abs(got - want) <= RESIDUAL_TOL + last_digit
+
+
+@pytest.mark.parametrize("case", DECOMPOSE["cases"],
+                         ids=[f"{c['form']}-{c['structure']}" for c in DECOMPOSE["cases"]])
+def test_decompose_matches_golden(case, tmp_path, capsys):
+    form, structure = tmp_path / "form.json", case["structure"]
+    form.write_text(json.dumps(DECOMPOSE["forms"][case["form"]]))
+    if structure == "rotated":
+        structure = tmp_path / "rotated.json"
+        structure.write_text(json.dumps(DECOMPOSE["rotated"]))
+    argv = ["decompose", "--form", str(form), "--structure", str(structure),
+            "--degree", str(DECOMPOSE["forms"][case["form"]]["degree"])]
+    assert cli_main(argv + (["--t", case["t"]] if case["t"] else [])) == 0
+    got, got_residual = parse_decompose(capsys.readouterr().out)
+    want, _ = parse_decompose(case["output"])
+    assert [part[0] for part in got] == [part[0] for part in want]
+    for (name, got_norm, got_terms), (_, want_norm, want_terms) in zip(got, want):
+        assert printed_close(got_norm, want_norm), name
+        # rounding leaves ~1e-16 terms where a part vanishes: the index set above RESIDUAL_TOL
+        # is pinned, and every coefficient, present or not, is close
+        assert ({m for m, c in got_terms.items() if abs(c) > RESIDUAL_TOL}
+                == {m for m, c in want_terms.items() if abs(c) > RESIDUAL_TOL}), name
+        for m in got_terms.keys() | want_terms.keys():
+            assert printed_close(got_terms.get(m, 0.0), want_terms.get(m, 0.0)), (name, m)
+    assert got_residual <= RESIDUAL_TOL

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import spin7.structure
+from operator_references import lambda2_operator, omega_operator
 from spin7.connection import lee_form
 from spin7.forms import (
     FrameMetric,
     IDENTITY_METRIC,
     KForm,
+    _merge_table,
     canonical_indices,
     contract_into,
     full_contraction,
@@ -27,10 +29,9 @@ from spin7.structure import (
     canonical_phi,
     canonical_phi_form,
     d_operator,
-    lambda2_operator,
     lambda3_covector,
     metric_from_phi,
-    omega_operator,
+    operator_matrix,
     orthonormal_frame,
     project_lambda2,
     project_lambda3,
@@ -457,20 +458,39 @@ def test_derivation_matrix_is_orthogonal_to_the_27_part(structure):
         assert size < 1e-14 if dim == 27 else size > 0.1, (dim, size)
 
 
+@pytest.mark.parametrize("structure", SHIPPED + [("phi_t", 0.7), "pullback", "random"], ids=[
+    "canonical", "phi_t(0)", "phi_t(pi/4)", "phi_t(3pi/4)", "remark_b", "phi_t(0.7)", "pullback",
+    "random"])
+def test_operator_matrices_match_the_per_monomial_references(structure):
+    # in both builds each entry is one coefficient of phi or *phi times +/-1 or +/-2, so the
+    # matrices agree exactly on any 4-form, a non-admissible one too
+    if structure == "pullback":
+        phi = orthonormal_frame(pulled_back_structure(3))[0].phi
+    elif structure == "random":
+        phi = random_form(np.random.default_rng(18), 4)
+    else:
+        phi = build_structure_form(*structure)[0]
+    s = Spin7Form(phi, IDENTITY_METRIC)
+    for degree, op in ((2, lambda2_operator), (4, omega_operator)):
+        want = np.array([op(KForm.monomial(idx), s).vec for idx in canonical_indices(degree)]).T
+        assert np.array_equal(operator_matrix(phi, degree), want), degree
+
+
 def test_projectors_are_built_once_per_structure(monkeypatch):
-    calls = []
+    reads = []
 
-    def spy(sigma, structure):
-        calls.append(sigma)
-        return omega_operator(sigma, structure)
+    def spy(p, q):
+        reads.append((p, q))
+        return _merge_table(p, q)
 
-    monkeypatch.setattr(spin7.structure, "omega_operator", spy)
+    # operator_matrix reads the pair table once per build
+    monkeypatch.setattr(spin7.structure, "_merge_table", spy)
     s = Spin7Form.from_form(canonical_phi_form())
     first = s.projectors(4)
-    assert len(calls) == 70
+    assert reads == [(2, 2)]
     project_lambda4(s.phi, s)
     projector_ranks(s, 4)
-    assert s.projectors(4) is first and len(calls) == 70
+    assert s.projectors(4) is first and reads == [(2, 2)]
     assert [denom for _, denom in first] == [-8064, 2304, 1792, -1152]
 
 
