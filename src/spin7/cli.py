@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -140,5 +141,17 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run() -> None:
+    """The process entry point: main(), flush, then exit without interpreter teardown,
+    which holds nothing spin7 needs; an exception or a failed flush exits the ordinary way."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:  # a closed pipe: the failed flush may drop the text, so never exit 0
+        sys.exit(f"error: cannot write the output: {exc}")
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

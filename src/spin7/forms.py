@@ -35,8 +35,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .report import (VerificationReport, _json_field, _json_int, _json_loads, _json_number,
-                     _json_shape, entry, na_entry)
+from .report import (VerificationReport, _json_field, _json_kind, _json_loads, _json_shape, entry,
+                     na_entry)
 
 DIM = 8
 FULL_INDEX = tuple(range(DIM))
@@ -499,15 +499,15 @@ def read_json(path):
 def form_from_dict(d: dict) -> KForm:
     """A k-form from its JSON dict; coefficients must be JSON numbers, not bool or text."""
     d = _json_shape(d, dict, "a k-form")
-    degree = _json_int(_json_field(d, "degree", "a k-form"), "degree")
+    degree = _json_kind(_json_field(d, "degree", "a k-form"), int, "degree")
     coeffs: dict = {}
     for term in _json_shape(_json_field(d, "terms", "a k-form"), list, "field 'terms'"):
         term = _json_shape(term, dict, "each entry of 'terms'")
         idx = _json_shape(_json_field(term, "idx", "each entry of 'terms'"), list, "field 'idx'")
-        idx = validate_multi_index([_json_int(i, "idx") for i in idx], degree)
+        idx = validate_multi_index([_json_kind(i, int, "idx") for i in idx], degree)
         if idx in coeffs:
             raise ValueError(f"duplicate multi-index {idx} in serialized form")
-        c = _json_number(_json_field(term, "c", "each entry of 'terms'"), "c")
+        c = _json_kind(_json_field(term, "c", "each entry of 'terms'"), (int, float), "c")
         try:
             c = float(c)
         except OverflowError:  # a JSON integer beyond double range

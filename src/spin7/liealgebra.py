@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .forms import DIM, KForm, _index_array, _merge_table, _read_only, _shared_table, read_json
-from .report import _json_field, _json_int, _json_shape
+from .report import _json_field, _json_kind, _json_shape
 
 JACOBI_TOL = 1e-12
 
@@ -164,7 +164,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
         spec = read_json(spec)
     if not isinstance(spec, dict):
         raise ValueError("algebra spec must be a dict or a path to a JSON file")
-    if _json_int(spec.get("dim", DIM), "dim") != DIM:
+    if _json_kind(spec.get("dim", DIM), int, "dim") != DIM:
         raise ValueError(f"only dim = {DIM} algebras are supported")
     convention = spec.get("convention", "brackets")
     if convention not in ("brackets", "structure_equations"):
@@ -174,7 +174,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
     for entry in _json_shape(spec.get("constants", []), list, "field 'constants'"):
         what = "each entry of 'constants'"
         entry = _json_shape(entry, dict, what)
-        i, j, k = (_json_int(_json_field(entry, key, what), key) for key in "ijk")
+        i, j, k = (_json_kind(_json_field(entry, key, what), int, key) for key in "ijk")
         if not (0 <= i < DIM and 0 <= j < DIM and 0 <= k < DIM):
             raise ValueError(f"index out of range in constant ({i},{j},{k})")
         if i == j:

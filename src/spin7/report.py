@@ -60,8 +60,11 @@ class CheckEntry:
         d = _json_shape(d, dict, what)
         check_id, anchor, residual, tol, passed = (_json_field(d, name, what) for name in (
             "check_id", "paper_anchor", "residual", "tolerance", "passed"))
-        return cls(check_id, anchor, _json_number(residual, "residual"), _json_number(tol, "tolerance"),
-                   passed, d.get("not_applicable", False), d.get("notes", ""))
+        na = _json_kind(d.get("not_applicable", False), bool, "not_applicable")
+        return cls(_json_kind(check_id, str, "check_id"), _json_kind(anchor, str, "paper_anchor"),
+                   _json_kind(residual, (int, float), "residual"), _json_kind(tol, (int, float), "tolerance"),
+                   _json_kind(passed, type(None) if na else bool, "passed"), na,
+                   _json_kind(d.get("notes", ""), str, "notes"))
 
 
 def entry(check_id: str, anchor: str, residual: float, tol: float, notes: str = "") -> CheckEntry:
@@ -90,17 +93,14 @@ def _json_loads(text: str, source: str = "JSON text"):
         raise ValueError(f"{source}: JSON nested too deeply to read") from None
 
 
-def _json_int(value, name: str) -> int:
-    """A JSON integer field as it is; a bool, float or str is refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
-    return value
+_JSON_KINDS = {int: "an integer", (int, float): "a number", str: "a string", bool: "a boolean",
+               type(None): "null on a not-applicable entry"}
 
 
-def _json_number(value, name: str):
-    """A JSON number field as it is; a bool or str is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {name!r} must be a number, got {value!r}")
+def _json_kind(value, kind, name: str):
+    """A JSON field of a kind in _JSON_KINDS as it is; any other value is refused, not converted."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"field {name!r} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -181,7 +181,7 @@ class VerificationReport:
         d = _json_shape(d, dict, "a report")
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {d.get('schema_version')!r}")
-        geometry_id = _json_field(d, "geometry_id", "a report")
+        geometry_id = _json_kind(_json_field(d, "geometry_id", "a report"), str, "geometry_id")
         entries = _json_shape(_json_field(d, "entries", "a report"), list, "field 'entries'")
         return cls(geometry_id, [CheckEntry.from_dict(e) for e in entries])
 

@@ -215,10 +215,28 @@ ENTRY = {"check_id": "c", "paper_anchor": "id:a", "residual": 0.0, "tolerance": 
      "each entry of 'entries' needs field 'paper_anchor'"),
     ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "residual": "x"}]},
      "field 'residual' must be a number, got 'x'"),
+    # these loaded: the failing entry below as N/A, so all_passed() was True
+    ({"schema_version": "1", "geometry_id": "g",
+      "entries": [{**ENTRY, "residual": 5.0, "passed": False, "not_applicable": "false"}]},
+     "field 'not_applicable' must be a boolean, got 'false'"),
+    ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "passed": 1}]},
+     "field 'passed' must be a boolean, got 1"),
+    ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "not_applicable": True}]},
+     "field 'passed' must be null on a not-applicable entry, got True"),
+    ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "check_id": 7}]},
+     "field 'check_id' must be a string, got 7"),
+    ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "paper_anchor": 7}]},
+     "field 'paper_anchor' must be a string, got 7"),
+    ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "notes": 7}]},
+     "field 'notes' must be a string, got 7"),
+    ({"schema_version": "1", "geometry_id": 7, "entries": []},
+     "field 'geometry_id' must be a string, got 7"),
 ], ids=["list", "no_geometry_id", "no_entries", "entry_not_an_object", "no_paper_anchor",
-        "residual_not_a_number"])
+        "residual_not_a_number", "not_applicable_not_a_bool", "passed_not_a_bool",
+        "passed_not_null_on_na", "check_id_not_a_string", "paper_anchor_not_a_string",
+        "notes_not_a_string", "geometry_id_not_a_string"])
 def test_report_json_of_the_wrong_shape_is_a_value_error(report, message):
-    # each ended in a raw AttributeError, KeyError or TypeError
+    # each ended in a raw AttributeError, KeyError or TypeError, or loaded as a wrong report
     from spin7.report import VerificationReport
 
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,14 +1,17 @@
 """CLI behavior: exit codes, report files, determinism, decomposition."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+from spin7 import cli
+from spin7.checks import full_report
 from spin7.cli import main
-from spin7.corpus import VERIFY_TARGETS, geometry_id
+from spin7.corpus import VERIFY_TARGETS, build_geometry, geometry_id
 from spin7.forms import form_to_json
 from spin7.report import VerificationReport
 from spin7.structure import canonical_phi_form
@@ -19,9 +22,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# a child's stdout on a pipe is block-buffered, as in a shell, so an output lost at exit shows
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
 def run_cli_process(*argv):
     return subprocess.run([sys.executable, "-m", "spin7.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=BUFFERED_ENV)
 
 
 @pytest.mark.parametrize("target", VERIFY_TARGETS,
@@ -298,6 +305,110 @@ def test_console_entry_point_runs():
     proc = run_cli_process("corpus")
     assert proc.returncode == 0
     assert "su2su2u1u1" in proc.stdout
+
+
+# `python -m spin7.cli` leaves through cli.run(), which ends the process with os._exit
+# once both streams are flushed: what the process prints and writes must be complete
+
+@pytest.mark.parametrize("target", [("su3", "canonical", None), ("su2su2u1u1", "phi_t", "0.7")],
+                         ids=lambda t: geometry_id(*t))
+def test_piped_json_report_is_the_library_report_byte_for_byte(target, tmp_path):
+    algebra, structure, t = target
+    out = tmp_path / "r.json"
+    argv = ["verify", "--algebra", algebra, "--structure", structure, "--format", "json",
+            "--out", str(out)] + (["--t", t] if t else [])
+    proc = subprocess.run([sys.executable, "-m", "spin7.cli", *argv], capture_output=True,
+                          env=BUFFERED_ENV)
+    text = full_report(build_geometry(algebra, structure, t)).to_json()
+    assert proc.returncode == 0
+    assert proc.stdout == (text + "\n").encode()
+    assert out.read_text() == text
+    warning = b"warning: t = 0.7 is outside the corpus values 0, pi/4, 3pi/4; proceeding anyway\n"
+    assert proc.stderr == (warning if t else b"")
+
+
+def test_process_exit_codes_one_and_two(tmp_path):
+    coeffs = dict(canonical_phi_form().coeffs)
+    coeffs[(0, 1, 2, 7)] = 1.0
+    flip = tmp_path / "flip.json"
+    flip.write_text(form_to_json(KForm(4, coeffs)))
+    proc = run_cli_process("verify", "--algebra", "su3", "--structure", str(flip), "--format", "json")
+    assert proc.returncode == 1
+    entries = {e["check_id"]: e for e in json.loads(proc.stdout)["entries"]}
+    assert entries["contraction_one_index"]["passed"] is False
+    proc = run_cli_process("verify", "--algebra", str(tmp_path / "nope.json"))
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr) and proc.stdout == ""
+
+
+class _Stream:
+    """A stand-in for sys.stdout or sys.stderr that logs its flushes."""
+
+    def __init__(self, name, log, error=None):
+        self.name, self.log, self.error = name, log, error
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        self.log.append(f"flush {self.name}")
+        if self.error:
+            raise self.error
+
+
+def _stub_run(monkeypatch, outcome, stdout_error=None):
+    """Patch main, both streams and os._exit around cli.run; return the log of their calls."""
+    log = []
+
+    def fake_main():
+        log.append("main")
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", log, stdout_error))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: log.append(f"_exit {code}"))
+    return log
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_run_exits_with_mains_code_after_flushing(code, monkeypatch):
+    log = _stub_run(monkeypatch, code)
+    cli.run()
+    assert log == ["main", "flush stdout", "flush stderr", f"_exit {code}"]
+
+
+def test_run_leaves_through_sys_exit_when_the_flush_fails(monkeypatch):
+    log = _stub_run(monkeypatch, 1, stdout_error=BrokenPipeError(32, "Broken pipe"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == "error: cannot write the output: [Errno 32] Broken pipe"
+    assert log == ["main", "flush stdout"]
+
+
+@pytest.mark.parametrize("argv", [["corpus"], ["verify", "--algebra", "su3"]], ids=["corpus", "verify"])
+def test_output_into_a_closed_pipe_is_not_a_success(argv):
+    # a flush that fails on a 5 kB text drops it, so the teardown's own flush then succeeds:
+    # only run()'s handler can keep the exit code from reading 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spin7.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV)
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    assert "Broken pipe" in proc.stderr
+
+
+@pytest.mark.parametrize("error", [SystemExit(2), ValueError("boom")], ids=["argparse", "exception"])
+def test_run_lets_mains_exceptions_through(error, monkeypatch):
+    log = _stub_run(monkeypatch, error)
+    with pytest.raises(type(error)):
+        cli.run()
+    assert log == ["main"]
 
 
 def test_verify_names_file_path_geometries_by_stem(tmp_path, capsys):
