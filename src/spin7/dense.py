@@ -9,14 +9,16 @@ indices, built once on first use by inserting each index into every
 position of the permutations of the smaller ones.  Each row's sign comes
 from counting its cycles, a third way of computing a sign next to
 ``parity``'s selection sort and the inversion count in ``forms``.  Per
-degree k, a second table built once from it holds the flat index of each
-row's first k entries and the group of its last 8 - k, one group per
-distinct tail: the star sums into the 8!/k! groups, applies 1/k! and
+degree k, a second table built once from it groups the 8! rows by tail:
+row t holds, in 8!-table order, the flat index of the first k entries
+and the sign of the k! permutations whose last 8 - k entries are the
+t-th distinct tail.  The star gathers the signed terms into that
+(8!/k!, k!) shape, adds its columns left to right, applies 1/k! and
 sqrt(det g) to those sums, and only then scatters them into the 8^(8-k)
 output.  The wedge is the shuffle sum over transposed views of a (x) b,
-and ``dense_components`` scatters each coefficient onto every reordering
-of its index tuple at once, the reorderings of range(k) being the rows of
-the table that fix k..7.
+and ``dense_components`` scatters each coefficient onto the flat index of
+every reordering of its index tuple at once, the reorderings of range(k)
+being the rows of the table that fix k..7.
 """
 
 from __future__ import annotations
@@ -88,13 +90,13 @@ def dense_components(form) -> np.ndarray:
     k = form.degree
     if k == 0:
         return np.array(form.coeffs.get((), 0.0))
-    arr = np.zeros((DIM,) * k)
     idx = np.array(list(form.coeffs), dtype=np.intp).reshape(-1, k)
     vals = np.array(list(form.coeffs.values()), dtype=float)
     orders, signs = _reorderings(k)
-    # idx[:, orders][n, r] is reordering r of index tuple n
-    arr[tuple(np.moveaxis(idx[:, orders], -1, 0))] = vals[:, None] * signs
-    return arr
+    # idx[:, orders][n, r] is reordering r of index tuple n; the product is its flat index
+    out = np.zeros(DIM ** k)
+    out[idx[:, orders] @ DIM ** np.arange(k - 1, -1, -1)] = vals[:, None] * signs
+    return out.reshape((DIM,) * k)
 
 
 def dense_wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,15 +134,19 @@ def _raise_all(a: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _star_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degree k's scatter of the 8! table, as read-only int32 (8^7 < 2^31).
+    """Degree k's 8! table grouped by tail, read-only.
 
-    For each permutation P: the flat index of its head P[:k] and the group
-    id of its tail P[k:], which is the rank of that tail among the 8!/k!
-    distinct tails; and the flat index of each distinct tail, in rank order.
+    Row t lists, in 8!-table order, the k! permutations P whose tail P[k:]
+    is the t-th of the 8!/k! distinct tails: the flat index of each head
+    P[:k] and each sign (int8), both of shape (8!/k!, k!); and the flat
+    index of each distinct tail, ascending.  Indices are intp, so that no
+    gather or scatter converts them.
     """
-    perms, _ = _permutation_table()
-    tails, group = np.unique(_flat_index(perms[:, k:]), return_inverse=True)
-    tables = tuple(x.astype(np.int32) for x in (_flat_index(perms[:, :k]), group, tails))
+    perms, signs = _permutation_table()
+    tail = _flat_index(perms[:, k:])
+    # each tail occurs k! times; a stable sort keeps table order within it
+    rows = np.argsort(tail, kind="stable").reshape(-1, math.factorial(k))
+    tables = (_flat_index(perms[:, :k])[rows], signs[rows], tail[rows[:, 0]])
     for x in tables:
         x.setflags(write=False)
     return tables
@@ -153,6 +159,8 @@ def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1)
     The sums run over the 8!/k! tails that occur, in permutation order, and
     are divided by k! and scaled before they are placed in the 8^(8-k) table.
     """
+    if orientation not in (1, -1):
+        raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
     k = a.ndim if a.shape != () else 0
     if g is None:
         raised = np.asarray(a, dtype=float)
@@ -161,9 +169,12 @@ def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1)
         g = np.asarray(g, dtype=float)
         raised = _raise_all(np.asarray(a, dtype=float), np.linalg.inv(g)) if k else np.asarray(a, dtype=float)
         scale = math.sqrt(np.linalg.det(g)) * orientation
-    _, signs = _permutation_table()
-    head, group, tails = _star_table(k)
-    sums = np.bincount(group, signs * raised.ravel()[head], minlength=len(tails))
+    head, sign, tails = _star_table(k)
+    terms = sign * raised.ravel()[head]
+    # each tail's terms added in table order, as a sum from 0.0 would (which makes -0.0 +0.0)
+    sums = terms[:, 0] + 0.0
+    for j in range(1, terms.shape[1]):
+        sums += terms[:, j]
     sums /= math.factorial(k)
     sums *= scale
     out = np.zeros(DIM ** (DIM - k))
@@ -172,7 +183,9 @@ def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1)
 
 
 def dense_full_contraction(a: np.ndarray, b: np.ndarray, g: np.ndarray | None = None) -> float:
-    """Sum a_I b^I over every index tuple."""
+    """Sum a_I b^I over every index tuple of two tables of the same degree."""
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"degree mismatch: {np.ndim(a)} vs {np.ndim(b)}")
     if g is None:
         return float(np.sum(a * b))
     return float(np.sum(a * _raise_all(b, np.linalg.inv(g))))

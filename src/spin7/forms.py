@@ -35,8 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .report import (VerificationReport, _json_field, _json_kind, _json_loads, _json_shape, entry,
-                     na_entry)
+from .report import _json_field, _json_kind, _json_loads, _json_shape
 
 DIM = 8
 FULL_INDEX = tuple(range(DIM))
@@ -432,49 +431,6 @@ def full_contraction(a: KForm, b: KForm, m: FrameMetric = IDENTITY_METRIC) -> fl
 
 def norm_sq(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> float:
     return full_contraction(a, a, m)
-
-
-def star_interior_identities_check(alpha, beta: KForm,
-                                   m: FrameMetric = IDENTITY_METRIC,
-                                   tol: float = 1e-12) -> VerificationReport:
-    """Residuals of the four star/interior-product exchange identities.
-
-    For a 1-form alpha and k-form beta in dimension eight:
-        *(alpha . beta)  = (-1)^(k+1) alpha ^ *beta
-        (alpha . beta)   = *(alpha ^ *beta)
-        *(alpha . *beta) = -(alpha ^ beta)
-        (alpha . *beta)  = (-1)^k *(alpha ^ beta)
-    where . is interior product and ^ the wedge.
-    """
-    if not isinstance(alpha, KForm):
-        alpha = KForm.covector(alpha)
-    k = beta.degree
-    rep = VerificationReport("star-interior-identities")
-    anchor = "id:star-interior-exchange"
-    star_b = hodge_star(beta, m)
-
-    if k >= 1:
-        lhs1 = hodge_star(interior_product(alpha, beta, m), m)
-        rhs1 = ((-1.0) ** (k + 1)) * wedge(alpha, star_b)
-        rep.add(entry("star_of_contraction", anchor, residual(lhs1, rhs1), tol))
-        lhs2 = interior_product(alpha, beta, m)
-        rhs2 = hodge_star(wedge(alpha, star_b), m)
-        rep.add(entry("contraction_as_double_star", anchor, residual(lhs2, rhs2), tol))
-    else:
-        rep.add(na_entry("star_of_contraction", anchor, "needs degree >= 1"))
-        rep.add(na_entry("contraction_as_double_star", anchor, "needs degree >= 1"))
-
-    if k <= DIM - 1:
-        lhs3 = hodge_star(interior_product(alpha, star_b, m), m)
-        rhs3 = -1.0 * wedge(alpha, beta)
-        rep.add(entry("star_of_dual_contraction", anchor, residual(lhs3, rhs3), tol))
-        lhs4 = interior_product(alpha, star_b, m)
-        rhs4 = ((-1.0) ** k) * hodge_star(wedge(alpha, beta), m)
-        rep.add(entry("dual_contraction_as_star", anchor, residual(lhs4, rhs4), tol))
-    else:
-        rep.add(na_entry("star_of_dual_contraction", anchor, "needs degree <= 7"))
-        rep.add(na_entry("dual_contraction_as_star", anchor, "needs degree <= 7"))
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -213,14 +213,6 @@ def project_lambda2(beta: KForm, structure: Spin7Form) -> tuple[KForm, KForm]:
     return _split(beta, structure, 2)
 
 
-def d_operator(alpha: KForm, structure: Spin7Form) -> KForm:
-    """Four-term contraction of a 2-form against phi at g = I; kernel is the 21-part."""
-    if alpha.degree != 2:
-        raise ValueError(f"expected a 2-form, got degree {alpha.degree}")
-    # alpha_is phi_sjkl + ... is X . phi for X = alpha
-    return KForm.from_vector(4, alpha.to_array().ravel() @ structure.derivation_matrix)
-
-
 # ---------------------------------------------------------------------------
 # degree 3
 

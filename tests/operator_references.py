@@ -1,11 +1,25 @@
-"""The Lambda^2 and Lambda^4 operators applied to one form at a time, at g = I.
+"""Operators on forms that only the tests call, one form at a time.
 
-``Spin7Form.projectors`` reads both operator matrices off phi's coefficients;
-these are the independent references they are held against: star of a wedge,
-and the six-term contraction as one 64 x 64 matmul.
+``Spin7Form.projectors`` reads the Lambda^2 and Lambda^4 operator matrices
+off phi's coefficients; ``lambda2_operator`` and ``omega_operator`` are the
+independent references they are held against: star of a wedge, and the
+six-term contraction as one 64 x 64 matmul.  ``d_operator`` is the
+four-term contraction whose kernel is the 21-part, and
+``star_interior_identities_check`` reports the four star/interior-product
+exchange identities.
 """
 
-from spin7.forms import DIM, KForm, hodge_star, wedge
+from spin7.forms import (
+    DIM,
+    FrameMetric,
+    IDENTITY_METRIC,
+    KForm,
+    hodge_star,
+    interior_product,
+    residual,
+    wedge,
+)
+from spin7.report import VerificationReport, entry, na_entry
 from spin7.structure import Spin7Form
 
 
@@ -22,3 +36,54 @@ def omega_operator(sigma: KForm, structure: Spin7Form) -> KForm:
     m = sigma.to_array().reshape(64, 64) @ structure.dense.reshape(64, 64)
     axes = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 3, 1), (2, 0, 1, 3), (3, 0, 2, 1), (2, 3, 0, 1))
     return KForm.from_array(sum(m.reshape((DIM,) * 4).transpose(ax) for ax in axes))
+
+
+def d_operator(alpha: KForm, structure: Spin7Form) -> KForm:
+    """Four-term contraction of a 2-form against phi at g = I; kernel is the 21-part."""
+    if alpha.degree != 2:
+        raise ValueError(f"expected a 2-form, got degree {alpha.degree}")
+    # alpha_is phi_sjkl + ... is X . phi for X = alpha
+    return KForm.from_vector(4, alpha.to_array().ravel() @ structure.derivation_matrix)
+
+
+def star_interior_identities_check(alpha, beta: KForm,
+                                   m: FrameMetric = IDENTITY_METRIC,
+                                   tol: float = 1e-12) -> VerificationReport:
+    """Residuals of the four star/interior-product exchange identities.
+
+    For a 1-form alpha and k-form beta in dimension eight:
+        *(alpha . beta)  = (-1)^(k+1) alpha ^ *beta
+        (alpha . beta)   = *(alpha ^ *beta)
+        *(alpha . *beta) = -(alpha ^ beta)
+        (alpha . *beta)  = (-1)^k *(alpha ^ beta)
+    where . is interior product and ^ the wedge.
+    """
+    if not isinstance(alpha, KForm):
+        alpha = KForm.covector(alpha)
+    k = beta.degree
+    rep = VerificationReport("star-interior-identities")
+    anchor = "id:star-interior-exchange"
+    star_b = hodge_star(beta, m)
+
+    if k >= 1:
+        lhs1 = hodge_star(interior_product(alpha, beta, m), m)
+        rhs1 = ((-1.0) ** (k + 1)) * wedge(alpha, star_b)
+        rep.add(entry("star_of_contraction", anchor, residual(lhs1, rhs1), tol))
+        lhs2 = interior_product(alpha, beta, m)
+        rhs2 = hodge_star(wedge(alpha, star_b), m)
+        rep.add(entry("contraction_as_double_star", anchor, residual(lhs2, rhs2), tol))
+    else:
+        rep.add(na_entry("star_of_contraction", anchor, "needs degree >= 1"))
+        rep.add(na_entry("contraction_as_double_star", anchor, "needs degree >= 1"))
+
+    if k <= DIM - 1:
+        lhs3 = hodge_star(interior_product(alpha, star_b, m), m)
+        rhs3 = -1.0 * wedge(alpha, beta)
+        rep.add(entry("star_of_dual_contraction", anchor, residual(lhs3, rhs3), tol))
+        lhs4 = interior_product(alpha, star_b, m)
+        rhs4 = ((-1.0) ** k) * hodge_star(wedge(alpha, beta), m)
+        rep.add(entry("dual_contraction_as_star", anchor, residual(lhs4, rhs4), tol))
+    else:
+        rep.add(na_entry("star_of_dual_contraction", anchor, "needs degree <= 7"))
+        rep.add(na_entry("dual_contraction_as_star", anchor, "needs degree <= 7"))
+    return rep

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from operator_references import lambda2_operator, omega_operator
+from operator_references import d_operator, lambda2_operator, omega_operator
 from spin7.checks import check_closed_torsion, check_soliton, full_report
 from spin7.cli import main as cli_main
 from spin7.connection import (
@@ -34,7 +34,6 @@ from spin7.liealgebra import ce_differential
 from spin7.structure import (
     canonical_phi,
     canonical_phi_form,
-    d_operator,
     metric_from_phi,
     project_lambda2,
     project_lambda4,

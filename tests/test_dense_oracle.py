@@ -13,6 +13,7 @@ from spin7.dense import (
     _flat_index,
     _permutation_table,
     _raise_all,
+    _reorderings,
     _star_table,
     dense_components,
     dense_full_contraction,
@@ -242,12 +243,58 @@ def test_star_tables_are_read_only_and_built_once(monkeypatch):
         dense_star(a, g, orientation=-1)
     assert calls == []
     assert np.array_equal(dense_star(a), first)
-    head, group, tails = _star_table(3)
+    head, sign, tails = _star_table(3)
     assert _star_table(3)[0] is head
-    for x in (head, group, tails):
-        assert x.dtype == np.int32 and not x.flags.writeable
+    for x in (head, sign, tails):
+        assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 0
-    assert len(head) == len(group) == 40320
-    assert len(tails) == 40320 // math.factorial(3) == group.max() + 1
+    assert head.dtype == tails.dtype == np.intp and sign.dtype == np.int8
+    assert head.shape == sign.shape == (40320 // math.factorial(3), math.factorial(3))
+    assert len(tails) == len(head)
     assert np.all(np.diff(tails) > 0)
+
+
+def reference_components(form):
+    """The full table written through a k-tuple fancy index, one axis per slot."""
+    k = form.degree
+    if k == 0:
+        return np.array(form.coeffs.get((), 0.0))
+    arr = np.zeros((8,) * k)
+    idx = np.array(list(form.coeffs), dtype=np.intp).reshape(-1, k)
+    vals = np.array(list(form.coeffs.values()), dtype=float)
+    orders, signs = _reorderings(k)
+    arr[tuple(np.moveaxis(idx[:, orders], -1, 0))] = vals[:, None] * signs
+    return arr
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_components_match_the_tuple_scatter_byte_for_byte(degree):
+    rng = np.random.default_rng(300 + degree)
+    forms = [random_form(rng, degree), random_form(rng, degree, 1.0), KForm(degree, {})]
+    if degree:
+        forms.append(wedge(random_form(rng, 1), random_form(rng, degree - 1)))
+    for f in forms:
+        got, want = dense_components(f), reference_components(f)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_full_contraction_refuses_tables_of_different_degree():
+    e0, e01 = dense_components(KForm.monomial((0,))), dense_components(KForm.monomial((0, 1)))
+    for a, b, g in ((e0, e01, None), (e01, e0, None), (e0, e01, spd_metric(4))):
+        with pytest.raises(ValueError, match=f"degree mismatch: {a.ndim} vs {b.ndim}"):
+            dense_full_contraction(a, b, g)
+    with pytest.raises(ValueError, match="degree mismatch: 0 vs 1"):
+        dense_full_contraction(np.array(2.0), e0)
+    with pytest.raises(ValueError, match="degree mismatch: 1 vs 2"):
+        full_contraction(KForm.monomial((0,)), KForm.monomial((0, 1)))
+
+
+@pytest.mark.parametrize("orientation", [0, 2, -2, 0.5])
+def test_star_refuses_an_orientation_other_than_plus_or_minus_one(orientation):
+    a = dense_components(KForm.monomial((0, 3, 5)))
+    for g in (None, spd_metric(5)):
+        with pytest.raises(ValueError, match="orientation must be"):
+            dense_star(a, g, orientation)
+    with pytest.raises(ValueError, match="orientation must be"):
+        FrameMetric(np.eye(8), orientation=orientation)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operator_references import star_interior_identities_check
 from spin7.forms import (
     FrameMetric,
     KForm,
@@ -23,7 +24,6 @@ from spin7.forms import (
     norm_sq,
     residual,
     sort_with_sign,
-    star_interior_identities_check,
     volume_form,
     wedge,
 )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spin7.structure
-from operator_references import lambda2_operator, omega_operator
+from operator_references import d_operator, lambda2_operator, omega_operator
 from spin7.connection import lee_form
 from spin7.forms import (
     FrameMetric,
@@ -28,7 +28,6 @@ from spin7.structure import (
     Spin7Form,
     canonical_phi,
     canonical_phi_form,
-    d_operator,
     lambda3_covector,
     metric_from_phi,
     operator_matrix,
