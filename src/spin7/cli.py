@@ -73,22 +73,32 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        form = form_from_dict(read_json(args.form))
-        if form.degree != args.degree:
-            raise ValueError(
-                f"form has degree {form.degree}, --degree says {args.degree}")
-        phi, warnings = _resolve_structure(args.structure, args.t)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        structure = Spin7Form.from_form(phi)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a form too large for double precision splits into non-finite parts or norms, which
+    # are refused: one error line naming the form, no numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            form = form_from_dict(read_json(args.form))
+            if form.degree != args.degree:
+                raise ValueError(
+                    f"form has degree {form.degree}, --degree says {args.degree}")
+            phi, warnings = _resolve_structure(args.structure, args.t)
+            for w in warnings:
+                print(f"warning: {w}", file=sys.stderr)
+            structure = Spin7Form.from_form(phi)
+            project = {2: project_lambda2, 3: project_lambda3, 4: project_lambda4}[args.degree]
+            parts = project(form, structure)
+            dims = {2: (7, 21), 3: (8, 48), 4: (1, 7, 27, 35)}[args.degree]
+            norms = [norm_sq(part, structure.metric) for part in parts]
+            for dim, part, norm in zip(dims, parts, norms):
+                if not (math.isfinite(norm) and np.all(np.isfinite(part.vec))):
+                    raise ValueError(f"the form in {args.form} overflows double precision: "
+                                     f"part_{dim} has norm_sq = {norm!r}")
+        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
-    parts = {2: project_lambda2, 3: project_lambda3, 4: project_lambda4}[args.degree](form, structure)
-    for dim, part in zip({2: (7, 21), 3: (8, 48), 4: (1, 7, 27, 35)}[args.degree], parts):
-        print(f"part_{dim}: norm_sq = {norm_sq(part, structure.metric):.12g}")
+    for dim, part, norm in zip(dims, parts, norms):
+        print(f"part_{dim}: norm_sq = {norm:.12g}")
         for idx, c in part.terms():
             print(f"    e_{''.join(map(str, idx))}  {c:+.12g}")
     print(f"recombination residual: {(sum(parts[1:], parts[0]) - form).max_abs():.3e}")

@@ -11,10 +11,11 @@ Conventions used throughout the package:
   bit-identical: the (q, p) table is the (p, q) table with its columns
   swapped in the same order, and for p = q the two products of each
   unordered pair are added before accumulating.
-* Raising every index of a k-form multiplies it by the compound matrix of
-  g^{-1} (its k x k minors, by Laplace expansion), kept on the
-  ``FrameMetric`` per degree.  This is the package's one way to raise an
-  index; the structure layer works in orthonormal frames and raises none.
+* Raising every index of a k-form is its pull-back by g^{-1} (``raise_all``
+  through ``pull_back``, one slot matmul per index, the package's one frame
+  map); above degree 4 the complement is pulled back by g instead, and at
+  IDENTITY_METRIC the form is used as it is.  This is the package's one way
+  to raise an index; the structure layer works in orthonormal frames and raises none.
 * ``full_contraction(a, b, m)`` is a_I b^I over ALL index tuples, i.e. k!
   times the sum over canonical monomials.  Norms always mean that.
 * Hodge star is the contraction into vol = sqrt(det g) orientation e_{01234567}:
@@ -141,31 +142,6 @@ def _dense_table(degree: int):
     return _index_array(degree)[:, perms] @ place, _sign(perms)
 
 
-@_shared_table
-def _laplace_table(degree: int):
-    """_merge_table(1, k - 1) by output row: per k-tuple J and t, j_t, row of J - j_t, (-1)^t."""
-    rows, cols_i, cols_j, sign = _merge_table(1, degree - 1)
-    order = np.argsort(rows, kind="stable")
-    return tuple(col[order].reshape(-1, degree) for col in (cols_i, cols_j, sign))
-
-
-def compound_matrix(mat: np.ndarray, degree: int) -> np.ndarray:
-    """The k x k minors C[I, J] = det mat[I, J] over canonical monomials.
-
-    Laplace expansion along the first row, degree by degree:
-    C_k[I, J] = sum_t (-1)^t mat[i_0, j_t] C_{k-1}[I - i_0, J - j_t], one
-    gather-and-sum per degree; exact on the identity.  For g^{-1} it raises
-    every index of a k-form at once: b^I = sum_J C[I, J] b_J.  It is made C-ordered,
-    as BLAS rounds the raising downstream differently on an F-ordered operand.
-    """
-    out = np.ones((1, 1))
-    for k in range(1, degree + 1):
-        col, rest, sign = _laplace_table(k)
-        out = np.ascontiguousarray(
-            (sign * mat[col[:, 0]][:, col] * out[rest[:, 0]][:, rest]).sum(axis=-1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # frame metric
 
@@ -178,8 +154,8 @@ class FrameMetric:
 
     g: np.ndarray
     orientation: int = 1
-    # degree k -> compound matrix of g^{-1}, filled on first use
-    _raise: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the lower Cholesky factor L of g = L L^T, read-only
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
@@ -194,7 +170,7 @@ class FrameMetric:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         try:
-            np.linalg.cholesky(g)
+            object.__setattr__(self, "chol", _read_only(np.linalg.cholesky(g)))
         except np.linalg.LinAlgError:
             raise ValueError("metric table is not positive-definite") from None
 
@@ -202,7 +178,7 @@ class FrameMetric:
     def identity(cls) -> "FrameMetric":
         return cls(np.eye(DIM))
 
-    # on the identity, inv, det and every compound matrix come out exact, with no -0.0
+    # on the identity, chol, inv and det come out exact, with no -0.0
     @cached_property
     def inv(self) -> np.ndarray:
         return _read_only(np.linalg.inv(self.g))
@@ -210,13 +186,6 @@ class FrameMetric:
     @cached_property
     def sqrt_det(self) -> float:
         return float(math.sqrt(np.linalg.det(self.g)))
-
-    def raise_matrix(self, degree: int) -> np.ndarray:
-        """The compound matrix of g^{-1} on k-forms; see ``compound_matrix``."""
-        mat = self._raise.get(degree)
-        if mat is None:
-            mat = self._raise[degree] = _read_only(compound_matrix(self.inv, degree))
-        return mat
 
 
 IDENTITY_METRIC = FrameMetric.identity()
@@ -389,6 +358,30 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm.from_vector(p + q, np.bincount(rows, terms, math.comb(DIM, p + q)))
 
 
+def pull_back(form: KForm, b: np.ndarray) -> KForm:
+    """b* form: (b* beta)_ij.. = beta_ab.. b_ai b_bj ..., one slot matmul per index."""
+    arr = form.to_array()
+    for s in range(form.degree):
+        arr = (arr.swapaxes(s, -1) @ b).swapaxes(s, -1)
+    return KForm.from_array(arr)
+
+
+def raise_all(a: KForm, m: FrameMetric) -> KForm:
+    """a with every index raised by g^-1: its pull-back by g^-1, or a itself at IDENTITY_METRIC.
+
+    Above degree 4 the complement is pulled back instead, by the complementary-minor
+    identity C_k(g^-1) a = (-1)^k / det g *(g* *a), * the star at g = I, so no
+    raising builds a table of more than 8^4 entries.  1/det g is applied as 1/prod(diag L)
+    twice: within a few ulp at any scale, and in double range wherever the result is.
+    """
+    if m is IDENTITY_METRIC:
+        return a
+    if a.degree <= DIM // 2:
+        return pull_back(a, m.inv)
+    scale = 1.0 / float(np.prod(np.diag(m.chol)))
+    return (-1) ** a.degree * scale * hodge_star(scale * pull_back(hodge_star(a), m.g))
+
+
 def contract_into(alpha: KForm, beta: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
     """(1/p!) alpha^{A} beta_{A J}: a p-form contracted into a q-form, p <= q.
 
@@ -398,7 +391,7 @@ def contract_into(alpha: KForm, beta: KForm, m: FrameMetric = IDENTITY_METRIC) -
     if p > q:
         raise ValueError("contraction degree exceeds target degree")
     rows, cols_a, cols_j, sign = _merge_table(p, q - p)
-    raised = m.raise_matrix(p) @ alpha.vec
+    raised = raise_all(alpha, m).vec
     terms = sign * raised[cols_a] * beta.vec[rows]
     return KForm.from_vector(q - p, np.bincount(cols_j, terms, math.comb(DIM, q - p)))
 
@@ -426,7 +419,7 @@ def full_contraction(a: KForm, b: KForm, m: FrameMetric = IDENTITY_METRIC) -> fl
     """a_I b^I summed over ALL index tuples (no 1/k! factor)."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return math.factorial(a.degree) * float(a.vec @ (m.raise_matrix(b.degree) @ b.vec))
+    return math.factorial(a.degree) * float(a.vec @ raise_all(b, m).vec)
 
 
 def norm_sq(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> float:

@@ -33,6 +33,7 @@ from .forms import (
     contract_into,
     hodge_star,
     interior_product,
+    pull_back,
     residual,
 )
 from .report import VerificationReport, entry
@@ -174,14 +175,6 @@ def _derivation_table() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return (DIM * j + m, np.arange(len(tuples))[:, None]), source
 
 
-def pull_back(form: KForm, b: np.ndarray) -> KForm:
-    """b* form: (b* beta)_ij.. = beta_ab.. b_ai b_bj ..., one slot matmul per index."""
-    arr = form.to_array()
-    for s in range(form.degree):
-        arr = (arr.swapaxes(s, -1) @ b).swapaxes(s, -1)
-    return KForm.from_array(arr)
-
-
 def orthonormal_frame(structure: Spin7Form) -> tuple[Spin7Form, np.ndarray]:
     """The structure in its g-orthonormal frame e'_i = b_ai e_a, carrying IDENTITY_METRIC, and b.
 
@@ -193,7 +186,7 @@ def orthonormal_frame(structure: Spin7Form) -> tuple[Spin7Form, np.ndarray]:
     if m is IDENTITY_METRIC:
         return structure, m.g
     if "frame" not in structure._cache:
-        b = np.linalg.inv(np.linalg.cholesky(m.g)).T
+        b = np.linalg.inv(m.chol).T
         b[:, -1] *= m.orientation
         b.setflags(write=False)
         structure._cache["frame"] = Spin7Form(pull_back(structure.phi, b), IDENTITY_METRIC), b

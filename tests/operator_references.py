@@ -6,14 +6,20 @@ independent references they are held against: star of a wedge, and the
 six-term contraction as one 64 x 64 matmul.  ``d_operator`` is the
 four-term contraction whose kernel is the 21-part, and
 ``star_interior_identities_check`` reports the four star/interior-product
-exchange identities.
+exchange identities.  ``compound_matrix`` is the k x k minors of a matrix by
+Laplace expansion: C_k(g^-1) @ a.vec is every index of a raised, the reference
+``forms.raise_all`` is held against.
 """
+
+import numpy as np
 
 from spin7.forms import (
     DIM,
     FrameMetric,
     IDENTITY_METRIC,
     KForm,
+    _merge_table,
+    _shared_table,
     hodge_star,
     interior_product,
     residual,
@@ -21,6 +27,31 @@ from spin7.forms import (
 )
 from spin7.report import VerificationReport, entry, na_entry
 from spin7.structure import Spin7Form
+
+
+@_shared_table
+def _laplace_table(degree: int):
+    """_merge_table(1, k - 1) by output row: per k-tuple J and t, j_t, row of J - j_t, (-1)^t."""
+    rows, cols_i, cols_j, sign = _merge_table(1, degree - 1)
+    order = np.argsort(rows, kind="stable")
+    return tuple(col[order].reshape(-1, degree) for col in (cols_i, cols_j, sign))
+
+
+def compound_matrix(mat: np.ndarray, degree: int) -> np.ndarray:
+    """The k x k minors C[I, J] = det mat[I, J] over canonical monomials.
+
+    Laplace expansion along the first row, degree by degree:
+    C_k[I, J] = sum_t (-1)^t mat[i_0, j_t] C_{k-1}[I - i_0, J - j_t], one
+    gather-and-sum per degree; exact on the identity.  For g^{-1} it raises
+    every index of a k-form at once: b^I = sum_J C[I, J] b_J.  It is made C-ordered,
+    as BLAS rounds the raising downstream differently on an F-ordered operand.
+    """
+    out = np.ones((1, 1))
+    for k in range(1, degree + 1):
+        col, rest, sign = _laplace_table(k)
+        out = np.ascontiguousarray(
+            (sign * mat[col[:, 0]][:, col] * out[rest[:, 0]][:, rest]).sum(axis=-1))
+    return out
 
 
 def lambda2_operator(beta: KForm, structure: Spin7Form) -> KForm:

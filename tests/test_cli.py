@@ -293,6 +293,18 @@ def test_decompose_2form(tmp_path, capsys):
     assert "part_7: norm_sq = 0" in out
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_decompose_form_overflowing_its_norms_exits_two(degree, tmp_path, capsys):
+    # 1e300 e_0..: its parts' squared norms overflow, which printed inf and exited 0
+    path = tmp_path / f"huge{degree}.json"
+    path.write_text(form_to_json(KForm.monomial(range(degree), 1e300)))
+    assert run_cli("decompose", "--form", str(path), "--degree", str(degree)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _single_error_line(err), err
+    assert f"{path} overflows double precision" in err
+
+
 def test_corpus_listing(capsys):
     assert run_cli("corpus") == 0
     out = capsys.readouterr().out

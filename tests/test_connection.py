@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from operator_references import compound_matrix
 from spin7.checks import check_algebra, check_dt_expansion, full_report
 from spin7.connection import (
     FrameConnection,
@@ -44,9 +45,9 @@ from spin7.forms import (
     IDENTITY_METRIC,
     KForm,
     canonical_indices,
-    compound_matrix,
     form_to_json,
     interior_product,
+    pull_back,
     residual,
     wedge,
 )
@@ -58,7 +59,6 @@ from spin7.structure import (
     canonical_phi_form,
     one_index_rhs,
     orthonormal_frame,
-    pull_back,
     validate_phi,
 )
 
@@ -328,11 +328,10 @@ def test_canonical_structure_is_one_read_only_object_across_algebras():
     s = geoms[0].structure
     assert all(g.structure is s for g in geoms)
     assert s.phi is build_structure_form("canonical")[0]
-    # every shipped form induces the exact identity: one metric and its raise matrices for all
+    # every shipped form induces the exact identity: one metric and its tables for all
     assert all(build_geometry(*t).structure.metric is IDENTITY_METRIC for t in VERIFY_TARGETS)
     full_report(geoms[0])
-    tables = [s.dense, s.derivation_matrix, s.metric.g, s.metric.inv]
-    tables += [s.metric.raise_matrix(k) for k in range(9)]
+    tables = [s.dense, s.derivation_matrix, s.metric.g, s.metric.chol, s.metric.inv]
     tables += [num for degree in (2, 4) for num, _ in s.projectors(degree)]
     for table in tables:
         assert not table.flags.writeable

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operator_references import star_interior_identities_check
+from operator_references import _laplace_table, compound_matrix, star_interior_identities_check
 from spin7.forms import (
     FrameMetric,
+    IDENTITY_METRIC,
     KForm,
     canonical_indices,
-    compound_matrix,
     contract_into,
     form_from_dict,
     form_from_json,
@@ -22,13 +22,14 @@ from spin7.forms import (
     hodge_star,
     interior_product,
     norm_sq,
+    raise_all,
     residual,
     sort_with_sign,
     volume_form,
     wedge,
 )
 from spin7 import forms, liealgebra, structure
-from spin7.forms import _laplace_table, read_json
+from spin7.forms import read_json
 from spin7.structure import canonical_phi_form
 
 
@@ -281,9 +282,56 @@ def test_minor_matrix_matches_one_determinant_per_pair(degree):
     idxs = canonical_indices(degree)
     loop = np.array([[np.linalg.det(gi[np.ix_(I, J)]) for J in idxs] for I in idxs])
     assert np.max(np.abs(compound_matrix(gi, degree) - loop)) <= 1e-15
-    # the metric keeps it per degree, built once
-    assert m.raise_matrix(degree) is m.raise_matrix(degree)
-    assert np.array_equal(m.raise_matrix(degree), compound_matrix(gi, degree))
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, None], ids=["spd3", "spd4", "spd5", "identity"])
+@pytest.mark.parametrize("degree", range(9))
+def test_raise_all_is_the_compound_matrix_of_the_inverse(degree, seed):
+    # the slot pull-back by g^-1 (by g and the star above degree 4) against the
+    # k x k minors of g^-1; at the identity the form itself comes back
+    m = IDENTITY_METRIC if seed is None else random_spd_metric(np.random.default_rng(seed))
+    a = random_form(np.random.default_rng(60 + degree), degree)
+    want = compound_matrix(m.inv, degree) @ a.vec
+    got = raise_all(a, m)
+    assert got.degree == degree
+    assert np.max(np.abs(got.vec - want)) <= 5e-15 * np.max(np.abs(want))  # measured 1.2e-15
+    if m is IDENTITY_METRIC:
+        assert got is a
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e-30, 1e-3, 1e3, 1e30, 1e38])
+def test_raise_all_keeps_its_relative_error_at_any_scale(scale):
+    # above degree 4 raising divides by sqrt(det g) twice, read off the Cholesky factor:
+    # det g of the 1e-40 and 1e38 metrics leaves double range, and numpy's det,
+    # exp(log det), loses digits as |log det g| grows
+    m = FrameMetric(scale * random_spd_metric(np.random.default_rng(3)).g)
+    for degree in range(8):  # C_8(g^-1) = 1/det g is itself out of range at 1e-40
+        a = random_form(np.random.default_rng(70 + degree), degree)
+        want = compound_matrix(m.inv, degree) @ a.vec
+        # measured <= 1.3e-15; dividing by np.linalg.det read 2e-14 at 1e-30 and 1e30
+        assert np.max(np.abs(raise_all(a, m).vec - want)) <= 5e-15 * np.max(np.abs(want)), degree
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_no_contraction_builds_a_table_above_degree_four(orientation, monkeypatch):
+    # raising pulls back a k-form only for k <= 4 and the complement above it,
+    # so the 8^7 and 8^8 tables never appear
+    m = FrameMetric(random_spd_metric(np.random.default_rng(7)).g, orientation)
+    rng = np.random.default_rng(8)
+    to_array, degrees = KForm.to_array, []
+
+    def spy(form):
+        degrees.append(form.degree)
+        return to_array(form)
+
+    monkeypatch.setattr(KForm, "to_array", spy)
+    for k in range(9):
+        a, b = random_form(rng, k), random_form(rng, k)
+        hodge_star(a, m)
+        full_contraction(a, b, m)
+        for q in range(k, 9):
+            contract_into(a, random_form(rng, q), m)
+    assert degrees and max(degrees) <= 4
 
 
 def broadcast_gather_compound(mat, degree):
@@ -465,7 +513,7 @@ def shared_tables():
     yield from ((f"forms._merge_table{pq}", forms._merge_table(*pq)) for pq in pairs)
     yield from ((f"forms._wedge_table{pq}", forms._wedge_table(*pq)) for pq in pairs)
     yield from ((f"forms._dense_table({k})", forms._dense_table(k)) for k in range(1, 9))
-    yield from ((f"forms._laplace_table({k})", forms._laplace_table(k)) for k in range(2, 9))
+    yield from ((f"operator_references._laplace_table({k})", _laplace_table(k)) for k in range(2, 9))
     yield from ((f"liealgebra._d_pattern({k})", liealgebra._d_pattern(k)) for k in range(1, 8))
     yield "structure._derivation_table()", structure._derivation_table()
     yield "structure._rotations()", structure._rotations()

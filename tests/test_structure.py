@@ -428,6 +428,20 @@ def test_a_structure_is_mapped_once_and_splits_with_the_mapped_projectors():
     assert again is mapped and b_again is IDENTITY_METRIC.g
 
 
+def test_the_orthonormal_frame_reads_the_metrics_cholesky_factor(monkeypatch):
+    # g = L L^T is factored once, when the metric is made, and kept on it read-only
+    s = pulled_back_structure(7)
+    chol = s.metric.chol
+    assert not chol.flags.writeable
+    assert np.array_equal(chol, np.linalg.cholesky(s.metric.g))
+
+    def refuse(g):
+        raise AssertionError("the metric's factor is computed again")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    assert np.array_equal(orthonormal_frame(s)[1], np.linalg.inv(chol).T)
+
+
 def test_lambda3_covector_refuses_a_structure_it_would_read_at_the_identity(rng):
     s, gamma = pulled_back_structure(7), random_form(rng, 3)
     with pytest.raises(ValueError, match="Geometry.build and project_"):
