@@ -4,9 +4,16 @@ Each check evaluates one named identity on a Geometry over all free index
 tuples and reports the max-abs residual.  Unconditional identities (first
 Bianchi family, Ricci relations, the torsion-form identities) must pass on
 any admissible input and double as the engine's self-test.  Conditional
-statements gate on their hypothesis: when it fails they emit
-not-applicable entries; equivalence theorems become verdict-agreement
-entries, never one-sided assertions.
+statements gate on their hypothesis; equivalence theorems become
+verdict-agreement entries, never one-sided assertions.
+
+A group declares its rows on its ``_report_of`` decorator: (check_id,
+anchor), or (check_id, anchor, gate) for a conditional row.  ``GATES`` names
+each hypothesis once, as a residual read off the Geometry plus the note its
+not-applicable entries carry; an entry applies iff its gate's residual is
+<= tol.  The group itself is a generator of (check_id, value) pairs, and the
+decorator builds every entry, N/A ones included, from the rows.  ``CHECKS``
+is the report order and ``ENTRIES`` the catalog of every row in it.
 """
 
 from __future__ import annotations
@@ -20,27 +27,8 @@ from .connection import covariant_derivative, spin7_torsion, torsion_tensor
 from .forms import KForm, contract_into, full_contraction, interior_product, residual, wedge
 from .geometry import Geometry, SolitonData
 from .liealgebra import ce_differential
-from .report import (
-    DEFAULT_TOL,
-    VerificationReport,
-    agreement_entry,
-    entry,
-    na_entry,
-)
-from .structure import project_lambda2, validate_phi
-
-
-def _report_of(fn):
-    """Package a list-of-entries check as a named VerificationReport."""
-
-    @functools.wraps(fn)
-    def wrapper(geom, *args, **kwargs):
-        return VerificationReport(geom.name, fn(geom, *args, **kwargs))
-
-    return wrapper
-
-
-FERNANDEZ_LABELS = ("W_0", "W_1", "W_2", "locally_conformally_balanced", "strong")
+from .report import DEFAULT_TOL, VerificationReport, agreement_entry, entry, na_entry
+from .structure import phi_identities, project_lambda2
 
 
 def _maxabs(arr) -> float:
@@ -48,286 +36,301 @@ def _maxabs(arr) -> float:
     return float(arr.max()) if arr.size else 0.0
 
 
+# gate -> (its residual on a Geometry, the note of the entries it puts out of scope)
+GATES = {
+    "first_bianchi": (lambda geom: _maxabs(geom.bianchi_cycle),
+                      "first Bianchi identity does not hold here"),
+    "closed_torsion": (lambda geom: geom.dtorsion.max_abs(), "torsion is not closed here"),
+    "symmetric_ricci": (lambda geom: geom.delta_torsion.max_abs(),
+                        "Ricci tensor is not symmetric here"),
+    # d theta in the 21-part, R pair-symmetric, Ric = 0; np.max keeps a nan
+    "pair_symmetry": (lambda geom: float(np.max((geom.dtheta7.max_abs(),
+                                                 _maxabs(geom.pair_asymmetry), _maxabs(geom.ric)))),
+                      "pair-symmetry hypotheses fail here"),
+}
+
+
+def _report_of(*rows):
+    """Make a generator of (check_id, value) pairs a group returning a named VerificationReport.
+
+    A value is a residual, a (residual, notes) pair, or a list of verdicts
+    that an agreement entry requires to agree.  The rows are walked in order
+    and the generator advanced once per row; from the first row whose gate's
+    residual is not <= tol, it is advanced no further and every row left is
+    not applicable with that gate's note.  A yielded id other than its row's
+    raises.
+    """
+    rows = tuple((check_id, anchor, gate[0] if gate else None) for check_id, anchor, *gate in rows)
+    # a gate is read on the first of a run of rows that share it; the rest share its verdict
+    walk = [(check_id, anchor, gate if gate != before else None)
+            for (check_id, anchor, gate), before in zip(rows, (None, *(row[2] for row in rows)))]
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def group(geom, *args, tol=DEFAULT_TOL, **kwargs):
+            values = fn(geom, *args, tol=tol, **kwargs)
+            entries = []
+            for check_id, anchor, gate in walk:
+                if gate is not None:
+                    gate_residual, note = GATES[gate]
+                    if not gate_residual(geom) <= tol:
+                        entries += [na_entry(i, a, note) for i, a, _ in rows[len(entries):]]
+                        break
+                got, value = next(values, (None, None))
+                if got != check_id:
+                    raise RuntimeError(f"{fn.__name__} yielded {got!r} for the row {check_id!r}")
+                if type(value) is list:
+                    entries.append(agreement_entry(check_id, anchor, value, tol))
+                elif type(value) is tuple:
+                    entries.append(entry(check_id, anchor, value[0], tol, value[1]))
+                else:
+                    entries.append(entry(check_id, anchor, value, tol))
+            else:
+                if (extra := next(values, None)) is not None:
+                    raise RuntimeError(f"{fn.__name__} yielded {extra[0]!r} past its last row")
+            return VerificationReport(geom.name, entries)
+
+        group.rows = rows
+        return group
+
+    return decorate
+
+
+FERNANDEZ_LABELS = ("W_0", "W_1", "W_2", "locally_conformally_balanced", "strong")
+
+
 def _phi_trace(geom: Geometry, x: np.ndarray) -> np.ndarray:
     """X_iabc phi_jabc, one (8, 512) x (512, 8) matmul."""
     return x.reshape(8, 512) @ geom.structure.dense.reshape(8, 512).T
 
 
-@_report_of
-def check_structure(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    return validate_phi(geom.structure, tol).entries
+@_report_of(*((i, "id:fundamental-form-identities") for i in (
+    "induced_metric_spd", "self_dual", "contraction_scalar_336", "contraction_metric_42",
+    "contraction_two_index", "contraction_one_index")))
+def check_structure(geom: Geometry, tol: float = DEFAULT_TOL):
+    yield "induced_metric_spd", 0.0  # a Geometry's structure carries its metric
+    yield from phi_identities(geom.structure)
 
 
-@_report_of
-def check_algebra(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(("jacobi_identity", "id:jacobi"), ("differential_squares_to_zero", "id:d-squared"))
+def check_algebra(geom: Geometry, tol: float = DEFAULT_TOL):
     alg = geom.algebra
-    jac, _ = alg.jacobi
+    yield "jacobi_identity", alg.jacobi[0]
     # d of every basis covector, then d again: its columns are d(d e^k)
-    dd = _maxabs(alg.d_matrix(2) @ alg.d_matrix(1))
-    return [
-        entry("jacobi_identity", "id:jacobi", jac, tol),
-        entry("differential_squares_to_zero", "id:d-squared", dd, tol),
-    ]
+    yield "differential_squares_to_zero", _maxabs(alg.d_matrix(2) @ alg.d_matrix(1))
 
 
-@_report_of
-def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(
+    ("lc_metric_compatibility", "id:metric-connection"), ("lc_torsion_free", "id:levi-civita"),
+    ("torsion_connection_metric", "id:metric-connection"),
+    ("torsion_recovery", "id:prescribed-torsion"),
+    ("parallel_fundamental_form", "id:characteristic-connection"),
+    ("parallel_metric", "id:metric-connection"),
+    ("curvature_antisymmetry", "id:curvature-skew-pairs"),
+    ("curvature_antisymmetry_lc", "id:curvature-skew-pairs"),
+    ("curvature_in_stabilizer", "id:curvature-in-stabilizer"))
+def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL):
     alg = geom.algebra
-    torsion_free = _maxabs(torsion_tensor(geom.lc, alg))
-    recovery = _maxabs(torsion_tensor(geom.conn, alg) - geom.t3)
+    yield "lc_metric_compatibility", geom.lc.metric_compat_residual()
+    yield "lc_torsion_free", _maxabs(torsion_tensor(geom.lc, alg))
+    yield "torsion_connection_metric", geom.conn.metric_compat_residual()
+    yield "torsion_recovery", _maxabs(torsion_tensor(geom.conn, alg) - geom.t3)
     # nabla phi on phi's 70 canonical components: -Gamma.reshape(8, 64) @ D
-    nabla_phi = _maxabs(geom.conn.gamma.reshape(8, 64) @ geom.structure.derivation_matrix)
-    nabla_g = max(
-        _maxabs(covariant_derivative(geom.conn, np.eye(8))),
-        _maxabs(covariant_derivative(geom.lc, np.eye(8))),
-    )
+    yield "parallel_fundamental_form", _maxabs(
+        geom.conn.gamma.reshape(8, 64) @ geom.structure.derivation_matrix)
+    yield "parallel_metric", max(_maxabs(covariant_derivative(geom.conn, np.eye(8))),
+                                 _maxabs(covariant_derivative(geom.lc, np.eye(8))))
+    yield "curvature_antisymmetry", geom.curv.antisymmetry_residual()
+    yield "curvature_antisymmetry_lc", geom.curv_lc.antisymmetry_residual()
     R = geom.curv.R
-    rr = _maxabs((R.reshape(64, 64) @ geom.structure.dense.reshape(64, 64)).reshape(R.shape)
-                 - 2.0 * R)
-    return [
-        entry("lc_metric_compatibility", "id:metric-connection", geom.lc.metric_compat_residual(), tol),
-        entry("lc_torsion_free", "id:levi-civita", torsion_free, tol),
-        entry("torsion_connection_metric", "id:metric-connection", geom.conn.metric_compat_residual(), tol),
-        entry("torsion_recovery", "id:prescribed-torsion", recovery, tol),
-        entry("parallel_fundamental_form", "id:characteristic-connection", nabla_phi, tol),
-        entry("parallel_metric", "id:metric-connection", nabla_g, tol),
-        entry("curvature_antisymmetry", "id:curvature-skew-pairs", geom.curv.antisymmetry_residual(), tol),
-        entry("curvature_antisymmetry_lc", "id:curvature-skew-pairs", geom.curv_lc.antisymmetry_residual(), tol),
-        entry("curvature_in_stabilizer", "id:curvature-in-stabilizer", rr, tol),
-    ]
+    yield "curvature_in_stabilizer", _maxabs(
+        (R.reshape(64, 64) @ geom.structure.dense.reshape(64, 64)).reshape(R.shape) - 2.0 * R)
 
 
-@_report_of
-def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(
+    ("lee_form_routes_agree", "id:lee-form"), ("lee_from_torsion_contraction", "id:lee-from-torsion"),
+    ("torsion_routes_agree", "id:characteristic-torsion"),
+    ("delta_phi_from_torsion", "id:codifferential-of-phi"),
+    ("torsion_fixed_point", "id:torsion-fixed-point"),
+    ("codifferential_48_part", "id:codifferential-48-part"),
+    ("torsion_48_split", "id:torsion-norm-split"), ("torsion_norm_split", "id:torsion-norm-split"),
+    ("lee_contraction_exchange", "id:lee-contraction-exchange"))
+def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
     phi = geom.structure.phi
-    out = []
-
     r1, r2, r3 = geom.lee_routes
-    routes = max(residual(r1, r3), residual(r2, r3))
-    out.append(entry("lee_form_routes_agree", "id:lee-form", routes, tol))
-
+    yield "lee_form_routes_agree", max(residual(r1, r3), residual(r2, r3))
     # theta_i = -(1/7) T_abc phi_abci, and contract_into carries 1/3!
-    tit = residual(geom.theta, (-6.0 / 7.0) * contract_into(geom.torsion, phi))
-    out.append(entry("lee_from_torsion_contraction", "id:lee-from-torsion", tit, tol))
-
-    ta, tb = geom.torsion_routes
-    out.append(entry("torsion_routes_agree", "id:characteristic-torsion",
-                     residual(ta, tb), tol))
+    yield "lee_from_torsion_contraction", residual(
+        geom.theta, (-6.0 / 7.0) * contract_into(geom.torsion, phi))
+    yield "torsion_routes_agree", residual(*geom.torsion_routes)
 
     # fixed-point form of the torsion and the codifferential of phi; x_klm = T_jsk phi_jslm
     x = (geom.t3.reshape(64, 8).T @ geom.structure.dense.reshape(64, 64)).reshape(8, 8, 8)
     half = 0.5 * (x - x.transpose(1, 0, 2) + x.transpose(1, 2, 0))
-    out.append(entry("delta_phi_from_torsion", "id:codifferential-of-phi",
-                     _maxabs(geom.delta_phi.to_array() - half), tol))
+    yield "delta_phi_from_torsion", _maxabs(geom.delta_phi.to_array() - half)
     theta_phi = interior_product(geom.theta, phi)
-    torcy2 = geom.t3 - (half + (7.0 / 6.0) * theta_phi.to_array())
-    out.append(entry("torsion_fixed_point", "id:torsion-fixed-point", _maxabs(torcy2), tol))
+    yield "torsion_fixed_point", _maxabs(geom.t3 - (half + (7.0 / 6.0) * theta_phi.to_array()))
 
     part48 = geom.delta_phi48
-    out.append(entry("codifferential_48_part", "id:codifferential-48-part",
-                     residual(part48, geom.delta_phi + theta_phi), tol))
-
-    split = residual(geom.torsion, part48 + (1.0 / 6.0) * theta_phi)
-    out.append(entry("torsion_48_split", "id:torsion-norm-split", split, tol))
-    norm_split = abs(geom.torsion_norm_sq
-                     - geom.delta_phi48_norm_sq - (7.0 / 6.0) * geom.theta_norm_sq)
-    out.append(entry("torsion_norm_split", "id:torsion-norm-split", norm_split, tol))
-
-    thet = residual(interior_product(geom.theta, geom.delta_phi),
-                    interior_product(geom.theta, geom.torsion))
-    out.append(entry("lee_contraction_exchange", "id:lee-contraction-exchange", thet, tol))
-    return out
+    yield "codifferential_48_part", residual(part48, geom.delta_phi + theta_phi)
+    yield "torsion_48_split", residual(geom.torsion, part48 + (1.0 / 6.0) * theta_phi)
+    yield "torsion_norm_split", abs(geom.torsion_norm_sq - geom.delta_phi48_norm_sq
+                                    - (7.0 / 6.0) * geom.theta_norm_sq)
+    yield "lee_contraction_exchange", residual(interior_product(geom.theta, geom.delta_phi),
+                                               interior_product(geom.theta, geom.torsion))
 
 
-@_report_of
-def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(("first_bianchi_with_torsion", "id:first-bianchi-skew"),
+            ("curvature_six_term_symmetry", "id:six-term-curvature"),
+            ("reversed_first_bianchi", "id:reversed-first-bianchi"))
+def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL):
     R, dt, sig = geom.curv.R, geom.dt4, geom.sigma4
-    nt = geom.nabla_t
     cyc = geom.bianchi_cycle
     rcyc = (np.einsum("vxyz->xyzv", R) + np.einsum("vyzx->xyzv", R)
             + np.einsum("vzxy->xyzv", R))
-    nt_last = np.einsum("vxyz->xyzv", nt)
-    first = _maxabs(cyc - (dt - sig + nt_last))
-    six = _maxabs(cyc - rcyc - (1.5 * dt - sig))
-    reversed_bi = _maxabs(rcyc - (-0.5 * dt + nt_last))
-    return [
-        entry("first_bianchi_with_torsion", "id:first-bianchi-skew", first, tol),
-        entry("curvature_six_term_symmetry", "id:six-term-curvature", six, tol),
-        entry("reversed_first_bianchi", "id:reversed-first-bianchi", reversed_bi, tol),
-    ]
+    nt_last = np.einsum("vxyz->xyzv", geom.nabla_t)
+    yield "first_bianchi_with_torsion", _maxabs(cyc - (dt - sig + nt_last))
+    yield "curvature_six_term_symmetry", _maxabs(cyc - rcyc - (1.5 * dt - sig))
+    yield "reversed_first_bianchi", _maxabs(rcyc - (-0.5 * dt + nt_last))
 
 
-@_report_of
-def check_dt_expansion(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(("dT_five_term_expansion", "id:dT-covariant-expansion"),
+            ("lc_vs_torsion_derivative", "id:dT-derivative-difference"))
+def check_dt_expansion(geom: Geometry, tol: float = DEFAULT_TOL):
     """dT = nabla T's five-term expansion + 2 sigma_T, and nabla^g T - nabla T = sigma_T / 2."""
     nt, sig = geom.nabla_t, geom.sigma4
     cyclic = nt + np.einsum("yzxv->xyzv", nt) + np.einsum("zxyv->xyzv", nt)
     expansion = cyclic + 2.0 * sig - np.einsum("vxyz->xyzv", nt)
-    return [
-        entry("dT_five_term_expansion", "id:dT-covariant-expansion",
-              _maxabs(geom.dt4 - expansion), tol),
-        entry("lc_vs_torsion_derivative", "id:dT-derivative-difference",
-              _maxabs(geom.nabla_t_lc - nt - 0.5 * sig), tol),
-    ]
+    yield "dT_five_term_expansion", _maxabs(geom.dt4 - expansion)
+    yield "lc_vs_torsion_derivative", _maxabs(geom.nabla_t_lc - nt - 0.5 * sig)
 
 
-@_report_of
-def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    ric_rel = _maxabs(geom.ric_lc - (geom.ric + 0.5 * geom.delta_t2 + 0.25 * geom.t_square))
-    scal_rel = abs(geom.scal_lc - (geom.scal + 0.25 * geom.torsion_norm_sq))
-    antisym = _maxabs(geom.ric - geom.ric.T + geom.delta_t2)
-    return [
-        entry("ricci_difference_riemannian", "id:ricci-comparison", ric_rel, tol),
-        entry("scalar_difference_riemannian", "id:ricci-comparison", scal_rel, tol),
-        entry("ricci_antisymmetry_codifferential", "id:ricci-comparison", antisym, tol),
-    ]
+@_report_of(*((i, "id:ricci-comparison") for i in (
+    "ricci_difference_riemannian", "scalar_difference_riemannian",
+    "ricci_antisymmetry_codifferential")))
+def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL):
+    yield "ricci_difference_riemannian", _maxabs(
+        geom.ric_lc - (geom.ric + 0.5 * geom.delta_t2 + 0.25 * geom.t_square))
+    yield "scalar_difference_riemannian", abs(
+        geom.scal_lc - (geom.scal + 0.25 * geom.torsion_norm_sq))
+    yield "ricci_antisymmetry_codifferential", _maxabs(geom.ric - geom.ric.T + geom.delta_t2)
 
 
-@_report_of
-def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(("ricci_from_dT_and_lee", "id:torsion-ricci-formula"),
+            ("scalar_from_lee", "id:torsion-scalar-formula"),
+            ("riemannian_scalar_formula", "id:riemannian-scalar-formula"),
+            ("quartic_contraction_norms", "id:quartic-contraction-norms"),
+            ("dT_contraction_chain", "id:dT-contraction-chain"),
+            ("ricci_double_contraction", "id:torsion-ricci-formula"))
+def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
     phi = geom.structure.phi
     dt_tr = _phi_trace(geom, geom.dt4)
-    nt = geom.nabla_t
     ntheta = geom.nabla_theta
     tn, thn = geom.torsion_norm_sq, geom.theta_norm_sq
     dth = geom.delta_theta
     n48 = geom.delta_phi48_norm_sq
 
-    ric_formula = _maxabs(geom.ric + (1.0 / 12.0) * dt_tr + (7.0 / 6.0) * ntheta)
-    scal_a = abs(geom.scal - (3.5 * dth + (49.0 / 18.0) * thn - tn / 3.0))
-    scal_b = abs(geom.scal - (3.5 * dth + (7.0 / 3.0) * thn - n48 / 3.0))
-    scal1_a = abs(geom.scal_lc - (3.5 * dth + (49.0 / 18.0) * thn - tn / 12.0))
-    scal1_b = abs(geom.scal_lc - (3.5 * dth + (21.0 / 8.0) * thn - n48 / 12.0))
+    yield "ricci_from_dT_and_lee", _maxabs(geom.ric + (1.0 / 12.0) * dt_tr + (7.0 / 6.0) * ntheta)
+    yield "scalar_from_lee", max(abs(geom.scal - (3.5 * dth + (49.0 / 18.0) * thn - tn / 3.0)),
+                                 abs(geom.scal - (3.5 * dth + (7.0 / 3.0) * thn - n48 / 3.0)))
+    yield "riemannian_scalar_formula", max(
+        abs(geom.scal_lc - (3.5 * dth + (49.0 / 18.0) * thn - tn / 12.0)),
+        abs(geom.scal_lc - (3.5 * dth + (21.0 / 8.0) * thn - n48 / 12.0)))
 
     sig_phi = full_contraction(geom.sigma, phi)
     p4 = geom.structure.dense
     mid = 3.0 * float(np.vdot(geom.t3, p4.reshape(64, 64) @ geom.t3.reshape(64, 8)))
-    ng4 = max(abs(sig_phi - mid), abs(sig_phi - (2.0 * tn - (49.0 / 3.0) * thn)))
+    yield "quartic_contraction_norms", max(abs(sig_phi - mid),
+                                           abs(sig_phi - (2.0 * tn - (49.0 / 3.0) * thn)))
 
     dt_phi = full_contraction(geom.dtorsion, phi)
-    nt_phi = float(np.einsum("jabc,jabc->", nt, p4))
-    tr_ntheta = float(np.trace(ntheta))
-    g22 = max(
+    nt_phi = float(np.einsum("jabc,jabc->", geom.nabla_t, p4))
+    yield "dT_contraction_chain", max(
         abs(dt_phi - (4.0 * nt_phi + 2.0 * sig_phi)),
-        abs(dt_phi - (28.0 * tr_ntheta + 4.0 * tn - (98.0 / 3.0) * thn)),
+        abs(dt_phi - (28.0 * float(np.trace(ntheta)) + 4.0 * tn - (98.0 / 3.0) * thn)),
         abs(dt_phi - (-28.0 * dth + 4.0 * n48 - 28.0 * thn)),
     )
-
-    ricdt = max(
+    yield "ricci_double_contraction", max(
         _maxabs(2.0 * geom.ric + _phi_trace(geom, geom.curv.R)),
         _maxabs(2.0 * geom.ric + (1.0 / 6.0) * dt_tr + (7.0 / 3.0) * ntheta),
     )
-    return [
-        entry("ricci_from_dT_and_lee", "id:torsion-ricci-formula", ric_formula, tol),
-        entry("scalar_from_lee", "id:torsion-scalar-formula", max(scal_a, scal_b), tol),
-        entry("riemannian_scalar_formula", "id:riemannian-scalar-formula",
-              max(scal1_a, scal1_b), tol),
-        entry("quartic_contraction_norms", "id:quartic-contraction-norms", ng4, tol),
-        entry("dT_contraction_chain", "id:dT-contraction-chain", g22, tol),
-        entry("ricci_double_contraction", "id:torsion-ricci-formula", ricdt, tol),
-    ]
 
 
-@_report_of
-def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(("riemannian_first_bianchi", "id:riemannian-first-bianchi"),
+            ("parallel_type_torsion_relations", "id:riemannian-first-bianchi"),
+            ("ricci_flat_under_first_bianchi", "id:first-bianchi-ricci-flat", "first_bianchi"))
+def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL):
     dt, sig, nt = geom.dt4, geom.sigma4, geom.nabla_t
-    rb = _maxabs(geom.bianchi_cycle)
-    out = [entry("riemannian_first_bianchi", "id:riemannian-first-bianchi", rb, tol)]
-    fbt = max(_maxabs(dt + 2.0 * nt), _maxabs(dt - (2.0 / 3.0) * sig))
-    out.append(entry("parallel_type_torsion_relations", "id:riemannian-first-bianchi", fbt, tol))
-    if rb <= tol:
-        out.append(entry("ricci_flat_under_first_bianchi", "id:first-bianchi-ricci-flat",
-                         _maxabs(geom.ric), tol))
-    else:
-        out.append(na_entry("ricci_flat_under_first_bianchi", "id:first-bianchi-ricci-flat",
-                            "first Bianchi identity does not hold here"))
-    return out
+    yield "riemannian_first_bianchi", _maxabs(geom.bianchi_cycle)
+    yield "parallel_type_torsion_relations", max(_maxabs(dt + 2.0 * nt),
+                                                 _maxabs(dt - (2.0 / 3.0) * sig))
+    yield "ricci_flat_under_first_bianchi", _maxabs(geom.ric)
 
 
-@_report_of
-def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    nt, dt = geom.nabla_t, geom.dt4
+@_report_of(*((i, "id:pair-symmetric-curvature") for i in (
+    "nabla_T_is_four_form", "curvature_pair_symmetry", "dT_vs_lc_derivative",
+    "pair_symmetry_equivalence")))
+def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL):
+    nt = geom.nabla_t
     four_form = _maxabs(nt + np.einsum("yxzv->xyzv", nt))
     pair = _maxabs(geom.pair_asymmetry)
-    dt_rel = _maxabs(dt - 4.0 * geom.nabla_t_lc)
-    verdicts = [four_form <= tol, pair <= tol, dt_rel <= tol]
-    return [
-        entry("nabla_T_is_four_form", "id:pair-symmetric-curvature", four_form, tol),
-        entry("curvature_pair_symmetry", "id:pair-symmetric-curvature", pair, tol),
-        entry("dT_vs_lc_derivative", "id:pair-symmetric-curvature", dt_rel, tol),
-        agreement_entry("pair_symmetry_equivalence", "id:pair-symmetric-curvature",
-                        verdicts, tol),
-    ]
+    dt_rel = _maxabs(geom.dt4 - 4.0 * geom.nabla_t_lc)
+    yield "nabla_T_is_four_form", four_form
+    yield "curvature_pair_symmetry", pair
+    yield "dT_vs_lc_derivative", dt_rel
+    yield "pair_symmetry_equivalence", [four_form <= tol, pair <= tol, dt_rel <= tol]
 
 
-@_report_of
-def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    ids = ["ricci_from_lee_derivative", "lee_exterior_in_21part", "ricci_flat",
-           "lee_parallel", "scalar_flat", "lee_coclosed", "torsion_coclosed",
-           "closed_chain_agreement"]
-    anchor = "id:closed-torsion"
-    if geom.dtorsion.max_abs() > tol:
-        return [na_entry(i, anchor, "torsion is not closed here") for i in ids]
-    clos1 = _maxabs(geom.ric + (7.0 / 6.0) * geom.nabla_theta)
+@_report_of(*((i, "id:closed-torsion", "closed_torsion") for i in (
+    "ricci_from_lee_derivative", "lee_exterior_in_21part", "ricci_flat", "lee_parallel",
+    "scalar_flat", "lee_coclosed", "torsion_coclosed", "closed_chain_agreement")))
+def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
     ric0 = _maxabs(geom.ric)
     nth0 = _maxabs(geom.nabla_theta)
     scal0 = abs(geom.scal)
     dth0 = abs(geom.delta_theta)
-    dT0 = geom.delta_torsion.max_abs()
+    yield "ricci_from_lee_derivative", _maxabs(geom.ric + (7.0 / 6.0) * geom.nabla_theta)
+    yield "lee_exterior_in_21part", geom.dtheta7.max_abs()
+    yield "ricci_flat", ric0
+    yield "lee_parallel", nth0
+    yield "scalar_flat", scal0
+    yield "lee_coclosed", dth0
+    yield "torsion_coclosed", (geom.delta_torsion.max_abs(), "harmonic together with dT = 0")
     # the norm of T and the Riemannian scalar are frame constants on an
     # invariant geometry, so the six-way equivalence reduces to these four
-    verdicts = [ric0 <= tol, nth0 <= tol, scal0 <= tol, dth0 <= tol]
-    return [
-        entry(ids[0], anchor, clos1, tol),
-        entry(ids[1], anchor, geom.dtheta7.max_abs(), tol),
-        entry(ids[2], anchor, ric0, tol),
-        entry(ids[3], anchor, nth0, tol),
-        entry(ids[4], anchor, scal0, tol),
-        entry(ids[5], anchor, dth0, tol),
-        entry(ids[6], anchor, dT0, tol, notes="harmonic together with dT = 0"),
-        agreement_entry(ids[7], anchor, verdicts, tol),
-    ]
+    yield "closed_chain_agreement", [ric0 <= tol, nth0 <= tol, scal0 <= tol, dth0 <= tol]
 
 
-@_report_of
-def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(("codifferential_of_torsion_formula", "id:torsion-codifferential"),
+            *((i, "id:symmetric-ricci", "symmetric_ricci") for i in (
+                "lee_nabla_exterior_formula", "lee_nabla_exterior_in_7part",
+                "symmetric_ricci_equivalence")))
+def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
     phi = geom.structure.phi
 
     # codifferential of the torsion from the Lee form, always applicable
     rhs = (7.0 / 6.0) * (contract_into(geom.dtheta, phi)
                          - interior_product(geom.theta, geom.delta_phi))
-    deltat = residual(geom.delta_torsion, rhs)
-    out = [entry("codifferential_of_torsion_formula", "id:torsion-codifferential", deltat, tol)]
-
-    anchor = "id:symmetric-ricci"
-    if geom.delta_torsion.max_abs() > tol:
-        out.append(na_entry("lee_nabla_exterior_formula", anchor, "Ricci tensor is not symmetric here"))
-        out.append(na_entry("lee_nabla_exterior_in_7part", anchor, "Ricci tensor is not symmetric here"))
-        out.append(na_entry("symmetric_ricci_equivalence", anchor, "Ricci tensor is not symmetric here"))
-        return out
+    yield "codifferential_of_torsion_formula", residual(geom.delta_torsion, rhs)
 
     nth = geom.nabla_theta
     dnth = KForm.from_array(nth - nth.T)  # exactly skew
     th_t = interior_product(geom.theta, geom.torsion)
     # contract_into carries 1/2!: th_t_phi = (1/2) (theta . T)_ab phi_ab..
     th_t_phi = contract_into(th_t, phi)
-    new_formula = max(
+    yield "lee_nabla_exterior_formula", max(
         residual(dnth, (-1.0 / 3.0) * th_t + (1.0 / 3.0) * th_t_phi),
         residual(dnth, (-1.0 / 3.0) * contract_into(dnth, phi)),
     )
-    out.append(entry("lee_nabla_exterior_formula", anchor, new_formula, tol))
-    _, part21 = project_lambda2(dnth, geom.structure)
-    out.append(entry("lee_nabla_exterior_in_7part", anchor, part21.max_abs(), tol))
-
-    sym_v = dnth.max_abs() <= tol
-    tth_v = 2.0 * residual(th_t_phi, th_t) <= tol
-    dth_v = geom.dtheta7.max_abs() <= tol
-    out.append(agreement_entry("symmetric_ricci_equivalence", anchor, [sym_v, tth_v, dth_v], tol))
-    return out
+    yield "lee_nabla_exterior_in_7part", project_lambda2(dnth, geom.structure)[1].max_abs()
+    yield "symmetric_ricci_equivalence", [dnth.max_abs() <= tol,
+                                          2.0 * residual(th_t_phi, th_t) <= tol,
+                                          geom.dtheta7.max_abs() <= tol]
 
 
-@_report_of
-def check_second_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(("second_bianchi_contracted", "id:second-bianchi"),
+            ("divergence_of_codifferential", "id:codifferential-divergence"))
+def check_second_bianchi(geom: Geometry, tol: float = DEFAULT_TOL):
     nric = covariant_derivative(geom.conn, geom.ric)
     div_ric = np.einsum("iji->j", nric)
     # delta T_ab T_abj, and T_abc dT_jabc / 6 = -(T . dT)_j
@@ -339,86 +342,60 @@ def check_second_bianchi(geom: Geometry, tol: float = DEFAULT_TOL) -> Verificati
     iii = _maxabs(np.einsum("iij->j", ndt) - 0.5 * dt_t)
     # each trace reads only its table's diagonal, so an overflow off the diagonal would
     # drop out and leave a finite residual for inputs past double range: report nan
-    e1 = e1 if np.all(np.isfinite(nric)) else math.nan
-    iii = iii if np.all(np.isfinite(ndt)) else math.nan
-    return [
-        entry("second_bianchi_contracted", "id:second-bianchi", e1, tol),
-        entry("divergence_of_codifferential", "id:codifferential-divergence", iii, tol),
-    ]
+    yield "second_bianchi_contracted", e1 if np.all(np.isfinite(nric)) else math.nan
+    yield "divergence_of_codifferential", iii if np.all(np.isfinite(ndt)) else math.nan
 
 
-@_report_of
-def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(*((i, "id:parallel-torsion-theorems", "pair_symmetry") for i in (
+    "ricci_quartic_balance", "lc_parallel_torsion", "parallel_torsion",
+    "lee_parallel_under_pair_symmetry", "quartic_lee_contractions")))
+def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL):
     """Consistency checks for the parallel-torsion theorems.
 
     When the exterior derivative of the Lee form lies in the 21-part and the
     curvature is pair-symmetric with zero Ricci tensor, the torsion must be
     parallel for both connections and the Lee-form contractions vanish.
     """
-    anchor = "id:parallel-torsion-theorems"
-    ids = ["ricci_quartic_balance", "lc_parallel_torsion", "parallel_torsion",
-           "lee_parallel_under_pair_symmetry", "quartic_lee_contractions"]
-    hyp_lee = geom.dtheta7.max_abs() <= tol
-    pair = _maxabs(geom.pair_asymmetry) <= tol
-    ric0 = _maxabs(geom.ric) <= tol
-    if not (hyp_lee and pair and ric0):
-        return [na_entry(i, anchor, "pair-symmetry hypotheses fail here") for i in ids]
-
     # X_iabc phi_jabc throughout; the quartic terms read X_iabc phi_abcj, its negative
     sig_tr = _phi_trace(geom, geom.sigma4)
     ntheta = geom.nabla_theta
-    su1 = _maxabs(geom.ric + 3.5 * ntheta + (1.0 / 6.0) * sig_tr)
-    nthh = max(
+    yield "ricci_quartic_balance", _maxabs(geom.ric + 3.5 * ntheta + (1.0 / 6.0) * sig_tr)
+    yield "lc_parallel_torsion", _maxabs(geom.nabla_t_lc)
+    yield "parallel_torsion", _maxabs(geom.nabla_t)
+    yield "lee_parallel_under_pair_symmetry", _maxabs(ntheta)
+    yield "quartic_lee_contractions", max(
         _maxabs(_phi_trace(geom, geom.nabla_t) + 7.0 * ntheta),
         _maxabs(sig_tr - 21.0 * ntheta),
         _maxabs(_phi_trace(geom, geom.dt4) - 14.0 * ntheta),
     )
-    return [
-        entry(ids[0], anchor, su1, tol),
-        entry(ids[1], anchor, _maxabs(geom.nabla_t_lc), tol),
-        entry(ids[2], anchor, _maxabs(geom.nabla_t), tol),
-        entry(ids[3], anchor, _maxabs(ntheta), tol),
-        entry(ids[4], anchor, nthh, tol),
-    ]
 
 
-@_report_of
-def check_soliton(geom: Geometry, soliton: SolitonData | None = None,
-                  tol: float = DEFAULT_TOL) -> VerificationReport:
+@_report_of(*((i, "id:steady-soliton", "closed_torsion") for i in (
+    "soliton_vector_parallel", "soliton_ricci_hessian", "soliton_torsion_gradient",
+    "soliton_lee_transport", "soliton_metric_invariance", "soliton_structure_invariance")))
+def check_soliton(geom: Geometry, soliton: SolitonData | None = None, tol: float = DEFAULT_TOL):
     """Steady gradient soliton battery for closed torsion.
 
     The default gradient is the zero covector (constant potential), the
     invariant-geometry case.
     """
-    anchor = "id:steady-soliton"
-    ids = ["soliton_vector_parallel", "soliton_ricci_hessian",
-           "soliton_torsion_gradient", "soliton_lee_transport",
-           "soliton_metric_invariance", "soliton_structure_invariance"]
-    if geom.dtorsion.max_abs() > tol:
-        return [na_entry(i, anchor, "torsion is not closed here") for i in ids]
     if soliton is None:
         soliton = SolitonData.constant_potential()
     df = geom.frame.T @ soliton.f_gradient  # df in the frame the geometry is built in
     v = (7.0 / 6.0) * geom.theta_vec - df
     v_form = KForm.covector(v)
-
-    nv = covariant_derivative(geom.conn, v)
-    hess = covariant_derivative(geom.conn, df)
-    df_t = interior_product(df, geom.torsion)
-    v_t = interior_product(v_form, geom.torsion)
+    notes = "constant potential (df = 0)" if not np.any(df) else "user-supplied gradient"
+    yield "soliton_vector_parallel", (_maxabs(covariant_derivative(geom.conn, v)), notes)
+    yield "soliton_ricci_hessian", _maxabs(geom.ric + covariant_derivative(geom.conn, df))
+    yield "soliton_torsion_gradient", residual(geom.delta_torsion,
+                                               -1.0 * interior_product(df, geom.torsion))
+    yield "soliton_lee_transport", residual((7.0 / 6.0) * geom.dtheta,
+                                            interior_product(v_form, geom.torsion))
     lie_g = covariant_derivative(geom.lc, v)
-    lie_g = lie_g + lie_g.T
+    yield "soliton_metric_invariance", _maxabs(lie_g + lie_g.T)
     lie_phi = ce_differential(interior_product(v_form, geom.structure.phi), geom.algebra) \
         + interior_product(v_form, geom.dphi)
-    notes = "constant potential (df = 0)" if not np.any(df) else "user-supplied gradient"
-    return [
-        entry(ids[0], anchor, _maxabs(nv), tol, notes=notes),
-        entry(ids[1], anchor, _maxabs(geom.ric + hess), tol),
-        entry(ids[2], anchor, residual(geom.delta_torsion, -1.0 * df_t), tol),
-        entry(ids[3], anchor, residual((7.0 / 6.0) * geom.dtheta, v_t), tol),
-        entry(ids[4], anchor, _maxabs(lie_g), tol),
-        entry(ids[5], anchor, lie_phi.max_abs(), tol),
-    ]
+    yield "soliton_structure_invariance", lie_phi.max_abs()
 
 
 def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> list[str]:
@@ -435,31 +412,23 @@ def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> list[str]:
         "W_1": geom.theta.max_abs() <= tol,
         "W_2": residual(dphi, wedge(geom.theta, geom.structure.phi)) <= tol and not w0,
         "locally_conformally_balanced": geom.dtheta.max_abs() <= tol,
-        "strong": geom.dtorsion.max_abs() <= tol,
+        "strong": GATES["closed_torsion"][0](geom) <= tol,
     }
     return [label for label in FERNANDEZ_LABELS if holds[label]]
 
 
-@_report_of
-def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    labels = ",".join(classify_fernandez(geom, tol)) or "generic"
-    return [entry("fernandez_classes", "id:structure-classes", 0.0, tol, notes=labels)]
+@_report_of(("fernandez_classes", "id:structure-classes"))
+def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL):
+    yield "fernandez_classes", (0.0, ",".join(classify_fernandez(geom, tol)) or "generic")
 
 
-@_report_of
-def check_bi_spin7(geom: Geometry, tol: float = DEFAULT_TOL) -> VerificationReport:
-    anchor = "id:bi-structure"
+@_report_of(("bi_structure_opposite_torsion", "id:bi-structure"),
+            ("bi_structure_mirror_closed", "id:bi-structure", "closed_torsion"))
+def check_bi_spin7(geom: Geometry, tol: float = DEFAULT_TOL):
     mirror = geom.algebra.mirrored()
     t_mirror = spin7_torsion(geom.structure, mirror)
-    out = [entry("bi_structure_opposite_torsion", anchor,
-                 residual(t_mirror, -1.0 * geom.torsion), tol)]
-    if geom.dtorsion.max_abs() <= tol:
-        out.append(entry("bi_structure_mirror_closed", anchor,
-                         ce_differential(t_mirror, mirror).max_abs(), tol))
-    else:
-        out.append(na_entry("bi_structure_mirror_closed", anchor,
-                            "torsion is not closed here"))
-    return out
+    yield "bi_structure_opposite_torsion", residual(t_mirror, -1.0 * geom.torsion)
+    yield "bi_structure_mirror_closed", ce_differential(t_mirror, mirror).max_abs()
 
 
 # The report order: every report lists its entries group by group in this order.
@@ -468,6 +437,9 @@ CHECKS = (check_structure, check_algebra, check_connection_contracts, check_lee_
           check_riemannian_bianchi, check_s2lambda2, check_closed_torsion, check_symmetric_ricci,
           check_second_bianchi, check_main_theorems, check_soliton, check_fernandez,
           check_bi_spin7)
+
+# The catalog: every report's rows (check_id, anchor, gate or None), in report order.
+ENTRIES = tuple(row for group in CHECKS for row in group.rows)
 
 
 def full_report(geom: Geometry, soliton: SolitonData | None = None,

@@ -131,7 +131,12 @@ def build_structure_form(structure: str, t=None) -> tuple[KForm, list[str]]:
 
 
 def _resolve_structure(structure: str, t=None) -> tuple[KForm | Spin7Form, list[str]]:
-    """A shipped structure as its shared Spin7Form, anything else as a fresh 4-form."""
+    """A shipped structure as its shared Spin7Form, anything else as a fresh 4-form.
+
+    A t is refused unless the structure is phi_t, the only one it parametrizes.
+    """
+    if t is not None and structure != "phi_t":
+        raise ValueError(f"t = {t!r} applies only to the phi_t structure, not to {structure!r}")
     warnings: list[str] = []
     if structure in ("canonical", "remark_b"):
         return _shipped_structure(structure), warnings

@@ -31,7 +31,7 @@ class NonFiniteResidual(ValueError):
         self.check_id, self.residual = check_id, residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckEntry:
     check_id: str
     paper_anchor: str
@@ -41,15 +41,21 @@ class CheckEntry:
     not_applicable: bool = False
     notes: str = ""
 
-    def __post_init__(self):
-        if not self.not_applicable:
-            if not math.isfinite(self.residual):
-                raise NonFiniteResidual(self.check_id, self.residual)
-            if self.residual < 0.0:
-                raise ValueError(f"entry {self.check_id!r}: residual must be >= 0, "
-                                 f"got {self.residual!r}")
-            if self.passed != (self.residual <= self.tolerance):
-                raise ValueError(f"entry {self.check_id!r}: verdict/residual mismatch")
+    def __init__(self, check_id: str, paper_anchor: str, residual: float, tolerance: float,
+                 passed: bool | None, not_applicable: bool = False, notes: str = ""):
+        # frozen: the fields are stored in __dict__ directly, at half the cost of the seven
+        # object.__setattr__ calls a generated __init__ makes, on every entry of every report
+        d = self.__dict__
+        d["check_id"], d["paper_anchor"], d["residual"], d["tolerance"] = (
+            check_id, paper_anchor, residual, tolerance)
+        d["passed"], d["not_applicable"], d["notes"] = passed, not_applicable, notes
+        if not not_applicable:
+            if not math.isfinite(residual):
+                raise NonFiniteResidual(check_id, residual)
+            if residual < 0.0:
+                raise ValueError(f"entry {check_id!r}: residual must be >= 0, got {residual!r}")
+            if passed != (residual <= tolerance):
+                raise ValueError(f"entry {check_id!r}: verdict/residual mismatch")
 
     def to_dict(self) -> dict:
         return dict(zip(_ENTRY_FIELDS, _entry_values(self)))
@@ -72,13 +78,11 @@ def entry(check_id: str, anchor: str, residual: float, tol: float, notes: str = 
     return CheckEntry(check_id, anchor, r, float(tol), r <= tol, False, notes)
 
 
-def agreement_entry(check_id: str, anchor: str, verdicts: list[bool], tol: float,
-                    notes: str = "") -> CheckEntry:
+def agreement_entry(check_id: str, anchor: str, verdicts: list[bool], tol: float) -> CheckEntry:
     """Entry asserting that a list of boolean verdicts all agree."""
-    agree = len(set(verdicts)) <= 1
     tags = ",".join("pass" if v else "fail" for v in verdicts)
-    return entry(check_id, anchor, 0.0 if agree else 1.0, tol,
-                 notes=(notes + " " if notes else "") + f"verdicts=[{tags}]")
+    return entry(check_id, anchor, 0.0 if len(set(verdicts)) <= 1 else 1.0, tol,
+                 notes=f"verdicts=[{tags}]")
 
 
 def na_entry(check_id: str, anchor: str, notes: str = "") -> CheckEntry:

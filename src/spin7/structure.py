@@ -293,11 +293,10 @@ def _rotations() -> tuple[np.ndarray, np.ndarray]:
 def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationReport:
     """Run the full admissibility battery on a candidate fundamental form.
 
-    Checks positive-definiteness of the induced metric, then, in the frame
-    that metric makes orthonormal (``orthonormal_frame``), self-duality and
-    the four contraction identities.  Failures are report entries, not
-    exceptions, except that a degenerate metric short-circuits the other
-    checks.  A Spin7Form is mapped by the metric it already carries.
+    Checks positive-definiteness of the induced metric, then ``phi_identities``.
+    Failures are report entries, not exceptions, except that a degenerate
+    metric short-circuits the other checks.  A Spin7Form is mapped by the
+    metric it already carries.
     """
     rep = VerificationReport("fundamental-form-admissibility")
     anchor = "id:fundamental-form-identities"
@@ -307,26 +306,30 @@ def validate_phi(phi: KForm | Spin7Form, tol: float = 1e-9) -> VerificationRepor
         rep.add(entry("induced_metric_spd", anchor, 1.0, tol, notes=str(exc)))
         return rep
     rep.add(entry("induced_metric_spd", anchor, 0.0, tol))
-    structure, _ = orthonormal_frame(structure)
+    rep.extend(entry(check_id, anchor, r, tol) for check_id, r in phi_identities(structure))
+    return rep
 
-    rep.add(entry("self_dual", anchor, residual(hodge_star(structure.phi), structure.phi), tol))
+
+def phi_identities(structure: Spin7Form):
+    """(check_id, residual) of self-duality and the four contraction identities, in turn.
+
+    Each is taken in the frame the structure's metric makes orthonormal
+    (``orthonormal_frame``).
+    """
+    structure, _ = orthonormal_frame(structure)
+    yield "self_dual", residual(hodge_star(structure.phi), structure.phi)
 
     p = structure.dense
     # full contraction = 336
-    r1 = abs(np.einsum("ijpq,ijpq->", p, p) - 336.0)
-    rep.add(entry("contraction_scalar_336", anchor, r1, tol))
+    yield "contraction_scalar_336", abs(np.einsum("ijpq,ijpq->", p, p) - 336.0)
     # three-index contraction = 42 g, g = I in this frame
     two = p.reshape(8, 512) @ p.reshape(8, 512).T
-    r2 = float(np.max(np.abs(two - 42.0 * np.eye(DIM))))
-    rep.add(entry("contraction_metric_42", anchor, r2, tol))
+    yield "contraction_metric_42", float(np.max(np.abs(two - 42.0 * np.eye(DIM))))
     # two shared indices: 6(g g - g g) - 4 phi; phi_pqkl = phi_klpq (pair swap, no sign)
     lhs3 = (p.reshape(64, 64) @ p.reshape(64, 64)).reshape(p.shape)
-    r3 = float(np.max(np.abs(lhs3 - (_TWO_INDEX_G - 4.0 * p))))
-    rep.add(entry("contraction_two_index", anchor, r3, tol))
+    yield "contraction_two_index", float(np.max(np.abs(lhs3 - (_TWO_INDEX_G - 4.0 * p))))
     # one shared index: phi_ijks phi_abcs = (g g g) - (g phi).  Both sides
     # are antisymmetric in (i, j, k) and in (a, b, c), so their largest
     # difference is reached on canonical triples I = ijk, J = abc.
     p3 = p[tuple(_index_array(3).T)]
-    r4 = float(np.max(np.abs(p3 @ p3.T - one_index_rhs(p))))
-    rep.add(entry("contraction_one_index", anchor, r4, tol))
-    return rep
+    yield "contraction_one_index", float(np.max(np.abs(p3 @ p3.T - one_index_rhs(p))))

@@ -439,3 +439,123 @@ def test_full_report_calls_each_group_through_the_module(monkeypatch):
     assert seen == [group.__name__ for group in checks.CHECKS]
     notes = {e.check_id: e.notes for e in rep.entries}
     assert notes["soliton_vector_parallel"] == "user-supplied gradient"
+
+
+def generic_frame_su3() -> Geometry:
+    """su3's constants under A*phi0 with its metric A^T A: no longer a closed-torsion geometry."""
+    from test_frame_change import frame
+
+    from spin7.forms import FrameMetric, pull_back
+    from spin7.structure import Spin7Form
+
+    a = frame(7)
+    phi = Spin7Form(pull_back(canonical_phi_form(), a), FrameMetric(a.T @ a))
+    return Geometry.build(corpus_algebra("su3"), phi, name="su3 at frame(7)")
+
+
+CLOSED_TORSION_ROWS = ("ricci_from_lee_derivative", "lee_exterior_in_21part", "ricci_flat",
+                       "lee_parallel", "scalar_flat", "lee_coclosed", "torsion_coclosed",
+                       "closed_chain_agreement")
+SYMMETRIC_RICCI_ROWS = ("lee_nabla_exterior_formula", "lee_nabla_exterior_in_7part",
+                        "symmetric_ricci_equivalence")
+PAIR_SYMMETRY_ROWS = ("ricci_quartic_balance", "lc_parallel_torsion", "parallel_torsion",
+                      "lee_parallel_under_pair_symmetry", "quartic_lee_contractions")
+SOLITON_ROWS = ("soliton_vector_parallel", "soliton_ricci_hessian", "soliton_torsion_gradient",
+                "soliton_lee_transport", "soliton_metric_invariance",
+                "soliton_structure_invariance")
+
+
+def not_applicable(symmetric_ricci_closed: bool) -> list[tuple[str, str]]:
+    """(check_id, notes) of every N/A entry, in report order, when first Bianchi, closed
+    torsion and pair symmetry fail, and symmetric Ricci too if asked."""
+    closed = "torsion is not closed here"
+    return ([("ricci_flat_under_first_bianchi", "first Bianchi identity does not hold here")]
+            + [(i, closed) for i in CLOSED_TORSION_ROWS]
+            + [(i, "Ricci tensor is not symmetric here")
+               for i in (SYMMETRIC_RICCI_ROWS if symmetric_ricci_closed else ())]
+            + [(i, "pair-symmetry hypotheses fail here") for i in PAIR_SYMMETRY_ROWS]
+            + [(i, closed) for i in SOLITON_ROWS]
+            + [("bi_structure_mirror_closed", closed)])
+
+
+@pytest.mark.parametrize("which", ["heisenberg", "generic_frame_su3"])
+def test_each_gate_puts_out_of_scope_exactly_its_entries_with_its_note(which, heisenberg_geom):
+    geom = heisenberg_geom if which == "heisenberg" else generic_frame_su3()
+    rep = full_report(geom)
+    got = [(e.check_id, e.notes) for e in rep.entries if e.not_applicable]
+    assert got == not_applicable(symmetric_ricci_closed=which != "heisenberg")
+    assert len(got) == (21 if which == "heisenberg" else 24)
+    for e in rep.entries:
+        if e.not_applicable:
+            assert (e.residual, e.tolerance, e.passed) == (0.0, 0.0, None), e.check_id
+    # the codifferential of the torsion is ungated even where its group's gate closes
+    by_id = {e.check_id: e for e in rep.entries}
+    assert by_id["codifferential_of_torsion_formula"].passed
+
+
+@pytest.mark.parametrize("target", [*VERIFY_TARGETS, ("heisenberg", "canonical", None), None],
+                         ids=lambda t: geometry_id(*t) if t else "su3 at frame(7)")
+def test_every_report_lists_the_catalog_in_order(target):
+    rep = full_report(build_geometry(*target) if target else generic_frame_su3())
+    assert [(e.check_id, e.paper_anchor) for e in rep.entries] == [
+        (check_id, anchor) for check_id, anchor, _ in checks.ENTRIES]
+    assert len({check_id for check_id, _, _ in checks.ENTRIES}) == len(checks.ENTRIES)
+    for (check_id, _, gate), e in zip(checks.ENTRIES, rep.entries):
+        if e.not_applicable:
+            assert e.notes == checks.GATES[gate][1], check_id
+
+
+def test_every_gate_closes_on_some_target(heisenberg_geom):
+    notes = {e.notes for geom in (heisenberg_geom, generic_frame_su3())
+             for e in full_report(geom).entries if e.not_applicable}
+    assert notes == {note for _, note in checks.GATES.values()}
+    assert {gate for _, _, gate in checks.ENTRIES} == set(checks.GATES) | {None}
+
+
+def _swapped(geom, tol=1e-9):
+    yield "differential_squares_to_zero", 0.0
+    yield "jacobi_identity", 0.0
+
+
+def _short(geom, tol=1e-9):
+    yield "jacobi_identity", 0.0
+
+
+def _long(geom, tol=1e-9):
+    yield "jacobi_identity", 0.0
+    yield "differential_squares_to_zero", 0.0
+    yield "jacobi_identity_again", 0.0
+
+
+@pytest.mark.parametrize("group,message", [
+    (_swapped, "_swapped yielded 'differential_squares_to_zero' for the row 'jacobi_identity'"),
+    (_short, "_short yielded None for the row 'differential_squares_to_zero'"),
+    (_long, "_long yielded 'jacobi_identity_again' past its last row"),
+], ids=["swapped", "short", "long"])
+def test_a_group_that_yields_other_ids_than_its_rows_raises(group, message, monkeypatch):
+    # two swapped rows whose residuals are both rounding-sized would pass every golden
+    monkeypatch.setattr(checks, "check_algebra", checks._report_of(*checks.check_algebra.rows)(group))
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        full_report(build_geometry("abelian"))
+
+
+def test_a_closed_gate_stops_its_group_before_any_work(heisenberg_geom, monkeypatch):
+    # heisenberg's torsion is not closed: the soliton battery computes nothing
+    check_soliton(heisenberg_geom)  # the gate's own residual, dT, is cached on the geometry
+    calls = count_calls(monkeypatch)
+    rep = check_soliton(heisenberg_geom, SolitonData(np.ones(8)))
+    assert all(e.not_applicable for e in rep.entries)
+    assert calls[("covariant_derivative", 1)] == calls[("covariant_derivative", 2)] == 0
+    assert sum(calls.values()) == 0, calls
+
+
+def test_a_gate_whose_residual_is_nan_is_closed(geometries, monkeypatch):
+    # an entry applies iff its gate's residual is <= tol, so nan closes every gate alike
+    # (the closed-torsion groups once tested "> tol" and let nan through)
+    geom = geometries["su2su2u1u1+canonical"]
+    for gate, (_, note) in list(checks.GATES.items()):
+        monkeypatch.setitem(checks.GATES, gate, (lambda _: float("nan"), note))
+    rep = full_report(geom)
+    gated = [e for (_, _, gate), e in zip(checks.ENTRIES, rep.entries) if gate is not None]
+    assert len(gated) == 24 and all(e.not_applicable for e in gated)
+    assert "strong" not in classify_fernandez(geom)

@@ -245,6 +245,24 @@ def test_verify_power_tower_t_exits_two(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("structure", ["remark_b", "canonical", "phi0.json"])
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_t_without_phi_t_exits_two(command, structure, tmp_path, capsys):
+    # t parametrizes phi_t only: with any other structure it was ignored, and a full
+    # report or decomposition came out with exit 0
+    path = tmp_path / "phi0.json"
+    path.write_text(form_to_json(canonical_phi_form()))
+    if structure == "phi0.json":
+        structure = str(path)
+    argv = (["verify", "--algebra", "su3"] if command == "verify"
+            else ["decompose", "--form", str(path), "--degree", "4"])
+    assert run_cli(*argv, "--structure", structure, "--t", "banana") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _single_error_line(err), err
+    assert f"t = 'banana' applies only to the phi_t structure, not to {structure!r}" in err
+
+
 def test_verify_heisenberg_reports_probe_failures(tmp_path, capsys):
     # the generic smoke entry fails the pair-symmetry probes by design;
     # the report is still complete and the exit code says "checks failed"
