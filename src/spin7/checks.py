@@ -382,7 +382,7 @@ def check_soliton(geom: Geometry, soliton: SolitonData | None = None, tol: float
     if soliton is None:
         soliton = SolitonData.constant_potential()
     df = geom.frame.T @ soliton.f_gradient  # df in the frame the geometry is built in
-    v = (7.0 / 6.0) * geom.theta_vec - df
+    v = (7.0 / 6.0) * geom.theta.vec - df
     v_form = KForm.covector(v)
     notes = "constant potential (df = 0)" if not np.any(df) else "user-supplied gradient"
     yield "soliton_vector_parallel", (_maxabs(covariant_derivative(geom.conn, v)), notes)
@@ -426,7 +426,7 @@ def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL):
             ("bi_structure_mirror_closed", "id:bi-structure", "closed_torsion"))
 def check_bi_spin7(geom: Geometry, tol: float = DEFAULT_TOL):
     mirror = geom.algebra.mirrored()
-    t_mirror = spin7_torsion(geom.structure, mirror)
+    t_mirror = spin7_torsion(geom.structure, mirror)[2][0]
     yield "bi_structure_opposite_torsion", residual(t_mirror, -1.0 * geom.torsion)
     yield "bi_structure_mirror_closed", ce_differential(t_mirror, mirror).max_abs()
 

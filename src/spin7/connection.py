@@ -8,9 +8,11 @@ and the Ricci trace is Ric(X,Y) = sum_a R(e_a, X, Y, e_a).
 All tensors are invariant (constant frame components), so covariant
 derivatives reduce to the connection-coefficient corrections.  Everything
 here takes the frame to be orthonormal (``Geometry.build`` maps into one
-first) and takes no metric: stars and contractions are at g = I, and the
-Lee-form and torsion routes refuse, through ``lambda3_covector``, a
-structure whose metric is not the identity.
+first) and takes no metric: stars and contractions are at g = I.
+``spin7_torsion`` is the one derivation of the Lee form and the torsion: it
+reads d phi and delta phi = -*d*phi once for every route of both, and
+refuses, through ``lambda3_covector``, a structure whose metric is not the
+identity.
 """
 
 from __future__ import annotations
@@ -147,50 +149,25 @@ def sigma_t(t3: np.ndarray) -> KForm:
     return KForm.from_array(s + np.einsum("yzxv->xyzv", s) + np.einsum("zxyv->xyzv", s))
 
 
-def phi_derivatives(structure: Spin7Form, alg: LieAlgebra8) -> tuple[KForm, KForm, KForm]:
-    """d(phi), *d(phi) and delta(phi) = -*d*(phi): what the Lee-form and torsion routes read."""
-    dphi = ce_differential(structure.phi, alg)
-    return dphi, hodge_star(dphi), codifferential_via_star(structure.phi, alg)
+def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8
+                  ) -> tuple[KForm, tuple[KForm, KForm, KForm], tuple[KForm, KForm]]:
+    """d(phi), then the Lee form's three routes and the torsion's two, which must agree.
 
-
-def lee_form(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
-    """The Lee 1-form of the structure: (1/7) (delta phi) . phi.
-
-    Computed from the codifferential route; ``lee_form_routes`` exposes all
-    three equivalent expressions for cross-checking.
-    """
-    return lee_form_routes(structure, *phi_derivatives(structure, alg)[1:])[2]
-
-
-def lee_form_routes(structure: Spin7Form, star_dphi: KForm,
-                    delta_phi: KForm) -> tuple[KForm, KForm, KForm]:
-    """Three expressions for the Lee form, which must agree:
-
-    -(1/7) * ( *d(phi) ^ phi ),  (1/7) * ( delta(phi) ^ phi ),
-    (1/7) (delta phi) . phi  (three-index contraction),
-    given *d(phi) and delta(phi) = -*d*(phi) (see ``phi_derivatives``).
+    Lee form: -(1/7) * ( *d(phi) ^ phi ), (1/7) * ( delta(phi) ^ phi ) and
+    theta = (1/7) (delta phi) . phi (three-index contraction), with
+    delta(phi) = -*d*(phi).  Torsion of the unique metric connection preserving
+    the structure: T = -*d(phi) + (7/6) * (theta ^ phi) and
+    delta(phi) + (7/6) theta . phi.  theta is the last Lee route, T the first
+    torsion route.
     """
     phi = structure.phi
-    via_d = (-1.0 / 7.0) * hodge_star(wedge(star_dphi, phi))
-    via_delta = (1.0 / 7.0) * hodge_star(wedge(delta_phi, phi))
-    via_contraction = -1.0 * lambda3_covector(delta_phi, structure)
-    return via_d, via_delta, via_contraction
-
-
-def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> KForm:
-    """Torsion 3-form of the unique metric connection preserving the structure.
-
-    T = -*d(phi) + (7/6) * (theta ^ phi), the first of ``spin7_torsion_routes``.
-    """
-    _, star_dphi, delta_phi = phi_derivatives(structure, alg)
+    dphi = ce_differential(phi, alg)
+    star_dphi = hodge_star(dphi)
+    delta_phi = codifferential_via_star(phi, alg)
     theta = -1.0 * lambda3_covector(delta_phi, structure)
-    return spin7_torsion_routes(structure, star_dphi, delta_phi, theta)[0]
-
-
-def spin7_torsion_routes(structure: Spin7Form, star_dphi: KForm, delta_phi: KForm,
-                         theta: KForm) -> tuple[KForm, KForm]:
-    """The two torsion expressions of ``spin7_torsion``, given *d(phi), delta(phi) and the Lee form."""
-    phi = structure.phi
-    via_star = -1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi))
-    via_delta = delta_phi + (7.0 / 6.0) * interior_product(theta, phi)
-    return via_star, via_delta
+    lee_routes = ((-1.0 / 7.0) * hodge_star(wedge(star_dphi, phi)),
+                  (1.0 / 7.0) * hodge_star(wedge(delta_phi, phi)),
+                  theta)
+    torsion_routes = (-1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi)),
+                      delta_phi + (7.0 / 6.0) * interior_product(theta, phi))
+    return dphi, lee_routes, torsion_routes

@@ -286,11 +286,6 @@ class KForm:
     def max_abs(self) -> float:
         return float(np.abs(self.vec).max())
 
-    def covector_components(self) -> np.ndarray:
-        if self.degree != 1:
-            raise ValueError(f"not a covector: degree {self.degree}")
-        return np.array(self.vec)
-
     def to_array(self) -> np.ndarray:
         """Dense fully antisymmetric component table, shape (8,)*k."""
         positions, signs = _dense_table(self.degree)

@@ -8,18 +8,19 @@ keeps B as ``frame`` so a user's gradient df is read as B^T df.  No index is
 raised after that: traces sum over repeated frame indices.  Only ``forms``
 keeps metrics; ``spin7 decompose`` splits in the same frame and maps back.
 
-Building computes once d phi, *d phi and -*d*phi, the three Lee-form routes
-(``lee_routes``; ``theta`` is the last), the two torsion routes
-(``torsion_routes``; ``torsion`` is the first), the Levi-Civita and torsion
-connections and both curvatures.  Everything else the identity suite reads
-is a cached property computed on first use: the 7-part of d theta, delta
-phi and delta theta by divergence (``connection.codifferential`` traces the
-Levi-Civita coefficients before it sums, so no nabla^g phi table is built),
-delta phi's 48-part and its norm, delta T from the stored nabla^g T, the
-cyclic sum and pair asymmetry of the curvature, and T o T.  phi's derivation
-matrix, which gives nabla phi in one matmul, is kept on the structure, so a
-shipped structure computes it once per process.  Contractions of forms with
-theta, T or phi go through ``forms`` on the forms themselves.
+Building makes one ``connection.spin7_torsion`` call, which gives d phi, the
+three Lee-form routes (``lee_routes``; ``theta`` is the last) and the two
+torsion routes (``torsion_routes``; ``torsion`` is the first), and computes
+the Levi-Civita and torsion connections and both curvatures.  Everything
+else the identity suite reads is a cached property computed on first use:
+the 7-part of d theta, delta phi and delta theta by divergence
+(``connection.codifferential`` traces the Levi-Civita coefficients before it
+sums, so no nabla^g phi table is built), delta phi's 48-part and its norm,
+delta T from the stored nabla^g T, the cyclic sum and pair asymmetry of the
+curvature, and T o T.  phi's derivation matrix, which gives nabla phi in one
+matmul, is kept on the structure, so a shipped structure computes it once
+per process.  Contractions of forms with theta, T or phi go through
+``forms`` on the forms themselves.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from .connection import (
     connection_from_torsion,
     covariant_derivative,
     curvature,
-    lee_form_routes,
     levi_civita,
-    phi_derivatives,
     ricci,
     scalar_curv,
     sigma_t,
-    spin7_torsion_routes,
+    spin7_torsion,
 )
 from .forms import KForm, norm_sq
 from .liealgebra import LieAlgebra8, ce_differential
@@ -94,9 +93,7 @@ class Geometry:
         structure, frame = orthonormal_frame(given)
         if structure is not given:
             algebra = algebra.in_frame(frame)
-        dphi, star_dphi, delta_phi = phi_derivatives(structure, algebra)
-        lee_routes = lee_form_routes(structure, star_dphi, delta_phi)
-        torsion_routes = spin7_torsion_routes(structure, star_dphi, delta_phi, lee_routes[2])
+        dphi, lee_routes, torsion_routes = spin7_torsion(structure, algebra)
         lc = levi_civita(algebra)
         conn = connection_from_torsion(lc, torsion_routes[0].to_array())
         return cls(
@@ -115,12 +112,12 @@ class Geometry:
 
     @property
     def theta(self) -> KForm:
-        """The Lee form, by the contraction route (as ``lee_form``)."""
+        """The Lee form, by the contraction route: the last of ``lee_routes``."""
         return self.lee_routes[2]
 
     @property
     def torsion(self) -> KForm:
-        """The characteristic torsion, by the *d phi route (as ``spin7_torsion``)."""
+        """The characteristic torsion, by the *d phi route: the first of ``torsion_routes``."""
         return self.torsion_routes[0]
 
     # -- cached dense tables --------------------------------------------------
@@ -133,10 +130,6 @@ class Geometry:
     def t_square(self) -> np.ndarray:
         """(T o T)_xy = T_xia T_yia, one matmul: T_yia = T_iay as T is totally skew."""
         return self.t3.reshape(8, 64) @ self.t3.reshape(64, 8)
-
-    @cached_property
-    def theta_vec(self) -> np.ndarray:
-        return self.theta.covector_components()
 
     @cached_property
     def dtorsion(self) -> KForm:
@@ -164,7 +157,7 @@ class Geometry:
 
     @cached_property
     def nabla_theta(self) -> np.ndarray:
-        return covariant_derivative(self.conn, self.theta_vec)
+        return covariant_derivative(self.conn, self.theta.vec)
 
     @cached_property
     def dtheta(self) -> KForm:

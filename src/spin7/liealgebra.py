@@ -164,6 +164,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
         spec = read_json(spec)
     if not isinstance(spec, dict):
         raise ValueError("algebra spec must be a dict or a path to a JSON file")
+    spec_name = _json_kind(spec.get("name", "algebra"), str, "name")
     if _json_kind(spec.get("dim", DIM), int, "dim") != DIM:
         raise ValueError(f"only dim = {DIM} algebras are supported")
     convention = spec.get("convention", "brackets")
@@ -185,7 +186,7 @@ def load_algebra(spec, name: str | None = None) -> LieAlgebra8:
         v = sign * parse_scalar(_json_field(entry, "c", what))
         c[i, j, k] += v
         c[j, i, k] -= v
-    return LieAlgebra8(name or spec.get("name", "algebra"), c)
+    return LieAlgebra8(name or spec_name, c)
 
 
 @_shared_table

@@ -1,8 +1,6 @@
 """Behavior of the identity suite across the corpus geometries."""
 
-import importlib
 import json
-import pkgutil
 import re
 import sys
 from collections import Counter
@@ -10,7 +8,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import spin7
 from spin7 import checks, structure
 from spin7.checks import (
     check_bi_spin7,
@@ -24,6 +21,7 @@ from spin7.checks import (
     classify_fernandez,
     full_report,
 )
+from spin7.connection import spin7_torsion
 from spin7.corpus import (
     VERIFY_TARGETS,
     build_geometry,
@@ -159,11 +157,20 @@ def test_bi_structure_mirror(geometries, heisenberg_geom):
 
 def test_mirror_torsion_value(geometries):
     geom = geometries["su2su2u1u1+canonical"]
-    from spin7.connection import spin7_torsion
-
-    t_mirror = spin7_torsion(geom.structure, geom.algebra.mirrored())
+    t_mirror = spin7_torsion(geom.structure, geom.algebra.mirrored())[2][0]
     expect = -1.0 * (KForm.monomial((1, 2, 3)) + KForm.monomial((4, 5, 6)))
     assert (t_mirror - expect).max_abs() < 1e-12
+
+
+def test_mirror_derivation_is_the_exact_negation(geometries, heisenberg_geom):
+    # c -> -c is exact in floating point and every route is linear in c, so the
+    # mirror's d phi, Lee routes and torsion routes are the geometry's negated
+    # bit for bit: bi_structure_opposite_torsion reads 0.0, not a rounding residual
+    for geom in [*geometries.values(), heisenberg_geom]:
+        dphi, lee_routes, torsion_routes = spin7_torsion(geom.structure, geom.algebra.mirrored())
+        ours = (geom.dphi, *geom.lee_routes, *geom.torsion_routes)
+        for mirror, form in zip((dphi, *lee_routes, *torsion_routes), ours, strict=True):
+            assert np.array_equal(mirror.vec, -form.vec), geom.name
 
 
 def test_corrupted_form_fails_loudly_but_completely():
@@ -267,9 +274,8 @@ def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
 
 
 COUNTED = {
-    "lee_form_routes": lambda *args: "lee_form_routes",
-    "spin7_torsion_routes": lambda *args: "spin7_torsion_routes",
     "spin7_torsion": lambda *args: "spin7_torsion",
+    "pull_back": lambda form, b: "pull_back",
     "metric_from_phi": lambda *args: "metric_from_phi",
     "ce_differential": lambda beta, alg: ("ce_differential", beta.degree),
     "norm_sq": lambda a, *m: ("norm_sq", a.degree),
@@ -277,13 +283,6 @@ COUNTED = {
     "hodge_star": lambda a, *m: ("hodge_star", a.degree),
     "covariant_derivative": lambda conn, t: ("covariant_derivative", t.ndim),
 }
-
-
-def slot_raisers() -> list[str]:
-    """The spin7 modules that define raise_slots: tables are raised through FrameMetric alone."""
-    mods = [importlib.import_module(f"spin7.{info.name}")
-            for info in pkgutil.iter_modules(spin7.__path__)]
-    return [m.__name__ for m in [spin7, *mods] if hasattr(m, "raise_slots")]
 
 
 def count_calls(monkeypatch) -> Counter:
@@ -305,20 +304,19 @@ def count_calls(monkeypatch) -> Counter:
 
 
 def test_derived_quantities_are_computed_once(monkeypatch):
-    # one build plus one report; the mirror algebra's torsion in
-    # check_bi_spin7 is one spin7_torsion call, which takes the first of the
-    # route tuple and makes two of the four d's of 4-forms.  Each
-    # torsion stars three 5-forms: d phi, d*phi and theta ^ phi.  The two
-    # 3-tensor derivatives are nabla T for both connections (delta T reads
-    # the Levi-Civita one).  No 4-tensor derivative is built: nabla phi is
-    # one matmul against phi's derivation matrix, and the divergence delta
-    # phi traces before it sums.  The geometry is built in an orthonormal
-    # frame, so no slot of any table is raised (nothing in spin7 raises slots
-    # of a dense table: see the last assertion).  The cyclic sum and the pair
+    # one build plus one report: Geometry.build and check_bi_spin7 (the mirror
+    # algebra's torsion, the first of its torsion routes) are one
+    # spin7_torsion call each, and each makes two of the four d's of 4-forms
+    # and stars three 5-forms: d phi, d*phi and theta ^ phi.  The two 3-tensor
+    # derivatives are nabla T for both connections (delta T reads the
+    # Levi-Civita one).  No 4-tensor derivative is built: nabla phi is one
+    # matmul against phi's derivation matrix, and the divergence delta phi
+    # traces before it sums.  The geometry is built in an orthonormal frame,
+    # so no form is pulled back to another frame.  The cyclic sum and the pair
     # asymmetry of R are each one permutation of R, whatever the number of
     # groups reading them.  A fresh KForm gets a Spin7Form of its own, so
-    # every count holds per build (a shipped structure is shared: see the
-    # test below).
+    # every count holds per build (a shipped structure is shared: see the test
+    # below).
     alg = corpus_algebra("su2su2u1u1")
     Geometry.build(alg, remark_b_form())
     calls = count_calls(monkeypatch)
@@ -332,9 +330,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counted_einsum)
     full_report(built)
-    assert calls["lee_form_routes"] == 1
-    assert calls["spin7_torsion_routes"] == 2
-    assert calls["spin7_torsion"] == 1
+    assert calls["spin7_torsion"] == 2
     assert calls["metric_from_phi"] == 1
     assert calls[("ce_differential", 1)] == 1
     assert calls[("ce_differential", 2)] == 0
@@ -348,7 +344,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     assert calls[("einsum of R", "zxyv->xyzv")] == 1
     assert calls[("einsum of R", "zvxy->xyzv")] == 1
     assert calls[("norm_sq", 3)] == 2
-    assert not slot_raisers()
+    assert calls["pull_back"] == 0
 
 
 @pytest.mark.parametrize("target", VERIFY_TARGETS, ids=lambda t: geometry_id(*t))
@@ -362,8 +358,8 @@ def test_a_shipped_structure_is_derived_once_per_process(target, monkeypatch):
     rep = full_report(second)
     assert second.structure is first.structure
     assert calls["metric_from_phi"] == 0
-    assert not slot_raisers()
-    assert calls["lee_form_routes"] == 1 and calls["spin7_torsion"] == 1
+    assert calls["pull_back"] == 0
+    assert calls["spin7_torsion"] == 2
     assert rep.to_json() == full_report(first).to_json()
 
 

@@ -133,9 +133,13 @@ def test_verify_form_overflowing_its_metric_exits_two(tmp_path):
      '{"degree": 1, "terms": [{"idx": 3, "c": 1}]}', "field 'idx' must be a list, got int"),
     (["verify", "--algebra"],
      '{"dim": 8, "constants": [5]}', "each entry of 'constants' must be an object, got int"),
-], ids=["idx", "terms", "top-level", "decompose", "constants"])
+    *((["verify", "--algebra"], '{"name": %s, "constants": [{"i": 0, "j": 1, "k": 2, "c": 1}]}'
+       % name, "field 'name' must be a string") for name in ('["x"]', "3", "null")),
+], ids=["idx", "terms", "top-level", "decompose", "constants", "name-list", "name-number",
+        "name-null"])
 def test_wrong_shaped_json_exits_two_without_traceback(argv, text, message, tmp_path):
-    # each of these ended in a TypeError traceback and exit 1
+    # each of these ended in a TypeError traceback and exit 1 (a name that is
+    # not a string, when the mirror algebra's name was made as name + "-mirror")
     path = tmp_path / "input.json"
     path.write_text(text)
     proc = run_cli_process(*argv, str(path))

@@ -18,15 +18,11 @@ from spin7.connection import (
     connection_from_torsion,
     covariant_derivative,
     curvature,
-    lee_form,
-    lee_form_routes,
     levi_civita,
-    phi_derivatives,
     ricci,
     scalar_curv,
     sigma_t,
     spin7_torsion,
-    spin7_torsion_routes,
     torsion_tensor,
 )
 from spin7.corpus import (
@@ -524,7 +520,7 @@ def test_sigma_matches_interior_product_definition(rng):
 
 def test_lee_form_product_example(su2):
     s = canonical_phi()
-    theta = lee_form_routes(s, *phi_derivatives(s, su2)[1:])
+    theta = spin7_torsion(s, su2)[1]
     for route in theta:
         assert residual(route, (6.0 / 7.0) * (KForm.basis_covector(4)
                                               - KForm.basis_covector(3))) < 1e-13
@@ -532,13 +528,13 @@ def test_lee_form_product_example(su2):
 
 def test_lee_form_abelian_vanishes():
     s = canonical_phi()
-    for route in lee_form_routes(s, *phi_derivatives(s, LieAlgebra8.abelian())[1:]):
+    for route in spin7_torsion(s, LieAlgebra8.abelian())[1]:
         assert route.max_abs() == 0.0
 
 
 def test_torsion_product_example(su2):
     s = canonical_phi()
-    t_star, t_delta = spin7_torsion_routes(s, *phi_derivatives(s, su2)[1:], lee_form(s, su2))
+    t_star, t_delta = spin7_torsion(s, su2)[2]
     expect = KForm.monomial((1, 2, 3)) + KForm.monomial((4, 5, 6))
     assert residual(t_star, expect) < 1e-13
     assert residual(t_delta, expect) < 1e-13
@@ -546,7 +542,7 @@ def test_torsion_product_example(su2):
 
 def test_torsion_su3_is_minus_bracket_form(su3):
     s = canonical_phi()
-    t = spin7_torsion(s, su3)
+    t = spin7_torsion(s, su3)[2][0]
     expect = KForm.from_array(-su3.c)
     assert residual(t, expect) < 1e-13
     assert ce_differential(t, su3).max_abs() < 1e-13
@@ -554,13 +550,13 @@ def test_torsion_su3_is_minus_bracket_form(su3):
 
 def test_torsion_abelian_vanishes():
     s = canonical_phi()
-    assert spin7_torsion(s, LieAlgebra8.abelian()).coeffs == {}
+    assert all(t.coeffs == {} for t in spin7_torsion(s, LieAlgebra8.abelian())[2])
 
 
 def test_characteristic_connection_annihilates_phi(su2, su3, heisenberg):
     s = canonical_phi()
     for alg in (su2, su3, heisenberg):
-        t = spin7_torsion(s, alg)
+        t = spin7_torsion(s, alg)[2][0]
         conn = connection_from_torsion(levi_civita(alg), t.to_array())
         assert np.max(np.abs(covariant_derivative(conn, s.dense))) < 1e-13
 

@@ -8,7 +8,7 @@ import pytest
 
 import spin7.structure
 from operator_references import d_operator, lambda2_operator, omega_operator
-from spin7.connection import lee_form
+from spin7.connection import spin7_torsion
 from spin7.forms import (
     FrameMetric,
     IDENTITY_METRIC,
@@ -446,9 +446,9 @@ def test_lambda3_covector_refuses_a_structure_it_would_read_at_the_identity(rng)
     s, gamma = pulled_back_structure(7), random_form(rng, 3)
     with pytest.raises(ValueError, match="Geometry.build and project_"):
         lambda3_covector(gamma, s)
-    # the Lee form reaches it: computed at g = I it would be silently wrong
+    # the Lee form's derivation reaches it: computed at g = I it would be silently wrong
     with pytest.raises(ValueError, match="orthonormal_frame first"):
-        lee_form(s, corpus_algebra("su2su2u1u1"))
+        spin7_torsion(s, corpus_algebra("su2su2u1u1"))
     mapped = orthonormal_frame(s)[0]
     assert lambda3_covector(gamma, mapped).degree == 1
 
