@@ -10,22 +10,24 @@ position of the permutations of the smaller ones.  Each row's sign comes
 from counting its cycles, a third way of computing a sign next to
 ``parity``'s selection sort and the inversion count in ``forms``.  Per
 degree k, a second table built once from it groups the 8! rows by tail:
-row t holds, in 8!-table order, the flat index of the first k entries
-and the sign of the k! permutations whose last 8 - k entries are the
-t-th distinct tail.  The star gathers the signed terms into that
-(8!/k!, k!) shape, adds its columns left to right, applies 1/k! and
-sqrt(det g) to those sums, and only then scatters them into the 8^(8-k)
-output.  The wedge is the shuffle sum over transposed views of a (x) b,
-and ``dense_components`` scatters each coefficient onto the flat index of
-every reordering of its index tuple at once, the reorderings of range(k)
-being the rows of the table that fix k..7.
+column t holds, in 8!-table order, the flat index of the first k entries
+and the sign of the k! permutations whose last 8 - k entries are the t-th
+distinct tail.  The star gathers the signed terms into that C-ordered
+(k!, 8!/k!) shape, adds its rows in order by one axis-0 reduction (degree
+8's single column by an accumulation), applies 1/k! and sqrt(det g), and
+scatters the sums into the 8^(8-k) output, whose zero fill bounds the
+degree-1 star.  Indices are raised by one matmul per slot.  The wedge is
+the shuffle sum over transposed views of a (x) b, and ``dense_components``
+scatters each coefficient onto the flat index of every reordering of its
+index tuple at once: the reorderings of range(k) are the table's last k!
+rows, which fix k..7.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -78,24 +80,26 @@ def _flat_index(columns: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _reorderings(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k! permutations of range(k) and their signs: the rows of the 8! table fixing k..7."""
+def _reorderings(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k! permutations of range(k) (the 8! table's last rows), their signs and place values.
+
+    places[i, r] = 8^(k-1-j) where reordering r puts i at position j: idx @ places flattens them.
+    """
     perms, signs = _permutation_table()
-    keep = np.all(perms[:, k:] == np.arange(k, DIM), axis=1)
-    return perms[keep, :k], signs[keep]
+    n = math.factorial(k)
+    places = (DIM ** (k - 1 - np.argsort(perms[-n:, :k], axis=1))).T
+    places.setflags(write=False)
+    return perms[-n:, :k], signs[-n:], places
 
 
 def dense_components(form) -> np.ndarray:
     """Full 8^k component table of a sparse form."""
-    k = form.degree
-    if k == 0:
-        return np.array(form.coeffs.get((), 0.0))
-    idx = np.array(list(form.coeffs), dtype=np.intp).reshape(-1, k)
-    vals = np.array(list(form.coeffs.values()), dtype=float)
-    orders, signs = _reorderings(k)
-    # idx[:, orders][n, r] is reordering r of index tuple n; the product is its flat index
+    k, n = form.degree, len(form.coeffs)
+    idx = np.fromiter(chain.from_iterable(form.coeffs), dtype=np.intp, count=n * k).reshape(n, k)
+    vals = np.fromiter(form.coeffs.values(), dtype=float, count=n)
+    _, signs, places = _reorderings(k)
     out = np.zeros(DIM ** k)
-    out[idx[:, orders] @ DIM ** np.arange(k - 1, -1, -1)] = vals[:, None] * signs
+    out[idx @ places] = vals[:, None] * signs
     return out.reshape((DIM,) * k)
 
 
@@ -124,11 +128,9 @@ def dense_wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _raise_all(a: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    k = a.ndim
     out = a
-    for axis in range(k):
-        out = np.tensordot(out, ginv, axes=([0], [0]))
-    # tensordot cycles axes; after k passes the original order is restored
+    for s in range(a.ndim):
+        out = (out.swapaxes(s, -1) @ ginv).swapaxes(s, -1)
     return out
 
 
@@ -136,17 +138,17 @@ def _raise_all(a: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 def _star_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degree k's 8! table grouped by tail, read-only.
 
-    Row t lists, in 8!-table order, the k! permutations P whose tail P[k:]
-    is the t-th of the 8!/k! distinct tails: the flat index of each head
-    P[:k] and each sign (int8), both of shape (8!/k!, k!); and the flat
-    index of each distinct tail, ascending.  Indices are intp, so that no
-    gather or scatter converts them.
+    Column t lists, in 8!-table order, the k! permutations P whose tail
+    P[k:] is the t-th of the 8!/k! distinct tails: the flat index of each
+    head P[:k] and each sign (int8), both C-ordered of shape (k!, 8!/k!);
+    and the flat index of each distinct tail, ascending.  Indices are intp,
+    so that no gather or scatter converts them.
     """
     perms, signs = _permutation_table()
     tail = _flat_index(perms[:, k:])
     # each tail occurs k! times; a stable sort keeps table order within it
-    rows = np.argsort(tail, kind="stable").reshape(-1, math.factorial(k))
-    tables = (_flat_index(perms[:, :k])[rows], signs[rows], tail[rows[:, 0]])
+    rows = np.ascontiguousarray(np.argsort(tail, kind="stable").reshape(-1, math.factorial(k)).T)
+    tables = (_flat_index(perms[:, :k])[rows], signs[rows], tail[rows[0]])
     for x in tables:
         x.setflags(write=False)
     return tables
@@ -162,21 +164,20 @@ def dense_star(a: np.ndarray, g: np.ndarray | None = None, orientation: int = 1)
     if orientation not in (1, -1):
         raise ValueError(f"orientation must be +1 or -1, got {orientation!r}")
     k = a.ndim if a.shape != () else 0
-    if g is None:
-        raised = np.asarray(a, dtype=float)
-        scale = float(orientation)
-    else:
+    raised, scale = np.asarray(a, dtype=float), float(orientation)
+    if g is not None:
         g = np.asarray(g, dtype=float)
-        raised = _raise_all(np.asarray(a, dtype=float), np.linalg.inv(g)) if k else np.asarray(a, dtype=float)
+        raised = _raise_all(raised, np.linalg.inv(g))
         scale = math.sqrt(np.linalg.det(g)) * orientation
     head, sign, tails = _star_table(k)
     terms = sign * raised.ravel()[head]
-    # each tail's terms added in table order, as a sum from 0.0 would (which makes -0.0 +0.0)
-    sums = terms[:, 0] + 0.0
-    for j in range(1, terms.shape[1]):
-        sums += terms[:, j]
-    sums /= math.factorial(k)
-    sums *= scale
+    # rows added in table order from 0.0 (so -0.0 becomes +0.0); reduce sums degree 8's pairwise
+    sums = (np.add.accumulate(np.append(0.0, terms))[-1:] if k == DIM
+            else np.add.reduce(terms, axis=0, initial=0.0))
+    if k > 1:  # dividing by 1 and multiplying by 1.0 are exact: skipped
+        sums /= math.factorial(k)
+    if scale != 1.0:
+        sums *= scale
     out = np.zeros(DIM ** (DIM - k))
     out[tails] = sums
     return out.reshape((DIM,) * (DIM - k))

@@ -60,6 +60,8 @@ def canonical_indices(degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def validate_multi_index(idx, degree: int) -> tuple[int, ...]:
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in idx):
+        raise ValueError(f"multi-index {tuple(idx)!r} has an entry that is not an integer")
     t = tuple(int(i) for i in idx)
     if len(t) != degree:
         raise ValueError(f"multi-index {t} has length {len(t)}, expected {degree}")
@@ -83,6 +85,12 @@ def _read_only(value):
 def _shared_table(build):
     """lru_cache for a function that builds a table every later call shares: made read-only."""
     return lru_cache(maxsize=None)(wraps(build)(lambda *args: _read_only(build(*args))))
+
+
+@lru_cache(maxsize=None)
+def _row_of(degree: int) -> dict:
+    """Row of each canonical tuple; look up only tuples of Python ints: (True, 2.0) == (1, 2)."""
+    return {idx: row for row, idx in enumerate(canonical_indices(degree))}
 
 
 @_shared_table
@@ -197,9 +205,9 @@ IDENTITY_METRIC = FrameMetric.identity()
 class KForm:
     """Degree-k antisymmetric tensor: its coefficient vector over canonical_indices(k).
 
-    ``KForm(degree, coeffs)`` reads a map from strictly increasing index
-    tuples to coefficients and validates every multi-index; results of
-    operations are built by ``from_vector``, which has nothing to validate.
+    ``KForm(degree, coeffs)`` reads a map from strictly increasing tuples of
+    int or numpy integers (not bool) to coefficients and validates each; results
+    of operations are built by ``from_vector``, which has nothing to validate.
     """
 
     __hash__ = None
@@ -207,10 +215,11 @@ class KForm:
     def __init__(self, degree: int, coeffs: dict):
         if not 0 <= degree <= DIM:
             raise ValueError(f"degree must be 0..{DIM}, got {degree}")
-        basis = canonical_indices(degree)
-        vec = np.zeros(len(basis))
+        rows = _row_of(degree)
+        vec = np.zeros(len(rows))
         for idx, c in coeffs.items():
-            vec[basis.index(validate_multi_index(idx, degree))] = float(c)
+            row = rows.get(idx) if all(type(i) is int for i in idx) else None
+            vec[rows[validate_multi_index(idx, degree)] if row is None else row] = float(c)
         self.degree, self.vec = degree, _read_only(vec)
 
     # -- constructors -------------------------------------------------------

@@ -186,16 +186,53 @@ def spd_metric(seed):
     return q @ q.T + 8.0 * np.eye(8)
 
 
+def reference_raise_all(a, ginv):
+    """Every slot raised by tensordot, which moves the contracted axis last."""
+    out = a
+    for _ in range(a.ndim):
+        out = np.tensordot(out, ginv, axes=([0], [0]))
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_raise_all_matches_tensordot_byte_for_byte(degree):
+    rng = np.random.default_rng(400 + degree)
+    a = rng.standard_normal((8,) * degree)
+    ginv = np.linalg.inv(spd_metric(500 + degree))
+    got, want = _raise_all(a, ginv), reference_raise_all(a, ginv)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def raised_and_scale(a, g, orientation):
+    k = a.ndim if a.shape != () else 0
+    if g is None:
+        return np.asarray(a, dtype=float), float(orientation)
+    g = np.asarray(g, dtype=float)
+    raised = reference_raise_all(np.asarray(a, dtype=float), np.linalg.inv(g)) if k else np.asarray(a, dtype=float)
+    return raised, math.sqrt(np.linalg.det(g)) * orientation
+
+
+def column_loop_star(a, g=None, orientation=1):
+    """The star's group sums over the (8!/k!, k!) table, columns added left to right."""
+    k = a.ndim if a.shape != () else 0
+    raised, scale = raised_and_scale(a, g, orientation)
+    head, sign, tails = _star_table(k)
+    head, sign = head.T, sign.T
+    terms = sign * raised.ravel()[head]
+    sums = terms[:, 0] + 0.0
+    for j in range(1, terms.shape[1]):
+        sums += terms[:, j]
+    sums /= math.factorial(k)
+    sums *= scale
+    out = np.zeros(8 ** (8 - k))
+    out[tails] = sums
+    return out.reshape((8,) * (8 - k))
+
+
 def reference_star(a, g=None, orientation=1):
     """The star summed into all 8^(8-k) bins, then divided and scaled over the whole table."""
     k = a.ndim if a.shape != () else 0
-    if g is None:
-        raised = np.asarray(a, dtype=float)
-        scale = float(orientation)
-    else:
-        g = np.asarray(g, dtype=float)
-        raised = _raise_all(np.asarray(a, dtype=float), np.linalg.inv(g)) if k else np.asarray(a, dtype=float)
-        scale = math.sqrt(np.linalg.det(g)) * orientation
+    raised, scale = raised_and_scale(a, g, orientation)
     perms, signs = _permutation_table()
     weights = signs * raised.ravel()[_flat_index(perms[:, :k])]
     out = np.bincount(_flat_index(perms[:, k:]), weights, minlength=8 ** (8 - k))
@@ -210,8 +247,8 @@ def reference_star(a, g=None, orientation=1):
     # so degree 8 runs under the identity only
     (k, m) for k in range(1, 9) for m in ("identity", "spd") if (k, m) != (8, "spd")])
 def test_star_matches_the_full_table_reference_bit_for_bit(degree, metric, orientation):
-    # the group sums add the same products in the same order as the full
-    # bincount, and 1/k! and the scale are the same elementwise operations
+    # the group sums add the same products in the same order as the full bincount
+    # and as the column loop, and 1/k! and the scale are the same elementwise operations
     a = dense_components(random_form(np.random.default_rng(degree), degree, 1.0))
     g = spd_metric(10 + degree) if metric == "spd" else None
     got, want = dense_star(a, g, orientation), reference_star(a, g, orientation)
@@ -220,6 +257,10 @@ def test_star_matches_the_full_table_reference_bit_for_bit(degree, metric, orien
     assert np.count_nonzero(nonzero) == 40320 // math.factorial(degree)
     assert np.array_equal(got != 0.0, nonzero)
     assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    # the whole table, signed zeros included: a sparse form's star also has sums of zeros
+    sparse = dense_components(random_form(np.random.default_rng(20 + degree), degree, 0.3))
+    for x in (a, sparse):
+        assert dense_star(x, g, orientation).tobytes() == column_loop_star(x, g, orientation).tobytes()
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7])
@@ -250,8 +291,10 @@ def test_star_tables_are_read_only_and_built_once(monkeypatch):
         with pytest.raises(ValueError):
             x[0] = 0
     assert head.dtype == tails.dtype == np.intp and sign.dtype == np.int8
-    assert head.shape == sign.shape == (40320 // math.factorial(3), math.factorial(3))
-    assert len(tails) == len(head)
+    # C order: the star's axis-0 reduction then adds row after row, in table order
+    assert head.shape == sign.shape == (math.factorial(3), 40320 // math.factorial(3))
+    assert head.flags.c_contiguous and sign.flags.c_contiguous
+    assert len(tails) == head.shape[1]
     assert np.all(np.diff(tails) > 0)
 
 
@@ -263,7 +306,7 @@ def reference_components(form):
     arr = np.zeros((8,) * k)
     idx = np.array(list(form.coeffs), dtype=np.intp).reshape(-1, k)
     vals = np.array(list(form.coeffs.values()), dtype=float)
-    orders, signs = _reorderings(k)
+    orders, signs, _ = _reorderings(k)
     arr[tuple(np.moveaxis(idx[:, orders], -1, 0))] = vals[:, None] * signs
     return arr
 
@@ -277,6 +320,16 @@ def test_components_match_the_tuple_scatter_byte_for_byte(degree):
     for f in forms:
         got, want = dense_components(f), reference_components(f)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_reorderings_are_the_last_rows_of_the_permutation_table(k):
+    perms, signs = _permutation_table()
+    keep = np.all(perms[:, k:] == np.arange(k, 8), axis=1)
+    orders, order_signs, places = _reorderings(k)
+    assert np.array_equal(orders, perms[keep, :k]) and np.array_equal(order_signs, signs[keep])
+    assert not places.flags.writeable
+    assert np.array_equal(np.arange(k) @ places, _flat_index(orders))
 
 
 def test_full_contraction_refuses_tables_of_different_degree():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,24 @@ def test_invalid_multi_index_rejected():
         KForm(2, {(0, 1, 2): 1.0})
     with pytest.raises(ValueError):
         KForm(1, {(9,): 1.0})
+
+
+@pytest.mark.parametrize("degree,idx", [
+    (2, (0.9, 1.5)),                # int() read it as (0, 1)
+    (1, ("3",)),                    # int() parsed it as (3,)
+    (1, (np.float64(3.7),)),        # int() read it as (3,)
+    (2, (True, 2)),                 # int() read it as (1, 2); it also equals (1, 2) as a key
+    (2, (1.0, 2.0)),                # equal to (1, 2) as a key
+])
+def test_kform_refuses_multi_index_entries_that_are_not_integers(degree, idx):
+    with pytest.raises(ValueError, match=f"multi-index {re.escape(repr(idx))} has an entry"):
+        KForm(degree, {idx: 1.0})
+
+
+def test_kform_accepts_numpy_integer_multi_indices():
+    got = KForm(2, {(np.int64(1), np.int32(2)): 1.0, (np.intp(0), 3): -2.0})
+    assert got == KForm(2, {(1, 2): 1.0, (0, 3): -2.0})
+    assert got.coeffs == {(0, 3): -2.0, (1, 2): 1.0}
 
 
 # ---------------------------------------------------------------------------
