@@ -32,7 +32,7 @@ from .structure import Spin7Form, project_lambda2, project_lambda3, project_lamb
 
 def cmd_verify(args) -> int:
     # inputs too large for double precision overflow into a non-finite residual,
-    # which the report refuses: one error line naming the larger input, no numpy warnings
+    # which the report refuses: one error line naming the largest input, no numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
@@ -47,11 +47,13 @@ def cmd_verify(args) -> int:
             geom = Geometry.build(alg, phi, name=geometry_id(args.algebra, args.structure, args.t))
             rep = full_report(geom, soliton, tol=args.tolerance)
         except NonFiniteResidual as exc:
-            max_c, max_phi = float(np.max(np.abs(alg.c))), geom.structure.phi.max_abs()
-            culprit = (f"structure constants (max |c| = {max_c:.3g})" if max_c >= max_phi
-                       else f"fundamental form's coefficients (max |phi| = {max_phi:.3g})")
-            print(f"error: the {culprit} overflow double precision: entry {exc.check_id!r} "
-                  f"came out {exc.residual!r}", file=sys.stderr)
+            df = soliton.f_gradient if soliton is not None else np.zeros(1)
+            inputs = [("structure constants", "c", float(np.max(np.abs(alg.c)))),
+                      ("fundamental form's coefficients", "phi", geom.structure.phi.max_abs()),
+                      ("soliton gradient's components", "df", float(np.max(np.abs(df))))]
+            what, symbol, size = max(inputs, key=lambda x: x[2])  # ties name the first
+            print(f"error: the {what} (max |{symbol}| = {size:.3g}) overflow double precision: "
+                  f"entry {exc.check_id!r} came out {exc.residual!r}", file=sys.stderr)
             return 2
         except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -145,7 +145,7 @@ def sigma_t(t3: np.ndarray) -> KForm:
 
     S_xyz is the cyclic sum over (x, y, z); this is (1/2) sum_j (e_j . T) ^ (e_j . T).
     """
-    s = np.einsum("xya,zva->xyzv", t3, t3)
+    s = (t3.reshape(DIM * DIM, DIM) @ t3.reshape(DIM * DIM, DIM).T).reshape((DIM,) * 4)
     return KForm.from_array(s + np.einsum("yzxv->xyzv", s) + np.einsum("zxyv->xyzv", s))
 
 

@@ -18,10 +18,11 @@ Conventions used throughout the package:
   to raise an index; the structure layer works in orthonormal frames and raises none.
 * ``full_contraction(a, b, m)`` is a_I b^I over ALL index tuples, i.e. k!
   times the sum over canonical monomials.  Norms always mean that.
-* Hodge star is the contraction into vol = sqrt(det g) orientation e_{01234567}:
-  *b = contract_into(b, vol), (*b)_J = (1/k!) b^I eps_{IJ} sqrt(det g), so
-  *1 = vol and ** = (-1)^k in dimension eight.  The interior product is the
-  contraction of a covector.
+* Hodge star: (*b)_J = (1/k!) b^I eps_{IJ} sqrt(det g) orientation, so *1 = vol
+  and ** = (-1)^k in dimension eight.  The i-th canonical k-tuple's complement
+  is the (C(8, k) - 1 - i)-th canonical (8 - k)-tuple, so *b is b's raised vector
+  reversed, signed by sign(I, I^c) and scaled by sqrt(det g) times the
+  orientation.  The interior product is the contraction of a covector.
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ def _wedge_table(p: int, q: int):
         return rows, right, left, sign * (-1) ** (p * q)
     table = _merge_table(p, q)
     return tuple(col[table[1] < table[2]] for col in table) if p == q else table
+
+
+@_shared_table
+def _star_sign(degree: int) -> np.ndarray:
+    """sign(I, I^c) of each canonical k-tuple I, whose complement I^c is row C(8, k) - 1 - i."""
+    return _sign(np.hstack([_index_array(degree), _index_array(DIM - degree)[::-1]]))
 
 
 @_shared_table
@@ -405,8 +412,9 @@ def volume_form(m: FrameMetric = IDENTITY_METRIC) -> KForm:
 
 
 def hodge_star(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
-    """Hodge dual with respect to the frame metric and orientation."""
-    return contract_into(a, volume_form(m), m)
+    """Hodge dual as the module notes' signed reversal; bit for bit contract_into(a, vol, m)."""
+    vec = _star_sign(a.degree) * raise_all(a, m).vec * (m.sqrt_det * m.orientation)
+    return KForm.from_vector(DIM - a.degree, vec[::-1] + 0.0)  # -0.0 -> +0.0, as in that sum
 
 
 def interior_product(x, a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:

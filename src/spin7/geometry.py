@@ -10,9 +10,9 @@ keeps metrics; ``spin7 decompose`` splits in the same frame and maps back.
 
 Building makes one ``connection.spin7_torsion`` call, which gives d phi, the
 three Lee-form routes (``lee_routes``; ``theta`` is the last) and the two
-torsion routes (``torsion_routes``; ``torsion`` is the first), and computes
-the Levi-Civita and torsion connections and both curvatures.  Everything
-else the identity suite reads is a cached property computed on first use:
+torsion routes (``torsion_routes``; ``torsion`` is the first, ``t3`` its dense
+table), and computes the Levi-Civita and torsion connections and both
+curvatures.  Everything else the identity suite reads is a cached property computed on first use:
 the 7-part of d theta, delta phi and delta theta by divergence
 (``connection.codifferential`` traces the Levi-Civita coefficients before it
 sums, so no nabla^g phi table is built), delta phi's 48-part and its norm,
@@ -80,6 +80,7 @@ class Geometry:
     dphi: KForm
     lee_routes: tuple[KForm, KForm, KForm]
     torsion_routes: tuple[KForm, KForm]
+    t3: np.ndarray  # the torsion's dense table T_ijk
     frame: np.ndarray  # B: column i holds e'_i in the input frame
     lc: FrameConnection
     conn: FrameConnection
@@ -94,8 +95,9 @@ class Geometry:
         if structure is not given:
             algebra = algebra.in_frame(frame)
         dphi, lee_routes, torsion_routes = spin7_torsion(structure, algebra)
+        t3 = torsion_routes[0].to_array()
         lc = levi_civita(algebra)
-        conn = connection_from_torsion(lc, torsion_routes[0].to_array())
+        conn = connection_from_torsion(lc, t3)
         return cls(
             name=name or algebra.name,
             algebra=algebra,
@@ -103,6 +105,7 @@ class Geometry:
             dphi=dphi,
             lee_routes=lee_routes,
             torsion_routes=torsion_routes,
+            t3=t3,
             frame=frame,
             lc=lc,
             conn=conn,
@@ -121,10 +124,6 @@ class Geometry:
         return self.torsion_routes[0]
 
     # -- cached dense tables --------------------------------------------------
-
-    @cached_property
-    def t3(self) -> np.ndarray:
-        return self.torsion.to_array()
 
     @cached_property
     def t_square(self) -> np.ndarray:

@@ -70,7 +70,7 @@ class LieAlgebra8:
     name: str
     c: np.ndarray  # c[i, j, k] = c^k_{ij}
     jacobi: tuple = field(init=False, repr=False, compare=False)  # jacobi_residual() at load
-    # degree k -> matrix of d on k-forms, "mirror" -> mirrored(); filled on first use
+    # degree k -> matrix of d on k-forms, filled on first use
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,23 +115,17 @@ class LieAlgebra8:
     def abelian(cls, name: str = "abelian") -> "LieAlgebra8":
         return cls(name, np.zeros((DIM, DIM, DIM)))
 
-    def mirrored(self) -> "LieAlgebra8":
-        """Opposite bracket: the right-invariant counterpart of this frame, built once and
-        kept (a shipped algebra has one shared mirror per process; a user file, one per load)."""
-        if "mirror" not in self._cache:
-            self._cache["mirror"] = self._derived(self.name + "-mirror", -self.c)
-        return self._cache["mirror"]
-
     def in_frame(self, b: np.ndarray) -> "LieAlgebra8":
         """The constants in the frame e'_i = b_ai e_a: c'^k_ij = b_ai b_bj c^m_ab (b^-1)_km."""
         return self._derived(self.name, np.einsum("ai,bj,abm,km->ijk", b, b, self.c,
                                                   np.linalg.inv(b), optimize=True))
 
     def _derived(self, name: str, c: np.ndarray) -> "LieAlgebra8":
-        """The algebra of constants c, antisymmetrized, derived from this one's by a negation
-        or a change of frame.  Both keep the Jacobi identity, so this algebra's ``jacobi``
-        is carried over, not checked again: a re-check in another frame sees other rounding
-        against another bound, and may refuse a tensor validated at load."""
+        """The algebra of constants c, antisymmetrized, derived from this one's by a change
+        of frame or a negation (c -> -c, the mirror algebra).  Both keep the Jacobi identity,
+        so this algebra's ``jacobi`` is carried over, not checked again: a re-check in
+        another frame sees other rounding against another bound, and may refuse a tensor
+        validated at load."""
         alg = object.__new__(LieAlgebra8)
         c = _read_only(0.5 * (c - c.transpose(1, 0, 2)))
         for key, value in (("name", name), ("c", c), ("jacobi", self.jacobi), ("_cache", {})):

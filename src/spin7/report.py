@@ -129,7 +129,7 @@ _ENTRY_FIELDS = tuple(CheckEntry.__dataclass_fields__)
 _ENTRY_LAYOUT = "    {\n" + ",\n".join(f'      "{f}": %s' for f in _ENTRY_FIELDS) + "\n    }"
 _entry_values = operator.attrgetter(*_ENTRY_FIELDS)
 _ONE_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
-_SCALARS = (str, float, int, bool, type(None))
+_SCALARS = {str, float, int, bool, type(None)}
 
 
 @dataclass
@@ -173,7 +173,7 @@ class VerificationReport:
         """
         values = [SCHEMA_VERSION, self.geometry_id,
                   *chain.from_iterable(map(_entry_values, self.entries))]
-        if not all(type(v) in _SCALARS for v in values):
+        if not set(map(type, values)) <= _SCALARS:
             return json.dumps(self.to_dict(), indent=2)
         entries = ("[\n" + ",\n".join([_ENTRY_LAYOUT] * len(self.entries)) + "\n  ]"
                    if self.entries else "[]")

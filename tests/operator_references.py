@@ -9,10 +9,21 @@ four-term contraction whose kernel is the 21-part, and
 exchange identities.  ``compound_matrix`` is the k x k minors of a matrix by
 Laplace expansion: C_k(g^-1) @ a.vec is every index of a raised, the reference
 ``forms.raise_all`` is held against.
+
+The report's shortcuts have their references here too: ``mirror_algebra`` is
+the opposite bracket c -> -c, and ``mirror_torsion`` rederives its torsion
+and dT through ``spin7_torsion``, the definitions the two ``bi_structure_*``
+entries read off the geometry instead; ``metric_derivative`` is nabla g by the
+general covariant derivative of the identity table, which ``parallel_metric``
+reads off the metric-compatibility rows; ``reference_star`` is the star as
+the contraction into the volume form, which ``forms.hodge_star`` computes as
+a signed reversal.
 """
 
 import numpy as np
 
+from spin7.checks import check_bi_spin7, check_connection_contracts
+from spin7.connection import FrameConnection, covariant_derivative, spin7_torsion
 from spin7.forms import (
     DIM,
     FrameMetric,
@@ -20,11 +31,15 @@ from spin7.forms import (
     KForm,
     _merge_table,
     _shared_table,
+    contract_into,
     hodge_star,
     interior_product,
     residual,
+    volume_form,
     wedge,
 )
+from spin7.geometry import Geometry
+from spin7.liealgebra import LieAlgebra8, ce_differential
 from spin7.report import VerificationReport, entry, na_entry
 from spin7.structure import Spin7Form
 
@@ -118,3 +133,43 @@ def star_interior_identities_check(alpha, beta: KForm,
         rep.add(na_entry("star_of_dual_contraction", anchor, "needs degree <= 7"))
         rep.add(na_entry("dual_contraction_as_star", anchor, "needs degree <= 7"))
     return rep
+
+
+def mirror_algebra(alg: LieAlgebra8) -> LieAlgebra8:
+    """The opposite bracket c -> -c, the right-invariant counterpart of alg's frame.
+
+    Negation keeps the Jacobi identity, so alg's load-time result is carried over.
+    """
+    return alg._derived(alg.name + "-mirror", -alg.c)
+
+
+def mirror_torsion(geom: Geometry) -> tuple[KForm, KForm]:
+    """The mirror algebra's torsion, derived afresh on geom's structure, and its dT."""
+    mirror = mirror_algebra(geom.algebra)
+    t_mirror = spin7_torsion(geom.structure, mirror)[2][0]
+    return t_mirror, ce_differential(t_mirror, mirror)
+
+
+def metric_derivative(conn: FrameConnection) -> np.ndarray:
+    """nabla g at g = I: the covariant derivative of the identity table."""
+    return covariant_derivative(conn, np.eye(DIM))
+
+
+def reference_star(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
+    """The Hodge star as the contraction of a into vol = sqrt(det g) orientation e_01234567."""
+    return contract_into(a, volume_form(m), m)
+
+
+def shortcut_mismatches(geom: Geometry) -> list[str]:
+    """The rows among bi_structure_* and parallel_metric whose value differs in any bit
+    from its reference's; each group is run unwrapped, so a closed gate hides no row."""
+    got = {**dict(check_connection_contracts.__wrapped__(geom)),
+           **dict(check_bi_spin7.__wrapped__(geom))}
+    t_mirror, dt_mirror = mirror_torsion(geom)
+    want = {
+        "bi_structure_opposite_torsion": residual(t_mirror, -1.0 * geom.torsion),
+        "bi_structure_mirror_closed": dt_mirror.max_abs(),
+        "parallel_metric": max(float(np.abs(metric_derivative(geom.conn)).max()),
+                               float(np.abs(metric_derivative(geom.lc)).max())),
+    }
+    return [i for i, value in want.items() if float(got[i]).hex() != value.hex()]

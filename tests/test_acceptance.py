@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from operator_references import d_operator, lambda2_operator, omega_operator
+from operator_references import d_operator, lambda2_operator, mirror_algebra, omega_operator
 from spin7.checks import check_closed_torsion, check_soliton, full_report
 from spin7.cli import main as cli_main
 from spin7.connection import (
@@ -162,7 +162,7 @@ def test_criterion_4_su3_regression():
     t = spin7_torsion(s, alg)[2][0]
     cartan_torsion = KForm.from_array(-alg.c)
     conn = connection_from_torsion(levi_civita(alg), t.to_array())
-    mirror_t = spin7_torsion(s, alg.mirrored())[2][0]
+    mirror_t = spin7_torsion(s, mirror_algebra(alg))[2][0]
     checks = {
         "torsion_is_minus_bracket": residual(t, cartan_torsion),
         "closed": ce_differential(t, alg).max_abs(),

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from operator_references import mirror_algebra, mirror_torsion, shortcut_mismatches
 from spin7 import checks, structure
 from spin7.checks import (
     check_bi_spin7,
@@ -157,7 +158,7 @@ def test_bi_structure_mirror(geometries, heisenberg_geom):
 
 def test_mirror_torsion_value(geometries):
     geom = geometries["su2su2u1u1+canonical"]
-    t_mirror = spin7_torsion(geom.structure, geom.algebra.mirrored())[2][0]
+    t_mirror = mirror_torsion(geom)[0]
     expect = -1.0 * (KForm.monomial((1, 2, 3)) + KForm.monomial((4, 5, 6)))
     assert (t_mirror - expect).max_abs() < 1e-12
 
@@ -167,10 +168,18 @@ def test_mirror_derivation_is_the_exact_negation(geometries, heisenberg_geom):
     # mirror's d phi, Lee routes and torsion routes are the geometry's negated
     # bit for bit: bi_structure_opposite_torsion reads 0.0, not a rounding residual
     for geom in [*geometries.values(), heisenberg_geom]:
-        dphi, lee_routes, torsion_routes = spin7_torsion(geom.structure, geom.algebra.mirrored())
+        dphi, lee_routes, torsion_routes = spin7_torsion(geom.structure,
+                                                         mirror_algebra(geom.algebra))
         ours = (geom.dphi, *geom.lee_routes, *geom.torsion_routes)
         for mirror, form in zip((dphi, *lee_routes, *torsion_routes), ours, strict=True):
             assert np.array_equal(mirror.vec, -form.vec), geom.name
+
+
+def test_report_shortcuts_are_their_references_bit_for_bit(geometries, heisenberg_geom):
+    # the bi_structure_* rows read -T and dT off the geometry, and parallel_metric the
+    # metric-compatibility rows: each is its reference's value, gate open or not
+    for geom in [*geometries.values(), heisenberg_geom]:
+        assert shortcut_mismatches(geom) == [], geom.name
 
 
 def test_corrupted_form_fails_loudly_but_completely():
@@ -304,10 +313,11 @@ def count_calls(monkeypatch) -> Counter:
 
 
 def test_derived_quantities_are_computed_once(monkeypatch):
-    # one build plus one report: Geometry.build and check_bi_spin7 (the mirror
-    # algebra's torsion, the first of its torsion routes) are one
-    # spin7_torsion call each, and each makes two of the four d's of 4-forms
-    # and stars three 5-forms: d phi, d*phi and theta ^ phi.  The two 3-tensor
+    # one build plus one report: Geometry.build is the one spin7_torsion call
+    # (check_bi_spin7 reads the mirror's -T and dT off the geometry), which
+    # makes both d's of 4-forms and stars three 5-forms: d phi, d*phi and
+    # theta ^ phi.  T's dense table is made once, by the build, and
+    # parallel_metric builds no nabla g table.  The two 3-tensor
     # derivatives are nabla T for both connections (delta T reads the
     # Levi-Civita one).  No 4-tensor derivative is built: nabla phi is one
     # matmul against phi's derivation matrix, and the divergence delta phi
@@ -320,6 +330,13 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     alg = corpus_algebra("su2su2u1u1")
     Geometry.build(alg, remark_b_form())
     calls = count_calls(monkeypatch)
+    to_array, arrays = KForm.to_array, []
+
+    def counted_to_array(form):
+        arrays.append(form)
+        return to_array(form)
+
+    monkeypatch.setattr(KForm, "to_array", counted_to_array)
     built = Geometry.build(alg, remark_b_form())
     einsum = np.einsum
 
@@ -330,16 +347,18 @@ def test_derived_quantities_are_computed_once(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counted_einsum)
     full_report(built)
-    assert calls["spin7_torsion"] == 2
+    assert calls["spin7_torsion"] == 1
+    assert sum(form is built.torsion for form in arrays) == 1
     assert calls["metric_from_phi"] == 1
     assert calls[("ce_differential", 1)] == 1
     assert calls[("ce_differential", 2)] == 0
-    assert calls[("ce_differential", 3)] == 3
-    assert calls[("ce_differential", 4)] == 4
+    assert calls[("ce_differential", 3)] == 2
+    assert calls[("ce_differential", 4)] == 2
     assert calls["sigma_t"] == 1
+    assert calls[("covariant_derivative", 2)] == 2
     assert calls[("covariant_derivative", 3)] == 2
     assert calls[("covariant_derivative", 4)] == 0
-    assert calls[("hodge_star", 5)] == 6
+    assert calls[("hodge_star", 5)] == 3
     assert calls[("einsum of R", "yzxv->xyzv")] == 1
     assert calls[("einsum of R", "zxyv->xyzv")] == 1
     assert calls[("einsum of R", "zvxy->xyzv")] == 1
@@ -359,7 +378,7 @@ def test_a_shipped_structure_is_derived_once_per_process(target, monkeypatch):
     assert second.structure is first.structure
     assert calls["metric_from_phi"] == 0
     assert calls["pull_back"] == 0
-    assert calls["spin7_torsion"] == 2
+    assert calls["spin7_torsion"] == 1
     assert rep.to_json() == full_report(first).to_json()
 
 

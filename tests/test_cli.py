@@ -482,6 +482,17 @@ def test_verify_overflowing_constants_name_the_input(tmp_path):
     assert re.search(r"entry '\w+' came out (nan|inf|-inf)$", proc.stderr.strip())
 
 
+def test_verify_overflowing_soliton_gradient_is_named():
+    # su3's constants and phi are of size 1: the gradient is the input that overflows,
+    # and the error names it, not the structure constants
+    proc = run_cli_process("verify", "--algebra", "su3", "--soliton-df", ",".join(["1e308"] * 8))
+    assert proc.returncode == 2
+    assert _single_error_line(proc.stderr), proc.stderr
+    assert proc.stderr.startswith("error: the soliton gradient's components "
+                                  "(max |df| = 1e+308) overflow double precision: entry '")
+    assert re.search(r"entry 'soliton_\w+' came out (nan|inf|-inf)$", proc.stderr.strip())
+
+
 def test_verify_constants_overflowing_the_jacobi_sum_exit_two(tmp_path):
     # so(3) constants 1e160: the algebra is refused on load, before any check runs
     spec = tmp_path / "huge.json"

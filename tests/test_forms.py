@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operator_references import _laplace_table, compound_matrix, star_interior_identities_check
+from operator_references import (
+    _laplace_table,
+    compound_matrix,
+    reference_star,
+    star_interior_identities_check,
+)
 from spin7.forms import (
     FrameMetric,
     IDENTITY_METRIC,
@@ -329,6 +334,22 @@ def test_raise_all_keeps_its_relative_error_at_any_scale(scale):
         want = compound_matrix(m.inv, degree) @ a.vec
         # measured <= 1.3e-15; dividing by np.linalg.det read 2e-14 at 1e-30 and 1e30
         assert np.max(np.abs(raise_all(a, m).vec - want)) <= 5e-15 * np.max(np.abs(want)), degree
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_star_is_the_contraction_into_the_volume_form_bit_for_bit(degree):
+    # the signed reversal gives the contraction's bytes, -0.0 turned +0.0 included,
+    # at the identity, an SPD g, and both orientations
+    g = random_spd_metric(np.random.default_rng(40 + degree)).g
+    rng = np.random.default_rng(degree)
+    for m in (IDENTITY_METRIC, FrameMetric(np.eye(8), -1), FrameMetric(g), FrameMetric(g, -1)):
+        vec = random_form(rng, degree).vec.copy()
+        vec[::3], vec[1::4] = 0.0, -0.0
+        for a in (KForm.from_vector(degree, vec), -1.0 * KForm.from_vector(degree, vec),
+                  KForm.zero(degree)):
+            got, want = hodge_star(a, m), reference_star(a, m)
+            assert got.degree == want.degree == 8 - degree
+            assert got.vec.tobytes() == want.vec.tobytes(), (degree, m.orientation)
 
 
 @pytest.mark.parametrize("orientation", [1, -1])

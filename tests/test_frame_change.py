@@ -20,11 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spin7.structure
+from operator_references import mirror_algebra, shortcut_mismatches
 from spin7.checks import full_report
 from spin7.corpus import build_geometry, build_structure_form, geometry_id, get_algebra
-from spin7.forms import FrameMetric, IDENTITY_METRIC, KForm
+from spin7.forms import FrameMetric, IDENTITY_METRIC, KForm, pull_back
 from spin7.geometry import Geometry, SolitonData
 from spin7.liealgebra import LieAlgebra8
+from spin7.structure import Spin7Form, canonical_phi_form
 
 TARGETS = (
     ("su3", "canonical", None),
@@ -78,6 +80,38 @@ def test_verdicts_survive_a_change_of_frame(target, seed, monkeypatch):
     assert_same_verdicts(full_report(moved).entries, orthonormal)
 
 
+@pytest.mark.parametrize("target,seed", FRAMES)
+def test_report_shortcuts_are_their_references_in_a_moved_frame(target, seed, monkeypatch):
+    assert shortcut_mismatches(moved_geometry(target, frame(seed), monkeypatch)) == []
+
+
+def bi_invariant_member(name: str, seed: int) -> Geometry:
+    """A closed-torsion geometry in a generic frame: su2su2u1u1 with its two S^3 factors
+    at different radii, or su3's constants x 1.7, presented in the frame A = I + 0.4 N
+    (N seeded standard normal) with the metric A^T A and the orientation sign det A."""
+    alg = get_algebra(name)
+    if name == "su2su2u1u1":
+        alg = alg.in_frame(np.diag([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 0.5]))
+    else:
+        alg = LieAlgebra8(name, 1.7 * alg.c)
+    a = np.eye(8) + 0.4 * np.random.default_rng(seed).standard_normal((8, 8))
+    orientation = 1 if np.linalg.det(a) > 0.0 else -1
+    phi = Spin7Form(pull_back(canonical_phi_form(), a), FrameMetric(a.T @ a, orientation))
+    return Geometry.build(alg.in_frame(a), phi)
+
+
+# seed 1: det A = +0.93, cond(A^T A) = 44; seed 3: det A = -1.83, cond 190
+@pytest.mark.parametrize("name,seed", [pytest.param(name, seed, id=f"{name}-seed{seed}")
+                                       for name in ("su2su2u1u1", "su3") for seed in (1, 3)])
+def test_bi_invariant_family_opens_every_gate_and_matches_the_references(name, seed):
+    # every gate is open here, so bi_structure_mirror_closed applies off the corpus
+    geom = bi_invariant_member(name, seed)
+    rep = full_report(geom)
+    assert [e.check_id for e in rep.entries if e.not_applicable] == []
+    assert rep.all_passed(), [e.check_id for e in rep.failed()]  # worst measured 3.9e-12
+    assert shortcut_mismatches(geom) == []
+
+
 # Measured: 0 flipped entries over the four targets on the 40 frames of seeds
 # 1000-1039 (cond(A^T A) up to 7.0e4) and on seed 3 (8.2e4); raising indices
 # with g^-1 instead flipped entries from cond 2.7e3 on.  The bound keeps a margin.
@@ -111,7 +145,7 @@ def test_a_mapped_algebra_carries_its_jacobi_result_to_its_mirror(monkeypatch):
     # neither the map nor the negation is validated again: the Jacobi identity
     # is tensorial and negation is exact, so the load-time result carries over
     alg = moved_geometry(TARGETS[0], frame(3), monkeypatch).algebra
-    mirror = alg.mirrored()
+    mirror = mirror_algebra(alg)
     assert mirror.jacobi == alg.jacobi
     assert np.array_equal(mirror.c, -alg.c)
     assert not mirror.c.flags.writeable
