@@ -17,40 +17,35 @@ identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .forms import DIM, KForm, hodge_star, interior_product, wedge
+from .forms import DIM, KForm, _read_only, hodge_star, interior_product, wedge
 from .liealgebra import LieAlgebra8, ce_differential
+from .report import Frozen
 from .structure import Spin7Form, lambda3_covector
 
 
-@dataclass(frozen=True)
-class FrameConnection:
-    gamma: np.ndarray  # gamma[i, j, k] = Gamma^k_{ij}
+class FrameConnection(Frozen):
+    """Connection coefficients gamma[i, j, k] = Gamma^k_{ij}: a read-only copy of the table given."""
 
-    def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
+    def __init__(self, gamma: np.ndarray):
+        gamma = np.array(gamma, dtype=float)
         if gamma.shape != (DIM, DIM, DIM):
             raise ValueError(f"connection table must be {DIM}^3, got {gamma.shape}")
-        gamma.setflags(write=False)
-        object.__setattr__(self, "gamma", gamma)
+        vars(self)["gamma"] = _read_only(gamma)
 
     def metric_compat_residual(self) -> float:
         return float(np.max(np.abs(self.gamma + np.einsum("ijk->ikj", self.gamma))))
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
-    R: np.ndarray  # R[i, j, k, l] = R_{ijkl}, all indices lowered
+class CurvatureTensor(Frozen):
+    """R[i, j, k, l] = R_{ijkl}, all indices lowered: a read-only copy of the table given."""
 
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
+    def __init__(self, R: np.ndarray):
+        R = np.array(R, dtype=float)
         if R.shape != (DIM,) * 4:
             raise ValueError(f"curvature table must be {DIM}^4, got {R.shape}")
-        R.setflags(write=False)
-        object.__setattr__(self, "R", R)
+        vars(self)["R"] = _read_only(R)
 
     def antisymmetry_residual(self) -> float:
         R = self.R

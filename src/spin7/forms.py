@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations, compress, permutations
 from pathlib import Path
@@ -37,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .report import _json_field, _json_kind, _json_loads, _json_shape
+from .report import Frozen, _json_field, _json_kind, _json_loads, _json_shape
 
 DIM = 8
 FULL_INDEX = tuple(range(DIM))
@@ -160,20 +159,16 @@ def _dense_table(degree: int):
 # ---------------------------------------------------------------------------
 # frame metric
 
-@dataclass(frozen=True)
-class FrameMetric:
+class FrameMetric(Frozen):
     """Symmetric positive-definite 8x8 coefficient table with orientation.
 
-    orientation +1 means the oriented volume is +e_{01234567}.
+    orientation +1 means the oriented volume is +e_{01234567}.  ``g`` holds
+    the table symmetrized and ``chol`` its lower Cholesky factor L of
+    g = L L^T, both read-only.
     """
 
-    g: np.ndarray
-    orientation: int = 1
-    # the lower Cholesky factor L of g = L L^T, read-only
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
+    def __init__(self, g: np.ndarray, orientation: int = 1):
+        g = np.asarray(g, dtype=float)
         if g.shape != (DIM, DIM):
             raise ValueError(f"metric must be {DIM}x{DIM}, got {g.shape}")
         if not np.all(np.isfinite(g)):
@@ -181,13 +176,13 @@ class FrameMetric:
         if not np.all(np.abs(g - g.T) <= 1e-14 + 1e-5 * np.abs(g.T)):  # np.allclose's test
             raise ValueError("metric table is not symmetric")
         g = _read_only(0.5 * (g + g.T))
-        object.__setattr__(self, "g", g)
-        if self.orientation not in (1, -1):
+        if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         try:
-            object.__setattr__(self, "chol", _read_only(np.linalg.cholesky(g)))
+            chol = _read_only(np.linalg.cholesky(g))
         except np.linalg.LinAlgError:
             raise ValueError("metric table is not positive-definite") from None
+        vars(self).update(g=g, orientation=orientation, chol=chol)
 
     @classmethod
     def identity(cls) -> "FrameMetric":

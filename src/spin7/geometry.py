@@ -25,7 +25,6 @@ per process.  Contractions of forms with theta, T or phi go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,49 +42,42 @@ from .connection import (
     sigma_t,
     spin7_torsion,
 )
-from .forms import KForm, norm_sq
+from .forms import KForm, _read_only, norm_sq
 from .liealgebra import LieAlgebra8, ce_differential
+from .report import Frozen
 from .structure import Spin7Form, orthonormal_frame, project_lambda2, project_lambda3
 
 
-@dataclass(frozen=True)
-class SolitonData:
+class SolitonData(Frozen):
     """Gradient data for the steady soliton checks.
 
-    f_gradient holds the components of df in the input frame; the zero
-    covector means a constant potential, which is the invariant-geometry default.
+    f_gradient holds the components of df in the input frame, a read-only
+    copy of the ones given; the zero covector means a constant potential,
+    which is the invariant-geometry default.
     """
 
-    f_gradient: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.f_gradient, dtype=float)
+    def __init__(self, f_gradient: np.ndarray):
+        v = np.array(f_gradient, dtype=float)
         if v.shape != (8,):
             raise ValueError(f"gradient covector needs 8 components, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("gradient covector must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "f_gradient", v)
+        vars(self)["f_gradient"] = _read_only(v)
 
     @classmethod
     def constant_potential(cls) -> "SolitonData":
         return cls(np.zeros(8))
 
 
-@dataclass(frozen=True)
-class Geometry:
-    name: str
-    algebra: LieAlgebra8
-    structure: Spin7Form
-    dphi: KForm
-    lee_routes: tuple[KForm, KForm, KForm]
-    torsion_routes: tuple[KForm, KForm]
-    t3: np.ndarray  # the torsion's dense table T_ijk
-    frame: np.ndarray  # B: column i holds e'_i in the input frame
-    lc: FrameConnection
-    conn: FrameConnection
-    curv: CurvatureTensor
-    curv_lc: CurvatureTensor
+class Geometry(Frozen):
+    """An algebra and a structure in the structure's g-orthonormal frame, and what is derived.
+
+    Built by ``build`` only, with the fields name, algebra, structure, dphi,
+    lee_routes (three KForms), torsion_routes (two KForms), t3 (the torsion's
+    dense table T_ijk), frame (B: column i holds e'_i in the input frame), lc
+    and conn (the Levi-Civita and torsion connections) and curv and curv_lc
+    (their curvatures).
+    """
 
     @classmethod
     def build(cls, algebra: LieAlgebra8, phi: KForm | Spin7Form, name: str | None = None) -> "Geometry":
@@ -98,7 +90,8 @@ class Geometry:
         t3 = torsion_routes[0].to_array()
         lc = levi_civita(algebra)
         conn = connection_from_torsion(lc, t3)
-        return cls(
+        geom = cls.__new__(cls)
+        vars(geom).update(
             name=name or algebra.name,
             algebra=algebra,
             structure=structure,
@@ -112,6 +105,7 @@ class Geometry:
             curv=curvature(conn, algebra),
             curv_lc=curvature(lc, algebra),
         )
+        return geom
 
     @property
     def theta(self) -> KForm:

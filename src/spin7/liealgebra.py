@@ -12,13 +12,12 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .forms import DIM, KForm, _index_array, _merge_table, _read_only, _shared_table, read_json
-from .report import _json_field, _json_kind, _json_shape
+from .report import Frozen, _json_field, _json_kind, _json_shape
 
 JACOBI_TOL = 1e-12
 
@@ -63,18 +62,16 @@ def parse_scalar(value) -> float:
     return result
 
 
-@dataclass(frozen=True)
-class LieAlgebra8:
-    """Jacobi-validated structure constants of an 8-dimensional Lie algebra."""
+class LieAlgebra8(Frozen):
+    """Jacobi-validated structure constants of an 8-dimensional Lie algebra.
 
-    name: str
-    c: np.ndarray  # c[i, j, k] = c^k_{ij}
-    jacobi: tuple = field(init=False, repr=False, compare=False)  # jacobi_residual() at load
-    # degree k -> matrix of d on k-forms, filled on first use
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ``c[i, j, k] = c^k_{ij}``, antisymmetrized and read-only; ``jacobi`` is
+    ``jacobi_residual()`` at load; ``_cache`` maps degree k to the matrix of d
+    on k-forms, filled on first use.
+    """
 
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+    def __init__(self, name: str, c: np.ndarray):
+        c = np.asarray(c, dtype=float)
         if c.shape != (DIM, DIM, DIM):
             raise ValueError(f"structure constants must be {DIM}^3, got {c.shape}")
         if not np.all(np.isfinite(c)):
@@ -87,11 +84,11 @@ class LieAlgebra8:
         if asym > JACOBI_TOL * scale:
             raise ValueError(
                 f"structure constants are not antisymmetric in (i, j): residual {asym:.3e}")
-        object.__setattr__(self, "c", _read_only(0.5 * (c - ct)))
+        vars(self).update(name=name, c=_read_only(0.5 * (c - ct)), _cache={})
         # the Jacobi sum is quadratic in c, so its rounding scales with max|c|^2;
         # past max|c| ~ 1.3e154 its products overflow to inf, or inf - inf = nan
         res, where = self.jacobi_residual()
-        object.__setattr__(self, "jacobi", (res, where))
+        vars(self)["jacobi"] = (res, where)
         if not math.isfinite(res):
             raise ValueError(f"algebra {self.name!r}: the structure constants "
                              f"(max |c| = {max_c:.3g}) overflow double precision")
@@ -128,8 +125,7 @@ class LieAlgebra8:
         validated at load."""
         alg = object.__new__(LieAlgebra8)
         c = _read_only(0.5 * (c - c.transpose(1, 0, 2)))
-        for key, value in (("name", name), ("c", c), ("jacobi", self.jacobi), ("_cache", {})):
-            object.__setattr__(alg, key, value)
+        vars(alg).update(name=name, c=c, jacobi=self.jacobi, _cache={})
         return alg
 
     def is_abelian(self) -> bool:

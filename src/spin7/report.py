@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from itertools import chain
 
 SCHEMA_VERSION = "1"
@@ -31,21 +30,31 @@ class NonFiniteResidual(ValueError):
         self.check_id, self.residual = check_id, residual
 
 
-@dataclass(frozen=True, init=False)
-class CheckEntry:
-    check_id: str
-    paper_anchor: str
-    residual: float
-    tolerance: float
-    passed: bool | None
-    not_applicable: bool = False
-    notes: str = ""
+class Frozen:
+    """A value whose fields are set once, by its constructor, in its ``__dict__``.
+
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    ``functools.cached_property`` writes to ``__dict__`` directly, so it still fills.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to attribute {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete attribute {name!r} of a frozen {type(self).__name__}")
+
+
+# CheckEntry's fields in order: the keys of to_dict and of every entry to_json writes
+_ENTRY_FIELDS = ("check_id", "paper_anchor", "residual", "tolerance", "passed",
+                 "not_applicable", "notes")
+
+
+class CheckEntry(Frozen):
+    """One identity's verdict: its residual against its tolerance, or not applicable."""
 
     def __init__(self, check_id: str, paper_anchor: str, residual: float, tolerance: float,
                  passed: bool | None, not_applicable: bool = False, notes: str = ""):
-        # frozen: the fields are stored in __dict__ directly, at half the cost of the seven
-        # object.__setattr__ calls a generated __init__ makes, on every entry of every report
-        d = self.__dict__
+        d = vars(self)
         d["check_id"], d["paper_anchor"], d["residual"], d["tolerance"] = (
             check_id, paper_anchor, residual, tolerance)
         d["passed"], d["not_applicable"], d["notes"] = passed, not_applicable, notes
@@ -125,17 +134,18 @@ def _json_field(obj: dict, name: str, what: str):
 
 # to_json's layout: the entry template of json.dumps(..., indent=2), and an
 # encoder (C-accelerated, as it has no indent) that writes one value per line
-_ENTRY_FIELDS = tuple(CheckEntry.__dataclass_fields__)
 _ENTRY_LAYOUT = "    {\n" + ",\n".join(f'      "{f}": %s' for f in _ENTRY_FIELDS) + "\n    }"
 _entry_values = operator.attrgetter(*_ENTRY_FIELDS)
 _ONE_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
 _SCALARS = {str, float, int, bool, type(None)}
 
 
-@dataclass
 class VerificationReport:
-    geometry_id: str
-    entries: list[CheckEntry] = field(default_factory=list)
+    """The entries of one geometry's checks, in report order; mutable through add and extend."""
+
+    def __init__(self, geometry_id: str, entries: list[CheckEntry] | None = None):
+        self.geometry_id = geometry_id
+        self.entries = [] if entries is None else entries
 
     def add(self, e: CheckEntry) -> None:
         self.entries.append(e)

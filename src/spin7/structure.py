@@ -15,7 +15,6 @@ kept on the structure) and each part is pulled back by b^-1 (``pull_back``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -36,7 +35,7 @@ from .forms import (
     pull_back,
     residual,
 )
-from .report import VerificationReport, entry
+from .report import Frozen, VerificationReport, entry
 
 # The canonical fundamental 4-form: 14 unit monomials.
 CANONICAL_PHI_TERMS = (
@@ -85,14 +84,12 @@ def metric_from_phi(phi: KForm) -> FrameMetric:
         raise ValueError(f"not an admissible fundamental form: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Spin7Form:
-    """A fundamental 4-form together with its induced metric."""
+class Spin7Form(Frozen):
+    """A fundamental 4-form ``phi`` together with its induced ``metric``."""
 
-    phi: KForm
-    metric: FrameMetric
-    # degree -> that degree's Lagrange projectors, "frame" -> orthonormal_frame(); filled on first use
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, phi: KForm, metric: FrameMetric):
+        # degree -> that degree's Lagrange projectors, "frame" -> orthonormal_frame(); filled on first use
+        vars(self).update(phi=phi, metric=metric, _cache={})
 
     @classmethod
     def from_form(cls, phi: KForm | Spin7Form) -> "Spin7Form":
