@@ -130,20 +130,22 @@ def check_algebra(geom: Geometry, tol: float = DEFAULT_TOL):
     ("curvature_antisymmetry_lc", "id:curvature-skew-pairs"),
     ("curvature_in_stabilizer", "id:curvature-in-stabilizer"))
 def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL):
-    alg = geom.algebra
-    lc_compat, conn_compat = geom.lc.metric_compat_residual(), geom.conn.metric_compat_residual()
+    alg, lc, conn, R = geom.algebra, geom.lc, geom.conn, geom.curv
+    # Gamma_ijk + Gamma_ikj: a metric connection's coefficients are skew in j, k
+    lc_compat, conn_compat = (_maxabs(g + np.einsum("ijk->ikj", g)) for g in (lc, conn))
     yield "lc_metric_compatibility", lc_compat
-    yield "lc_torsion_free", _maxabs(torsion_tensor(geom.lc, alg))
+    yield "lc_torsion_free", _maxabs(torsion_tensor(lc, alg))
     yield "torsion_connection_metric", conn_compat
-    yield "torsion_recovery", _maxabs(torsion_tensor(geom.conn, alg) - geom.t3)
+    yield "torsion_recovery", _maxabs(torsion_tensor(conn, alg) - geom.t3)
     # nabla phi on phi's 70 canonical components: -Gamma.reshape(8, 64) @ D
     yield "parallel_fundamental_form", _maxabs(
-        geom.conn.gamma.reshape(8, 64) @ geom.structure.derivation_matrix)
+        conn.reshape(8, 64) @ geom.structure.derivation_matrix)
     # nabla g at g = I is -(Gamma_ijk + Gamma_ikj), bit for bit the compatibility rows' table
     yield "parallel_metric", max(conn_compat, lc_compat)
-    yield "curvature_antisymmetry", geom.curv.antisymmetry_residual()
-    yield "curvature_antisymmetry_lc", geom.curv_lc.antisymmetry_residual()
-    R = geom.curv.R
+    # R_ijkl + R_jikl and R_ijkl + R_ijlk: a curvature is skew in each pair
+    for check_id, r in (("curvature_antisymmetry", R), ("curvature_antisymmetry_lc", geom.curv_lc)):
+        yield check_id, max(_maxabs(r + np.einsum("ijkl->jikl", r)),
+                            _maxabs(r + np.einsum("ijkl->ijlk", r)))
     yield "curvature_in_stabilizer", _maxabs(
         (R.reshape(64, 64) @ geom.structure.dense.reshape(64, 64)).reshape(R.shape) - 2.0 * R)
 
@@ -185,7 +187,7 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
             ("curvature_six_term_symmetry", "id:six-term-curvature"),
             ("reversed_first_bianchi", "id:reversed-first-bianchi"))
 def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL):
-    R, dt, sig = geom.curv.R, geom.dt4, geom.sigma4
+    R, dt, sig = geom.curv, geom.dt4, geom.sigma4
     cyc = geom.bianchi_cycle
     rcyc = (np.einsum("vxyz->xyzv", R) + np.einsum("vyzx->xyzv", R)
             + np.einsum("vzxy->xyzv", R))
@@ -252,7 +254,7 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
         abs(dt_phi - (-28.0 * dth + 4.0 * n48 - 28.0 * thn)),
     )
     yield "ricci_double_contraction", max(
-        _maxabs(2.0 * geom.ric + _phi_trace(geom, geom.curv.R)),
+        _maxabs(2.0 * geom.ric + _phi_trace(geom, geom.curv)),
         _maxabs(2.0 * geom.ric + (1.0 / 6.0) * dt_tr + (7.0 / 3.0) * ntheta),
     )
 

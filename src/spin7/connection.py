@@ -1,9 +1,10 @@
 """Connections, curvature and torsion on invariant frames.
 
-Connection coefficients are stored as gamma[i, j, k] = Gamma^k_{ij} with
-nabla_{e_i} e_j = sum_k Gamma^k_{ij} e_k.  Curvature follows
-R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_{[X,Y]}Z, lowered in the last slot,
-and the Ricci trace is Ric(X,Y) = sum_a R(e_a, X, Y, e_a).
+A connection is the plain (8, 8, 8) array gamma[i, j, k] = Gamma^k_{ij} with
+nabla_{e_i} e_j = sum_k Gamma^k_{ij} e_k.  Curvature is the plain (8, 8, 8, 8)
+array R[i, j, k, l] of R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_{[X,Y]}Z, lowered
+in the last slot, and the Ricci trace is Ric(X,Y) = sum_a R(e_a, X, Y, e_a).
+Each builder returns a fresh array; ``Geometry.build`` freezes the ones it keeps.
 
 All tensors are invariant (constant frame components), so covariant
 derivatives reduce to the connection-coefficient corrections.  Everything
@@ -19,65 +20,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import DIM, KForm, _read_only, hodge_star, interior_product, wedge
+from .forms import DIM, KForm, hodge_star, interior_product, wedge
 from .liealgebra import LieAlgebra8, ce_differential
-from .report import Frozen
 from .structure import Spin7Form, lambda3_covector
 
 
-class FrameConnection(Frozen):
-    """Connection coefficients gamma[i, j, k] = Gamma^k_{ij}: a read-only copy of the table given."""
-
-    def __init__(self, gamma: np.ndarray):
-        gamma = np.array(gamma, dtype=float)
-        if gamma.shape != (DIM, DIM, DIM):
-            raise ValueError(f"connection table must be {DIM}^3, got {gamma.shape}")
-        vars(self)["gamma"] = _read_only(gamma)
-
-    def metric_compat_residual(self) -> float:
-        return float(np.max(np.abs(self.gamma + np.einsum("ijk->ikj", self.gamma))))
-
-
-class CurvatureTensor(Frozen):
-    """R[i, j, k, l] = R_{ijkl}, all indices lowered: a read-only copy of the table given."""
-
-    def __init__(self, R: np.ndarray):
-        R = np.array(R, dtype=float)
-        if R.shape != (DIM,) * 4:
-            raise ValueError(f"curvature table must be {DIM}^4, got {R.shape}")
-        vars(self)["R"] = _read_only(R)
-
-    def antisymmetry_residual(self) -> float:
-        R = self.R
-        r1 = np.max(np.abs(R + np.einsum("ijkl->jikl", R)))
-        r2 = np.max(np.abs(R + np.einsum("ijkl->ijlk", R)))
-        return float(max(r1, r2))
-
-
-def levi_civita(alg: LieAlgebra8) -> FrameConnection:
+def levi_civita(alg: LieAlgebra8) -> np.ndarray:
     """Koszul formula on an orthonormal invariant frame."""
     c = alg.c
-    return FrameConnection(0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c)))
+    return 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
 
 
-def connection_from_torsion(lc: FrameConnection, t3: np.ndarray) -> FrameConnection:
+def connection_from_torsion(lc: np.ndarray, t3: np.ndarray) -> np.ndarray:
     """Metric connection with prescribed totally skew torsion T_ijk."""
-    return FrameConnection(lc.gamma + 0.5 * t3)
+    return lc + 0.5 * t3
 
 
-def torsion_tensor(conn: FrameConnection, alg: LieAlgebra8) -> np.ndarray:
+def torsion_tensor(gamma: np.ndarray, alg: LieAlgebra8) -> np.ndarray:
     """T_{ijk} of nabla_X Y - nabla_Y X - [X, Y]."""
-    return conn.gamma - np.einsum("ijk->jik", conn.gamma) - alg.c
+    return gamma - np.einsum("ijk->jik", gamma) - alg.c
 
 
-def covariant_derivative(conn: FrameConnection, t: np.ndarray) -> np.ndarray:
+def covariant_derivative(gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(nabla_i t)_{j1..jr} of an invariant covariant tensor of any rank.
 
     -sum_s Gamma^m_{i j_s} t_{j1..m..jr}: per slot s, one (64, 8) x (8, 8^(r-1))
     matmul of Gamma_{(i j), m} against t with slot s moved first.
     """
     t = np.asarray(t, dtype=float)
-    gamma = conn.gamma.reshape(DIM * DIM, DIM)
+    gamma = gamma.reshape(DIM * DIM, DIM)
     out = np.zeros((DIM,) * (t.ndim + 1))
     for s in range(t.ndim):
         prod = gamma @ t.swapaxes(0, s).reshape(DIM, -1)  # (i, j_s, t's slots with 0 at s)
@@ -85,18 +56,17 @@ def covariant_derivative(conn: FrameConnection, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def curvature(conn: FrameConnection, alg: LieAlgebra8) -> CurvatureTensor:
+def curvature(gamma: np.ndarray, alg: LieAlgebra8) -> np.ndarray:
     """R_ijkl by (64, 8) x (8, 64) matmuls; the second product is the first with i, j swapped."""
-    g = conn.gamma
-    first = g.reshape(DIM * DIM, DIM) @ g.transpose(1, 0, 2).reshape(DIM, -1)  # (jk, il)
+    first = gamma.reshape(DIM * DIM, DIM) @ gamma.transpose(1, 0, 2).reshape(DIM, -1)  # (jk, il)
     first = first.reshape((DIM,) * 4).transpose(2, 0, 1, 3)
-    bracket = (alg.c.reshape(DIM * DIM, DIM) @ g.reshape(DIM, -1)).reshape((DIM,) * 4)
-    return CurvatureTensor(first - first.transpose(1, 0, 2, 3) - bracket)
+    bracket = (alg.c.reshape(DIM * DIM, DIM) @ gamma.reshape(DIM, -1)).reshape((DIM,) * 4)
+    return first - first.transpose(1, 0, 2, 3) - bracket
 
 
-def ricci(curv: CurvatureTensor) -> np.ndarray:
+def ricci(R: np.ndarray) -> np.ndarray:
     """Ric_{jk} = R_{ajka}, traced over a."""
-    return np.trace(curv.R, axis1=0, axis2=3)
+    return np.trace(R, axis1=0, axis2=3)
 
 
 def scalar_curv(ric: np.ndarray) -> float:
@@ -113,19 +83,18 @@ def codifferential_via_star(beta: KForm, alg: LieAlgebra8) -> KForm:
     return -1.0 * hodge_star(ce_differential(hodge_star(beta), alg))
 
 
-def codifferential(beta: KForm, conn_lc: FrameConnection) -> KForm:
+def codifferential(beta: KForm, lc: np.ndarray) -> KForm:
     """Divergence form: (delta b)_J = -(nabla^g_a b)_{aJ}, traced before it is summed.
 
-    With W_{ajm} = Gamma^m_{aj}, slot 0 of b gives v^m b_{mJ} (v^m = W_{aam})
+    With W_{ajm} = Gamma^m_{aj} of ``lc``, slot 0 of b gives v^m b_{mJ} (v^m = W_{aam})
     and every other slot s gives W_{a j_s m} b_{a..m..}, one
     (8, 64) x (64, 8^(k-2)) matmul with slots 0 and s of b first.
     """
     if beta.degree == 0:
         raise ValueError("codifferential of a 0-form")
     b = beta.to_array()
-    w = conn_lc.gamma
-    out = (np.trace(w) @ b.reshape(DIM, -1)).reshape(b.shape[1:])
-    w_jbm = w.transpose(1, 0, 2).reshape(DIM, DIM * DIM)
+    out = (np.trace(lc) @ b.reshape(DIM, -1)).reshape(b.shape[1:])
+    w_jbm = lc.transpose(1, 0, 2).reshape(DIM, DIM * DIM)
     for s in range(1, b.ndim):
         prod = w_jbm @ b.swapaxes(1, s).reshape(DIM * DIM, -1)  # (j_s, b's slots with 1 at s)
         out += prod.reshape(out.shape).swapaxes(0, s - 1)

@@ -87,6 +87,11 @@ def _shared_table(build):
     return lru_cache(maxsize=None)(wraps(build)(lambda *args: _read_only(build(*args))))
 
 
+def _shared_property(build):
+    """cached_property for a table every later read of the instance shares: made read-only."""
+    return cached_property(wraps(build)(lambda self: _read_only(build(self))))
+
+
 @lru_cache(maxsize=None)
 def _row_of(degree: int) -> dict:
     """Row of each canonical tuple; look up only tuples of Python ints: (True, 2.0) == (1, 2)."""
@@ -189,9 +194,9 @@ class FrameMetric(Frozen):
         return cls(np.eye(DIM))
 
     # on the identity, chol, inv and det come out exact, with no -0.0
-    @cached_property
+    @_shared_property
     def inv(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.g))
+        return np.linalg.inv(self.g)
 
     @cached_property
     def sqrt_det(self) -> float:
@@ -204,7 +209,7 @@ IDENTITY_METRIC = FrameMetric.identity()
 # ---------------------------------------------------------------------------
 # k-forms
 
-class KForm:
+class KForm(Frozen):
     """Degree-k antisymmetric tensor: its coefficient vector over canonical_indices(k).
 
     ``KForm(degree, coeffs)`` reads a map from strictly increasing tuples of
@@ -222,7 +227,8 @@ class KForm:
         for idx, c in coeffs.items():
             row = rows.get(idx) if all(type(i) is int for i in idx) else None
             vec[rows[validate_multi_index(idx, degree)] if row is None else row] = float(c)
-        self.degree, self.vec = degree, _read_only(vec)
+        d = self.__dict__
+        d["degree"], d["vec"] = degree, _read_only(vec)
 
     # -- constructors -------------------------------------------------------
 
@@ -236,7 +242,8 @@ class KForm:
             raise ValueError(f"degree-{degree} coefficient vector needs shape "
                              f"{shape}, got {vec.shape}")
         form = cls.__new__(cls)
-        form.degree, form.vec = degree, _read_only(vec)
+        d = form.__dict__
+        d["degree"], d["vec"] = degree, _read_only(vec)
         return form
 
     @classmethod

@@ -12,7 +12,10 @@ Building makes one ``connection.spin7_torsion`` call, which gives d phi, the
 three Lee-form routes (``lee_routes``; ``theta`` is the last) and the two
 torsion routes (``torsion_routes``; ``torsion`` is the first, ``t3`` its dense
 table), and computes the Levi-Civita and torsion connections and both
-curvatures.  Everything else the identity suite reads is a cached property computed on first use:
+curvatures.  These and t3 are plain arrays that the build freezes in place,
+with no copy: a Geometry owns every table it holds and shares it read-only.
+Everything else the identity suite reads is a cached property computed on
+first use, each array frozen as it is stored:
 the 7-part of d theta, delta phi and delta theta by divergence
 (``connection.codifferential`` traces the Levi-Civita coefficients before it
 sums, so no nabla^g phi table is built), delta phi's 48-part and its norm,
@@ -30,8 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from .connection import (
-    CurvatureTensor,
-    FrameConnection,
     codifferential,
     connection_from_torsion,
     covariant_derivative,
@@ -42,7 +43,7 @@ from .connection import (
     sigma_t,
     spin7_torsion,
 )
-from .forms import KForm, _read_only, norm_sq
+from .forms import KForm, _read_only, _shared_property, norm_sq
 from .liealgebra import LieAlgebra8, ce_differential
 from .report import Frozen
 from .structure import Spin7Form, orthonormal_frame, project_lambda2, project_lambda3
@@ -75,8 +76,9 @@ class Geometry(Frozen):
     Built by ``build`` only, with the fields name, algebra, structure, dphi,
     lee_routes (three KForms), torsion_routes (two KForms), t3 (the torsion's
     dense table T_ijk), frame (B: column i holds e'_i in the input frame), lc
-    and conn (the Levi-Civita and torsion connections) and curv and curv_lc
-    (their curvatures).
+    and conn (the Levi-Civita and torsion connections' tables gamma[i, j, k])
+    and curv and curv_lc (their curvatures R[i, j, k, l]).  Every array field
+    and every cached table is read-only.
     """
 
     @classmethod
@@ -90,6 +92,8 @@ class Geometry(Frozen):
         t3 = torsion_routes[0].to_array()
         lc = levi_civita(algebra)
         conn = connection_from_torsion(lc, t3)
+        curv, curv_lc = curvature(conn, algebra), curvature(lc, algebra)
+        _read_only((t3, lc, conn, curv, curv_lc))
         geom = cls.__new__(cls)
         vars(geom).update(
             name=name or algebra.name,
@@ -102,8 +106,8 @@ class Geometry(Frozen):
             frame=frame,
             lc=lc,
             conn=conn,
-            curv=curvature(conn, algebra),
-            curv_lc=curvature(lc, algebra),
+            curv=curv,
+            curv_lc=curv_lc,
         )
         return geom
 
@@ -119,7 +123,7 @@ class Geometry(Frozen):
 
     # -- cached dense tables --------------------------------------------------
 
-    @cached_property
+    @_shared_property
     def t_square(self) -> np.ndarray:
         """(T o T)_xy = T_xia T_yia, one matmul: T_yia = T_iay as T is totally skew."""
         return self.t3.reshape(8, 64) @ self.t3.reshape(64, 8)
@@ -128,7 +132,7 @@ class Geometry(Frozen):
     def dtorsion(self) -> KForm:
         return ce_differential(self.torsion, self.algebra)
 
-    @cached_property
+    @_shared_property
     def dt4(self) -> np.ndarray:
         return self.dtorsion.to_array()
 
@@ -136,19 +140,19 @@ class Geometry(Frozen):
     def sigma(self) -> KForm:
         return sigma_t(self.t3)
 
-    @cached_property
+    @_shared_property
     def sigma4(self) -> np.ndarray:
         return self.sigma.to_array()
 
-    @cached_property
+    @_shared_property
     def nabla_t(self) -> np.ndarray:
         return covariant_derivative(self.conn, self.t3)
 
-    @cached_property
+    @_shared_property
     def nabla_t_lc(self) -> np.ndarray:
         return covariant_derivative(self.lc, self.t3)
 
-    @cached_property
+    @_shared_property
     def nabla_theta(self) -> np.ndarray:
         return covariant_derivative(self.conn, self.theta.vec)
 
@@ -166,7 +170,7 @@ class Geometry(Frozen):
         """delta T = -(nabla^g_a T)_{a..}, from the stored nabla^g T."""
         return KForm.from_array(-np.trace(self.nabla_t_lc))
 
-    @cached_property
+    @_shared_property
     def delta_t2(self) -> np.ndarray:
         return self.delta_torsion.to_array()
 
@@ -187,22 +191,22 @@ class Geometry(Frozen):
     def delta_phi48_norm_sq(self) -> float:
         return norm_sq(self.delta_phi48)
 
-    @cached_property
+    @_shared_property
     def bianchi_cycle(self) -> np.ndarray:
         """R_xyzv + R_yzxv + R_zxyv of the torsion connection."""
-        R = self.curv.R
+        R = self.curv
         return R + np.einsum("yzxv->xyzv", R) + np.einsum("zxyv->xyzv", R)
 
-    @cached_property
+    @_shared_property
     def pair_asymmetry(self) -> np.ndarray:
         """R_xyzv - R_zvxy of the torsion connection."""
-        return self.curv.R - np.einsum("zvxy->xyzv", self.curv.R)
+        return self.curv - np.einsum("zvxy->xyzv", self.curv)
 
-    @cached_property
+    @_shared_property
     def ric(self) -> np.ndarray:
         return ricci(self.curv)
 
-    @cached_property
+    @_shared_property
     def ric_lc(self) -> np.ndarray:
         return ricci(self.curv_lc)
 

@@ -119,10 +119,10 @@ class LieAlgebra8(Frozen):
 
     def _derived(self, name: str, c: np.ndarray) -> "LieAlgebra8":
         """The algebra of constants c, antisymmetrized, derived from this one's by a change
-        of frame or a negation (c -> -c, the mirror algebra).  Both keep the Jacobi identity,
-        so this algebra's ``jacobi`` is carried over, not checked again: a re-check in
-        another frame sees other rounding against another bound, and may refuse a tensor
-        validated at load."""
+        of frame (``in_frame``, the one caller in the package) or by a negation c -> -c (the
+        tests' mirror algebra).  Both keep the Jacobi identity, so this algebra's ``jacobi``
+        is carried over, not checked again: a re-check in another frame sees other rounding
+        against another bound, and may refuse a tensor validated at load."""
         alg = object.__new__(LieAlgebra8)
         c = _read_only(0.5 * (c - c.transpose(1, 0, 2)))
         vars(alg).update(name=name, c=c, jacobi=self.jacobi, _cache={})

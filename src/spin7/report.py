@@ -58,6 +58,11 @@ class CheckEntry(Frozen):
         d["check_id"], d["paper_anchor"], d["residual"], d["tolerance"] = (
             check_id, paper_anchor, residual, tolerance)
         d["passed"], d["not_applicable"], d["notes"] = passed, not_applicable, notes
+        if type(not_applicable) is not bool or type(passed) is not (
+                type(None) if not_applicable else bool):
+            raise ValueError(f"entry {check_id!r}: passed must be a bool, or None exactly when "
+                             f"not_applicable is True; got passed={passed!r}, "
+                             f"not_applicable={not_applicable!r}")
         if not not_applicable:
             if not math.isfinite(residual):
                 raise NonFiniteResidual(check_id, residual)
@@ -83,8 +88,8 @@ class CheckEntry(Frozen):
 
 
 def entry(check_id: str, anchor: str, residual: float, tol: float, notes: str = "") -> CheckEntry:
-    r = float(residual)
-    return CheckEntry(check_id, anchor, r, float(tol), r <= tol, False, notes)
+    r, t = float(residual), float(tol)
+    return CheckEntry(check_id, anchor, r, t, r <= t, False, notes)
 
 
 def agreement_entry(check_id: str, anchor: str, verdicts: list[bool], tol: float) -> CheckEntry:
@@ -178,8 +183,8 @@ class VerificationReport:
 
         The values are encoded in one call; each holds no raw newline, so
         the encoder's output splits into one value per line.  A report with
-        a non-scalar value (only ``from_dict`` can make one) goes through
-        json.dumps whole.
+        a value of any other type, such as an entry built directly with an
+        ``np.float64`` residual, goes through json.dumps whole.
         """
         values = [SCHEMA_VERSION, self.geometry_id,
                   *chain.from_iterable(map(_entry_values, self.entries))]

@@ -15,7 +15,7 @@ kept on the structure) and each part is pulled back by b^-1 (``pull_back``).
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .forms import (
     _index_array,
     _merge_table,
     _read_only,
+    _shared_property,
     _shared_table,
     canonical_indices,
     contract_into,
@@ -96,11 +97,11 @@ class Spin7Form(Frozen):
         """phi with its induced metric; a Spin7Form is returned as it is."""
         return phi if isinstance(phi, Spin7Form) else cls(phi, metric_from_phi(phi))
 
-    @cached_property
+    @_shared_property
     def dense(self) -> np.ndarray:
-        return _read_only(self.phi.to_array())
+        return self.phi.to_array()
 
-    @cached_property
+    @_shared_property
     def derivation_matrix(self) -> np.ndarray:
         """The map X -> X . phi of gl(8) on phi's 70 canonical components, as a 64 x 70 matrix.
 
@@ -112,7 +113,7 @@ class Spin7Form(Frozen):
         cells, source = _derivation_table()
         out = np.zeros((DIM * DIM, len(canonical_indices(4))))
         out[cells] = self.dense.ravel()[source]
-        return _read_only(out)
+        return out
 
     def projectors(self, degree: int) -> tuple[tuple[np.ndarray, int], ...]:
         """Lagrange projectors of degree 2 or 4: prod (A - mu I) and prod (lam - mu), mu != lam.

@@ -23,7 +23,7 @@ a signed reversal.
 import numpy as np
 
 from spin7.checks import check_bi_spin7, check_connection_contracts
-from spin7.connection import FrameConnection, covariant_derivative, spin7_torsion
+from spin7.connection import covariant_derivative, spin7_torsion
 from spin7.forms import (
     DIM,
     FrameMetric,
@@ -150,9 +150,9 @@ def mirror_torsion(geom: Geometry) -> tuple[KForm, KForm]:
     return t_mirror, ce_differential(t_mirror, mirror)
 
 
-def metric_derivative(conn: FrameConnection) -> np.ndarray:
+def metric_derivative(gamma: np.ndarray) -> np.ndarray:
     """nabla g at g = I: the covariant derivative of the identity table."""
-    return covariant_derivative(conn, np.eye(DIM))
+    return covariant_derivative(gamma, np.eye(DIM))
 
 
 def reference_star(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:

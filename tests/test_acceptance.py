@@ -166,7 +166,7 @@ def test_criterion_4_su3_regression():
     checks = {
         "torsion_is_minus_bracket": residual(t, cartan_torsion),
         "closed": ce_differential(t, alg).max_abs(),
-        "flat": float(np.max(np.abs(curvature(conn, alg).R))),
+        "flat": float(np.max(np.abs(curvature(conn, alg)))),
         "mirror": residual(mirror_t, -1.0 * t),
     }
     worst = max(checks.values())

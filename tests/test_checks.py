@@ -259,6 +259,19 @@ def test_report_json_of_the_wrong_shape_is_a_value_error(report, message):
         VerificationReport.from_json(json.dumps(report))
 
 
+@pytest.mark.parametrize("passed,not_applicable", [
+    (1, False), (None, 1), (np.bool_(True), False), (True, True), (None, False),
+], ids=["passed_is_1", "not_applicable_is_1", "passed_is_a_numpy_bool", "passed_on_na",
+        "no_verdict"])
+def test_an_entry_refuses_a_verdict_that_is_not_a_bool(passed, not_applicable):
+    # the first two were written as 1 and refused by from_json; to_json raised TypeError on
+    # the numpy bool; N/A with a verdict was accepted
+    from spin7.report import CheckEntry
+
+    with pytest.raises(ValueError, match="^entry 'x': passed must be a bool, or None exactly when"):
+        CheckEntry("x", "a", 0.5, 1.0, passed, not_applicable)
+
+
 def test_to_json_is_json_dumps_byte_for_byte(geometries):
     from spin7.report import CheckEntry, VerificationReport, entry, na_entry
 
@@ -270,6 +283,8 @@ def test_to_json_is_json_dumps_byte_for_byte(geometries):
     edge.add(CheckEntry.from_dict({"check_id": "int_residual", "paper_anchor": "id:c",
                                    "residual": 0, "tolerance": 1, "passed": True}))
     edge.add(CheckEntry("nested", "id:d", [1.5, {"k": [2, None]}], 0.0, None, True))
+    # a numpy scalar is not one of the encoder's exact types: the report goes through json.dumps
+    edge.add(CheckEntry("numpy_residual", "id:e", np.float64(0.25), 1.0, True))
     reports += [VerificationReport("empty"), edge,
                 VerificationReport.from_json(reports[0].to_json())]
     for rep in reports:
@@ -341,7 +356,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     einsum = np.einsum
 
     def counted_einsum(subscripts, *operands, **kwargs):
-        if any(op is built.curv.R for op in operands):
+        if any(op is built.curv for op in operands):
             calls[("einsum of R", subscripts)] += 1
         return einsum(subscripts, *operands, **kwargs)
 

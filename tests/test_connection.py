@@ -12,7 +12,6 @@ import pytest
 from operator_references import compound_matrix, mirror_algebra
 from spin7.checks import check_algebra, check_dt_expansion, full_report
 from spin7.connection import (
-    FrameConnection,
     codifferential,
     codifferential_via_star,
     connection_from_torsion,
@@ -367,9 +366,13 @@ def test_differential_on_abelian_is_zero(rng):
 # ---------------------------------------------------------------------------
 # Levi-Civita and torsion connections
 
+def metric_compat_residual(gamma):
+    """max |Gamma_ijk + Gamma_ikj|, which is 0 exactly on a metric connection."""
+    return np.max(np.abs(gamma + np.einsum("ijk->ikj", gamma)))
+
+
 def test_levi_civita_abelian_is_flat():
-    conn = levi_civita(LieAlgebra8.abelian())
-    assert not np.any(conn.gamma)
+    assert not np.any(levi_civita(LieAlgebra8.abelian()))
 
 
 def test_levi_civita_biinvariant_is_half_bracket(su2, su3):
@@ -377,8 +380,8 @@ def test_levi_civita_biinvariant_is_half_bracket(su2, su3):
         # ad-invariance first: the constants are totally antisymmetric
         assert np.max(np.abs(alg.c + np.einsum("ijk->ikj", alg.c))) == 0.0
         conn = levi_civita(alg)
-        assert np.max(np.abs(conn.gamma - 0.5 * alg.c)) < 1e-15
-        assert conn.metric_compat_residual() < 1e-15
+        assert np.max(np.abs(conn - 0.5 * alg.c)) < 1e-15
+        assert metric_compat_residual(conn) < 1e-15
 
 
 def test_levi_civita_general_metric_torsion_free(heisenberg, rng):
@@ -386,8 +389,8 @@ def test_levi_civita_general_metric_torsion_free(heisenberg, rng):
     a = rng.standard_normal((8, 8))
     alg = heisenberg.in_frame(np.linalg.inv(np.linalg.cholesky(a @ a.T + 8.0 * np.eye(8))).T)
     conn = levi_civita(alg)
-    assert conn.metric_compat_residual() < 1e-12
-    tf = conn.gamma - np.einsum("ijk->jik", conn.gamma) - alg.c
+    assert metric_compat_residual(conn) < 1e-12
+    tf = conn - np.einsum("ijk->jik", conn) - alg.c
     assert np.max(np.abs(tf)) < 1e-12
 
 
@@ -396,24 +399,24 @@ def test_connection_from_torsion_recovers_input(su2, rng):
     t3 = KForm(3, {idx: rng.standard_normal() for idx in canonical_indices(3)}).to_array()
     conn = connection_from_torsion(lc, t3)
     assert np.max(np.abs(torsion_tensor(conn, su2) - t3)) < 1e-12
-    assert conn.metric_compat_residual() < 1e-12
+    assert metric_compat_residual(conn) < 1e-12
     zero = np.zeros((8, 8, 8))
-    assert connection_from_torsion(lc, zero).gamma is not lc.gamma
-    assert np.array_equal(connection_from_torsion(lc, zero).gamma, lc.gamma)
+    assert connection_from_torsion(lc, zero) is not lc
+    assert np.array_equal(connection_from_torsion(lc, zero), lc)
 
 
 def test_cartan_connection_is_flat(su2):
     # prescribing minus the bracket form cancels the Levi-Civita half
     lc = levi_civita(su2)
     conn = connection_from_torsion(lc, -su2.c)
-    assert not np.any(conn.gamma)
-    assert np.max(np.abs(curvature(conn, su2).R)) == 0.0
+    assert not np.any(conn)
+    assert np.max(np.abs(curvature(conn, su2))) == 0.0
 
 
 def test_covariant_derivative_flat_and_metric(su2):
     lc = levi_civita(su2)
     s = canonical_phi()
-    flat = FrameConnection(np.zeros((8, 8, 8)))
+    flat = np.zeros((8, 8, 8))
     assert not np.any(covariant_derivative(flat, s.dense))
     assert np.max(np.abs(covariant_derivative(lc, np.eye(8)))) < 1e-15
     assert np.array_equal(covariant_derivative(lc, np.array(3.0)), np.zeros(8))
@@ -424,8 +427,9 @@ def test_curvature_biinvariant_quarter_double_bracket(su2):
     R = curvature(lc, su2)
     c = su2.c
     expect = -0.25 * np.einsum("ijm,mkl->ijkl", c, su2.c)
-    assert np.max(np.abs(R.R - expect)) < 1e-14
-    assert R.antisymmetry_residual() < 1e-14
+    assert np.max(np.abs(R - expect)) < 1e-14
+    assert np.max(np.abs(R + np.einsum("ijkl->jikl", R))) < 1e-14
+    assert np.max(np.abs(R + np.einsum("ijkl->ijlk", R))) < 1e-14
 
 
 def test_ricci_of_product_metric(su2):
@@ -580,16 +584,15 @@ def kernel_inputs(seed):
     """A connection and antisymmetric constants, both random."""
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((8, 8, 8))
-    return rng, FrameConnection(rng.standard_normal((8, 8, 8))), c - c.transpose(1, 0, 2)
+    return rng, rng.standard_normal((8, 8, 8)), c - c.transpose(1, 0, 2)
 
 
 def test_curvature_matches_its_einsum_expression():
-    _, conn, c = kernel_inputs(21)
-    g = conn.gamma
+    _, g, c = kernel_inputs(21)
     r = (np.einsum("jkm,iml->ijkl", g, g) - np.einsum("ikm,jml->ijkl", g, g)
          - np.einsum("ijm,mkl->ijkl", c, g))
     # curvature reads only the constants of the algebra, which need no Jacobi identity here
-    assert close(curvature(conn, SimpleNamespace(c=c)).R, r)
+    assert close(curvature(g, SimpleNamespace(c=c)), r)
 
 
 def test_jacobi_residual_matches_its_einsum_expression():
@@ -608,7 +611,7 @@ def test_covariant_derivative_matches_its_tensordot_expression(rank):
     t = rng.standard_normal((8,) * rank)
     old = np.zeros((8,) * (rank + 1))
     for s in range(rank):
-        old -= np.moveaxis(np.tensordot(conn.gamma, t, axes=([2], [s])), 1, 1 + s)
+        old -= np.moveaxis(np.tensordot(conn, t, axes=([2], [s])), 1, 1 + s)
     assert close(covariant_derivative(conn, t), old)
 
 
@@ -650,9 +653,9 @@ def test_nabla_phi_is_one_matmul_against_the_derivation_matrix(su3):
     canonical = (slice(None),) + tuple(np.array(canonical_indices(4)).T)
     for conn in (geom.conn, kernel_inputs(50)[1]):
         full = covariant_derivative(conn, phi)
-        new = -conn.gamma.reshape(8, 64) @ geom.structure.derivation_matrix
+        new = -conn.reshape(8, 64) @ geom.structure.derivation_matrix
         assert new.shape == (8, 70)
-        bound = 1e-13 * np.max(np.abs(conn.gamma)) * np.max(np.abs(phi))
+        bound = 1e-13 * np.max(np.abs(conn)) * np.max(np.abs(phi))
         assert np.max(np.abs(new - full[canonical])) <= bound
         assert abs(np.max(np.abs(new)) - np.max(np.abs(full))) <= bound
 

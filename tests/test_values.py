@@ -1,25 +1,29 @@
 """The value classes: immutable after construction, owners of their arrays, cheap to import.
 
-The metric, the algebra, the structure, the connection and curvature
-tables, the soliton data, the geometry and each report entry derive from
-``report.Frozen``: assigning or deleting an attribute raises AttributeError,
-while cached properties still fill.  ``VerificationReport`` stays mutable.
-A constructor freezes a copy of an array it is given, never the caller's
-own.  The classes are plain classes, so importing the command line generates
-no code: ``dataclasses`` is not loaded, and neither is the dense oracle.
+The metric, the k-forms, the algebra, the structure, the soliton data, the
+geometry and each report entry derive from ``report.Frozen``: assigning or
+deleting an attribute raises AttributeError, while cached properties still
+fill.  ``VerificationReport`` stays mutable.  A constructor freezes a copy of
+an array it is given, never the caller's own.  The geometry's connections,
+curvatures and torsion are plain arrays that ``Geometry.build`` makes itself
+and freezes in place; its cached tables are frozen as they fill.  The classes
+are plain classes, so importing the command line generates no code:
+``dataclasses`` is not loaded, and neither is the dense oracle.
 """
 
 import subprocess
 import sys
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from spin7.connection import CurvatureTensor, FrameConnection
-from spin7.corpus import get_algebra
-from spin7.forms import IDENTITY_METRIC, FrameMetric
+from spin7.checks import full_report
+from spin7.corpus import VERIFY_TARGETS, build_geometry, geometry_id, get_algebra
+from spin7.forms import IDENTITY_METRIC, FrameMetric, KForm
 from spin7.geometry import Geometry, SolitonData
-from spin7.report import CheckEntry, entry
+from spin7.report import CheckEntry, Frozen, entry
 from spin7.structure import Spin7Form, canonical_phi_form
 
 
@@ -35,8 +39,8 @@ def values():
         (su3, "c"),
         (su3.in_frame(2.0 * np.eye(8)), "jacobi"),
         (structure, "phi"),
-        (geom.conn, "gamma"),
-        (geom.curv, "R"),
+        (canonical_phi_form(), "degree"),
+        (KForm.covector(range(8)), "vec"),
         (SolitonData.constant_potential(), "f_gradient"),
         (geom, "t3"),
     ]
@@ -71,9 +75,8 @@ def test_cached_properties_fill_once():
 
 @pytest.mark.parametrize("make,shape,field", [
     (SolitonData, (8,), "f_gradient"),
-    (FrameConnection, (8, 8, 8), "gamma"),
-    (CurvatureTensor, (8, 8, 8, 8), "R"),
-], ids=["SolitonData", "FrameConnection", "CurvatureTensor"])
+    (lambda vec: KForm.from_vector(1, vec), (8,), "vec"),
+], ids=["SolitonData", "KForm"])
 def test_a_constructor_freezes_a_copy_not_the_callers_array(make, shape, field):
     given = np.zeros(shape)
     stored = getattr(make(given), field)
@@ -81,6 +84,48 @@ def test_a_constructor_freezes_a_copy_not_the_callers_array(make, shape, field):
     assert not stored.flags.writeable
     given[(0,) * len(shape)] = 1.0
     assert not np.any(stored)
+
+
+def unfrozen(value, path: str) -> list[str]:
+    """Where below value an array is writable, a field assignable, or a value of no known kind.
+
+    Walks a Frozen value's fields and filled cached properties, tuples, the
+    read-only maps of KForm.coeffs and the private ``_cache`` dicts that fill
+    on first use; numbers, strings and None are immutable.
+    """
+    if isinstance(value, np.ndarray):
+        return [path] if value.flags.writeable else []
+    if isinstance(value, (str, int, float, type(None), np.generic)):
+        return []
+    if isinstance(value, tuple):
+        return [p for i, x in enumerate(value) for p in unfrozen(x, f"{path}[{i}]")]
+    if isinstance(value, MappingProxyType):
+        return [p for k, x in value.items() for p in unfrozen(x, f"{path}[{k!r}]")]
+    if not isinstance(value, Frozen):
+        return [f"{path}: {type(value).__name__}"]
+    found = []
+    for name, field in vars(value).items():
+        try:
+            setattr(value, name, field)
+            found.append(f"{path}.{name}: assignable")
+        except AttributeError:
+            pass
+        if name.startswith("_") and type(field) is dict:  # a private cache: walk what it holds
+            field = MappingProxyType(field)
+        found += unfrozen(field, f"{path}.{name}")
+    return found
+
+
+@pytest.mark.parametrize("target", [*VERIFY_TARGETS, ("heisenberg", "canonical", None)],
+                         ids=lambda t: geometry_id(*t))
+def test_a_reported_geometry_holds_nothing_mutable(target):
+    geom = build_geometry(*target)
+    full_report(geom)
+    cached = [name for name, attr in vars(Geometry).items() if isinstance(attr, cached_property)]
+    assert [name for name in cached if name not in vars(geom)] == []
+    assert unfrozen(geom, "geom") == []
+    for name in ("lc", "conn", "t3", "curv", "curv_lc"):
+        assert getattr(geom, name).shape == (8,) * (4 if name.startswith("curv") else 3)
 
 
 def test_importing_the_command_line_loads_no_dataclasses_and_no_dense_oracle():
