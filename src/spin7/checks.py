@@ -101,7 +101,7 @@ FERNANDEZ_LABELS = ("W_0", "W_1", "W_2", "locally_conformally_balanced", "strong
 
 def _phi_trace(geom: Geometry, x: np.ndarray) -> np.ndarray:
     """X_iabc phi_jabc, one (8, 512) x (512, 8) matmul."""
-    return x.reshape(8, 512) @ geom.structure.dense.reshape(8, 512).T
+    return x.reshape(8, 512) @ geom.structure.phi.dense.reshape(8, 512).T
 
 
 @_report_of(*((i, "id:fundamental-form-identities") for i in (
@@ -136,7 +136,7 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL):
     yield "lc_metric_compatibility", lc_compat
     yield "lc_torsion_free", _maxabs(torsion_tensor(lc, alg))
     yield "torsion_connection_metric", conn_compat
-    yield "torsion_recovery", _maxabs(torsion_tensor(conn, alg) - geom.t3)
+    yield "torsion_recovery", _maxabs(torsion_tensor(conn, alg) - geom.torsion.dense)
     # nabla phi on phi's 70 canonical components: -Gamma.reshape(8, 64) @ D
     yield "parallel_fundamental_form", _maxabs(
         conn.reshape(8, 64) @ geom.structure.derivation_matrix)
@@ -147,7 +147,7 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL):
         yield check_id, max(_maxabs(r + np.einsum("ijkl->jikl", r)),
                             _maxabs(r + np.einsum("ijkl->ijlk", r)))
     yield "curvature_in_stabilizer", _maxabs(
-        (R.reshape(64, 64) @ geom.structure.dense.reshape(64, 64)).reshape(R.shape) - 2.0 * R)
+        (R.reshape(64, 64) @ geom.structure.phi.dense.reshape(64, 64)).reshape(R.shape) - 2.0 * R)
 
 
 @_report_of(
@@ -159,7 +159,7 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL):
     ("torsion_48_split", "id:torsion-norm-split"), ("torsion_norm_split", "id:torsion-norm-split"),
     ("lee_contraction_exchange", "id:lee-contraction-exchange"))
 def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
-    phi = geom.structure.phi
+    phi, t3 = geom.structure.phi, geom.torsion.dense
     r1, r2, r3 = geom.lee_routes
     yield "lee_form_routes_agree", max(residual(r1, r3), residual(r2, r3))
     # theta_i = -(1/7) T_abc phi_abci, and contract_into carries 1/3!
@@ -168,11 +168,11 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
     yield "torsion_routes_agree", residual(*geom.torsion_routes)
 
     # fixed-point form of the torsion and the codifferential of phi; x_klm = T_jsk phi_jslm
-    x = (geom.t3.reshape(64, 8).T @ geom.structure.dense.reshape(64, 64)).reshape(8, 8, 8)
+    x = (t3.reshape(64, 8).T @ phi.dense.reshape(64, 64)).reshape(8, 8, 8)
     half = 0.5 * (x - x.transpose(1, 0, 2) + x.transpose(1, 2, 0))
-    yield "delta_phi_from_torsion", _maxabs(geom.delta_phi.to_array() - half)
+    yield "delta_phi_from_torsion", _maxabs(geom.delta_phi.dense - half)
     theta_phi = interior_product(geom.theta, phi)
-    yield "torsion_fixed_point", _maxabs(geom.t3 - (half + (7.0 / 6.0) * theta_phi.to_array()))
+    yield "torsion_fixed_point", _maxabs(t3 - (half + (7.0 / 6.0) * theta_phi.dense))
 
     part48 = geom.delta_phi48
     yield "codifferential_48_part", residual(part48, geom.delta_phi + theta_phi)
@@ -187,7 +187,7 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
             ("curvature_six_term_symmetry", "id:six-term-curvature"),
             ("reversed_first_bianchi", "id:reversed-first-bianchi"))
 def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL):
-    R, dt, sig = geom.curv, geom.dt4, geom.sigma4
+    R, dt, sig = geom.curv, geom.dtorsion.dense, geom.sigma.dense
     cyc = geom.bianchi_cycle
     rcyc = (np.einsum("vxyz->xyzv", R) + np.einsum("vyzx->xyzv", R)
             + np.einsum("vzxy->xyzv", R))
@@ -201,10 +201,10 @@ def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL):
             ("lc_vs_torsion_derivative", "id:dT-derivative-difference"))
 def check_dt_expansion(geom: Geometry, tol: float = DEFAULT_TOL):
     """dT = nabla T's five-term expansion + 2 sigma_T, and nabla^g T - nabla T = sigma_T / 2."""
-    nt, sig = geom.nabla_t, geom.sigma4
+    nt, sig = geom.nabla_t, geom.sigma.dense
     cyclic = nt + np.einsum("yzxv->xyzv", nt) + np.einsum("zxyv->xyzv", nt)
     expansion = cyclic + 2.0 * sig - np.einsum("vxyz->xyzv", nt)
-    yield "dT_five_term_expansion", _maxabs(geom.dt4 - expansion)
+    yield "dT_five_term_expansion", _maxabs(geom.dtorsion.dense - expansion)
     yield "lc_vs_torsion_derivative", _maxabs(geom.nabla_t_lc - nt - 0.5 * sig)
 
 
@@ -213,10 +213,11 @@ def check_dt_expansion(geom: Geometry, tol: float = DEFAULT_TOL):
     "ricci_antisymmetry_codifferential")))
 def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL):
     yield "ricci_difference_riemannian", _maxabs(
-        geom.ric_lc - (geom.ric + 0.5 * geom.delta_t2 + 0.25 * geom.t_square))
+        geom.ric_lc - (geom.ric + 0.5 * geom.delta_torsion.dense + 0.25 * geom.t_square))
     yield "scalar_difference_riemannian", abs(
         geom.scal_lc - (geom.scal + 0.25 * geom.torsion_norm_sq))
-    yield "ricci_antisymmetry_codifferential", _maxabs(geom.ric - geom.ric.T + geom.delta_t2)
+    yield "ricci_antisymmetry_codifferential", _maxabs(geom.ric - geom.ric.T
+                                                       + geom.delta_torsion.dense)
 
 
 @_report_of(("ricci_from_dT_and_lee", "id:torsion-ricci-formula"),
@@ -227,7 +228,7 @@ def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL):
             ("ricci_double_contraction", "id:torsion-ricci-formula"))
 def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
     phi = geom.structure.phi
-    dt_tr = _phi_trace(geom, geom.dt4)
+    dt_tr = _phi_trace(geom, geom.dtorsion.dense)
     ntheta = geom.nabla_theta
     tn, thn = geom.torsion_norm_sq, geom.theta_norm_sq
     dth = geom.delta_theta
@@ -241,8 +242,8 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
         abs(geom.scal_lc - (3.5 * dth + (21.0 / 8.0) * thn - n48 / 12.0)))
 
     sig_phi = full_contraction(geom.sigma, phi)
-    p4 = geom.structure.dense
-    mid = 3.0 * float(np.vdot(geom.t3, p4.reshape(64, 64) @ geom.t3.reshape(64, 8)))
+    p4, t3 = phi.dense, geom.torsion.dense
+    mid = 3.0 * float(np.vdot(t3, p4.reshape(64, 64) @ t3.reshape(64, 8)))
     yield "quartic_contraction_norms", max(abs(sig_phi - mid),
                                            abs(sig_phi - (2.0 * tn - (49.0 / 3.0) * thn)))
 
@@ -263,7 +264,7 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
             ("parallel_type_torsion_relations", "id:riemannian-first-bianchi"),
             ("ricci_flat_under_first_bianchi", "id:first-bianchi-ricci-flat", "first_bianchi"))
 def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL):
-    dt, sig, nt = geom.dt4, geom.sigma4, geom.nabla_t
+    dt, sig, nt = geom.dtorsion.dense, geom.sigma.dense, geom.nabla_t
     yield "riemannian_first_bianchi", _maxabs(geom.bianchi_cycle)
     yield "parallel_type_torsion_relations", max(_maxabs(dt + 2.0 * nt),
                                                  _maxabs(dt - (2.0 / 3.0) * sig))
@@ -277,7 +278,7 @@ def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL):
     nt = geom.nabla_t
     four_form = _maxabs(nt + np.einsum("yxzv->xyzv", nt))
     pair = _maxabs(geom.pair_asymmetry)
-    dt_rel = _maxabs(geom.dt4 - 4.0 * geom.nabla_t_lc)
+    dt_rel = _maxabs(geom.dtorsion.dense - 4.0 * geom.nabla_t_lc)
     yield "nabla_T_is_four_form", four_form
     yield "curvature_pair_symmetry", pair
     yield "dT_vs_lc_derivative", dt_rel
@@ -341,7 +342,7 @@ def check_second_bianchi(geom: Geometry, tol: float = DEFAULT_TOL):
     t_dt = -contract_into(geom.torsion, geom.dtorsion).vec
     # frame constants: the scalar and torsion-norm gradients vanish identically
     e1 = _maxabs(-2.0 * div_ric + dt_t + t_dt)
-    ndt = covariant_derivative(geom.conn, geom.delta_t2)
+    ndt = covariant_derivative(geom.conn, geom.delta_torsion.dense)
     iii = _maxabs(np.einsum("iij->j", ndt) - 0.5 * dt_t)
     # each trace reads only its table's diagonal, so an overflow off the diagonal would
     # drop out and leave a finite residual for inputs past double range: report nan
@@ -360,7 +361,7 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL):
     parallel for both connections and the Lee-form contractions vanish.
     """
     # X_iabc phi_jabc throughout; the quartic terms read X_iabc phi_abcj, its negative
-    sig_tr = _phi_trace(geom, geom.sigma4)
+    sig_tr = _phi_trace(geom, geom.sigma.dense)
     ntheta = geom.nabla_theta
     yield "ricci_quartic_balance", _maxabs(geom.ric + 3.5 * ntheta + (1.0 / 6.0) * sig_tr)
     yield "lc_parallel_torsion", _maxabs(geom.nabla_t_lc)
@@ -369,7 +370,7 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL):
     yield "quartic_lee_contractions", max(
         _maxabs(_phi_trace(geom, geom.nabla_t) + 7.0 * ntheta),
         _maxabs(sig_tr - 21.0 * ntheta),
-        _maxabs(_phi_trace(geom, geom.dt4) - 14.0 * ntheta),
+        _maxabs(_phi_trace(geom, geom.dtorsion.dense) - 14.0 * ntheta),
     )
 
 

@@ -92,7 +92,7 @@ def codifferential(beta: KForm, lc: np.ndarray) -> KForm:
     """
     if beta.degree == 0:
         raise ValueError("codifferential of a 0-form")
-    b = beta.to_array()
+    b = beta.dense
     out = (np.trace(lc) @ b.reshape(DIM, -1)).reshape(b.shape[1:])
     w_jbm = lc.transpose(1, 0, 2).reshape(DIM, DIM * DIM)
     for s in range(1, b.ndim):

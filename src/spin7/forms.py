@@ -305,11 +305,16 @@ class KForm(Frozen):
         return float(np.abs(self.vec).max())
 
     def to_array(self) -> np.ndarray:
-        """Dense fully antisymmetric component table, shape (8,)*k."""
+        """Dense fully antisymmetric component table, shape (8,)*k: a fresh, writable copy."""
         positions, signs = _dense_table(self.degree)
         arr = np.zeros(DIM ** self.degree)
         arr[positions] = self.vec[:, None] * signs
         return arr.reshape((DIM,) * self.degree)
+
+    @_shared_property
+    def dense(self) -> np.ndarray:
+        """``to_array()``, built once and shared read-only."""
+        return self.to_array()
 
     # -- linear algebra -----------------------------------------------------
 
@@ -373,7 +378,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
 def pull_back(form: KForm, b: np.ndarray) -> KForm:
     """b* form: (b* beta)_ij.. = beta_ab.. b_ai b_bj ..., one slot matmul per index."""
-    arr = form.to_array()
+    arr = form.dense
     for s in range(form.degree):
         arr = (arr.swapaxes(s, -1) @ b).swapaxes(s, -1)
     return KForm.from_array(arr)

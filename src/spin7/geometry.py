@@ -10,10 +10,11 @@ keeps metrics; ``spin7 decompose`` splits in the same frame and maps back.
 
 Building makes one ``connection.spin7_torsion`` call, which gives d phi, the
 three Lee-form routes (``lee_routes``; ``theta`` is the last) and the two
-torsion routes (``torsion_routes``; ``torsion`` is the first, ``t3`` its dense
-table), and computes the Levi-Civita and torsion connections and both
-curvatures.  These and t3 are plain arrays that the build freezes in place,
-with no copy: a Geometry owns every table it holds and shares it read-only.
+torsion routes (``torsion_routes``; ``torsion`` is the first), and computes
+the Levi-Civita and torsion connections and both curvatures.  These are plain
+arrays that the build freezes in place, with no copy: a Geometry owns every
+table it holds and shares it read-only.  A form's dense table is the form's
+own ``KForm.dense`` (T's is ``torsion.dense``), built once and read-only.
 Everything else the identity suite reads is a cached property computed on
 first use, each array frozen as it is stored:
 the 7-part of d theta, delta phi and delta theta by divergence
@@ -74,11 +75,10 @@ class Geometry(Frozen):
     """An algebra and a structure in the structure's g-orthonormal frame, and what is derived.
 
     Built by ``build`` only, with the fields name, algebra, structure, dphi,
-    lee_routes (three KForms), torsion_routes (two KForms), t3 (the torsion's
-    dense table T_ijk), frame (B: column i holds e'_i in the input frame), lc
-    and conn (the Levi-Civita and torsion connections' tables gamma[i, j, k])
-    and curv and curv_lc (their curvatures R[i, j, k, l]).  Every array field
-    and every cached table is read-only.
+    lee_routes (three KForms), torsion_routes (two KForms), frame (B: column i
+    holds e'_i in the input frame), lc and conn (the Levi-Civita and torsion
+    connections' tables gamma[i, j, k]) and curv and curv_lc (their curvatures
+    R[i, j, k, l]).  Every array field and every cached table is read-only.
     """
 
     @classmethod
@@ -89,11 +89,10 @@ class Geometry(Frozen):
         if structure is not given:
             algebra = algebra.in_frame(frame)
         dphi, lee_routes, torsion_routes = spin7_torsion(structure, algebra)
-        t3 = torsion_routes[0].to_array()
         lc = levi_civita(algebra)
-        conn = connection_from_torsion(lc, t3)
+        conn = connection_from_torsion(lc, torsion_routes[0].dense)
         curv, curv_lc = curvature(conn, algebra), curvature(lc, algebra)
-        _read_only((t3, lc, conn, curv, curv_lc))
+        _read_only((lc, conn, curv, curv_lc))
         geom = cls.__new__(cls)
         vars(geom).update(
             name=name or algebra.name,
@@ -102,7 +101,6 @@ class Geometry(Frozen):
             dphi=dphi,
             lee_routes=lee_routes,
             torsion_routes=torsion_routes,
-            t3=t3,
             frame=frame,
             lc=lc,
             conn=conn,
@@ -126,31 +124,23 @@ class Geometry(Frozen):
     @_shared_property
     def t_square(self) -> np.ndarray:
         """(T o T)_xy = T_xia T_yia, one matmul: T_yia = T_iay as T is totally skew."""
-        return self.t3.reshape(8, 64) @ self.t3.reshape(64, 8)
+        return self.torsion.dense.reshape(8, 64) @ self.torsion.dense.reshape(64, 8)
 
     @cached_property
     def dtorsion(self) -> KForm:
         return ce_differential(self.torsion, self.algebra)
 
-    @_shared_property
-    def dt4(self) -> np.ndarray:
-        return self.dtorsion.to_array()
-
     @cached_property
     def sigma(self) -> KForm:
-        return sigma_t(self.t3)
-
-    @_shared_property
-    def sigma4(self) -> np.ndarray:
-        return self.sigma.to_array()
+        return sigma_t(self.torsion.dense)
 
     @_shared_property
     def nabla_t(self) -> np.ndarray:
-        return covariant_derivative(self.conn, self.t3)
+        return covariant_derivative(self.conn, self.torsion.dense)
 
     @_shared_property
     def nabla_t_lc(self) -> np.ndarray:
-        return covariant_derivative(self.lc, self.t3)
+        return covariant_derivative(self.lc, self.torsion.dense)
 
     @_shared_property
     def nabla_theta(self) -> np.ndarray:
@@ -169,10 +159,6 @@ class Geometry(Frozen):
     def delta_torsion(self) -> KForm:
         """delta T = -(nabla^g_a T)_{a..}, from the stored nabla^g T."""
         return KForm.from_array(-np.trace(self.nabla_t_lc))
-
-    @_shared_property
-    def delta_t2(self) -> np.ndarray:
-        return self.delta_torsion.to_array()
 
     @cached_property
     def delta_theta(self) -> float:

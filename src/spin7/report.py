@@ -8,7 +8,8 @@ on the geometry at hand; such entries never count against a report.
 
 ``VerificationReport.to_json`` writes the ``indent=2`` layout itself and
 encodes all values in one call of the C-accelerated encoder; its output is
-pinned byte for byte to ``json.dumps(report.to_dict(), indent=2)``.
+pinned byte for byte to ``json.dumps(report.to_dict(), indent=2)``, and the
+constructors refuse what ``from_json`` would, so what it writes loads again.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from itertools import chain
 
 SCHEMA_VERSION = "1"
@@ -54,6 +56,9 @@ class CheckEntry(Frozen):
 
     def __init__(self, check_id: str, paper_anchor: str, residual: float, tolerance: float,
                  passed: bool | None, not_applicable: bool = False, notes: str = ""):
+        if not (type(check_id) is str and type(paper_anchor) is str and type(residual) is float
+                and type(tolerance) is float and type(notes) is str):
+            _check_entry_fields(check_id, paper_anchor, residual, tolerance, notes)
         d = vars(self)
         d["check_id"], d["paper_anchor"], d["residual"], d["tolerance"] = (
             check_id, paper_anchor, residual, tolerance)
@@ -81,10 +86,18 @@ class CheckEntry(Frozen):
         check_id, anchor, residual, tol, passed = (_json_field(d, name, what) for name in (
             "check_id", "paper_anchor", "residual", "tolerance", "passed"))
         na = _json_kind(d.get("not_applicable", False), bool, "not_applicable")
-        return cls(_json_kind(check_id, str, "check_id"), _json_kind(anchor, str, "paper_anchor"),
-                   _json_kind(residual, (int, float), "residual"), _json_kind(tol, (int, float), "tolerance"),
-                   _json_kind(passed, type(None) if na else bool, "passed"), na,
-                   _json_kind(d.get("notes", ""), str, "notes"))
+        return cls(check_id, anchor, residual, tol,
+                   _json_kind(passed, type(None) if na else bool, "passed"), na, d.get("notes", ""))
+
+
+def _check_entry_fields(check_id, paper_anchor, residual, tolerance, notes) -> None:
+    """Refuse, as from_dict would, a field that is not a string or a number in double range."""
+    for name, value in (("check_id", check_id), ("paper_anchor", paper_anchor), ("notes", notes)):
+        _json_kind(value, str, name)
+    for name, value in (("residual", residual), ("tolerance", tolerance)):
+        _json_kind(value, (int, float), name)
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"field {name!r} must be a number in double range")
 
 
 def entry(check_id: str, anchor: str, residual: float, tol: float, notes: str = "") -> CheckEntry:
@@ -142,14 +155,13 @@ def _json_field(obj: dict, name: str, what: str):
 _ENTRY_LAYOUT = "    {\n" + ",\n".join(f'      "{f}": %s' for f in _ENTRY_FIELDS) + "\n    }"
 _entry_values = operator.attrgetter(*_ENTRY_FIELDS)
 _ONE_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
-_SCALARS = {str, float, int, bool, type(None)}
 
 
 class VerificationReport:
     """The entries of one geometry's checks, in report order; mutable through add and extend."""
 
     def __init__(self, geometry_id: str, entries: list[CheckEntry] | None = None):
-        self.geometry_id = geometry_id
+        self.geometry_id = _json_kind(geometry_id, str, "geometry_id")
         self.entries = [] if entries is None else entries
 
     def add(self, e: CheckEntry) -> None:
@@ -182,14 +194,12 @@ class VerificationReport:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte, with the layout written here.
 
         The values are encoded in one call; each holds no raw newline, so
-        the encoder's output splits into one value per line.  A report with
-        a value of any other type, such as an entry built directly with an
-        ``np.float64`` residual, goes through json.dumps whole.
+        the encoder's output splits into one value per line.  The constructors
+        admit only strings, numbers, bools and None, subclasses included, which
+        the encoder writes as json.dumps does (an ``np.float64`` as its float).
         """
         values = [SCHEMA_VERSION, self.geometry_id,
                   *chain.from_iterable(map(_entry_values, self.entries))]
-        if not set(map(type, values)) <= _SCALARS:
-            return json.dumps(self.to_dict(), indent=2)
         entries = ("[\n" + ",\n".join([_ENTRY_LAYOUT] * len(self.entries)) + "\n  ]"
                    if self.entries else "[]")
         layout = '{\n  "schema_version": %s,\n  "geometry_id": %s,\n  "entries": ' + entries + "\n}"
@@ -200,7 +210,7 @@ class VerificationReport:
         d = _json_shape(d, dict, "a report")
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {d.get('schema_version')!r}")
-        geometry_id = _json_kind(_json_field(d, "geometry_id", "a report"), str, "geometry_id")
+        geometry_id = _json_field(d, "geometry_id", "a report")
         entries = _json_shape(_json_field(d, "entries", "a report"), list, "field 'entries'")
         return cls(geometry_id, [CheckEntry.from_dict(e) for e in entries])
 

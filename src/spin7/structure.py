@@ -76,7 +76,7 @@ def metric_from_phi(phi: KForm) -> FrameMetric:
     """
     if phi.degree != 4:
         raise ValueError(f"fundamental form must have degree 4, got {phi.degree}")
-    p = phi.to_array().reshape(8, 512)
+    p = phi.dense.reshape(8, 512)
     with np.errstate(over="ignore", invalid="ignore"):
         g = p @ p.T / 42.0
     try:
@@ -98,10 +98,6 @@ class Spin7Form(Frozen):
         return phi if isinstance(phi, Spin7Form) else cls(phi, metric_from_phi(phi))
 
     @_shared_property
-    def dense(self) -> np.ndarray:
-        return self.phi.to_array()
-
-    @_shared_property
     def derivation_matrix(self) -> np.ndarray:
         """The map X -> X . phi of gl(8) on phi's 70 canonical components, as a 64 x 70 matrix.
 
@@ -112,7 +108,7 @@ class Spin7Form(Frozen):
         """
         cells, source = _derivation_table()
         out = np.zeros((DIM * DIM, len(canonical_indices(4))))
-        out[cells] = self.dense.ravel()[source]
+        out[cells] = self.phi.dense.ravel()[source]
         return out
 
     def projectors(self, degree: int) -> tuple[tuple[np.ndarray, int], ...]:
@@ -317,7 +313,7 @@ def phi_identities(structure: Spin7Form):
     structure, _ = orthonormal_frame(structure)
     yield "self_dual", residual(hodge_star(structure.phi), structure.phi)
 
-    p = structure.dense
+    p = structure.phi.dense
     # full contraction = 336
     yield "contraction_scalar_336", abs(np.einsum("ijpq,ijpq->", p, p) - 336.0)
     # three-index contraction = 42 g, g = I in this frame

@@ -79,7 +79,7 @@ def omega_operator(sigma: KForm, structure: Spin7Form) -> KForm:
     if sigma.degree != 4:
         raise ValueError(f"expected a 4-form, got degree {sigma.degree}")
     # M_ijkl = sigma_ijpq phi_pqkl; Omega = M + M_iklj + M_iljk + M_jkil + M_jlki + M_klij
-    m = sigma.to_array().reshape(64, 64) @ structure.dense.reshape(64, 64)
+    m = sigma.to_array().reshape(64, 64) @ structure.phi.dense.reshape(64, 64)
     axes = ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 3, 1), (2, 0, 1, 3), (3, 0, 2, 1), (2, 3, 0, 1))
     return KForm.from_array(sum(m.reshape((DIM,) * 4).transpose(ax) for ax in axes))
 

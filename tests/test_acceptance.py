@@ -146,7 +146,7 @@ def test_criterion_3_product_group_regression():
         "dlee": residual(geom.dtheta, dtheta_expect),
         "dlee_7part": p7.max_abs(),
         "parallel_phi": float(np.max(np.abs(covariant_derivative(geom.conn,
-                                                                 geom.structure.dense)))),
+                                                                 geom.structure.phi.dense)))),
         "ricci_lee": float(np.max(np.abs(geom.ric + (7.0 / 6.0) * geom.nabla_theta))),
         "t_norm": abs(geom.torsion_norm_sq - 12.0),
         "lee_norm": abs(geom.theta_norm_sq - 72.0 / 49.0),

@@ -247,10 +247,13 @@ ENTRY = {"check_id": "c", "paper_anchor": "id:a", "residual": 0.0, "tolerance": 
      "field 'notes' must be a string, got 7"),
     ({"schema_version": "1", "geometry_id": 7, "entries": []},
      "field 'geometry_id' must be a string, got 7"),
+    # math.isfinite raised OverflowError on this integer
+    ({"schema_version": "1", "geometry_id": "g", "entries": [{**ENTRY, "residual": 10**400}]},
+     "field 'residual' must be a number in double range"),
 ], ids=["list", "no_geometry_id", "no_entries", "entry_not_an_object", "no_paper_anchor",
         "residual_not_a_number", "not_applicable_not_a_bool", "passed_not_a_bool",
         "passed_not_null_on_na", "check_id_not_a_string", "paper_anchor_not_a_string",
-        "notes_not_a_string", "geometry_id_not_a_string"])
+        "notes_not_a_string", "geometry_id_not_a_string", "residual_beyond_double_range"])
 def test_report_json_of_the_wrong_shape_is_a_value_error(report, message):
     # each ended in a raw AttributeError, KeyError or TypeError, or loaded as a wrong report
     from spin7.report import VerificationReport
@@ -282,13 +285,32 @@ def test_to_json_is_json_dumps_byte_for_byte(geometries):
     edge.add(na_entry("skipped", "id:b", "hypothesis fails here"))
     edge.add(CheckEntry.from_dict({"check_id": "int_residual", "paper_anchor": "id:c",
                                    "residual": 0, "tolerance": 1, "passed": True}))
-    edge.add(CheckEntry("nested", "id:d", [1.5, {"k": [2, None]}], 0.0, None, True))
-    # a numpy scalar is not one of the encoder's exact types: the report goes through json.dumps
-    edge.add(CheckEntry("numpy_residual", "id:e", np.float64(0.25), 1.0, True))
+    # a float subclass takes the one-per-line encoder too, which writes it as a float
+    edge.add(CheckEntry("numpy_residual", "id:e", np.float64(0.1) + np.float64(0.2), 1.0, True))
     reports += [VerificationReport("empty"), edge,
                 VerificationReport.from_json(reports[0].to_json())]
     for rep in reports:
         assert rep.to_json() == json.dumps(rep.to_dict(), indent=2), rep.geometry_id
+    assert '"residual": 0.30000000000000004,' in edge.to_json()
+
+
+@pytest.mark.parametrize("fields,message", [
+    (("nested", "id:d", [1.5], 0.0, None, True), "field 'residual' must be a number, got [1.5]"),
+    ((7, "id:a", 0.0, 1.0, True), "field 'check_id' must be a string, got 7"),
+    (("c", None, 0.0, 1.0, True), "field 'paper_anchor' must be a string, got None"),
+    (("c", "id:a", 0.0, "1e-9", True), "field 'tolerance' must be a number, got '1e-9'"),
+    (("c", "id:a", True, 1.0, True), "field 'residual' must be a number, got True"),
+    (("c", "id:a", 0.0, 1.0, True, False, b"x"), "field 'notes' must be a string, got b'x'"),
+    (("c", "id:a", 10**400, 0.0, None, True),
+     "field 'residual' must be a number in double range"),
+], ids=["residual_a_list", "check_id_an_int", "paper_anchor_none", "tolerance_text",
+        "residual_a_bool", "notes_bytes", "residual_beyond_double_range"])
+def test_an_entry_refuses_a_field_from_json_would_refuse(fields, message):
+    # each was written by to_json, and from_json then refused the text
+    from spin7.report import CheckEntry
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CheckEntry(*fields)
 
 
 def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):

@@ -324,7 +324,7 @@ def test_canonical_structure_is_one_read_only_object_across_algebras():
     # every shipped form induces the exact identity: one metric and its tables for all
     assert all(build_geometry(*t).structure.metric is IDENTITY_METRIC for t in VERIFY_TARGETS)
     full_report(geoms[0])
-    tables = [s.dense, s.derivation_matrix, s.metric.g, s.metric.chol, s.metric.inv]
+    tables = [s.phi.dense, s.derivation_matrix, s.metric.g, s.metric.chol, s.metric.inv]
     tables += [num for degree in (2, 4) for num, _ in s.projectors(degree)]
     for table in tables:
         assert not table.flags.writeable
@@ -417,7 +417,7 @@ def test_covariant_derivative_flat_and_metric(su2):
     lc = levi_civita(su2)
     s = canonical_phi()
     flat = np.zeros((8, 8, 8))
-    assert not np.any(covariant_derivative(flat, s.dense))
+    assert not np.any(covariant_derivative(flat, s.phi.dense))
     assert np.max(np.abs(covariant_derivative(lc, np.eye(8)))) < 1e-15
     assert np.array_equal(covariant_derivative(lc, np.array(3.0)), np.zeros(8))
 
@@ -560,7 +560,7 @@ def test_characteristic_connection_annihilates_phi(su2, su3, heisenberg):
     for alg in (su2, su3, heisenberg):
         t = spin7_torsion(s, alg)[2][0]
         conn = connection_from_torsion(levi_civita(alg), t.to_array())
-        assert np.max(np.abs(covariant_derivative(conn, s.dense))) < 1e-13
+        assert np.max(np.abs(covariant_derivative(conn, s.phi.dense))) < 1e-13
 
 
 @pytest.mark.parametrize("alg_name", ["su2su2u1u1", "heisenberg", "abelian"])
@@ -641,7 +641,7 @@ def moved_su3(su3) -> Geometry:
 
 def test_torsion_square_matches_its_einsum_expression(su3):
     geom = moved_su3(su3)
-    assert close(geom.t_square, np.einsum("xia,yia->xy", geom.t3, geom.t3))
+    assert close(geom.t_square, np.einsum("xia,yia->xy", geom.torsion.dense, geom.torsion.dense))
 
 
 def test_nabla_phi_is_one_matmul_against_the_derivation_matrix(su3):
@@ -649,7 +649,7 @@ def test_nabla_phi_is_one_matmul_against_the_derivation_matrix(su3):
     # against the full 8^5 covariant derivative: on the pulled-back frame's
     # torsion connection and on random coefficients
     geom = moved_su3(su3)
-    phi = geom.structure.dense
+    phi = geom.structure.phi.dense
     canonical = (slice(None),) + tuple(np.array(canonical_indices(4)).T)
     for conn in (geom.conn, kernel_inputs(50)[1]):
         full = covariant_derivative(conn, phi)
@@ -701,7 +701,7 @@ def pulled_back_orthonormal_phi():
     a = np.eye(8) + 0.3 * np.random.default_rng(5).standard_normal((8, 8))
     assert np.linalg.det(a) > 0.0
     structure = Spin7Form(pull_back(canonical_phi_form(), a), FrameMetric(a.T @ a))
-    return orthonormal_frame(structure)[0].dense
+    return orthonormal_frame(structure)[0].phi.dense
 
 
 def random_form_table(seed):

@@ -12,7 +12,14 @@ A^T A on the way.
 A*phi: the package's formula for it is only right in orthonormal frames.
 The patch goes when that formula is replaced by one that holds in every
 frame (ROADMAP item 1); ``Geometry.build`` maps whatever it returns.
+
+A closed-torsion family opens every gate off the orthonormal corpus:
+bi-invariant algebras with unequal radii, presented in 34 seeded frames with
+det A of either sign and cond(A^T A) up to 1.7e9, their structures built
+with the metric A^T A they induce.  Every entry must apply and pass there.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -85,31 +92,82 @@ def test_report_shortcuts_are_their_references_in_a_moved_frame(target, seed, mo
     assert shortcut_mismatches(moved_geometry(target, frame(seed), monkeypatch)) == []
 
 
-def bi_invariant_member(name: str, seed: int) -> Geometry:
+def bi_invariant_member(name: str, a: np.ndarray) -> Geometry:
     """A closed-torsion geometry in a generic frame: su2su2u1u1 with its two S^3 factors
-    at different radii, or su3's constants x 1.7, presented in the frame A = I + 0.4 N
-    (N seeded standard normal) with the metric A^T A and the orientation sign det A."""
+    at different radii, or su3's constants x 1.7, presented in the frame A with the
+    metric A^T A and the orientation sign det A."""
     alg = get_algebra(name)
     if name == "su2su2u1u1":
         alg = alg.in_frame(np.diag([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 0.5]))
     else:
         alg = LieAlgebra8(name, 1.7 * alg.c)
-    a = np.eye(8) + 0.4 * np.random.default_rng(seed).standard_normal((8, 8))
     orientation = 1 if np.linalg.det(a) > 0.0 else -1
     phi = Spin7Form(pull_back(canonical_phi_form(), a), FrameMetric(a.T @ a, orientation))
     return Geometry.build(alg.in_frame(a), phi)
 
 
-# seed 1: det A = +0.93, cond(A^T A) = 44; seed 3: det A = -1.83, cond 190
-@pytest.mark.parametrize("name,seed", [pytest.param(name, seed, id=f"{name}-seed{seed}")
-                                       for name in ("su2su2u1u1", "su3") for seed in (1, 3)])
-def test_bi_invariant_family_opens_every_gate_and_matches_the_references(name, seed):
-    # every gate is open here, so bi_structure_mirror_closed applies off the corpus
-    geom = bi_invariant_member(name, seed)
-    rep = full_report(geom)
-    assert [e.check_id for e in rep.entries if e.not_applicable] == []
-    assert rep.all_passed(), [e.check_id for e in rep.failed()]  # worst measured 3.9e-12
+def near_identity(seed: int) -> np.ndarray:
+    """A = I + 0.4 N, N seeded standard normal; det A takes either sign."""
+    return np.eye(8) + 0.4 * np.random.default_rng(seed).standard_normal((8, 8))
+
+
+def family_frames() -> dict[str, np.ndarray]:
+    """The 34 frames of the closed-torsion family, by id.
+
+    The first eight seeds from 0 up with det A > 0 and the first eight with det A < 0
+    give near_identity frames; seeds 100-117 give (I + 0.3 N) diag(e^u), u uniform in
+    [-5, 5]^8, whose metrics reach cond(A^T A) = 1.7e9.
+    """
+    frames, by_sign, seed = {}, {True: 0, False: 0}, 0
+    while len(frames) < 16:
+        a = near_identity(seed)
+        if by_sign[positive := np.linalg.det(a) > 0.0] < 8:
+            by_sign[positive] += 1
+            frames[f"seed{seed}"] = a
+        seed += 1
+    for seed in range(100, 118):
+        rng = np.random.default_rng(seed)
+        a = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
+        frames[f"scaled-seed{seed}"] = a * np.exp(rng.uniform(-5.0, 5.0, 8))
+    return frames
+
+
+def correlation_cond(a: np.ndarray) -> float:
+    """cond of A^T A scaled to unit diagonal, which a diagonal rescaling of the frame keeps."""
+    g = a.T @ a
+    d = 1.0 / np.sqrt(np.diag(g))
+    return float(np.linalg.cond(d[:, None] * g * d))
+
+
+# seed 22 has det A = -4.6e-3 and correlation cond 5.3e6: rounding in the frame map
+# exceeds the absolute tolerance 1e-9, so 20 entries fail and 20 are N/A on each algebra
+ILL_CONDITIONED = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="absolute tolerance below the rounding at correlation cond 5.3e6 (ROADMAP item 3)")
+FAMILY = [pytest.param(name, a, id=f"{name}-{key}",
+                       marks=ILL_CONDITIONED if key == "seed22" else ())
+          for name in ("su2su2u1u1", "su3") for key, a in family_frames().items()]
+
+
+@functools.lru_cache(maxsize=None)
+def at_identity(name: str) -> list:
+    entries = full_report(bi_invariant_member(name, np.eye(8))).entries
+    assert all(e.passed for e in entries)
+    return entries
+
+
+@pytest.mark.parametrize("name,a", FAMILY)
+def test_closed_torsion_family_passes_every_entry_in_a_generic_frame(name, a):
+    # every gate is open, so bi_structure_mirror_closed applies off the corpus, and every
+    # entry passes, as at A = I.  Measured worst residual over the passing frames: 6.2e-13
+    # x correlation cond (8.9e-12 at 14.4); 8.4e-10 at 1.6e4.  A diagonal rescaling is
+    # absorbed by the orthonormal frame: at cond(A^T A) up to 1.7e9 the scaled frames
+    # stayed below 9e-12.
+    geom = bi_invariant_member(name, a)
     assert shortcut_mismatches(geom) == []
+    rep = full_report(geom)
+    assert_same_verdicts(rep.entries, at_identity(name))
+    assert rep.max_residual() <= 2e-12 * correlation_cond(a)
 
 
 # Measured: 0 flipped entries over the four targets on the 40 frames of seeds

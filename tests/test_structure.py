@@ -142,7 +142,7 @@ def test_lambda2_component_characterization(rng):
     # the 7-part satisfies b_{ij} phi_{ijkl} = -6 b_{kl}, the 21-part +2
     s = canonical_phi()
     p7, p21 = project_lambda2(random_form(rng, 2), s)
-    phi = s.dense
+    phi = s.phi.dense
     for part, lam in ((p7, -6.0), (p21, 2.0)):
         arr = part.to_array()
         assert np.max(np.abs(np.einsum("ij,ijkl->kl", arr, phi) - lam * arr)) < 1e-12
@@ -251,7 +251,7 @@ def test_lambda4_27_part_kills_single_contraction(rng):
     s = canonical_phi()
     parts = project_lambda4(random_form(rng, 4), s)
     arr = parts[2].to_array()
-    assert np.max(np.abs(np.einsum("ijkl,mjkl->im", arr, s.dense))) < 1e-10
+    assert np.max(np.abs(np.einsum("ijkl,mjkl->im", arr, s.phi.dense))) < 1e-10
     # self-dual/anti-self-dual split: 1+7+27 self-dual, 35 anti-self-dual
     sd = parts[0] + parts[1] + parts[2]
     assert residual(hodge_star(sd), sd) < 1e-10
@@ -302,7 +302,7 @@ def reference_lambda2(beta, s):
 def reference_omega(sigma, s):
     """The six einsums that omega_operator's one matmul replaced, phi^pq_kl raised by g^-1."""
     gi = s.metric.inv
-    a, p = sigma.to_array(), np.einsum("pa,qb,abkl->pqkl", gi, gi, s.dense)
+    a, p = sigma.to_array(), np.einsum("pa,qb,abkl->pqkl", gi, gi, s.phi.dense)
     return KForm.from_array(
         np.einsum("ijpq,pqkl->ijkl", a, p) + np.einsum("ikpq,pqlj->ijkl", a, p)
         + np.einsum("ilpq,pqjk->ijkl", a, p) + np.einsum("jkpq,pqil->ijkl", a, p)
@@ -311,7 +311,7 @@ def reference_omega(sigma, s):
 
 def reference_d_operator(alpha, s):
     """The four einsums that d_operator's derivation-matrix product replaced, alpha_i^s raised."""
-    a2, p = np.einsum("ia,as->is", alpha.to_array(), s.metric.inv), s.dense
+    a2, p = np.einsum("ia,as->is", alpha.to_array(), s.metric.inv), s.phi.dense
     return KForm.from_array(
         np.einsum("is,sjkl->ijkl", a2, p) + np.einsum("js,iskl->ijkl", a2, p)
         + np.einsum("ks,ijsl->ijkl", a2, p) + np.einsum("ls,ijks->ijkl", a2, p))

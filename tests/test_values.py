@@ -4,11 +4,12 @@ The metric, the k-forms, the algebra, the structure, the soliton data, the
 geometry and each report entry derive from ``report.Frozen``: assigning or
 deleting an attribute raises AttributeError, while cached properties still
 fill.  ``VerificationReport`` stays mutable.  A constructor freezes a copy of
-an array it is given, never the caller's own.  The geometry's connections,
-curvatures and torsion are plain arrays that ``Geometry.build`` makes itself
-and freezes in place; its cached tables are frozen as they fill.  The classes
-are plain classes, so importing the command line generates no code:
-``dataclasses`` is not loaded, and neither is the dense oracle.
+an array it is given, never the caller's own.  The geometry's connections and
+curvatures are plain arrays that ``Geometry.build`` makes itself and freezes
+in place; its cached tables, and each form's dense table ``KForm.dense``, are
+frozen as they fill.  The classes are plain classes, so importing the command
+line generates no code: ``dataclasses`` is not loaded, and neither is the
+dense oracle.
 """
 
 import subprocess
@@ -42,7 +43,7 @@ def values():
         (canonical_phi_form(), "degree"),
         (KForm.covector(range(8)), "vec"),
         (SolitonData.constant_potential(), "f_gradient"),
-        (geom, "t3"),
+        (geom, "conn"),
     ]
 
 
@@ -64,13 +65,28 @@ def test_cached_properties_fill_once():
     metric = FrameMetric(np.diag(np.arange(1.0, 9.0)))
     structure = Spin7Form(canonical_phi_form(), IDENTITY_METRIC)
     geom = Geometry.build(get_algebra("su2su2u1u1"), structure)
-    for value, name in ((metric, "inv"), (structure, "dense"), (geom, "dtorsion")):
+    for value, name in ((metric, "inv"), (structure.phi, "dense"),
+                        (structure, "derivation_matrix"), (geom, "dtorsion")):
         assert name not in vars(value)
         first = getattr(value, name)
         assert vars(value)[name] is first and getattr(value, name) is first
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     assert np.array_equal(metric.inv, np.diag(1.0 / np.arange(1.0, 9.0)))
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_a_forms_dense_table_is_built_once_and_read_only(degree):
+    # to_array() builds every table and stays a fresh, writable copy for callers; the
+    # package reads tables up to degree 4 (a degree-8 table holds 8^8 floats, 134 MB)
+    form = KForm.from_vector(degree, np.arange(1.0, 1.0 + len(KForm.zero(degree).vec)))
+    dense = form.dense
+    assert form.dense is dense and not dense.flags.writeable
+    with pytest.raises(ValueError):
+        dense.flat[0] = 1.0
+    fresh = form.to_array()
+    assert fresh is not dense and fresh.flags.writeable
+    assert fresh.tobytes() == dense.tobytes() and fresh.shape == dense.shape == (8,) * degree
 
 
 @pytest.mark.parametrize("make,shape,field", [
@@ -124,7 +140,7 @@ def test_a_reported_geometry_holds_nothing_mutable(target):
     cached = [name for name, attr in vars(Geometry).items() if isinstance(attr, cached_property)]
     assert [name for name in cached if name not in vars(geom)] == []
     assert unfrozen(geom, "geom") == []
-    for name in ("lc", "conn", "t3", "curv", "curv_lc"):
+    for name in ("lc", "conn", "curv", "curv_lc"):
         assert getattr(geom, name).shape == (8,) * (4 if name.startswith("curv") else 3)
 
 
