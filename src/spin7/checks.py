@@ -11,9 +11,10 @@ A group declares its rows on its ``_report_of`` decorator: (check_id,
 anchor), or (check_id, anchor, gate) for a conditional row.  ``GATES`` names
 each hypothesis once, as a residual read off the Geometry plus the note its
 not-applicable entries carry; an entry applies iff its gate's residual is
-<= tol.  The group itself is a generator of (check_id, value) pairs, and the
-decorator builds every entry, N/A ones included, from the rows.  ``CHECKS``
-is the report order and ``ENTRIES`` the catalog of every row in it.
+<= tol, read once per report into a dict of its own.  The group is a
+generator of (check_id, value) pairs, and the decorator builds every entry,
+N/A ones included, from the rows.  ``CHECKS`` is the report order and
+``ENTRIES`` the catalog of every row in it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ GATES = {
 }
 
 
+def _read_gate(geom: Geometry, gate: str, gates: dict) -> float:
+    """The gate's residual, read off geom once into one report's readings ``gates``."""
+    return gates[gate] if gate in gates else gates.setdefault(gate, GATES[gate][0](geom))
+
+
 def _report_of(*rows):
     """Make a generator of (check_id, value) pairs a group returning a named VerificationReport.
 
@@ -58,7 +64,7 @@ def _report_of(*rows):
     and the generator advanced once per row; from the first row whose gate's
     residual is not <= tol, it is advanced no further and every row left is
     not applicable with that gate's note.  A yielded id other than its row's
-    raises.
+    raises.  Gates are read into ``gates``, passed on to a generator that takes it.
     """
     rows = tuple((check_id, anchor, gate[0] if gate else None) for check_id, anchor, *gate in rows)
     # a gate is read on the first of a run of rows that share it; the rest share its verdict
@@ -66,16 +72,20 @@ def _report_of(*rows):
             for (check_id, anchor, gate), before in zip(rows, (None, *(row[2] for row in rows)))]
 
     def decorate(fn):
+        takes_gates = "gates" in (fn.__kwdefaults__ or ())
+
         @functools.wraps(fn)
-        def group(geom, *args, tol=DEFAULT_TOL, **kwargs):
+        def group(geom, *args, tol=DEFAULT_TOL, gates=None, **kwargs):
+            gates = {} if gates is None else gates
+            if takes_gates:
+                kwargs["gates"] = gates
             values = fn(geom, *args, tol=tol, **kwargs)
             entries = []
             for check_id, anchor, gate in walk:
-                if gate is not None:
-                    gate_residual, note = GATES[gate]
-                    if not gate_residual(geom) <= tol:
-                        entries += [na_entry(i, a, note) for i, a, _ in rows[len(entries):]]
-                        break
+                if gate is not None and not _read_gate(geom, gate, gates) <= tol:
+                    note = GATES[gate][1]
+                    entries += [na_entry(i, a, note) for i, a, _ in rows[len(entries):]]
+                    break
                 got, value = next(values, (None, None))
                 if got != check_id:
                     raise RuntimeError(f"{fn.__name__} yielded {got!r} for the row {check_id!r}")
@@ -97,11 +107,6 @@ def _report_of(*rows):
 
 
 FERNANDEZ_LABELS = ("W_0", "W_1", "W_2", "locally_conformally_balanced", "strong")
-
-
-def _phi_trace(geom: Geometry, x: np.ndarray) -> np.ndarray:
-    """X_iabc phi_jabc, one (8, 512) x (512, 8) matmul."""
-    return x.reshape(8, 512) @ geom.structure.phi.dense.reshape(8, 512).T
 
 
 @_report_of(*((i, "id:fundamental-form-identities") for i in (
@@ -132,7 +137,7 @@ def check_algebra(geom: Geometry, tol: float = DEFAULT_TOL):
 def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL):
     alg, lc, conn, R = geom.algebra, geom.lc, geom.conn, geom.curv
     # Gamma_ijk + Gamma_ikj: a metric connection's coefficients are skew in j, k
-    lc_compat, conn_compat = (_maxabs(g + np.einsum("ijk->ikj", g)) for g in (lc, conn))
+    lc_compat, conn_compat = (_maxabs(g + g.transpose(0, 2, 1)) for g in (lc, conn))
     yield "lc_metric_compatibility", lc_compat
     yield "lc_torsion_free", _maxabs(torsion_tensor(lc, alg))
     yield "torsion_connection_metric", conn_compat
@@ -144,8 +149,8 @@ def check_connection_contracts(geom: Geometry, tol: float = DEFAULT_TOL):
     yield "parallel_metric", max(conn_compat, lc_compat)
     # R_ijkl + R_jikl and R_ijkl + R_ijlk: a curvature is skew in each pair
     for check_id, r in (("curvature_antisymmetry", R), ("curvature_antisymmetry_lc", geom.curv_lc)):
-        yield check_id, max(_maxabs(r + np.einsum("ijkl->jikl", r)),
-                            _maxabs(r + np.einsum("ijkl->ijlk", r)))
+        yield check_id, max(_maxabs(r + r.transpose(1, 0, 2, 3)),
+                            _maxabs(r + r.transpose(0, 1, 3, 2)))
     yield "curvature_in_stabilizer", _maxabs(
         (R.reshape(64, 64) @ geom.structure.phi.dense.reshape(64, 64)).reshape(R.shape) - 2.0 * R)
 
@@ -179,8 +184,7 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
     yield "torsion_48_split", residual(geom.torsion, part48 + (1.0 / 6.0) * theta_phi)
     yield "torsion_norm_split", abs(geom.torsion_norm_sq - geom.delta_phi48_norm_sq
                                     - (7.0 / 6.0) * geom.theta_norm_sq)
-    yield "lee_contraction_exchange", residual(interior_product(geom.theta, geom.delta_phi),
-                                               interior_product(geom.theta, geom.torsion))
+    yield "lee_contraction_exchange", residual(geom.theta_delta_phi, geom.theta_torsion)
 
 
 @_report_of(("first_bianchi_with_torsion", "id:first-bianchi-skew"),
@@ -189,9 +193,8 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
 def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL):
     R, dt, sig = geom.curv, geom.dtorsion.dense, geom.sigma.dense
     cyc = geom.bianchi_cycle
-    rcyc = (np.einsum("vxyz->xyzv", R) + np.einsum("vyzx->xyzv", R)
-            + np.einsum("vzxy->xyzv", R))
-    nt_last = np.einsum("vxyz->xyzv", geom.nabla_t)
+    rcyc = R.transpose(1, 2, 3, 0) + R.transpose(3, 1, 2, 0) + R.transpose(2, 3, 1, 0)
+    nt_last = geom.nabla_t.transpose(1, 2, 3, 0)
     yield "first_bianchi_with_torsion", _maxabs(cyc - (dt - sig + nt_last))
     yield "curvature_six_term_symmetry", _maxabs(cyc - rcyc - (1.5 * dt - sig))
     yield "reversed_first_bianchi", _maxabs(rcyc - (-0.5 * dt + nt_last))
@@ -202,8 +205,8 @@ def check_bianchi_family(geom: Geometry, tol: float = DEFAULT_TOL):
 def check_dt_expansion(geom: Geometry, tol: float = DEFAULT_TOL):
     """dT = nabla T's five-term expansion + 2 sigma_T, and nabla^g T - nabla T = sigma_T / 2."""
     nt, sig = geom.nabla_t, geom.sigma.dense
-    cyclic = nt + np.einsum("yzxv->xyzv", nt) + np.einsum("zxyv->xyzv", nt)
-    expansion = cyclic + 2.0 * sig - np.einsum("vxyz->xyzv", nt)
+    cyclic = nt + nt.transpose(2, 0, 1, 3) + nt.transpose(1, 2, 0, 3)
+    expansion = cyclic + 2.0 * sig - nt.transpose(1, 2, 3, 0)
     yield "dT_five_term_expansion", _maxabs(geom.dtorsion.dense - expansion)
     yield "lc_vs_torsion_derivative", _maxabs(geom.nabla_t_lc - nt - 0.5 * sig)
 
@@ -228,7 +231,7 @@ def check_ricci_relations(geom: Geometry, tol: float = DEFAULT_TOL):
             ("ricci_double_contraction", "id:torsion-ricci-formula"))
 def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
     phi = geom.structure.phi
-    dt_tr = _phi_trace(geom, geom.dtorsion.dense)
+    dt_tr = geom.dt_phi_trace
     ntheta = geom.nabla_theta
     tn, thn = geom.torsion_norm_sq, geom.theta_norm_sq
     dth = geom.delta_theta
@@ -255,7 +258,7 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
         abs(dt_phi - (-28.0 * dth + 4.0 * n48 - 28.0 * thn)),
     )
     yield "ricci_double_contraction", max(
-        _maxabs(2.0 * geom.ric + _phi_trace(geom, geom.curv)),
+        _maxabs(2.0 * geom.ric + geom.phi_trace(geom.curv)),
         _maxabs(2.0 * geom.ric + (1.0 / 6.0) * dt_tr + (7.0 / 3.0) * ntheta),
     )
 
@@ -276,7 +279,7 @@ def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL):
     "pair_symmetry_equivalence")))
 def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL):
     nt = geom.nabla_t
-    four_form = _maxabs(nt + np.einsum("yxzv->xyzv", nt))
+    four_form = _maxabs(nt + nt.transpose(1, 0, 2, 3))
     pair = _maxabs(geom.pair_asymmetry)
     dt_rel = _maxabs(geom.dtorsion.dense - 4.0 * geom.nabla_t_lc)
     yield "nabla_T_is_four_form", four_form
@@ -314,12 +317,12 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
 
     # codifferential of the torsion from the Lee form, always applicable
     rhs = (7.0 / 6.0) * (contract_into(geom.dtheta, phi)
-                         - interior_product(geom.theta, geom.delta_phi))
+                         - geom.theta_delta_phi)
     yield "codifferential_of_torsion_formula", residual(geom.delta_torsion, rhs)
 
     nth = geom.nabla_theta
     dnth = KForm.from_array(nth - nth.T)  # exactly skew
-    th_t = interior_product(geom.theta, geom.torsion)
+    th_t = geom.theta_torsion
     # contract_into carries 1/2!: th_t_phi = (1/2) (theta . T)_ab phi_ab..
     th_t_phi = contract_into(th_t, phi)
     yield "lee_nabla_exterior_formula", max(
@@ -361,16 +364,16 @@ def check_main_theorems(geom: Geometry, tol: float = DEFAULT_TOL):
     parallel for both connections and the Lee-form contractions vanish.
     """
     # X_iabc phi_jabc throughout; the quartic terms read X_iabc phi_abcj, its negative
-    sig_tr = _phi_trace(geom, geom.sigma.dense)
+    sig_tr = geom.phi_trace(geom.sigma.dense)
     ntheta = geom.nabla_theta
     yield "ricci_quartic_balance", _maxabs(geom.ric + 3.5 * ntheta + (1.0 / 6.0) * sig_tr)
     yield "lc_parallel_torsion", _maxabs(geom.nabla_t_lc)
     yield "parallel_torsion", _maxabs(geom.nabla_t)
     yield "lee_parallel_under_pair_symmetry", _maxabs(ntheta)
     yield "quartic_lee_contractions", max(
-        _maxabs(_phi_trace(geom, geom.nabla_t) + 7.0 * ntheta),
+        _maxabs(geom.phi_trace(geom.nabla_t) + 7.0 * ntheta),
         _maxabs(sig_tr - 21.0 * ntheta),
-        _maxabs(_phi_trace(geom, geom.dtorsion.dense) - 14.0 * ntheta),
+        _maxabs(geom.dt_phi_trace - 14.0 * ntheta),
     )
 
 
@@ -402,12 +405,12 @@ def check_soliton(geom: Geometry, soliton: SolitonData | None = None, tol: float
     yield "soliton_structure_invariance", lie_phi.max_abs()
 
 
-def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> list[str]:
+def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL, gates=None) -> list[str]:
     """Structure classes by defining residual, plus the derived labels.
 
     The conformally-parallel class is only reported when it holds
     nontrivially (nonzero d phi), so the flat baseline reads as
-    closed + balanced rather than everything at once.
+    closed + balanced rather than everything at once; "strong" reads the gate.
     """
     dphi = geom.dphi
     w0 = dphi.max_abs() <= tol
@@ -416,14 +419,14 @@ def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL) -> list[str]:
         "W_1": geom.theta.max_abs() <= tol,
         "W_2": residual(dphi, wedge(geom.theta, geom.structure.phi)) <= tol and not w0,
         "locally_conformally_balanced": geom.dtheta.max_abs() <= tol,
-        "strong": GATES["closed_torsion"][0](geom) <= tol,
+        "strong": _read_gate(geom, "closed_torsion", {} if gates is None else gates) <= tol,
     }
     return [label for label in FERNANDEZ_LABELS if holds[label]]
 
 
 @_report_of(("fernandez_classes", "id:structure-classes"))
-def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL):
-    yield "fernandez_classes", (0.0, ",".join(classify_fernandez(geom, tol)) or "generic")
+def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL, *, gates=None):
+    yield "fernandez_classes", (0.0, ",".join(classify_fernandez(geom, tol, gates)) or "generic")
 
 
 @_report_of(("bi_structure_opposite_torsion", "id:bi-structure"),
@@ -449,10 +452,10 @@ ENTRIES = tuple(row for group in CHECKS for row in group.rows)
 def full_report(geom: Geometry, soliton: SolitonData | None = None,
                 tol: float = DEFAULT_TOL) -> VerificationReport:
     """Every group of ``CHECKS`` in order; identical inputs give identical reports."""
-    rep = VerificationReport(geom.name)
+    entries, gates = [], {}
     for group in CHECKS:
         # looked up by name, so a wrapper set on the module (perfbench's tracer) sees it
         check = globals()[group.__name__]
         args = (soliton,) if check is check_soliton else ()
-        rep.extend(check(geom, *args, tol=tol).entries)
-    return rep
+        entries += check(geom, *args, tol=tol, gates=gates).entries
+    return VerificationReport(geom.name, entries)

@@ -4,7 +4,7 @@ A connection is the plain (8, 8, 8) array gamma[i, j, k] = Gamma^k_{ij} with
 nabla_{e_i} e_j = sum_k Gamma^k_{ij} e_k.  Curvature is the plain (8, 8, 8, 8)
 array R[i, j, k, l] of R(X,Y)Z = [nabla_X, nabla_Y]Z - nabla_{[X,Y]}Z, lowered
 in the last slot, and the Ricci trace is Ric(X,Y) = sum_a R(e_a, X, Y, e_a).
-Each builder returns a fresh array; ``Geometry.build`` freezes the ones it keeps.
+Each builder returns a fresh array, which whoever keeps it freezes.
 
 All tensors are invariant (constant frame components), so covariant
 derivatives reduce to the connection-coefficient corrections.  Everything
@@ -28,7 +28,7 @@ from .structure import Spin7Form, lambda3_covector
 def levi_civita(alg: LieAlgebra8) -> np.ndarray:
     """Koszul formula on an orthonormal invariant frame."""
     c = alg.c
-    return 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    return 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
 
 
 def connection_from_torsion(lc: np.ndarray, t3: np.ndarray) -> np.ndarray:
@@ -38,7 +38,7 @@ def connection_from_torsion(lc: np.ndarray, t3: np.ndarray) -> np.ndarray:
 
 def torsion_tensor(gamma: np.ndarray, alg: LieAlgebra8) -> np.ndarray:
     """T_{ijk} of nabla_X Y - nabla_Y X - [X, Y]."""
-    return gamma - np.einsum("ijk->jik", gamma) - alg.c
+    return gamma - gamma.transpose(1, 0, 2) - alg.c
 
 
 def covariant_derivative(gamma: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ def sigma_t(t3: np.ndarray) -> KForm:
     S_xyz is the cyclic sum over (x, y, z); this is (1/2) sum_j (e_j . T) ^ (e_j . T).
     """
     s = (t3.reshape(DIM * DIM, DIM) @ t3.reshape(DIM * DIM, DIM).T).reshape((DIM,) * 4)
-    return KForm.from_array(s + np.einsum("yzxv->xyzv", s) + np.einsum("zxyv->xyzv", s))
+    return KForm.from_array(s + s.transpose(2, 0, 1, 3) + s.transpose(1, 2, 0, 3))
 
 
 def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from itertools import combinations, compress, permutations
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .report import Frozen, _json_field, _json_kind, _json_loads, _json_shape
+from .report import Frozen, _json_field, _json_kind, _json_loads, _json_shape, _read_only, cached
 
 DIM = 8
 FULL_INDEX = tuple(range(DIM))
@@ -72,24 +72,9 @@ def validate_multi_index(idx, degree: int) -> tuple[int, ...]:
     return t
 
 
-def _read_only(value):
-    """value, with every array in it (nested in tuples or not) made read-only."""
-    if isinstance(value, tuple):
-        for x in value:
-            _read_only(x)
-    else:
-        value.setflags(write=False)
-    return value
-
-
 def _shared_table(build):
     """lru_cache for a function that builds a table every later call shares: made read-only."""
     return lru_cache(maxsize=None)(wraps(build)(lambda *args: _read_only(build(*args))))
-
-
-def _shared_property(build):
-    """cached_property for a table every later read of the instance shares: made read-only."""
-    return cached_property(wraps(build)(lambda self: _read_only(build(self))))
 
 
 @lru_cache(maxsize=None)
@@ -194,11 +179,11 @@ class FrameMetric(Frozen):
         return cls(np.eye(DIM))
 
     # on the identity, chol, inv and det come out exact, with no -0.0
-    @_shared_property
+    @cached
     def inv(self) -> np.ndarray:
         return np.linalg.inv(self.g)
 
-    @cached_property
+    @cached
     def sqrt_det(self) -> float:
         return float(math.sqrt(np.linalg.det(self.g)))
 
@@ -280,7 +265,7 @@ class KForm(Frozen):
 
     # -- accessors ----------------------------------------------------------
 
-    @cached_property
+    @cached
     def coeffs(self) -> MappingProxyType:
         """Read-only map from canonical index tuples to the nonzero coefficients."""
         nonzero = self.vec != 0.0
@@ -311,7 +296,7 @@ class KForm(Frozen):
         arr[positions] = self.vec[:, None] * signs
         return arr.reshape((DIM,) * self.degree)
 
-    @_shared_property
+    @cached
     def dense(self) -> np.ndarray:
         """``to_array()``, built once and shared read-only."""
         return self.to_array()

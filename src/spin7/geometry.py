@@ -10,26 +10,21 @@ keeps metrics; ``spin7 decompose`` splits in the same frame and maps back.
 
 Building makes one ``connection.spin7_torsion`` call, which gives d phi, the
 three Lee-form routes (``lee_routes``; ``theta`` is the last) and the two
-torsion routes (``torsion_routes``; ``torsion`` is the first), and computes
-the Levi-Civita and torsion connections and both curvatures.  These are plain
-arrays that the build freezes in place, with no copy: a Geometry owns every
-table it holds and shares it read-only.  A form's dense table is the form's
-own ``KForm.dense`` (T's is ``torsion.dense``), built once and read-only.
-Everything else the identity suite reads is a cached property computed on
-first use, each array frozen as it is stored:
-the 7-part of d theta, delta phi and delta theta by divergence
-(``connection.codifferential`` traces the Levi-Civita coefficients before it
-sums, so no nabla^g phi table is built), delta phi's 48-part and its norm,
-delta T from the stored nabla^g T, the cyclic sum and pair asymmetry of the
-curvature, and T o T.  phi's derivation matrix, which gives nabla phi in one
-matmul, is kept on the structure, so a shipped structure computes it once
-per process.  Contractions of forms with theta, T or phi go through
-``forms`` on the forms themselves.
+torsion routes (``torsion_routes``; ``torsion`` is the first), and the torsion
+connection and its curvature, plain arrays frozen in place.  The Levi-Civita
+side depends on the constants alone: the algebra owns it
+(``LieAlgebra8.lc_tables``) and its geometries share it.  A form's dense
+table is its own ``KForm.dense``.  Everything else the checks read is a
+cached property, each array frozen: the 7-part of d theta, delta phi and
+delta theta by divergence (``connection.codifferential`` traces the
+Levi-Civita coefficients before it sums), delta phi's 48-part and its norm,
+delta T from nabla^g T, the cyclic sum and pair asymmetry of the curvature,
+T o T, and the contractions two check groups read: theta . T, theta . delta
+phi and the phi-trace of dT.  phi's derivation matrix, which gives nabla phi
+in one matmul, is kept on the structure.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -38,15 +33,14 @@ from .connection import (
     connection_from_torsion,
     covariant_derivative,
     curvature,
-    levi_civita,
     ricci,
     scalar_curv,
     sigma_t,
     spin7_torsion,
 )
-from .forms import KForm, _read_only, _shared_property, norm_sq
+from .forms import KForm, _read_only, interior_product, norm_sq
 from .liealgebra import LieAlgebra8, ce_differential
-from .report import Frozen
+from .report import Frozen, cached
 from .structure import Spin7Form, orthonormal_frame, project_lambda2, project_lambda3
 
 
@@ -77,8 +71,9 @@ class Geometry(Frozen):
     Built by ``build`` only, with the fields name, algebra, structure, dphi,
     lee_routes (three KForms), torsion_routes (two KForms), frame (B: column i
     holds e'_i in the input frame), lc and conn (the Levi-Civita and torsion
-    connections' tables gamma[i, j, k]) and curv and curv_lc (their curvatures
-    R[i, j, k, l]).  Every array field and every cached table is read-only.
+    connections' tables gamma[i, j, k]), curv and curv_lc (their curvatures
+    R[i, j, k, l]), ric_lc and scal_lc, the last four the algebra's
+    ``lc_tables``.  Every array field and every cached table is read-only.
     """
 
     @classmethod
@@ -89,24 +84,14 @@ class Geometry(Frozen):
         if structure is not given:
             algebra = algebra.in_frame(frame)
         dphi, lee_routes, torsion_routes = spin7_torsion(structure, algebra)
-        lc = levi_civita(algebra)
-        conn = connection_from_torsion(lc, torsion_routes[0].dense)
-        curv, curv_lc = curvature(conn, algebra), curvature(lc, algebra)
-        _read_only((lc, conn, curv, curv_lc))
+        lc, curv_lc, ric_lc, scal_lc = algebra.lc_tables
+        conn = _read_only(connection_from_torsion(lc, torsion_routes[0].dense))
+        curv = _read_only(curvature(conn, algebra))
         geom = cls.__new__(cls)
-        vars(geom).update(
-            name=name or algebra.name,
-            algebra=algebra,
-            structure=structure,
-            dphi=dphi,
-            lee_routes=lee_routes,
-            torsion_routes=torsion_routes,
-            frame=frame,
-            lc=lc,
-            conn=conn,
-            curv=curv,
-            curv_lc=curv_lc,
-        )
+        vars(geom).update(name=name or algebra.name, algebra=algebra, structure=structure,
+                          dphi=dphi, lee_routes=lee_routes, torsion_routes=torsion_routes,
+                          frame=frame, lc=lc, conn=conn, curv=curv, curv_lc=curv_lc,
+                          ric_lc=ric_lc, scal_lc=scal_lc)
         return geom
 
     @property
@@ -119,95 +104,103 @@ class Geometry(Frozen):
         """The characteristic torsion, by the *d phi route: the first of ``torsion_routes``."""
         return self.torsion_routes[0]
 
+    def phi_trace(self, x: np.ndarray) -> np.ndarray:
+        """X_iabc phi_jabc of a 4-tensor X, one (8, 512) x (512, 8) matmul."""
+        return x.reshape(8, 512) @ self.structure.phi.dense.reshape(8, 512).T
+
     # -- cached dense tables --------------------------------------------------
 
-    @_shared_property
+    @cached
     def t_square(self) -> np.ndarray:
         """(T o T)_xy = T_xia T_yia, one matmul: T_yia = T_iay as T is totally skew."""
         return self.torsion.dense.reshape(8, 64) @ self.torsion.dense.reshape(64, 8)
 
-    @cached_property
+    @cached
     def dtorsion(self) -> KForm:
         return ce_differential(self.torsion, self.algebra)
 
-    @cached_property
+    @cached
     def sigma(self) -> KForm:
         return sigma_t(self.torsion.dense)
 
-    @_shared_property
+    @cached
     def nabla_t(self) -> np.ndarray:
         return covariant_derivative(self.conn, self.torsion.dense)
 
-    @_shared_property
+    @cached
     def nabla_t_lc(self) -> np.ndarray:
         return covariant_derivative(self.lc, self.torsion.dense)
 
-    @_shared_property
+    @cached
     def nabla_theta(self) -> np.ndarray:
         return covariant_derivative(self.conn, self.theta.vec)
 
-    @cached_property
+    @cached
     def dtheta(self) -> KForm:
         return ce_differential(self.theta, self.algebra)
 
-    @cached_property
+    @cached
     def dtheta7(self) -> KForm:
         """The 7-part of d theta."""
         return project_lambda2(self.dtheta, self.structure)[0]
 
-    @cached_property
+    @cached
     def delta_torsion(self) -> KForm:
         """delta T = -(nabla^g_a T)_{a..}, from the stored nabla^g T."""
         return KForm.from_array(-np.trace(self.nabla_t_lc))
 
-    @cached_property
+    @cached
     def delta_theta(self) -> float:
         return float(codifferential(self.theta, self.lc).vec[0])
 
-    @cached_property
+    @cached
     def delta_phi(self) -> KForm:
         return codifferential(self.structure.phi, self.lc)
 
-    @cached_property
+    @cached
     def delta_phi48(self) -> KForm:
         """The 48-part of delta phi."""
         return project_lambda3(self.delta_phi, self.structure)[1]
 
-    @cached_property
+    @cached
     def delta_phi48_norm_sq(self) -> float:
         return norm_sq(self.delta_phi48)
 
-    @_shared_property
+    @cached
     def bianchi_cycle(self) -> np.ndarray:
         """R_xyzv + R_yzxv + R_zxyv of the torsion connection."""
         R = self.curv
-        return R + np.einsum("yzxv->xyzv", R) + np.einsum("zxyv->xyzv", R)
+        return R + R.transpose(2, 0, 1, 3) + R.transpose(1, 2, 0, 3)
 
-    @_shared_property
+    @cached
     def pair_asymmetry(self) -> np.ndarray:
         """R_xyzv - R_zvxy of the torsion connection."""
-        return self.curv - np.einsum("zvxy->xyzv", self.curv)
+        return self.curv - self.curv.transpose(2, 3, 0, 1)
 
-    @_shared_property
+    @cached
     def ric(self) -> np.ndarray:
         return ricci(self.curv)
 
-    @_shared_property
-    def ric_lc(self) -> np.ndarray:
-        return ricci(self.curv_lc)
-
-    @cached_property
+    @cached
     def scal(self) -> float:
         return scalar_curv(self.ric)
 
-    @cached_property
-    def scal_lc(self) -> float:
-        return scalar_curv(self.ric_lc)
+    @cached
+    def dt_phi_trace(self) -> np.ndarray:
+        return self.phi_trace(self.dtorsion.dense)
 
-    @cached_property
+    @cached
+    def theta_torsion(self) -> KForm:
+        return interior_product(self.theta, self.torsion)
+
+    @cached
+    def theta_delta_phi(self) -> KForm:
+        return interior_product(self.theta, self.delta_phi)
+
+    @cached
     def torsion_norm_sq(self) -> float:
         return norm_sq(self.torsion)
 
-    @cached_property
+    @cached
     def theta_norm_sq(self) -> float:
         return norm_sq(self.theta)

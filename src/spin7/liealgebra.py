@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .forms import DIM, KForm, _index_array, _merge_table, _read_only, _shared_table, read_json
-from .report import Frozen, _json_field, _json_kind, _json_shape
+from .report import Frozen, _json_field, _json_kind, _json_shape, cached
 
 JACOBI_TOL = 1e-12
 
@@ -77,7 +77,7 @@ class LieAlgebra8(Frozen):
         if not np.all(np.isfinite(c)):
             raise ValueError("structure constants must be finite numbers")
         # a change of basis in floating point leaves a rounding-level asymmetry
-        ct = np.einsum("ijk->jik", c)
+        ct = c.transpose(1, 0, 2)
         max_c = float(np.max(np.abs(c)))
         scale = max(1.0, max_c)
         asym = float(np.max(np.abs(c + ct)))
@@ -127,6 +127,14 @@ class LieAlgebra8(Frozen):
         c = _read_only(0.5 * (c - c.transpose(1, 0, 2)))
         vars(alg).update(name=name, c=c, jacobi=self.jacobi, _cache={})
         return alg
+
+    @cached
+    def lc_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The orthonormal frame's Levi-Civita table, curvature, Ricci tensor and scalar."""
+        from . import connection  # which imports this module
+        lc = connection.levi_civita(self)
+        ric = connection.ricci(curv := connection.curvature(lc, self))
+        return lc, curv, ric, connection.scalar_curv(ric)
 
     def is_abelian(self) -> bool:
         return not np.any(self.c)

@@ -36,7 +36,7 @@ class Frozen:
     """A value whose fields are set once, by its constructor, in its ``__dict__``.
 
     Assigning or deleting an attribute afterwards raises AttributeError.
-    ``functools.cached_property`` writes to ``__dict__`` directly, so it still fills.
+    ``cached`` writes to ``__dict__`` directly, so it still fills.
     """
 
     def __setattr__(self, name, value):
@@ -44,6 +44,33 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete attribute {name!r} of a frozen {type(self).__name__}")
+
+
+def _read_only(value):
+    """value, with every array in it (nested in tuples or not) made read-only."""
+    if isinstance(value, tuple):
+        for x in value:
+            _read_only(x)
+    elif hasattr(value, "setflags"):
+        value.setflags(write=False)
+    return value
+
+
+class cached:
+    """A property built on first read into ``__dict__``, with its arrays made read-only.
+
+    A build that raises stores nothing.  Like ``functools.cached_property``
+    from Python 3.12 on, it takes no lock: two first reads at once may both build.
+    """
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = _read_only(self.build(obj))
+        return value
 
 
 # CheckEntry's fields in order: the keys of to_dict and of every entry to_json writes
@@ -157,17 +184,22 @@ _entry_values = operator.attrgetter(*_ENTRY_FIELDS)
 _ONE_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
 
 
-class VerificationReport:
-    """The entries of one geometry's checks, in report order; mutable through add and extend."""
+class VerificationReport(Frozen):
+    """The entries of one geometry's checks, in report order; ``add`` and ``extend`` append."""
 
     def __init__(self, geometry_id: str, entries: list[CheckEntry] | None = None):
-        self.geometry_id = _json_kind(geometry_id, str, "geometry_id")
-        self.entries = [] if entries is None else entries
+        vars(self).update(geometry_id=_json_kind(geometry_id, str, "geometry_id"), entries=[])
+        self.extend(entries or ())
 
     def add(self, e: CheckEntry) -> None:
-        self.entries.append(e)
+        self.extend((e,))
 
     def extend(self, es) -> None:
+        """Append es, refused whole unless every item is a CheckEntry, all that to_json writes."""
+        for e in (es := list(es)):
+            if not isinstance(e, CheckEntry):
+                raise ValueError(f"a report's entries must be CheckEntry values, "
+                                 f"got {type(e).__name__}")
         self.entries.extend(es)
 
     @property

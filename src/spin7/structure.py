@@ -27,7 +27,6 @@ from .forms import (
     _index_array,
     _merge_table,
     _read_only,
-    _shared_property,
     _shared_table,
     canonical_indices,
     contract_into,
@@ -36,7 +35,7 @@ from .forms import (
     pull_back,
     residual,
 )
-from .report import Frozen, VerificationReport, entry
+from .report import Frozen, VerificationReport, cached, entry
 
 # The canonical fundamental 4-form: 14 unit monomials.
 CANONICAL_PHI_TERMS = (
@@ -97,7 +96,7 @@ class Spin7Form(Frozen):
         """phi with its induced metric; a Spin7Form is returned as it is."""
         return phi if isinstance(phi, Spin7Form) else cls(phi, metric_from_phi(phi))
 
-    @_shared_property
+    @cached
     def derivation_matrix(self) -> np.ndarray:
         """The map X -> X . phi of gl(8) on phi's 70 canonical components, as a 64 x 70 matrix.
 

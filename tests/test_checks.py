@@ -349,6 +349,51 @@ def count_calls(monkeypatch) -> Counter:
     return calls
 
 
+def permutations_counted(calls: Counter) -> type:
+    """An ndarray view class that counts each permutation of the axes of the one table viewed.
+
+    A permutation made by ``transpose`` (so also ``np.transpose`` and
+    ``np.moveaxis``), ``swapaxes``, ``.T`` or a one-operand ``np.einsum`` counts
+    once, keyed by ("permutation of R", axes): output axis n reads axis axes[n].
+    Arrays computed from the table are views of the class too, and count nothing.
+    """
+    viewed = []
+
+    class Counted(np.ndarray):
+        def __array_finalize__(self, obj):
+            if not viewed and type(obj) is np.ndarray:  # the view of the table itself
+                viewed.append(self)
+
+        def _count(self, axes):
+            if self is viewed[0]:
+                calls[("permutation of R", tuple(int(a) for a in axes))] += 1
+
+        def transpose(self, *axes):
+            if len(axes) == 1 and not isinstance(axes[0], int):
+                axes = axes[0]
+            self._count(axes or range(self.ndim - 1, -1, -1))
+            return super().transpose(*axes)
+
+        def swapaxes(self, a, b):
+            axes = list(range(self.ndim))
+            axes[a], axes[b] = axes[b], axes[a]
+            self._count(axes)
+            return super().swapaxes(a, b)
+
+        @property
+        def T(self):
+            return self.transpose()
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func is np.einsum and len(args) == 2 and "->" in args[0]:
+                given, out = args[0].replace(" ", "").split("->")
+                if sorted(given) == sorted(out) and len(set(given)) == len(given):
+                    args[1]._count([given.index(ch) for ch in out])
+            return super().__array_function__(func, types, args, kwargs)
+
+    return Counted
+
+
 def test_derived_quantities_are_computed_once(monkeypatch):
     # one build plus one report: Geometry.build is the one spin7_torsion call
     # (check_bi_spin7 reads the mirror's -T and dT off the geometry), which
@@ -375,14 +420,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
 
     monkeypatch.setattr(KForm, "to_array", counted_to_array)
     built = Geometry.build(alg, remark_b_form())
-    einsum = np.einsum
-
-    def counted_einsum(subscripts, *operands, **kwargs):
-        if any(op is built.curv for op in operands):
-            calls[("einsum of R", subscripts)] += 1
-        return einsum(subscripts, *operands, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counted_einsum)
+    curv = vars(built)["curv"] = built.curv.view(permutations_counted(calls))
     full_report(built)
     assert calls["spin7_torsion"] == 1
     assert sum(form is built.torsion for form in arrays) == 1
@@ -396,9 +434,13 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     assert calls[("covariant_derivative", 3)] == 2
     assert calls[("covariant_derivative", 4)] == 0
     assert calls[("hodge_star", 5)] == 3
-    assert calls[("einsum of R", "yzxv->xyzv")] == 1
-    assert calls[("einsum of R", "zxyv->xyzv")] == 1
-    assert calls[("einsum of R", "zvxy->xyzv")] == 1
+    # R_yzxv, R_zxyv and R_zvxy as the (x, y, z, v) table: the output's axes read R's
+    # axes (2, 0, 1, 3), (1, 2, 0, 3) and (2, 3, 0, 1)
+    assert calls[("permutation of R", (2, 0, 1, 3))] == 1
+    assert calls[("permutation of R", (1, 2, 0, 3))] == 1
+    assert calls[("permutation of R", (2, 3, 0, 1))] == 1
+    assert calls[("permutation of R", (1, 0, 2, 3))] == 1  # curvature_antisymmetry's
+    assert built.curv is curv
     assert calls[("norm_sq", 3)] == 2
     assert calls["pull_back"] == 0
 
@@ -599,6 +641,25 @@ def test_a_closed_gate_stops_its_group_before_any_work(heisenberg_geom, monkeypa
     assert all(e.not_applicable for e in rep.entries)
     assert calls[("covariant_derivative", 1)] == calls[("covariant_derivative", 2)] == 0
     assert sum(calls.values()) == 0, calls
+
+
+def test_a_report_reads_each_gate_once(geometries, monkeypatch):
+    # the closed-torsion gate alone serves four groups and the "strong" class; a
+    # report keeps its readings to itself, so the next report reads every gate again
+    geom = geometries["su2su2u1u1+canonical"]
+    reads = Counter()
+    for gate, (read, note) in list(checks.GATES.items()):
+        def spy(g, _gate=gate, _read=read):
+            reads[_gate] += 1
+            return _read(g)
+        monkeypatch.setitem(checks.GATES, gate, (spy, note))
+    for expected in (1, 2):
+        full_report(geom)
+        assert reads == {gate: expected for gate in checks.GATES}
+    check_soliton(geom)  # a group called on its own reads its gate itself
+    assert reads["closed_torsion"] == 3
+    assert "strong" in classify_fernandez(geom)
+    assert reads["closed_torsion"] == 4
 
 
 def test_a_gate_whose_residual_is_nan_is_closed(geometries, monkeypatch):

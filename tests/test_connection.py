@@ -279,6 +279,38 @@ def test_shipped_algebra_and_its_mirror_are_built_once_per_process(name):
     assert alg.jacobi == alg.jacobi_residual()
 
 
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_geometries_on_one_algebra_share_its_levi_civita_tables(name):
+    # on an orthonormal invariant frame the Levi-Civita side depends on the constants
+    # alone: the algebra builds it once, through connection, and shares it read-only
+    alg = corpus_algebra(name)
+    lc, curv_lc, ric_lc, scal_lc = alg.lc_tables
+    for structure in ("canonical", "remark_b"):
+        geom = build_geometry(name, structure)
+        assert geom.algebra is alg
+        assert geom.lc is lc and geom.curv_lc is curv_lc and geom.ric_lc is ric_lc
+        assert geom.scal_lc == scal_lc
+    assert not any(table.flags.writeable for table in (lc, curv_lc, ric_lc))
+    assert np.array_equal(lc, levi_civita(alg))
+    assert np.array_equal(curv_lc, curvature(levi_civita(alg), alg))
+    assert np.array_equal(ric_lc, ricci(curv_lc)) and scal_lc == scalar_curv(ric_lc)
+
+
+def test_a_geometry_in_another_frame_gets_its_own_levi_civita_tables():
+    # 4 phi_0 does not induce the identity metric: the build maps the constants into
+    # another frame, whose algebra builds its own tables
+    alg = corpus_algebra("su3")
+    geoms = [Geometry.build(alg, 4.0 * canonical_phi_form()) for _ in range(2)]
+    for geom in geoms:
+        assert geom.algebra is not alg
+        assert geom.lc is geom.algebra.lc_tables[0] and geom.lc is not alg.lc_tables[0]
+        assert geom.curv_lc is geom.algebra.lc_tables[1]
+        assert not geom.lc.flags.writeable and not geom.curv_lc.flags.writeable
+        assert np.array_equal(geom.lc, levi_civita(geom.algebra))
+        assert not np.array_equal(geom.lc, alg.lc_tables[0])
+    assert geoms[0].lc is not geoms[1].lc
+
+
 def test_user_files_are_read_on_every_call(tmp_path):
     spec = {"name": "x", "dim": 8, "convention": "brackets",
             "constants": [{"i": 2, "j": 3, "k": 1, "c": 1.0}]}

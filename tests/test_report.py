@@ -81,3 +81,33 @@ def test_a_field_from_json_would_refuse_is_refused_at_construction(field, not_ap
 def test_a_geometry_id_that_is_not_a_string_is_refused(geometry_id):
     with pytest.raises(ValueError, match="^field 'geometry_id' must be a string, got "):
         VerificationReport(geometry_id)
+
+
+def test_a_reports_geometry_id_and_entry_list_cannot_be_reassigned():
+    # "geometry_id": 7 was once assigned after construction; to_json wrote it and
+    # from_json refused the text
+    rep = VerificationReport("g", [entry("c", "id:a", 0.0, 1.0)])
+    for name, value in (("geometry_id", 7), ("entries", [])):
+        with pytest.raises(AttributeError, match="frozen VerificationReport"):
+            setattr(rep, name, value)
+        with pytest.raises(AttributeError, match="frozen VerificationReport"):
+            delattr(rep, name)
+    assert rep.geometry_id == "g" and len(rep.entries) == 1
+    assert VerificationReport.from_json(rep.to_json()).to_json() == rep.to_json()
+
+
+@pytest.mark.parametrize("bad", ["not an entry", None, {"check_id": "c"}, 0.5],
+                         ids=["str", "None", "dict", "float"])
+def test_a_report_refuses_an_entry_that_is_not_a_check_entry(bad):
+    # add('not an entry') was once accepted, and to_json then raised AttributeError
+    rep = VerificationReport("g", [entry("c", "id:a", 0.0, 1.0)])
+    message = f"^a report's entries must be CheckEntry values, got {type(bad).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        rep.add(bad)
+    with pytest.raises(ValueError, match=message):
+        rep.extend(iter([na_entry("d", "id:b"), bad]))
+    with pytest.raises(ValueError, match=message):
+        VerificationReport("g", [bad])
+    assert [e.check_id for e in rep.entries] == ["c"]  # a refused extend adds nothing
+    rep.extend(iter([na_entry("d", "id:b")]))
+    assert VerificationReport.from_json(rep.to_json()).to_json() == rep.to_json()

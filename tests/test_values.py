@@ -1,20 +1,21 @@
 """The value classes: immutable after construction, owners of their arrays, cheap to import.
 
 The metric, the k-forms, the algebra, the structure, the soliton data, the
-geometry and each report entry derive from ``report.Frozen``: assigning or
-deleting an attribute raises AttributeError, while cached properties still
-fill.  ``VerificationReport`` stays mutable.  A constructor freezes a copy of
-an array it is given, never the caller's own.  The geometry's connections and
-curvatures are plain arrays that ``Geometry.build`` makes itself and freezes
-in place; its cached tables, and each form's dense table ``KForm.dense``, are
-frozen as they fill.  The classes are plain classes, so importing the command
-line generates no code: ``dataclasses`` is not loaded, and neither is the
-dense oracle.
+geometry, each report entry and each report derive from ``report.Frozen``:
+assigning or deleting an attribute raises AttributeError, while the
+properties of ``report.cached`` still fill.  A report's entry list grows
+only through ``add`` and ``extend``.  A constructor freezes a copy of an
+array it is given, never the caller's own.  The geometry's torsion
+connection and curvature are plain arrays that ``Geometry.build`` makes
+itself and freezes in place; the Levi-Civita ones are the algebra's, shared
+read-only by every geometry on it.  The cached tables, and each form's dense
+table ``KForm.dense``, are frozen as they fill.  The classes are plain
+classes, so importing the command line generates no code: ``dataclasses``
+is not loaded, and neither is the dense oracle.
 """
 
 import subprocess
 import sys
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -24,7 +25,7 @@ from spin7.checks import full_report
 from spin7.corpus import VERIFY_TARGETS, build_geometry, geometry_id, get_algebra
 from spin7.forms import IDENTITY_METRIC, FrameMetric, KForm
 from spin7.geometry import Geometry, SolitonData
-from spin7.report import CheckEntry, Frozen, entry
+from spin7.report import CheckEntry, Frozen, VerificationReport, cached, entry
 from spin7.structure import Spin7Form, canonical_phi_form
 
 
@@ -44,6 +45,7 @@ def values():
         (KForm.covector(range(8)), "vec"),
         (SolitonData.constant_potential(), "f_gradient"),
         (geom, "conn"),
+        (VerificationReport("g"), "geometry_id"),
     ]
 
 
@@ -73,6 +75,33 @@ def test_cached_properties_fill_once():
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     assert np.array_equal(metric.inv, np.diag(1.0 / np.arange(1.0, 9.0)))
+
+
+def test_the_caching_descriptor_builds_once_and_stores_in_the_instance_dict():
+    builds = []
+
+    class Value(Frozen):
+        @cached
+        def table(self):
+            """A table built on first read."""
+            builds.append(self)
+            if len(builds) == 1:
+                raise ValueError("first build fails")
+            return np.arange(3.0)
+
+    assert isinstance(vars(Value)["table"], cached) and Value.table.__doc__.startswith("A table")
+    value = Value()
+    with pytest.raises(ValueError, match="first build fails"):
+        value.table
+    assert "table" not in vars(value)  # an exception caches nothing
+    first = value.table
+    assert vars(value)["table"] is first and value.table is first and len(builds) == 2
+    assert not first.flags.writeable  # every later read shares it
+    with pytest.raises(AttributeError, match="frozen Value"):
+        value.table = None
+    with pytest.raises(AttributeError, match="frozen Value"):
+        del value.table
+    assert value.table is first and len(builds) == 2
 
 
 @pytest.mark.parametrize("degree", range(5))
@@ -137,8 +166,9 @@ def unfrozen(value, path: str) -> list[str]:
 def test_a_reported_geometry_holds_nothing_mutable(target):
     geom = build_geometry(*target)
     full_report(geom)
-    cached = [name for name, attr in vars(Geometry).items() if isinstance(attr, cached_property)]
-    assert [name for name in cached if name not in vars(geom)] == []
+    filled = [name for name, attr in vars(Geometry).items() if isinstance(attr, cached)]
+    assert len(filled) >= 20  # the descriptor's attributes are found: 22 today
+    assert [name for name in filled if name not in vars(geom)] == []
     assert unfrozen(geom, "geom") == []
     for name in ("lc", "conn", "curv", "curv_lc"):
         assert getattr(geom, name).shape == (8,) * (4 if name.startswith("curv") else 3)
