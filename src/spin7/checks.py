@@ -9,12 +9,12 @@ verdict-agreement entries, never one-sided assertions.
 
 A group declares its rows on its ``_report_of`` decorator: (check_id,
 anchor), or (check_id, anchor, gate) for a conditional row.  ``GATES`` names
-each hypothesis once, as a residual read off the Geometry plus the note its
-not-applicable entries carry; an entry applies iff its gate's residual is
-<= tol, read once per report into a dict of its own.  The group is a
-generator of (check_id, value) pairs, and the decorator builds every entry,
-N/A ones included, from the rows.  ``CHECKS`` is the report order and
-``ENTRIES`` the catalog of every row in it.
+each hypothesis once, as the ``READINGS`` (max-abs values that rows read too,
+each taken once per report into a dict of its own) whose max is its residual
+plus the note its not-applicable entries carry; an entry applies iff its
+gate's residual is <= tol.  The group is a generator of (check_id, value)
+pairs, and the decorator builds every entry, N/A ones included, from the
+rows.  ``CHECKS`` is the report order and ``ENTRIES`` the catalog of every row in it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .connection import covariant_derivative, torsion_tensor
-from .forms import KForm, contract_into, full_contraction, interior_product, residual, wedge
+from .forms import KForm, contract_into, full_contraction, interior_product, residual
 from .geometry import Geometry, SolitonData
 from .liealgebra import ce_differential
 from .report import DEFAULT_TOL, VerificationReport, agreement_entry, entry, na_entry
@@ -34,26 +34,37 @@ from .structure import phi_identities, project_lambda2
 
 def _maxabs(arr) -> float:
     arr = np.abs(arr)
-    return float(arr.max()) if arr.size else 0.0
+    return float(np.maximum.reduce(arr, axis=None)) if arr.size else 0.0
 
 
-# gate -> (its residual on a Geometry, the note of the entries it puts out of scope)
+# reading -> its max-abs value on a Geometry, taken at most once per report
+READINGS = {
+    "bianchi_cycle": lambda geom: _maxabs(geom.bianchi_cycle),
+    "pair_asymmetry": lambda geom: _maxabs(geom.pair_asymmetry),
+    "ric": lambda geom: _maxabs(geom.ric),
+    "dtheta7": lambda geom: geom.dtheta7.max_abs(),
+    "dtorsion": lambda geom: geom.dtorsion.max_abs(),
+    "delta_torsion": lambda geom: geom.delta_torsion.max_abs(),
+}
+
+# gate -> (the readings whose max is its residual, the note of the entries it puts out of scope)
 GATES = {
-    "first_bianchi": (lambda geom: _maxabs(geom.bianchi_cycle),
-                      "first Bianchi identity does not hold here"),
-    "closed_torsion": (lambda geom: geom.dtorsion.max_abs(), "torsion is not closed here"),
-    "symmetric_ricci": (lambda geom: geom.delta_torsion.max_abs(),
-                        "Ricci tensor is not symmetric here"),
-    # d theta in the 21-part, R pair-symmetric, Ric = 0; np.max keeps a nan
-    "pair_symmetry": (lambda geom: float(np.max((geom.dtheta7.max_abs(),
-                                                 _maxabs(geom.pair_asymmetry), _maxabs(geom.ric)))),
-                      "pair-symmetry hypotheses fail here"),
+    "first_bianchi": (("bianchi_cycle",), "first Bianchi identity does not hold here"),
+    "closed_torsion": (("dtorsion",), "torsion is not closed here"),
+    "symmetric_ricci": (("delta_torsion",), "Ricci tensor is not symmetric here"),
+    # d theta in the 21-part, R pair-symmetric, Ric = 0
+    "pair_symmetry": (("dtheta7", "pair_asymmetry", "ric"), "pair-symmetry hypotheses fail here"),
 }
 
 
-def _read_gate(geom: Geometry, gate: str, gates: dict) -> float:
-    """The gate's residual, read off geom once into one report's readings ``gates``."""
-    return gates[gate] if gate in gates else gates.setdefault(gate, GATES[gate][0](geom))
+def _read(geom: Geometry, name: str, readings: dict) -> float:
+    """The reading ``name`` of geom, taken once into one report's ``readings``."""
+    return readings[name] if name in readings else readings.setdefault(name, READINGS[name](geom))
+
+
+def _holds(geom: Geometry, gate: str, readings: dict, tol: float) -> bool:
+    """Whether the gate's residual, its readings' max, is <= tol: each is, and none is nan."""
+    return all(_read(geom, name, readings) <= tol for name in GATES[gate][0])
 
 
 def _report_of(*rows):
@@ -64,7 +75,7 @@ def _report_of(*rows):
     and the generator advanced once per row; from the first row whose gate's
     residual is not <= tol, it is advanced no further and every row left is
     not applicable with that gate's note.  A yielded id other than its row's
-    raises.  Gates are read into ``gates``, passed on to a generator that takes it.
+    raises.  Readings are taken into ``readings``, passed on to a generator that takes it.
     """
     rows = tuple((check_id, anchor, gate[0] if gate else None) for check_id, anchor, *gate in rows)
     # a gate is read on the first of a run of rows that share it; the rest share its verdict
@@ -72,17 +83,17 @@ def _report_of(*rows):
             for (check_id, anchor, gate), before in zip(rows, (None, *(row[2] for row in rows)))]
 
     def decorate(fn):
-        takes_gates = "gates" in (fn.__kwdefaults__ or ())
+        takes_readings = "readings" in (fn.__kwdefaults__ or ())
 
         @functools.wraps(fn)
-        def group(geom, *args, tol=DEFAULT_TOL, gates=None, **kwargs):
-            gates = {} if gates is None else gates
-            if takes_gates:
-                kwargs["gates"] = gates
+        def group(geom, *args, tol=DEFAULT_TOL, readings=None, **kwargs):
+            readings = {} if readings is None else readings
+            if takes_readings:
+                kwargs["readings"] = readings
             values = fn(geom, *args, tol=tol, **kwargs)
             entries = []
             for check_id, anchor, gate in walk:
-                if gate is not None and not _read_gate(geom, gate, gates) <= tol:
+                if gate is not None and not _holds(geom, gate, readings, tol):
                     note = GATES[gate][1]
                     entries += [na_entry(i, a, note) for i, a, _ in rows[len(entries):]]
                     break
@@ -176,12 +187,11 @@ def check_lee_and_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
     x = (t3.reshape(64, 8).T @ phi.dense.reshape(64, 64)).reshape(8, 8, 8)
     half = 0.5 * (x - x.transpose(1, 0, 2) + x.transpose(1, 2, 0))
     yield "delta_phi_from_torsion", _maxabs(geom.delta_phi.dense - half)
-    theta_phi = interior_product(geom.theta, phi)
-    yield "torsion_fixed_point", _maxabs(t3 - (half + (7.0 / 6.0) * theta_phi.dense))
+    yield "torsion_fixed_point", _maxabs(t3 - (half + (7.0 / 6.0) * geom.theta_phi.dense))
 
     part48 = geom.delta_phi48
-    yield "codifferential_48_part", residual(part48, geom.delta_phi + theta_phi)
-    yield "torsion_48_split", residual(geom.torsion, part48 + (1.0 / 6.0) * theta_phi)
+    yield "codifferential_48_part", residual(part48, geom.delta_phi + geom.theta_phi)
+    yield "torsion_48_split", residual(geom.torsion, part48 + (1.0 / 6.0) * geom.theta_phi)
     yield "torsion_norm_split", abs(geom.torsion_norm_sq - geom.delta_phi48_norm_sq
                                     - (7.0 / 6.0) * geom.theta_norm_sq)
     yield "lee_contraction_exchange", residual(geom.theta_delta_phi, geom.theta_torsion)
@@ -266,21 +276,21 @@ def check_spin7_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
 @_report_of(("riemannian_first_bianchi", "id:riemannian-first-bianchi"),
             ("parallel_type_torsion_relations", "id:riemannian-first-bianchi"),
             ("ricci_flat_under_first_bianchi", "id:first-bianchi-ricci-flat", "first_bianchi"))
-def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL):
+def check_riemannian_bianchi(geom: Geometry, tol: float = DEFAULT_TOL, *, readings=None):
     dt, sig, nt = geom.dtorsion.dense, geom.sigma.dense, geom.nabla_t
-    yield "riemannian_first_bianchi", _maxabs(geom.bianchi_cycle)
+    yield "riemannian_first_bianchi", _read(geom, "bianchi_cycle", readings)
     yield "parallel_type_torsion_relations", max(_maxabs(dt + 2.0 * nt),
                                                  _maxabs(dt - (2.0 / 3.0) * sig))
-    yield "ricci_flat_under_first_bianchi", _maxabs(geom.ric)
+    yield "ricci_flat_under_first_bianchi", _read(geom, "ric", readings)
 
 
 @_report_of(*((i, "id:pair-symmetric-curvature") for i in (
     "nabla_T_is_four_form", "curvature_pair_symmetry", "dT_vs_lc_derivative",
     "pair_symmetry_equivalence")))
-def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL):
+def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL, *, readings=None):
     nt = geom.nabla_t
     four_form = _maxabs(nt + nt.transpose(1, 0, 2, 3))
-    pair = _maxabs(geom.pair_asymmetry)
+    pair = _read(geom, "pair_asymmetry", readings)
     dt_rel = _maxabs(geom.dtorsion.dense - 4.0 * geom.nabla_t_lc)
     yield "nabla_T_is_four_form", four_form
     yield "curvature_pair_symmetry", pair
@@ -291,18 +301,18 @@ def check_s2lambda2(geom: Geometry, tol: float = DEFAULT_TOL):
 @_report_of(*((i, "id:closed-torsion", "closed_torsion") for i in (
     "ricci_from_lee_derivative", "lee_exterior_in_21part", "ricci_flat", "lee_parallel",
     "scalar_flat", "lee_coclosed", "torsion_coclosed", "closed_chain_agreement")))
-def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
-    ric0 = _maxabs(geom.ric)
+def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL, *, readings=None):
+    ric0 = _read(geom, "ric", readings)
     nth0 = _maxabs(geom.nabla_theta)
     scal0 = abs(geom.scal)
     dth0 = abs(geom.delta_theta)
     yield "ricci_from_lee_derivative", _maxabs(geom.ric + (7.0 / 6.0) * geom.nabla_theta)
-    yield "lee_exterior_in_21part", geom.dtheta7.max_abs()
+    yield "lee_exterior_in_21part", _read(geom, "dtheta7", readings)
     yield "ricci_flat", ric0
     yield "lee_parallel", nth0
     yield "scalar_flat", scal0
     yield "lee_coclosed", dth0
-    yield "torsion_coclosed", (geom.delta_torsion.max_abs(), "harmonic together with dT = 0")
+    yield "torsion_coclosed", (_read(geom, "delta_torsion", readings), "harmonic together with dT = 0")
     # the norm of T and the Riemannian scalar are frame constants on an
     # invariant geometry, so the six-way equivalence reduces to these four
     yield "closed_chain_agreement", [ric0 <= tol, nth0 <= tol, scal0 <= tol, dth0 <= tol]
@@ -312,7 +322,7 @@ def check_closed_torsion(geom: Geometry, tol: float = DEFAULT_TOL):
             *((i, "id:symmetric-ricci", "symmetric_ricci") for i in (
                 "lee_nabla_exterior_formula", "lee_nabla_exterior_in_7part",
                 "symmetric_ricci_equivalence")))
-def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
+def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL, *, readings=None):
     phi = geom.structure.phi
 
     # codifferential of the torsion from the Lee form, always applicable
@@ -332,7 +342,7 @@ def check_symmetric_ricci(geom: Geometry, tol: float = DEFAULT_TOL):
     yield "lee_nabla_exterior_in_7part", project_lambda2(dnth, geom.structure)[1].max_abs()
     yield "symmetric_ricci_equivalence", [dnth.max_abs() <= tol,
                                           2.0 * residual(th_t_phi, th_t) <= tol,
-                                          geom.dtheta7.max_abs() <= tol]
+                                          _read(geom, "dtheta7", readings) <= tol]
 
 
 @_report_of(("second_bianchi_contracted", "id:second-bianchi"),
@@ -405,7 +415,7 @@ def check_soliton(geom: Geometry, soliton: SolitonData | None = None, tol: float
     yield "soliton_structure_invariance", lie_phi.max_abs()
 
 
-def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL, gates=None) -> list[str]:
+def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL, readings=None) -> list[str]:
     """Structure classes by defining residual, plus the derived labels.
 
     The conformally-parallel class is only reported when it holds
@@ -417,25 +427,25 @@ def classify_fernandez(geom: Geometry, tol: float = DEFAULT_TOL, gates=None) -> 
     holds = {
         "W_0": w0,
         "W_1": geom.theta.max_abs() <= tol,
-        "W_2": residual(dphi, wedge(geom.theta, geom.structure.phi)) <= tol and not w0,
+        "W_2": residual(dphi, geom.theta_wedge_phi) <= tol and not w0,
         "locally_conformally_balanced": geom.dtheta.max_abs() <= tol,
-        "strong": _read_gate(geom, "closed_torsion", {} if gates is None else gates) <= tol,
+        "strong": _holds(geom, "closed_torsion", {} if readings is None else readings, tol),
     }
     return [label for label in FERNANDEZ_LABELS if holds[label]]
 
 
 @_report_of(("fernandez_classes", "id:structure-classes"))
-def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL, *, gates=None):
-    yield "fernandez_classes", (0.0, ",".join(classify_fernandez(geom, tol, gates)) or "generic")
+def check_fernandez(geom: Geometry, tol: float = DEFAULT_TOL, *, readings=None):
+    yield "fernandez_classes", (0.0, ",".join(classify_fernandez(geom, tol, readings)) or "generic")
 
 
 @_report_of(("bi_structure_opposite_torsion", "id:bi-structure"),
             ("bi_structure_mirror_closed", "id:bi-structure", "closed_torsion"))
-def check_bi_spin7(geom: Geometry, tol: float = DEFAULT_TOL):
+def check_bi_spin7(geom: Geometry, tol: float = DEFAULT_TOL, *, readings=None):
     # the mirror c -> -c negates d exactly and T linearly: its T is -T and its dT is dT
     t_mirror = -1.0 * geom.torsion
     yield "bi_structure_opposite_torsion", residual(t_mirror, t_mirror)
-    yield "bi_structure_mirror_closed", geom.dtorsion.max_abs()
+    yield "bi_structure_mirror_closed", _read(geom, "dtorsion", readings)
 
 
 # The report order: every report lists its entries group by group in this order.
@@ -452,10 +462,10 @@ ENTRIES = tuple(row for group in CHECKS for row in group.rows)
 def full_report(geom: Geometry, soliton: SolitonData | None = None,
                 tol: float = DEFAULT_TOL) -> VerificationReport:
     """Every group of ``CHECKS`` in order; identical inputs give identical reports."""
-    entries, gates = [], {}
+    entries, readings = [], {}
     for group in CHECKS:
         # looked up by name, so a wrapper set on the module (perfbench's tracer) sees it
         check = globals()[group.__name__]
         args = (soliton,) if check is check_soliton else ()
-        entries += check(geom, *args, tol=tol, gates=gates).entries
+        entries += check(geom, *args, tol=tol, readings=readings).entries
     return VerificationReport(geom.name, entries)

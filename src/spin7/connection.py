@@ -11,16 +11,16 @@ derivatives reduce to the connection-coefficient corrections.  Everything
 here takes the frame to be orthonormal (``Geometry.build`` maps into one
 first) and takes no metric: stars and contractions are at g = I.
 ``spin7_torsion`` is the one derivation of the Lee form and the torsion: it
-reads d phi and delta phi = -*d*phi once for every route of both, and
-refuses, through ``lambda3_covector``, a structure whose metric is not the
-identity.
+reads d phi and delta phi = -*d*phi once for every route of both, hands on
+the theta ^ phi and theta . phi it builds them from, and refuses, through
+``lambda3_covector``, a structure whose metric is not the identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forms import DIM, KForm, hodge_star, interior_product, wedge
+from .forms import DIM, KForm, _dense_table, hodge_star, interior_product, wedge
 from .liealgebra import LieAlgebra8, ce_differential
 from .structure import Spin7Form, lambda3_covector
 
@@ -109,12 +109,14 @@ def sigma_t(t3: np.ndarray) -> KForm:
 
     S_xyz is the cyclic sum over (x, y, z); this is (1/2) sum_j (e_j . T) ^ (e_j . T).
     """
-    s = (t3.reshape(DIM * DIM, DIM) @ t3.reshape(DIM * DIM, DIM).T).reshape((DIM,) * 4)
-    return KForm.from_array(s + s.transpose(2, 0, 1, 3) + s.transpose(1, 2, 0, 3))
+    s = (t3.reshape(DIM * DIM, DIM) @ t3.reshape(DIM * DIM, DIM).T).reshape(-1)
+    # columns 0, 8, 12 place xyzv, yzxv, zxyv: the full table sum's three terms, in its order
+    first, second, third = s[_dense_table(4)[0][:, (0, 8, 12)]].T
+    return KForm.from_vector(4, first + second + third)
 
 
-def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8
-                  ) -> tuple[KForm, tuple[KForm, KForm, KForm], tuple[KForm, KForm]]:
+def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8) -> tuple[
+        KForm, tuple[KForm, KForm, KForm], tuple[KForm, KForm], tuple[KForm, KForm]]:
     """d(phi), then the Lee form's three routes and the torsion's two, which must agree.
 
     Lee form: -(1/7) * ( *d(phi) ^ phi ), (1/7) * ( delta(phi) ^ phi ) and
@@ -122,7 +124,7 @@ def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8
     delta(phi) = -*d*(phi).  Torsion of the unique metric connection preserving
     the structure: T = -*d(phi) + (7/6) * (theta ^ phi) and
     delta(phi) + (7/6) theta . phi.  theta is the last Lee route, T the first
-    torsion route.
+    torsion route; (theta ^ phi, theta . phi) come last.
     """
     phi = structure.phi
     dphi = ce_differential(phi, alg)
@@ -132,6 +134,7 @@ def spin7_torsion(structure: Spin7Form, alg: LieAlgebra8
     lee_routes = ((-1.0 / 7.0) * hodge_star(wedge(star_dphi, phi)),
                   (1.0 / 7.0) * hodge_star(wedge(delta_phi, phi)),
                   theta)
-    torsion_routes = (-1.0 * star_dphi + (7.0 / 6.0) * hodge_star(wedge(theta, phi)),
-                      delta_phi + (7.0 / 6.0) * interior_product(theta, phi))
-    return dphi, lee_routes, torsion_routes
+    products = wedge(theta, phi), interior_product(theta, phi)
+    torsion_routes = (-1.0 * star_dphi + (7.0 / 6.0) * hodge_star(products[0]),
+                      delta_phi + (7.0 / 6.0) * products[1])
+    return dphi, lee_routes, torsion_routes, products

@@ -40,6 +40,7 @@ from .report import Frozen, _json_field, _json_kind, _json_loads, _json_shape, _
 
 DIM = 8
 FULL_INDEX = tuple(range(DIM))
+_VECTOR_SHAPES = tuple((math.comb(DIM, k),) for k in range(DIM + 1))  # a k-form's vec shape
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +223,14 @@ class KForm(Frozen):
         """The form with coefficient vector vec over canonical_indices(degree) (copied)."""
         if not 0 <= degree <= DIM:
             raise ValueError(f"degree must be 0..{DIM}, got {degree}")
-        vec, shape = np.array(vec, dtype=float), (math.comb(DIM, degree),)
+        vec, shape = np.array(vec, dtype=float), _VECTOR_SHAPES[degree]
         if vec.shape != shape:
             raise ValueError(f"degree-{degree} coefficient vector needs shape "
                              f"{shape}, got {vec.shape}")
+        vec.setflags(write=False)
         form = cls.__new__(cls)
         d = form.__dict__
-        d["degree"], d["vec"] = degree, _read_only(vec)
+        d["degree"], d["vec"] = degree, vec
         return form
 
     @classmethod
@@ -287,7 +289,7 @@ class KForm(Frozen):
         return list(self.coeffs.items())
 
     def max_abs(self) -> float:
-        return float(np.abs(self.vec).max())
+        return float(np.maximum.reduce(np.abs(self.vec), axis=None))
 
     def to_array(self) -> np.ndarray:
         """Dense fully antisymmetric component table, shape (8,)*k: a fresh, writable copy."""
@@ -339,7 +341,7 @@ class KForm(Frozen):
 def residual(a: KForm, b: KForm) -> float:
     """Max-abs componentwise difference (components are signed coefficients)."""
     a._require_same_degree(b)
-    return float(np.abs(a.vec - b.vec).max())
+    return float(np.maximum.reduce(np.abs(a.vec - b.vec), axis=None))
 
 
 # ---------------------------------------------------------------------------

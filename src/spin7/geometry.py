@@ -9,19 +9,19 @@ raised after that: traces sum over repeated frame indices.  Only ``forms``
 keeps metrics; ``spin7 decompose`` splits in the same frame and maps back.
 
 Building makes one ``connection.spin7_torsion`` call, which gives d phi, the
-three Lee-form routes (``lee_routes``; ``theta`` is the last) and the two
-torsion routes (``torsion_routes``; ``torsion`` is the first), and the torsion
-connection and its curvature, plain arrays frozen in place.  The Levi-Civita
-side depends on the constants alone: the algebra owns it
-(``LieAlgebra8.lc_tables``) and its geometries share it.  A form's dense
-table is its own ``KForm.dense``.  Everything else the checks read is a
-cached property, each array frozen: the 7-part of d theta, delta phi and
-delta theta by divergence (``connection.codifferential`` traces the
-Levi-Civita coefficients before it sums), delta phi's 48-part and its norm,
-delta T from nabla^g T, the cyclic sum and pair asymmetry of the curvature,
-T o T, and the contractions two check groups read: theta . T, theta . delta
-phi and the phi-trace of dT.  phi's derivation matrix, which gives nabla phi
-in one matmul, is kept on the structure.
+three Lee-form routes (``lee_routes``; ``theta`` is the last), the two torsion
+routes (``torsion_routes``; ``torsion`` is the first) and theta ^ phi and
+theta . phi, kept for the checks; then the torsion connection and its
+curvature, plain arrays frozen in place.  The Levi-Civita side depends on the
+constants alone: the algebra owns it (``LieAlgebra8.lc_tables``) and its
+geometries share it.  A form's dense table is its own ``KForm.dense``.
+Everything else the checks read is a cached property, each array frozen: the
+7-part of d theta, delta phi and delta theta by divergence (one matvec on the
+1-form), delta phi's 48-part and its norm, delta T from nabla^g T, the cyclic
+sum and pair asymmetry of the curvature, T o T, sigma_T, and the contractions
+two check groups read: theta . T, theta . delta phi and the phi-trace of dT.
+phi's derivation matrix, which gives nabla phi in one matmul, is kept on the
+structure.
 """
 
 from __future__ import annotations
@@ -69,10 +69,10 @@ class Geometry(Frozen):
     """An algebra and a structure in the structure's g-orthonormal frame, and what is derived.
 
     Built by ``build`` only, with the fields name, algebra, structure, dphi,
-    lee_routes (three KForms), torsion_routes (two KForms), frame (B: column i
-    holds e'_i in the input frame), lc and conn (the Levi-Civita and torsion
-    connections' tables gamma[i, j, k]), curv and curv_lc (their curvatures
-    R[i, j, k, l]), ric_lc and scal_lc, the last four the algebra's
+    lee_routes (three KForms), torsion_routes (two KForms), theta_wedge_phi, theta_phi,
+    frame (B: column i holds e'_i in the input frame), lc and conn (the Levi-Civita
+    and torsion connections' tables gamma[i, j, k]), curv and curv_lc (their
+    curvatures R[i, j, k, l]), ric_lc and scal_lc, the last four the algebra's
     ``lc_tables``.  Every array field and every cached table is read-only.
     """
 
@@ -83,15 +83,15 @@ class Geometry(Frozen):
         structure, frame = orthonormal_frame(given)
         if structure is not given:
             algebra = algebra.in_frame(frame)
-        dphi, lee_routes, torsion_routes = spin7_torsion(structure, algebra)
+        dphi, lee_routes, torsion_routes, products = spin7_torsion(structure, algebra)
         lc, curv_lc, ric_lc, scal_lc = algebra.lc_tables
         conn = _read_only(connection_from_torsion(lc, torsion_routes[0].dense))
         curv = _read_only(curvature(conn, algebra))
         geom = cls.__new__(cls)
         vars(geom).update(name=name or algebra.name, algebra=algebra, structure=structure,
                           dphi=dphi, lee_routes=lee_routes, torsion_routes=torsion_routes,
-                          frame=frame, lc=lc, conn=conn, curv=curv, curv_lc=curv_lc,
-                          ric_lc=ric_lc, scal_lc=scal_lc)
+                          theta_wedge_phi=products[0], theta_phi=products[1], frame=frame, lc=lc,
+                          conn=conn, curv=curv, curv_lc=curv_lc, ric_lc=ric_lc, scal_lc=scal_lc)
         return geom
 
     @property
@@ -151,7 +151,7 @@ class Geometry(Frozen):
 
     @cached
     def delta_theta(self) -> float:
-        return float(codifferential(self.theta, self.lc).vec[0])
+        return float((np.trace(self.lc) @ self.theta.vec.reshape(8, 1))[0])
 
     @cached
     def delta_phi(self) -> KForm:

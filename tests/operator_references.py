@@ -17,7 +17,8 @@ entries read off the geometry instead; ``metric_derivative`` is nabla g by the
 general covariant derivative of the identity table, which ``parallel_metric``
 reads off the metric-compatibility rows; ``reference_star`` is the star as
 the contraction into the volume form, which ``forms.hodge_star`` computes as
-a signed reversal.
+a signed reversal; ``reference_sigma`` is sigma_T as the full three-term
+(8,)*4 sum, whose 70 canonical components ``connection.sigma_t`` gathers.
 """
 
 import numpy as np
@@ -160,11 +161,17 @@ def reference_star(a: KForm, m: FrameMetric = IDENTITY_METRIC) -> KForm:
     return contract_into(a, volume_form(m), m)
 
 
+def reference_sigma(t3: np.ndarray) -> KForm:
+    """sigma_xyzv = S_xyz T_xya T_zva as the full table s + s_yzxv + s_zxyv, s_xyzv = T_xya T_zva."""
+    s = (t3.reshape(DIM * DIM, DIM) @ t3.reshape(DIM * DIM, DIM).T).reshape((DIM,) * 4)
+    return KForm.from_array(s + s.transpose(2, 0, 1, 3) + s.transpose(1, 2, 0, 3))
+
+
 def shortcut_mismatches(geom: Geometry) -> list[str]:
     """The rows among bi_structure_* and parallel_metric whose value differs in any bit
     from its reference's; each group is run unwrapped, so a closed gate hides no row."""
     got = {**dict(check_connection_contracts.__wrapped__(geom)),
-           **dict(check_bi_spin7.__wrapped__(geom))}
+           **dict(check_bi_spin7.__wrapped__(geom, readings={}))}
     t_mirror, dt_mirror = mirror_torsion(geom)
     want = {
         "bi_structure_opposite_torsion": residual(t_mirror, -1.0 * geom.torsion),

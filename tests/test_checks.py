@@ -165,13 +165,16 @@ def test_mirror_torsion_value(geometries):
 
 def test_mirror_derivation_is_the_exact_negation(geometries, heisenberg_geom):
     # c -> -c is exact in floating point and every route is linear in c, so the
-    # mirror's d phi, Lee routes and torsion routes are the geometry's negated
-    # bit for bit: bi_structure_opposite_torsion reads 0.0, not a rounding residual
+    # mirror's d phi, Lee routes, torsion routes and theta ^ phi, theta . phi are the
+    # geometry's negated bit for bit: bi_structure_opposite_torsion reads 0.0, not a
+    # rounding residual
     for geom in [*geometries.values(), heisenberg_geom]:
-        dphi, lee_routes, torsion_routes = spin7_torsion(geom.structure,
-                                                         mirror_algebra(geom.algebra))
-        ours = (geom.dphi, *geom.lee_routes, *geom.torsion_routes)
-        for mirror, form in zip((dphi, *lee_routes, *torsion_routes), ours, strict=True):
+        dphi, lee_routes, torsion_routes, products = spin7_torsion(geom.structure,
+                                                                   mirror_algebra(geom.algebra))
+        ours = (geom.dphi, *geom.lee_routes, *geom.torsion_routes, geom.theta_wedge_phi,
+                geom.theta_phi)
+        for mirror, form in zip((dphi, *lee_routes, *torsion_routes, *products), ours,
+                                strict=True):
             assert np.array_equal(mirror.vec, -form.vec), geom.name
 
 
@@ -328,6 +331,10 @@ COUNTED = {
     "sigma_t": lambda t3: "sigma_t",
     "hodge_star": lambda a, *m: ("hodge_star", a.degree),
     "covariant_derivative": lambda conn, t: ("covariant_derivative", t.ndim),
+    "codifferential": lambda beta, lc: ("codifferential", beta.degree),
+    # keyed by the operands themselves: count only while both are alive
+    "wedge": lambda a, b: ("wedge", id(a), id(b)),
+    "interior_product": lambda x, a, *m: ("interior_product", id(x), id(a)),
 }
 
 
@@ -394,6 +401,17 @@ def permutations_counted(calls: Counter) -> type:
     return Counted
 
 
+def spy_readings(monkeypatch) -> Counter:
+    """Count every take of each of ``checks.READINGS``, keyed by reading."""
+    reads = Counter()
+    for name, read in list(checks.READINGS.items()):
+        def spy(g, _name=name, _read=read):
+            reads[_name] += 1
+            return _read(g)
+        monkeypatch.setitem(checks.READINGS, name, spy)
+    return reads
+
+
 def test_derived_quantities_are_computed_once(monkeypatch):
     # one build plus one report: Geometry.build is the one spin7_torsion call
     # (check_bi_spin7 reads the mirror's -T and dT off the geometry), which
@@ -406,12 +424,16 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     # traces before it sums.  The geometry is built in an orthonormal frame,
     # so no form is pulled back to another frame.  The cyclic sum and the pair
     # asymmetry of R are each one permutation of R, whatever the number of
-    # groups reading them.  A fresh KForm gets a Spin7Form of its own, so
-    # every count holds per build (a shipped structure is shared: see the test
-    # below).
+    # groups reading them.  theta ^ phi and theta . phi are made once, by the
+    # build's torsion routes, and delta theta is one matvec, no codifferential.
+    # Each of the six readings is taken once.  A fresh KForm gets a Spin7Form of
+    # its own, so every count holds per build (a shipped structure is shared:
+    # see the test below).
     alg = corpus_algebra("su2su2u1u1")
     Geometry.build(alg, remark_b_form())
+    form = remark_b_form()
     calls = count_calls(monkeypatch)
+    reads = spy_readings(monkeypatch)
     to_array, arrays = KForm.to_array, []
 
     def counted_to_array(form):
@@ -419,7 +441,7 @@ def test_derived_quantities_are_computed_once(monkeypatch):
         return to_array(form)
 
     monkeypatch.setattr(KForm, "to_array", counted_to_array)
-    built = Geometry.build(alg, remark_b_form())
+    built = Geometry.build(alg, form)
     curv = vars(built)["curv"] = built.curv.view(permutations_counted(calls))
     full_report(built)
     assert calls["spin7_torsion"] == 1
@@ -443,6 +465,12 @@ def test_derived_quantities_are_computed_once(monkeypatch):
     assert built.curv is curv
     assert calls[("norm_sq", 3)] == 2
     assert calls["pull_back"] == 0
+    theta, phi = built.theta, built.structure.phi
+    assert calls[("wedge", id(theta), id(phi))] == 1
+    assert calls[("interior_product", id(theta), id(phi))] == 1
+    assert calls[("codifferential", 1)] == 0
+    assert calls[("codifferential", 4)] == 1
+    assert reads == {name: 1 for name in checks.READINGS}
 
 
 @pytest.mark.parametrize("target", VERIFY_TARGETS, ids=lambda t: geometry_id(*t))
@@ -479,8 +507,10 @@ def test_every_report_runs_the_one_index_identity(monkeypatch):
 
 def test_one_report_builds_a_bounded_number_of_forms(monkeypatch):
     # a deterministic guard on the per-result Python overhead: one full_report
-    # of su3+canonical builds 81 KForm results, each by one from_vector call
-    # (117 when a - b and -a still built an intermediate (-1.0) * b)
+    # of su3+canonical builds 44 KForm results, each by one from_vector call
+    # (47 while the report rebuilt theta ^ phi and theta . phi and took delta
+    # theta as a codifferential; 117 when a - b and -a still built an
+    # intermediate (-1.0) * b)
     full_report(build_geometry("su3", "canonical"))
     geom = build_geometry("su3", "canonical")
     calls = Counter()
@@ -492,7 +522,7 @@ def test_one_report_builds_a_bounded_number_of_forms(monkeypatch):
 
     monkeypatch.setattr(KForm, "from_vector", classmethod(counted))
     full_report(geom)
-    assert sum(calls.values()) <= 81, calls
+    assert sum(calls.values()) <= 44, calls
 
 
 @pytest.mark.parametrize("target", [("su3", "canonical", None), ("heisenberg", "phi_t", 0.3)],
@@ -643,31 +673,34 @@ def test_a_closed_gate_stops_its_group_before_any_work(heisenberg_geom, monkeypa
     assert sum(calls.values()) == 0, calls
 
 
-def test_a_report_reads_each_gate_once(geometries, monkeypatch):
-    # the closed-torsion gate alone serves four groups and the "strong" class; a
-    # report keeps its readings to itself, so the next report reads every gate again
+def test_a_report_takes_each_reading_once(geometries, monkeypatch):
+    # the closed-torsion gate alone serves four groups and the "strong" class, and the
+    # rows that report a gate's reading read it too; a report keeps its readings to
+    # itself, so the next report takes every reading again
     geom = geometries["su2su2u1u1+canonical"]
-    reads = Counter()
-    for gate, (read, note) in list(checks.GATES.items()):
-        def spy(g, _gate=gate, _read=read):
-            reads[_gate] += 1
-            return _read(g)
-        monkeypatch.setitem(checks.GATES, gate, (spy, note))
+    reads = spy_readings(monkeypatch)
     for expected in (1, 2):
         full_report(geom)
-        assert reads == {gate: expected for gate in checks.GATES}
+        assert reads == {name: expected for name in checks.READINGS}
     check_soliton(geom)  # a group called on its own reads its gate itself
-    assert reads["closed_torsion"] == 3
+    assert reads["dtorsion"] == 3
     assert "strong" in classify_fernandez(geom)
-    assert reads["closed_torsion"] == 4
+    assert reads["dtorsion"] == 4
+    check_closed_torsion(geom)  # its gate and three of its rows, each once
+    assert reads == {"bianchi_cycle": 2, "pair_asymmetry": 2, "ric": 3, "dtheta7": 3,
+                     "dtorsion": 5, "delta_torsion": 3}
 
 
-def test_a_gate_whose_residual_is_nan_is_closed(geometries, monkeypatch):
+@pytest.mark.parametrize("where", ["alone", "second"])
+def test_a_gate_whose_residual_is_nan_is_closed(where, geometries, monkeypatch):
     # an entry applies iff its gate's residual is <= tol, so nan closes every gate alike
-    # (the closed-torsion groups once tested "> tol" and let nan through)
+    # (the closed-torsion groups once tested "> tol" and let nan through); a nan reading
+    # after a finite one closes its gate too, which Python's max would miss
     geom = geometries["su2su2u1u1+canonical"]
-    for gate, (_, note) in list(checks.GATES.items()):
-        monkeypatch.setitem(checks.GATES, gate, (lambda _: float("nan"), note))
+    monkeypatch.setitem(checks.READINGS, "nan", lambda _: float("nan"))
+    for gate, (names, note) in list(checks.GATES.items()):
+        names = ("nan",) if where == "alone" else (names[0], "nan", *names[1:])
+        monkeypatch.setitem(checks.GATES, gate, (names, note))
     rep = full_report(geom)
     gated = [e for (_, _, gate), e in zip(checks.ENTRIES, rep.entries) if gate is not None]
     assert len(gated) == 24 and all(e.not_applicable for e in gated)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from operator_references import compound_matrix, mirror_algebra
+from operator_references import compound_matrix, mirror_algebra, reference_sigma
 from spin7.checks import check_algebra, check_dt_expansion, full_report
 from spin7.connection import (
     codifferential,
@@ -547,6 +547,18 @@ def test_sigma_matches_interior_product_definition(rng):
         tj = interior_product(KForm.basis_covector(j), t)
         ref = ref + wedge(tj, tj)
     assert residual(sigma_orthonormal(t), 0.5 * ref) < 1e-13
+
+
+def test_sigma_gather_is_the_full_table_sum_bit_for_bit():
+    # sigma_t gathers the three terms of each canonical component and adds them in
+    # the full table sum's order, so each of its 70 components has that sum's bytes:
+    # 20 seeded torsions at each scale 1e-5 .. 1e5, and the corpus torsions
+    rng = np.random.default_rng(31)
+    tables = [KForm.from_vector(3, 10.0 ** k * rng.standard_normal(56)).to_array()
+              for k in range(-5, 6) for _ in range(20)]
+    tables += [build_geometry(*target).torsion.dense for target in VERIFY_TARGETS]
+    for t3 in tables:
+        assert sigma_t(t3).vec.tobytes() == reference_sigma(t3).vec.tobytes()
 
 
 # ---------------------------------------------------------------------------
