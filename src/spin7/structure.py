@@ -2,20 +2,18 @@
 
 The canonical form, the metric it induces, contraction identities, and the
 orthogonal projections of 2-, 3- and 4-forms onto irreducible pieces
-(dimensions 7+21, 8+48 and 1+7+27+35).  On 2-forms b -> *(b ^ phi) has
-eigenvalues -3, +1; on 4-forms the six-term contraction Omega has -24, -12,
-4, 0.  Both operator matrices are read off phi's coefficients through the
-(2, 2) merge table, and each degree splits by Lagrange polynomials in its matrix.
+(dimensions 7+21, 8+48 and 1+7+27+35).  Lambda^2 and Lambda^4 split by
+bases read off phi's derivation matrix D (X -> X . phi, whose kernel is the
+stabilizer spin(7) = Lambda^2_21): its so(8) rows give Lambda^2_7 and
+Lambda^4_7, phi gives Lambda^4_1, and its symmetric rows Lambda^4_35.  The
+last part of each degree (21, 48, 27) is the form minus the others.
 
-The splittings are Spin(7)-equivariant, so the operators take no metric and work
-at g = I: a form is split in its structure's g-orthonormal frame (``orthonormal_frame``,
-kept on the structure) and each part is pulled back by b^-1 (``pull_back``).
+The bases are Spin(7)-equivariant and read at g = I: a form is split in its
+structure's g-orthonormal frame (``orthonormal_frame``, kept on the structure)
+and each part is pulled back by b^-1 (``pull_back``).
 """
 
 from __future__ import annotations
-
-import math
-from functools import reduce
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .forms import (
     IDENTITY_METRIC,
     KForm,
     _index_array,
-    _merge_table,
     _read_only,
     _shared_table,
     canonical_indices,
@@ -55,9 +52,6 @@ CANONICAL_PHI_TERMS = (
     (+1, (2, 4, 6, 7)),
 )
 
-# b -> *(b ^ phi) on the 7-, 21-parts; Omega on the 1-, 7-, 27-, 35-parts (Spin7Form.projectors)
-EIGENVALUES = {2: (-3, 1), 4: (-24, -12, 4, 0)}
-
 # 6 (g_ik g_jl - g_il g_jk) at g = I, the metric side of validate_phi's two-index identity
 _TWO_INDEX_G = np.einsum("ik,jl->ijkl", 6.0 * np.eye(DIM), np.eye(DIM))
 _TWO_INDEX_G = _read_only(_TWO_INDEX_G - _TWO_INDEX_G.swapaxes(2, 3))
@@ -85,11 +79,14 @@ def metric_from_phi(phi: KForm) -> FrameMetric:
 
 
 class Spin7Form(Frozen):
-    """A fundamental 4-form ``phi`` together with its induced ``metric``."""
+    """A fundamental 4-form ``phi`` together with its induced ``metric``.
+
+    Its Lambda^2 and Lambda^4 bases are read at g = I: a structure that
+    ``orthonormal_frame`` maps returns its mapped structure's.
+    """
 
     def __init__(self, phi: KForm, metric: FrameMetric):
-        # degree -> that degree's Lagrange projectors, "frame" -> orthonormal_frame(); filled on first use
-        vars(self).update(phi=phi, metric=metric, _cache={})
+        vars(self).update(phi=phi, metric=metric)
 
     @classmethod
     def from_form(cls, phi: KForm | Spin7Form) -> "Spin7Form":
@@ -110,47 +107,53 @@ class Spin7Form(Frozen):
         out[cells] = self.phi.dense.ravel()[source]
         return out
 
-    def projectors(self, degree: int) -> tuple[tuple[np.ndarray, int], ...]:
-        """Lagrange projectors of degree 2 or 4: prod (A - mu I) and prod (lam - mu), mu != lam.
+    @cached
+    def lambda2_basis(self) -> np.ndarray:
+        """Lambda^2_7 as 7 orthonormal rows over the 28 canonical 2-forms.
 
-        One pair per lam of ``EIGENVALUES[degree]``; A = ``operator_matrix(phi, degree)``.
-        Read-only, built once per degree; apply, then divide.  A structure that
-        ``orthonormal_frame`` maps returns its mapped structure's.
+        b . phi = b.vec @ A for the so(8) rows A = D[8a+m] - D[8m+a], a < m.
+        A A^T has eigenvalue 32 on Lambda^2_7 and 0 on Lambda^2_21; its
+        eigenvectors above 16 are kept, a cut that also falls between the
+        clusters of an inadmissible phi such as one with a sign flipped.
         """
         if (mapped := orthonormal_frame(self)[0]) is not self:
-            return mapped.projectors(degree)
-        if degree not in self._cache:
-            a = operator_matrix(self.phi, degree)
-            eigs, parts = EIGENVALUES[degree], []
-            for lam in eigs:
-                others = [mu for mu in eigs if mu != lam]
-                num = _read_only(reduce(np.matmul, [a - mu * np.eye(len(a)) for mu in others]))
-                parts.append((num, math.prod(lam - mu for mu in others)))
-            self._cache[degree] = tuple(parts)
-        return self._cache[degree]
+            return mapped.lambda2_basis
+        so8 = _so8_rows(self)
+        lam, vec = np.linalg.eigh(so8 @ so8.T)
+        return vec[:, lam > 16.0].T
+
+    @cached
+    def lambda4_bases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lambda^4_1, Lambda^4_7 and Lambda^4_35 as orthonormal rows over the 70 canonical 4-forms.
+
+        phi / |phi| spans the 1-part; A^T v / |A^T v| for v in ``lambda2_basis``
+        span the 7-part, the so(8) rows' image.  The 35-part is the image of the
+        symmetric rows D[8i+j] + D[8j+i], i <= j, with phi projected out: as
+        I . phi = 4 phi, the last diagonal row adds nothing, and QR
+        orthonormalizes the other 35.  Built only when a 4-form is split.
+        """
+        if (mapped := orthonormal_frame(self)[0]) is not self:
+            return mapped.lambda4_bases
+        d = self.derivation_matrix.reshape(DIM, DIM, -1)
+        sym = (d + d.transpose(1, 0, 2))[np.triu_indices(DIM)][:-1]
+        one = self.phi.vec / np.linalg.norm(self.phi.vec)
+        seven = self.lambda2_basis @ _so8_rows(self)
+        sym = sym - np.outer(sym @ one, one)
+        return (one[None, :], seven / np.linalg.norm(seven, axis=1, keepdims=True),
+                np.linalg.qr(sym.T)[0].T)
+
+    @cached
+    def _frame(self) -> tuple[Spin7Form, np.ndarray]:
+        """``orthonormal_frame``'s map for a metric other than IDENTITY_METRIC, built once."""
+        b = np.linalg.inv(self.metric.chol).T
+        b[:, -1] *= self.metric.orientation
+        return Spin7Form(pull_back(self.phi, b), IDENTITY_METRIC), b
 
 
-def operator_matrix(phi: KForm, degree: int) -> np.ndarray:
-    """b -> *(b ^ phi) on 2-forms or Omega on 4-forms at g = I, read off phi's coefficients.
-
-    A 4-form f has the pair matrix F[P, Q] = sign(P Q) f_K over the (2, 2) merge table's
-    splits K = P u Q of 4-tuples.  *(b ^ phi) = b . *phi: *phi's pair matrix.  Omega(sigma)_K
-    sums sign(P Q) M[P, Q] over K's six splits, M = 2 S Phi for S, Phi sigma's and phi's pair
-    matrices, so on sigma = e^I only P = I n K gives a term: the table, 15 rows P u R per P,
-    writes 2 sign(P Q) sign(P R) Phi[Q, R] to cell (P u Q, P u R): once, or 0 on the diagonal.
-    """
-    if degree not in EIGENVALUES:
-        raise ValueError(f"only 2- and 4-forms split by projector, got degree {degree}")
-    rows, left, right, sign = _merge_table(2, 2)
-    pair = np.zeros((len(canonical_indices(2)),) * 2)
-    pair[left, right] = sign * (hodge_star(phi) if degree == 2 else phi).vec[rows]
-    if degree == 2:
-        return pair
-    k, c, s = (col.reshape(len(pair), -1) for col in (rows, right, sign))
-    a = np.zeros((len(canonical_indices(4)),) * 2)
-    a[k[:, :, None], k[:, None, :]] = (2.0 * s[:, :, None] * s[:, None, :]
-                                       * pair[c[:, :, None], c[:, None, :]])
-    return a
+def _so8_rows(structure: Spin7Form) -> np.ndarray:
+    """D's so(8) rows D[8a+m] - D[8m+a] over the canonical pairs a < m: b . phi = b.vec @ them."""
+    d = structure.derivation_matrix.reshape(DIM, DIM, -1)
+    return (d - d.transpose(1, 0, 2))[tuple(_index_array(2).T)]
 
 
 @_shared_table
@@ -176,14 +179,7 @@ def orthonormal_frame(structure: Spin7Form) -> tuple[Spin7Form, np.ndarray]:
     (the metric's own read-only table); any other's map is built once and kept on it.
     """
     m = structure.metric
-    if m is IDENTITY_METRIC:
-        return structure, m.g
-    if "frame" not in structure._cache:
-        b = np.linalg.inv(m.chol).T
-        b[:, -1] *= m.orientation
-        b.setflags(write=False)
-        structure._cache["frame"] = Spin7Form(pull_back(structure.phi, b), IDENTITY_METRIC), b
-    return structure._cache["frame"]
+    return (structure, m.g) if m is IDENTITY_METRIC else structure._frame
 
 
 def canonical_phi() -> Spin7Form:
@@ -232,8 +228,8 @@ def project_lambda4(sigma: KForm, structure: Spin7Form) -> tuple[KForm, KForm, K
 
 
 def _split(form: KForm, structure: Spin7Form, degree: int) -> tuple[KForm, ...]:
-    """form's parts, split in the structure's orthonormal frame and pulled back by b^-1: each
-    projector numerator applied, then divided, or a . phi and form - a . phi, recombining exactly."""
+    """form's parts, split in the structure's orthonormal frame and pulled back by b^-1: its
+    projections on the degree's bases, or a . phi, then form minus them (21, 48 or 27-part)."""
     if form.degree != degree:
         raise ValueError(f"expected a {degree}-form, got degree {form.degree}")
     mapped, b = orthonormal_frame(structure)
@@ -241,18 +237,13 @@ def _split(form: KForm, structure: Spin7Form, degree: int) -> tuple[KForm, ...]:
     if degree == 3:
         parts = (interior_product(lambda3_covector(x, mapped), mapped.phi),)
     else:
-        parts = tuple(KForm.from_vector(degree, (1.0 / denom) * (num @ x.vec))
-                      for num, denom in mapped.projectors(degree))
+        bases = (mapped.lambda2_basis,) if degree == 2 else mapped.lambda4_bases
+        parts = tuple(KForm.from_vector(degree, (q @ x.vec) @ q) for q in bases)
     if mapped is not structure:
         b_inv = np.linalg.inv(b)
         parts = tuple(pull_back(part, b_inv) for part in parts)
-    return parts + (form - parts[0],) if degree == 3 else parts
-
-
-def projector_ranks(structure: Spin7Form, degree: int, tol: float = 1e-6) -> tuple[int, ...]:
-    """Ranks of the degree's projectors: (7, 21) and (1, 7, 27, 35) for an admissible form."""
-    return tuple(int(np.linalg.matrix_rank(num / denom, tol=tol))
-                 for num, denom in structure.projectors(degree))
+    rest = form - sum(parts[1:], parts[0])
+    return parts[:2] + (rest,) + parts[2:] if degree == 4 else parts + (rest,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Operators on forms that only the tests call, one form at a time.
 
-``Spin7Form.projectors`` reads the Lambda^2 and Lambda^4 operator matrices
-off phi's coefficients; ``lambda2_operator`` and ``omega_operator`` are the
+``Spin7Form.lambda2_basis`` and ``lambda4_bases`` are read off phi's
+derivation matrix; ``lambda2_operator`` and ``omega_operator`` are the
 independent references they are held against: star of a wedge, and the
-six-term contraction as one 64 x 64 matmul.  ``d_operator`` is the
+six-term contraction as one 64 x 64 matmul, with ``EIGENVALUES`` on the
+parts 7, 21 and 1, 7, 27, 35.  ``d_operator`` is the
 four-term contraction whose kernel is the 21-part, and
 ``star_interior_identities_check`` reports the four star/interior-product
 exchange identities.  ``compound_matrix`` is the k x k minors of a matrix by
@@ -43,6 +44,10 @@ from spin7.geometry import Geometry
 from spin7.liealgebra import LieAlgebra8, ce_differential
 from spin7.report import VerificationReport, entry, na_entry
 from spin7.structure import Spin7Form
+
+
+# lambda2_operator on the 7- and 21-parts; omega_operator on the 1-, 7-, 27- and 35-parts
+EIGENVALUES = {2: (-3.0, 1.0), 4: (-24.0, -12.0, 4.0, 0.0)}
 
 
 @_shared_table

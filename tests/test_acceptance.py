@@ -37,7 +37,6 @@ from spin7.structure import (
     metric_from_phi,
     project_lambda2,
     project_lambda4,
-    projector_ranks,
     validate_phi,
 )
 
@@ -116,7 +115,8 @@ def test_criterion_1_canonical_form_battery():
 
 def test_criterion_2_representation_theory(rng):
     s = canonical_phi()
-    ok = projector_ranks(s, 2) == (7, 21) and projector_ranks(s, 4) == (1, 7, 27, 35)
+    # the 21- and 27-parts are what the bases leave: 28 - 7 and 70 - 1 - 7 - 35
+    ok = [len(q) for q in (s.lambda2_basis, *s.lambda4_bases)] == [7, 1, 7, 35]
     worst2 = worst4 = worst_d = 0.0
     for idx in canonical_indices(2):
         p7, p21 = project_lambda2(KForm.monomial(idx), s)
@@ -129,7 +129,7 @@ def test_criterion_2_representation_theory(rng):
         for lam, part in zip((-24.0, -12.0, 4.0, 0.0), project_lambda4(sigma, s)):
             worst4 = max(worst4, residual(omega_operator(part, s), lam * part))
     ok = ok and worst2 < TOL and worst4 < TOL and worst_d < TOL
-    report(2, ok, f"projector ranks 7/21 and 1/7/27/35; eigenvalue residuals "
+    report(2, ok, f"basis sizes 7 and 1/7/35, so 7/21 and 1/7/27/35; eigenvalue residuals "
                   f"{max(worst2, worst4):.1e}; annihilator on 21-part {worst_d:.1e}")
 
 
@@ -199,7 +199,7 @@ def test_criterion_6_closed_torsion_chain():
     worst = 0.0
     for target in FLAT_CARTAN_TARGETS:
         geom = build_geometry(*target)
-        entries = {e.check_id: e for e in check_closed_torsion(geom).entries}
+        entries = {e.check_id: e for e in check_closed_torsion(geom)}
         for cid in ("ricci_flat", "lee_parallel", "scalar_flat", "lee_coclosed",
                     "torsion_coclosed"):
             assert not entries[cid].not_applicable, (geom.name, cid)
@@ -212,7 +212,7 @@ def test_criterion_7_soliton_suite():
     worst = 0.0
     for target in FLAT_CARTAN_TARGETS:
         geom = build_geometry(*target)
-        for e in check_soliton(geom, SolitonData.constant_potential()).entries:
+        for e in check_soliton(geom, SolitonData.constant_potential()):
             assert not e.not_applicable, (geom.name, e.check_id)
             worst = max(worst, e.residual)
     report(7, worst < TOL, f"constant-potential soliton suite, worst {worst:.1e}")

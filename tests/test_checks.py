@@ -68,7 +68,7 @@ def test_reports_are_deterministic(geometries):
 
 def test_bianchi_family_residuals(geometries, heisenberg_geom):
     for geom in list(geometries.values()) + [heisenberg_geom]:
-        for e in check_bianchi_family(geom).entries:
+        for e in check_bianchi_family(geom):
             assert e.passed and e.residual < 1e-9, (geom.name, e.check_id)
 
 
@@ -92,22 +92,22 @@ def test_heisenberg_unconditional_pass_conditional_fail(heisenberg_geom):
 
 
 def test_heisenberg_conditional_checks_are_not_applicable(heisenberg_geom):
-    rb = check_riemannian_bianchi(heisenberg_geom).entries
+    rb = check_riemannian_bianchi(heisenberg_geom)
     cond = {e.check_id: e for e in rb}["ricci_flat_under_first_bianchi"]
     assert cond.not_applicable
-    assert all(e.not_applicable for e in check_main_theorems(heisenberg_geom).entries)
+    assert all(e.not_applicable for e in check_main_theorems(heisenberg_geom))
 
 
 def test_heisenberg_torsion_is_not_closed(heisenberg_geom):
     assert heisenberg_geom.dtorsion.max_abs() > 1e-6
-    assert all(e.not_applicable for e in check_closed_torsion(heisenberg_geom).entries)
-    assert all(e.not_applicable for e in check_soliton(heisenberg_geom).entries)
+    assert all(e.not_applicable for e in check_closed_torsion(heisenberg_geom))
+    assert all(e.not_applicable for e in check_soliton(heisenberg_geom))
 
 
 @pytest.mark.parametrize("target", FLAT_CARTAN, ids=lambda t: f"{t[0]}+{t[1]}")
 def test_closed_torsion_chain_on_flat_entries(target, geometries):
     geom = geometries[geometry_id(*target)]
-    entries = {e.check_id: e for e in check_closed_torsion(geom).entries}
+    entries = {e.check_id: e for e in check_closed_torsion(geom)}
     for cid in ("ricci_flat", "lee_parallel", "scalar_flat", "lee_coclosed",
                 "torsion_coclosed", "ricci_from_lee_derivative",
                 "lee_exterior_in_21part"):
@@ -118,7 +118,7 @@ def test_closed_torsion_chain_on_flat_entries(target, geometries):
 @pytest.mark.parametrize("target", FLAT_CARTAN, ids=lambda t: f"{t[0]}+{t[1]}")
 def test_soliton_constant_potential_on_flat_entries(target, geometries):
     geom = geometries[geometry_id(*target)]
-    for e in check_soliton(geom, SolitonData.constant_potential()).entries:
+    for e in check_soliton(geom, SolitonData.constant_potential()):
         assert e.passed and e.residual < 1e-9, e.check_id
 
 
@@ -131,11 +131,11 @@ def test_soliton_rejects_bad_gradient():
 
 def test_symmetric_ricci_gates_on_coclosed_torsion(geometries, heisenberg_geom):
     entries = {e.check_id: e for e in check_symmetric_ricci(
-        geometries["su2su2u1u1+canonical"]).entries}
+        geometries["su2su2u1u1+canonical"])}
     assert entries["codifferential_of_torsion_formula"].passed
     assert entries["lee_nabla_exterior_formula"].passed
     assert entries["symmetric_ricci_equivalence"].passed
-    heis = {e.check_id: e for e in check_symmetric_ricci(heisenberg_geom).entries}
+    heis = {e.check_id: e for e in check_symmetric_ricci(heisenberg_geom)}
     assert heis["codifferential_of_torsion_formula"].passed  # unconditional
 
 
@@ -149,9 +149,9 @@ def test_fernandez_classification(geometries):
 
 def test_bi_structure_mirror(geometries, heisenberg_geom):
     for name in ("su2su2u1u1+canonical", "su3+canonical", "abelian+canonical"):
-        entries = check_bi_spin7(geometries[name]).entries
+        entries = check_bi_spin7(geometries[name])
         assert all(e.passed for e in entries), name
-    heis = {e.check_id: e for e in check_bi_spin7(heisenberg_geom).entries}
+    heis = {e.check_id: e for e in check_bi_spin7(heisenberg_geom)}
     assert heis["bi_structure_opposite_torsion"].passed
     assert heis["bi_structure_mirror_closed"].not_applicable
 
@@ -318,7 +318,7 @@ def test_an_entry_refuses_a_field_from_json_would_refuse(fields, message):
 
 def test_s2lambda2_verdicts_agree_everywhere(geometries, heisenberg_geom):
     for geom in list(geometries.values()) + [heisenberg_geom]:
-        entries = {e.check_id: e for e in check_s2lambda2(geom).entries}
+        entries = {e.check_id: e for e in check_s2lambda2(geom)}
         assert entries["pair_symmetry_equivalence"].passed, geom.name
 
 
@@ -667,8 +667,8 @@ def test_a_closed_gate_stops_its_group_before_any_work(heisenberg_geom, monkeypa
     # heisenberg's torsion is not closed: the soliton battery computes nothing
     check_soliton(heisenberg_geom)  # the gate's own residual, dT, is cached on the geometry
     calls = count_calls(monkeypatch)
-    rep = check_soliton(heisenberg_geom, SolitonData(np.ones(8)))
-    assert all(e.not_applicable for e in rep.entries)
+    entries = check_soliton(heisenberg_geom, SolitonData(np.ones(8)))
+    assert all(e.not_applicable for e in entries)
     assert calls[("covariant_derivative", 1)] == calls[("covariant_derivative", 2)] == 0
     assert sum(calls.values()) == 0, calls
 
@@ -686,9 +686,16 @@ def test_a_report_takes_each_reading_once(geometries, monkeypatch):
     assert reads["dtorsion"] == 3
     assert "strong" in classify_fernandez(geom)
     assert reads["dtorsion"] == 4
-    check_closed_torsion(geom)  # its gate and three of its rows, each once
+    check_closed_torsion(geom)  # its gate and four of its rows, each once
     assert reads == {"bianchi_cycle": 2, "pair_asymmetry": 2, "ric": 3, "dtheta7": 3,
-                     "dtorsion": 5, "delta_torsion": 3}
+                     "dtorsion": 5, "delta_torsion": 3, "nabla_theta": 3}
+    # lee_parallel and lee_parallel_under_pair_symmetry report one reading of nabla theta
+    entries = {e.check_id: e for e in full_report(geom).entries}
+    assert entries["lee_parallel"].residual == entries["lee_parallel_under_pair_symmetry"].residual
+    assert reads["nabla_theta"] == 4
+    check_main_theorems(geom)  # its gate's three readings and nabla theta, each once
+    assert reads == {"bianchi_cycle": 3, "pair_asymmetry": 4, "ric": 5, "dtheta7": 5,
+                     "dtorsion": 6, "delta_torsion": 4, "nabla_theta": 5}
 
 
 @pytest.mark.parametrize("where", ["alone", "second"])

@@ -274,7 +274,7 @@ def test_shipped_algebra_and_its_mirror_are_built_once_per_process(name):
     for k in range(1, 5):
         assert np.array_equal(mirror.d_matrix(k), -alg.d_matrix(k))
     # check_algebra reads the residual taken at load, which is jacobi_residual()'s
-    entries = {e.check_id: e for e in check_algebra(build_geometry(name)).entries}
+    entries = {e.check_id: e for e in check_algebra(build_geometry(name))}
     assert entries["jacobi_identity"].residual == alg.jacobi_residual()[0]
     assert alg.jacobi == alg.jacobi_residual()
 
@@ -357,7 +357,7 @@ def test_canonical_structure_is_one_read_only_object_across_algebras():
     assert all(build_geometry(*t).structure.metric is IDENTITY_METRIC for t in VERIFY_TARGETS)
     full_report(geoms[0])
     tables = [s.phi.dense, s.derivation_matrix, s.metric.g, s.metric.chol, s.metric.inv]
-    tables += [num for degree in (2, 4) for num, _ in s.projectors(degree)]
+    tables += [s.lambda2_basis, *s.lambda4_bases]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -610,11 +610,9 @@ def test_characteristic_connection_annihilates_phi(su2, su3, heisenberg):
 @pytest.mark.parametrize("alg_name", ["su2su2u1u1", "heisenberg", "abelian"])
 def test_dt_expansion_report(alg_name):
     geom = Geometry.build(corpus_algebra(alg_name), canonical_phi_form())
-    rep = check_dt_expansion(geom)
-    assert [e.check_id for e in rep.entries] == ["dT_five_term_expansion",
-                                                 "lc_vs_torsion_derivative"]
-    assert rep.all_passed()
-    assert rep.max_residual() < 1e-9
+    entries = check_dt_expansion(geom)
+    assert [e.check_id for e in entries] == ["dT_five_term_expansion", "lc_vs_torsion_derivative"]
+    assert all(e.passed and e.residual < 1e-9 for e in entries)
 
 
 # ---------------------------------------------------------------------------

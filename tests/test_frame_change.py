@@ -13,6 +13,11 @@ A*phi: the package's formula for it is only right in orthonormal frames.
 The patch goes when that formula is replaced by one that holds in every
 frame (ROADMAP item 1); ``Geometry.build`` maps whatever it returns.
 
+The SO(8) orbit of phi0 at a bi-invariant metric: Q*phi0 for seeded Q in
+SO(8) induces the identity metric, so su3 and su2su2u1u1 keep their
+bi-invariant metric under every such structure, none of which the corpus
+ships.  Every entry must apply and pass, with |theta| that of the corpus.
+
 A closed-torsion family opens every gate off the orthonormal corpus:
 bi-invariant algebras with unequal radii, presented in 34 seeded frames with
 det A of either sign and cond(A^T A) up to 1.7e9, their structures built
@@ -20,6 +25,7 @@ with the metric A^T A they induce.  Every entry must apply and pass there.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +34,7 @@ from hypothesis import strategies as st
 
 import spin7.structure
 from operator_references import mirror_algebra, shortcut_mismatches
-from spin7.checks import full_report
+from spin7.checks import ENTRIES, full_report
 from spin7.corpus import build_geometry, build_structure_form, geometry_id, get_algebra
 from spin7.forms import FrameMetric, IDENTITY_METRIC, KForm, pull_back
 from spin7.geometry import Geometry, SolitonData
@@ -207,3 +213,30 @@ def test_a_mapped_algebra_carries_its_jacobi_result_to_its_mirror(monkeypatch):
     assert mirror.jacobi == alg.jacobi
     assert np.array_equal(mirror.c, -alg.c)
     assert not mirror.c.flags.writeable
+
+
+def rotation(seed: int) -> np.ndarray:
+    """Q in SO(8): the Q of a seeded standard normal matrix's QR, its columns signed by R's
+    diagonal, and the first negated when that leaves det Q < 0."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
+
+
+# |theta| on the corpus's canonical structure: 12/7 on su3, 6 sqrt(2) / 7 on su2su2u1u1
+LEE_NORM = {"su3": 12.0 / 7.0, "su2su2u1u1": 6.0 * math.sqrt(2.0) / 7.0}
+
+
+# Four draws per algebra, about 35 ms for all eight.  Measured on them: worst residual
+# 1.1e-12, |theta| within 2.2e-15 of LEE_NORM.
+@pytest.mark.parametrize("name,seed", [pytest.param(name, seed, id=f"{name}-seed{seed}")
+                                       for name in LEE_NORM for seed in range(4)])
+def test_the_so8_orbit_of_phi0_at_a_bi_invariant_metric_passes_every_entry(name, seed):
+    s = Spin7Form(pull_back(canonical_phi_form(), rotation(seed)), IDENTITY_METRIC)
+    geom = Geometry.build(get_algebra(name), s)
+    entries = full_report(geom).entries
+    assert geom.structure is s and "lambda2_basis" in vars(s)  # built fresh for the report
+    assert len(entries) == len(ENTRIES) == 75
+    assert [e.check_id for e in entries if not e.passed] == []
+    assert abs(math.sqrt(geom.theta_norm_sq) - LEE_NORM[name]) < 1e-13

@@ -1,4 +1,9 @@
-"""The fundamental form, its identities and the irreducible projections."""
+"""The fundamental form, its identities and the irreducible projections.
+
+The Lambda^2 and Lambda^4 bases are read off phi's derivation matrix; they are
+held here against the independent operators of ``operator_references``, whose
+eigenvalues (``EIGENVALUES``) tell the parts apart.
+"""
 
 import math
 import warnings
@@ -6,14 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
-import spin7.structure
-from operator_references import d_operator, lambda2_operator, omega_operator
+from operator_references import EIGENVALUES, d_operator, lambda2_operator, omega_operator
 from spin7.connection import spin7_torsion
 from spin7.forms import (
     FrameMetric,
     IDENTITY_METRIC,
     KForm,
-    _merge_table,
     canonical_indices,
     contract_into,
     full_contraction,
@@ -23,19 +26,18 @@ from spin7.forms import (
     residual,
     wedge,
 )
+from spin7.checks import full_report
+from spin7.geometry import Geometry
 from spin7.structure import (
-    EIGENVALUES,
     Spin7Form,
     canonical_phi,
     canonical_phi_form,
     lambda3_covector,
     metric_from_phi,
-    operator_matrix,
     orthonormal_frame,
     project_lambda2,
     project_lambda3,
     project_lambda4,
-    projector_ranks,
     validate_phi,
 )
 from spin7.corpus import build_structure_form, corpus_algebra, phi_t_form, remark_b_form
@@ -124,10 +126,6 @@ def test_the_orthonormal_frame_keeps_a_negative_orientation():
 # ---------------------------------------------------------------------------
 # degree-2 split
 
-def test_lambda2_projector_ranks():
-    assert projector_ranks(canonical_phi(), 2) == (7, 21)
-
-
 def test_lambda2_eigenvalues_and_recombination(rng):
     s = canonical_phi()
     beta = random_form(rng, 2)
@@ -155,11 +153,13 @@ def test_lambda2_zero_maps_to_zero():
 
 
 def test_known_21_part_element():
-    # the exterior derivative of the product-frame Lee form sits in the 21-part
+    # the exterior derivative of the product-frame Lee form sits in the 21-part; its
+    # 7-part is rounding of the eigenbasis (measured 1.4e-16), no longer an exact zero
     s = canonical_phi()
     beta = (6.0 / 7.0) * (KForm.monomial((5, 6)) - KForm.monomial((1, 2)))
-    p7, _ = project_lambda2(beta, s)
-    assert p7.max_abs() == 0.0
+    p7, p21 = project_lambda2(beta, s)
+    assert p7.max_abs() < 1e-15
+    assert p21 == beta - p7
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +205,6 @@ def test_lambda3_zero():
 
 # ---------------------------------------------------------------------------
 # degree-4 split
-
-def test_lambda4_projector_ranks():
-    assert projector_ranks(canonical_phi(), 4) == (1, 7, 27, 35)
-
 
 def test_omega_eigenvalue_on_phi():
     s = canonical_phi()
@@ -268,8 +264,6 @@ def test_operators_reject_wrong_degree():
         project_lambda2(KForm.monomial((0, 1, 2)), s)
     with pytest.raises(ValueError, match="expected a 4-form"):
         project_lambda4(KForm.monomial((0, 1)), s)
-    with pytest.raises(ValueError, match="got degree 3"):
-        s.projectors(3)
 
 
 # ---------------------------------------------------------------------------
@@ -347,33 +341,33 @@ REFERENCE_SPLITS = {2: reference_project_lambda2, 3: reference_project_lambda3,
                     4: reference_project_lambda4}
 SPLITS = {2: project_lambda2, 3: project_lambda3, 4: project_lambda4}
 
-# seed -> (cond(A^T A), bound on P^2 - P, bound on the input-frame checks per |sigma|_g).
-# Measured at cond <= 100: P^2 - P <= 9.7e-16, input-frame checks <= 8.7e-15.  At seed 3
-# the projectors, built in the orthonormal frame, keep P^2 - P at 2.7e-13 (1.3e-7 when
-# they were built in the input frame); the input-frame references raise with g^-1 at
-# cond 8.2e4, and the checks against them reach 3.5e-10.
+# seed -> (cond(A^T A), bound on the bases' orthonormality, bound on the input-frame checks
+# per |sigma|_g).  Measured at cond <= 101 over 20 draws: bases orthonormal to 1.2e-15,
+# input-frame checks <= 5.7e-15.  At seed 3 the bases, built in the orthonormal frame,
+# are orthonormal to 1.4e-13; the input-frame references raise with g^-1 at cond 8.2e4,
+# and the checks against them reach 4.1e-10.
 SPLIT_BOUNDS = {7: (50.0, 1e-14, 1e-13), 11: (101.0, 1e-14, 1e-13), 13: (17.0, 1e-14, 1e-13),
                 3: (8.3e4, 1e-12, 1e-9)}
 
 
 @pytest.mark.parametrize("seed", [7, 11, 13, 3])
 def test_split_under_a_non_identity_metric(seed):
-    s, (cond, idem_bound, bound) = pulled_back_structure(seed), SPLIT_BOUNDS[seed]
+    s, (cond, orth_bound, bound) = pulled_back_structure(seed), SPLIT_BOUNDS[seed]
     rng = np.random.default_rng(seed)
     assert np.linalg.cond(s.metric.g) < cond
-    assert projector_ranks(s, 2) == (7, 21)
-    assert projector_ranks(s, 4) == (1, 7, 27, 35)
-    for num, denom in s.projectors(2) + s.projectors(4):
-        p = num / denom
-        assert np.max(np.abs(p @ p - p)) < idem_bound
+    for blocks in basis_blocks(s):
+        stacked = np.vstack(blocks)
+        assert np.max(np.abs(stacked @ stacked.T - np.eye(len(stacked)))) < orth_bound
     for degree in (2, 3, 4):
         sigma = random_form(rng, degree)
         n = math.sqrt(norm_sq(sigma, s.metric))
         parts = SPLITS[degree](sigma, s)
-        # measured: recombination <= 9.4e-17 |sigma|, and exact for the 3-form
+        # measured: recombination <= 6e-17 |sigma|; the part left over is sigma minus
+        # the others bit for bit (the 21-, 48- and 27-parts)
         assert residual(sum(parts[1:], parts[0]), sigma) < 1e-15 * n
-        if degree == 3:
-            assert residual(parts[1], sigma - parts[0]) == 0.0
+        rest = 2 if degree == 4 else len(parts) - 1
+        others = parts[:rest] + parts[rest + 1:]
+        assert parts[rest] == sigma - sum(others[1:], others[0])
         for got, want in zip(parts, REFERENCE_SPLITS[degree](sigma, s)):
             assert residual(got, want) < bound * n
         for i in range(len(parts)):
@@ -397,7 +391,7 @@ def test_operators_and_splits_match_their_reference_bodies(structure, rng):
     if structure == "pullback":
         s, tol = pulled_back_structure(7), 1e-13  # measured <= 2e-14 over 20 draws
     else:
-        s, tol = Spin7Form.from_form(build_structure_form(*structure)[0]), 4e-15  # measured <= 9.4e-16
+        s, tol = Spin7Form.from_form(build_structure_form(*structure)[0]), 4e-15  # measured <= 1.2e-15
     at_identity = orthonormal_frame(s)[0]
     integer_phi = structure in (("canonical", None), ("remark_b", None))
     sigma, beta, gamma = random_form(rng, 4), random_form(rng, 2), random_form(rng, 3)
@@ -413,17 +407,20 @@ def test_operators_and_splits_match_their_reference_bodies(structure, rng):
         assert residual(got, want) < tol * gamma.max_abs()
     for got, want in zip(project_lambda4(sigma, s), reference_project_lambda4(sigma, s)):
         assert residual(got, want) < tol * sigma.max_abs()
-    if integer_phi:  # exact parts stay exact: (phi, 0, 0, 0)
-        assert project_lambda4(s.phi, s) == reference_project_lambda4(s.phi, s)
+    if integer_phi:  # phi splits as (phi, 0, 0, 0): its 1- and 7-parts exactly, the rest to
+        # the 35-basis' rounding (measured 1.6e-15)
+        got, want = project_lambda4(s.phi, s), reference_project_lambda4(s.phi, s)
+        assert got[:2] == want[:2]
+        assert max(residual(g, w) for g, w in zip(got, want)) < 4e-15
 
 
-def test_a_structure_is_mapped_once_and_splits_with_the_mapped_projectors():
+def test_a_structure_is_mapped_once_and_splits_with_the_mapped_bases():
     s = pulled_back_structure(7)
     mapped, b = orthonormal_frame(s)
     assert orthonormal_frame(s) is orthonormal_frame(s)
     assert mapped.metric is IDENTITY_METRIC and not b.flags.writeable
-    assert s.projectors(2) is mapped.projectors(2)
-    assert s.projectors(4) is mapped.projectors(4)
+    assert s.lambda2_basis is mapped.lambda2_basis
+    assert s.lambda4_bases is mapped.lambda4_bases
     again, b_again = orthonormal_frame(mapped)
     assert again is mapped and b_again is IDENTITY_METRIC.g
 
@@ -453,58 +450,132 @@ def test_lambda3_covector_refuses_a_structure_it_would_read_at_the_identity(rng)
     assert lambda3_covector(gamma, mapped).degree == 1
 
 
+# ---------------------------------------------------------------------------
+# the bases, read off the derivation matrix, against the reference operators
+
+def complement(rows):
+    """An orthonormal basis of the orthogonal complement of orthonormal rows."""
+    lam, vec = np.linalg.eigh(np.eye(rows.shape[1]) - rows.T @ rows)
+    return vec[:, lam > 0.5].T
+
+
+def basis_blocks(s):
+    """The structure's bases at g = I, with the parts its splits take by subtraction as
+    orthonormal complements: (7, 21) over 2-forms and (1, 7, 27, 35) over 4-forms."""
+    mapped = orthonormal_frame(s)[0]
+    one, seven, thirty_five = mapped.lambda4_bases
+    return ((mapped.lambda2_basis, complement(mapped.lambda2_basis)),
+            (one, seven, complement(np.vstack(mapped.lambda4_bases)), thirty_five))
+
+
+def reference_matrix(op, s, degree):
+    """The operator's matrix over canonical monomials, one reference call per column."""
+    return np.array([op(KForm.monomial(idx), s).vec for idx in canonical_indices(degree)]).T
+
+
+BASIS_STRUCTURES = {"canonical": ("canonical", None), "remark_b": ("remark_b", None),
+                    "phi_t(0.7)": ("phi_t", 0.7), "pullback": "pullback"}
+
+
+@pytest.mark.parametrize("structure", BASIS_STRUCTURES.values(), ids=BASIS_STRUCTURES.keys())
+def test_bases_are_orthonormal_eigenspaces_of_the_reference_operators(structure):
+    # lambda2_operator has -3 on the 7-part and +1 on the 21-part, omega_operator -24, -12,
+    # 4 and 0 on the 1-, 7-, 27- and 35-parts.  Measured: orthonormal to 1.8e-15, eigen
+    # residuals <= 7.1e-15 (pullback, seed 7)
+    if structure == "pullback":
+        s = pulled_back_structure(7)
+    else:
+        s = Spin7Form.from_form(build_structure_form(*structure)[0])
+    mapped = orthonormal_frame(s)[0]
+    for degree, op, blocks, sizes in zip((2, 4), (lambda2_operator, omega_operator),
+                                         basis_blocks(s), ((7, 21), (1, 7, 27, 35))):
+        assert tuple(len(q) for q in blocks) == sizes
+        stacked = np.vstack(blocks)
+        assert np.max(np.abs(stacked @ stacked.T - np.eye(sum(sizes)))) < 1e-14
+        m = reference_matrix(op, mapped, degree)
+        for lam, q in zip(EIGENVALUES[degree], blocks):
+            assert np.max(np.abs(q @ m.T - lam * q)) < 1e-13, (degree, lam)
+
+
+def flipped_structure():
+    """phi0 with one monomial's sign flipped, under the identity metric: not admissible."""
+    coeffs = dict(canonical_phi_form().coeffs)
+    coeffs[(0, 1, 2, 7)] = 1.0
+    return Spin7Form(KForm(4, coeffs), IDENTITY_METRIC)
+
+
+def test_an_inadmissible_form_splits_at_the_cut_between_its_so8_clusters(rng):
+    # the so(8) rows' Gram matrix has 0 x 9, 4 x 12, 20 x 4 and 32 x 3 here, no 21/7 split;
+    # the cut at 16 keeps 7 rows, and each degree splits the same way on a fresh structure,
+    # recombining, with no exception
+    s = flipped_structure()
+    d = s.derivation_matrix.reshape(8, 8, 70)
+    so8 = (d - d.transpose(1, 0, 2))[np.triu_indices(8, 1)]
+    spectrum = np.repeat([0.0, 4.0, 20.0, 32.0], [9, 12, 4, 3])
+    assert np.max(np.abs(np.linalg.eigvalsh(so8 @ so8.T) - spectrum)) < 1e-12
+    assert [len(q) for q in (s.lambda2_basis, *s.lambda4_bases)] == [7, 1, 7, 35]
+    for degree in (2, 4):
+        sigma = random_form(rng, degree)
+        parts = SPLITS[degree](sigma, s)
+        assert parts == SPLITS[degree](sigma, flipped_structure())
+        assert residual(sum(parts[1:], parts[0]), sigma) < 1e-14 * sigma.max_abs()
+
+
 @pytest.mark.parametrize("structure", SHIPPED + ["pullback"], ids=[
     "canonical", "phi_t(0)", "phi_t(pi/4)", "phi_t(3pi/4)", "remark_b", "pullback"])
 def test_derivation_matrix_is_orthogonal_to_the_27_part(structure):
     # X -> X . phi maps gl(8) onto Lambda^4_1 + 7 + 35 (dim 43), so D's left kernel, the
-    # stabilizer spin(7), has dimension 21 and every row of D is orthogonal to the 27-part.
-    # Measured: singular values 43 and 44 are 2 and <= 1.5e-15; |P_27 D^T| <= 1.8e-15
-    # (5.6e-17 on phi0), against 0.44-0.5 for each other part
+    # stabilizer spin(7), has dimension 21 and every row of D is orthogonal to the 27-part,
+    # here omega_operator's eigenspace of 4.  Measured: singular values 43 and 44 are 2
+    # and <= 1.5e-15; |V_27^T D^T| <= 6.1e-15, against >= 0.9 for each other eigenspace
     if structure == "pullback":
         s = orthonormal_frame(pulled_back_structure(7))[0]
     else:
         s = Spin7Form.from_form(build_structure_form(*structure)[0])
     d = s.derivation_matrix
     assert np.linalg.matrix_rank(d, tol=1e-9) == 43
-    for (num, denom), dim in zip(s.projectors(4), (1, 7, 27, 35)):
-        size = np.max(np.abs((num / denom) @ d.T))
-        assert size < 1e-14 if dim == 27 else size > 0.1, (dim, size)
+    lam, vec = np.linalg.eigh(reference_matrix(omega_operator, s, 4))
+    for eig in EIGENVALUES[4]:
+        size = np.max(np.abs(vec[:, np.abs(lam - eig) < 0.5].T @ d.T))
+        assert size < 2e-14 if eig == 4.0 else size > 0.1, (eig, size)
 
 
-@pytest.mark.parametrize("structure", SHIPPED + [("phi_t", 0.7), "pullback", "random"], ids=[
-    "canonical", "phi_t(0)", "phi_t(pi/4)", "phi_t(3pi/4)", "remark_b", "phi_t(0.7)", "pullback",
-    "random"])
-def test_operator_matrices_match_the_per_monomial_references(structure):
-    # in both builds each entry is one coefficient of phi or *phi times +/-1 or +/-2, so the
-    # matrices agree exactly on any 4-form, a non-admissible one too
-    if structure == "pullback":
-        phi = orthonormal_frame(pulled_back_structure(3))[0].phi
-    elif structure == "random":
-        phi = random_form(np.random.default_rng(18), 4)
-    else:
-        phi = build_structure_form(*structure)[0]
-    s = Spin7Form(phi, IDENTITY_METRIC)
-    for degree, op in ((2, lambda2_operator), (4, omega_operator)):
-        want = np.array([op(KForm.monomial(idx), s).vec for idx in canonical_indices(degree)]).T
-        assert np.array_equal(operator_matrix(phi, degree), want), degree
+def test_bases_are_built_once_per_structure(monkeypatch):
+    # a 2-form's split builds the Lambda^2 basis (one eigh), a 4-form's the Lambda^4 bases
+    # on top of it (one QR); splitting again builds nothing
+    calls = []
 
+    def spy(name):
+        real = getattr(np.linalg, name)
 
-def test_projectors_are_built_once_per_structure(monkeypatch):
-    reads = []
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
 
-    def spy(p, q):
-        reads.append((p, q))
-        return _merge_table(p, q)
-
-    # operator_matrix reads the pair table once per build
-    monkeypatch.setattr(spin7.structure, "_merge_table", spy)
+    for name in ("eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
     s = Spin7Form.from_form(canonical_phi_form())
-    first = s.projectors(4)
-    assert reads == [(2, 2)]
+    project_lambda2(KForm.monomial((0, 1)), s)
+    first = s.lambda2_basis
+    assert calls == ["eigh"] and "lambda4_bases" not in vars(s)
     project_lambda4(s.phi, s)
-    projector_ranks(s, 4)
-    assert s.projectors(4) is first and reads == [(2, 2)]
-    assert [denom for _, denom in first] == [-8064, 2304, 1792, -1152]
+    bases = s.lambda4_bases
+    assert calls == ["eigh", "qr"]
+    project_lambda2(KForm.monomial((0, 1)), s)
+    project_lambda4(s.phi, s)
+    assert s.lambda2_basis is first and s.lambda4_bases is bases and calls == ["eigh", "qr"]
+    assert all(not q.flags.writeable for q in (first, *bases))
+
+
+def test_a_report_builds_the_lambda2_basis_and_no_lambda4_basis():
+    # a report splits 2-forms only (dtheta7 and lee_nabla_exterior_in_7part), so a fresh
+    # structure, here mapped from a pulled-back one, gets the Lambda^2 basis alone
+    s = pulled_back_structure(11)
+    geom = Geometry.build(corpus_algebra("su3"), s)
+    full_report(geom)
+    assert "lambda2_basis" in vars(geom.structure)
+    assert "lambda4_bases" not in vars(geom.structure) and "lambda4_bases" not in vars(s)
 
 
 def test_spin7form_norm_is_336_under_own_metric():
