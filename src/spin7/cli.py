@@ -1,17 +1,17 @@
 """Batch front door: verify geometries, decompose forms, list the corpus.
 
 Exit codes for verify: 0 all applicable checks pass, 1 at least one check
-fails, 2 the inputs fail to load or validate.
+fails, 2 the inputs fail to load or validate, or COMMANDS refuses the command line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -108,59 +108,91 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    for line in corpus_listing():
-        print(line)
+    print(*corpus_listing(), sep="\n")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spin7",
-        description="verification engine for Spin(7)-structures with torsion "
-                    "on 8-dimensional Lie-group frames",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command: (function, summary, options); an option is name -> (default, converter,
+# choices, required, help), its value read as args.<name>, "--soliton-df" as args.soliton_df
+_STRUCTURE = ("canonical", str, None, False, "canonical | phi_t | remark_b | a 4-form JSON file")
+COMMANDS = {
+    "verify": (cmd_verify, "run the full identity suite on a geometry", {
+        "--algebra": (None, str, None, True, f"a corpus name {ALGEBRA_NAMES} or algebra JSON file"),
+        "--structure": _STRUCTURE,
+        "--t": (None, str, None, False, "rotation parameter for phi_t (number or text like pi/4)"),
+        "--soliton-df": (None, str, None, False, "8 comma-separated components of the gradient"),
+        "--out": (None, str, None, False, "write the JSON report here"),
+        "--tolerance": (DEFAULT_TOL, float, None, False, "the residual bound of every check"),
+        "--format": ("text", str, ("json", "text"), False, "the layout printed on stdout")}),
+    "decompose": (cmd_decompose, "split a form into irreducible parts", {
+        "--form": (None, str, None, True, "path to a serialized k-form"),
+        "--degree": (None, int, (2, 3, 4), True, "the form's degree"),
+        "--structure": _STRUCTURE, "--t": (None, str, None, False, "the parameter of phi_t")}),
+    "corpus": (cmd_corpus, "list shipped geometries", {}),
+}
 
-    p_verify = sub.add_parser("verify", help="run the full identity suite on a geometry")
-    p_verify.add_argument("--algebra", required=True,
-                          help=f"corpus name {ALGEBRA_NAMES} or path to an algebra JSON file")
-    p_verify.add_argument("--structure", default="canonical",
-                          help="canonical | phi_t | remark_b | path to a 4-form JSON file")
-    p_verify.add_argument("--t", default=None,
-                          help="rotation parameter for phi_t (number or text like pi/4)")
-    p_verify.add_argument("--soliton-df", default=None,
-                          help="8 comma-separated components of the potential gradient")
-    p_verify.add_argument("--out", default=None, help="write the JSON report here")
-    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_dec = sub.add_parser("decompose", help="split a form into irreducible parts")
-    p_dec.add_argument("--form", required=True, help="path to a serialized k-form")
-    p_dec.add_argument("--degree", type=int, required=True, choices=(2, 3, 4))
-    p_dec.add_argument("--structure", default="canonical",
-                       help="canonical | phi_t | remark_b | path to a 4-form JSON file")
-    p_dec.add_argument("--t", default=None)
-    p_dec.set_defaults(func=cmd_decompose)
+def cmd_help(args) -> int:
+    """Print the options of args.command, or of every command when it is None, from COMMANDS."""
+    for command in [args.command] if args.command else COMMANDS:
+        print(f"usage: spin7 {command} [--help] [options]\n  {COMMANDS[command][1]}")
+        for opt, (default, _, choices, required, text) in COMMANDS[command][2].items():
+            value = "{%s}" % ",".join(map(str, choices)) if choices else opt[2:].upper()
+            extra = " (required)" if required else f" (default {default})" if default else ""
+            print(f"  {opt} {value}{extra}\n      {text}")
+    return 0
 
-    p_corpus = sub.add_parser("corpus", help="list shipped geometries")
-    p_corpus.set_defaults(func=cmd_corpus)
-    return parser
+
+def parse_args(argv: list[str]):
+    """(the command's function, the namespace it reads), or ValueError: an option is named in full
+    or by a unique prefix, takes the text after '=' or else the next token, and the last wins."""
+    command = argv[0] if argv else None
+    if command == "-h" or command and len(command) > 2 and "--help".startswith(command):
+        return cmd_help, SimpleNamespace(command=None)
+    if command not in COMMANDS:
+        raise ValueError(f"spin7: the commands are {', '.join(COMMANDS)}"
+                         + (f", not {command!r}" if argv else ""))
+    (func, _, table), prog = COMMANDS[command], f"spin7 {command}"
+    values, tokens = {opt: spec[0] for opt, spec in table.items()}, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        found = [name] if name in table else [
+            opt for opt in (*table, "--help") if name.startswith("--") and opt.startswith(name)]
+        if token == "-h" or found == ["--help"]:
+            return cmd_help, SimpleNamespace(command=command)
+        if len(found) != 1:
+            raise ValueError(f"{prog}: {token!r} matches {' and '.join(found) or 'no option'}")
+        _, convert, choices, _, _ = table[opt := found[0]]
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"{prog}: {opt} expects a value")
+        try:
+            values[opt] = convert(value)
+        except ValueError:
+            raise ValueError(f"{prog}: {opt} takes {convert.__name__}s, not {value!r}") from None
+        if choices and values[opt] not in choices:
+            raise ValueError(f"{prog}: {opt} takes one of {choices}, not {value!r}")
+    if missing := [opt for opt, spec in table.items() if spec[3] and values[opt] is None]:
+        raise ValueError(f"{prog}: missing required option {', '.join(missing)}")
+    return func, SimpleNamespace(**{opt[2:].replace("-", "_"): v for opt, v in values.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        func, args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:  # parse_args raises only usage errors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return func(args)
 
 
 def run() -> None:
     """The process entry point: main(), flush, then exit without interpreter teardown,
-    which holds nothing spin7 needs; an exception or a failed flush exits the ordinary way."""
-    code = main()
-    try:
+    which holds nothing spin7 needs; an exception or a failed write exits the ordinary way."""
+    try:  # main handles the OSErrors of its inputs and of --out: one here is a failed write
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError as exc:  # a closed pipe: the failed flush may drop the text, so never exit 0
+    except OSError as exc:  # a closed pipe: the failed write may drop the text, so never exit 0
         sys.exit(f"error: cannot write the output: {exc}")
     os._exit(code)
 

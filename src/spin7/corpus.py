@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .forms import KForm, form_from_dict, hodge_star, read_json, wedge
@@ -65,7 +64,7 @@ VERIFY_TARGETS = (
 def corpus_algebra(name: str) -> LieAlgebra8:
     if name not in ALGEBRA_NAMES:
         raise ValueError(f"unknown corpus algebra {name!r}; have {ALGEBRA_NAMES}")
-    return load_algebra(resources.files("spin7.data").joinpath(f"{name}.json"))
+    return load_algebra(Path(__file__).with_name("data") / f"{name}.json")
 
 
 def get_algebra(name_or_path: str) -> LieAlgebra8:

@@ -185,10 +185,10 @@ _ONE_PER_LINE = json.JSONEncoder(separators=("\n", ": "))
 
 
 class VerificationReport(Frozen):
-    """The entries of one geometry's checks, in report order; ``add`` and ``extend`` append."""
+    """One geometry's check entries, a tuple in report order that ``add`` and ``extend`` replace."""
 
     def __init__(self, geometry_id: str, entries: list[CheckEntry] | None = None):
-        vars(self).update(geometry_id=_json_kind(geometry_id, str, "geometry_id"), entries=[])
+        vars(self).update(geometry_id=_json_kind(geometry_id, str, "geometry_id"), entries=())
         self.extend(entries or ())
 
     def add(self, e: CheckEntry) -> None:
@@ -196,11 +196,11 @@ class VerificationReport(Frozen):
 
     def extend(self, es) -> None:
         """Append es, refused whole unless every item is a CheckEntry, all that to_json writes."""
-        for e in (es := list(es)):
+        for e in (es := tuple(es)):
             if not isinstance(e, CheckEntry):
                 raise ValueError(f"a report's entries must be CheckEntry values, "
                                  f"got {type(e).__name__}")
-        self.entries.extend(es)
+        vars(self)["entries"] = self.entries + es
 
     @property
     def applicable(self) -> list[CheckEntry]:

@@ -218,7 +218,7 @@ def test_verify_non_integer_index_exits_two(which, tmp_path):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9", "abc"])
 def test_verify_bad_tolerance_exits_two(value, capsys):
     assert run_cli("verify", "--algebra", "abelian", f"--tolerance={value}") == 2
     captured = capsys.readouterr()
@@ -247,6 +247,66 @@ def test_verify_power_tower_t_exits_two(capsys):
     captured = capsys.readouterr()
     assert _single_error_line(captured.err) and "Pow is not allowed" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algebra", "su3"], ["--algebra=su3"], ["--alg", "su3"], ["--alg=su3"],
+    ["--algebra", "abelian", "--algebra=su3"],
+    ["--format", "text", "--algebra", "su3", "--f", "json"],
+], ids=["space", "equals", "prefix", "prefix-equals", "last-wins", "last-wins-prefix"])
+def test_option_spellings_verify_the_same_geometry(argv, capsys):
+    assert run_cli("verify", *argv, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["geometry_id"] == "su3+canonical"
+
+
+@pytest.mark.parametrize("argv,geometry_id", [
+    (["--structure", "phi_t", "--t", "-pi/4"], "su2su2u1u1+phi_t(-0.785398)"),
+    (["--soliton-df", "-1,0,0,0,0,0,0,0"], "su2su2u1u1+canonical"),
+], ids=["t", "soliton-df"])
+def test_a_value_that_starts_with_a_dash_is_taken_in_the_space_form(argv, geometry_id, capsys):
+    # argparse refused both with "expected one argument"; only the '=' form worked
+    assert run_cli("verify", "--algebra", "su2su2u1u1", *argv, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["geometry_id"] == geometry_id
+
+
+@pytest.mark.parametrize("argv,commands", [
+    (["-h"], ["verify", "decompose", "corpus"]), (["--he"], ["verify", "decompose", "corpus"]),
+    (["verify", "-h"], ["verify"]), (["verify", "--algebra", "su3", "--help"], ["verify"]),
+    (["decompose", "--he"], ["decompose"]), (["corpus", "-h"], ["corpus"]),
+], ids=["h", "help-prefix", "verify-h", "verify-help", "decompose-help-prefix", "corpus-h"])
+def test_help_exits_zero_with_usage_on_stdout(argv, commands, capsys):
+    assert run_cli(*argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line.split()[2] for line in out.splitlines() if line.startswith("usage: ")] == commands
+    for command in commands:
+        assert all(f"  {opt} " in out for opt in cli.COMMANDS[command][2])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify"], "spin7 verify: missing required option --algebra"),
+    (["decompose", "--degree", "2"], "spin7 decompose: missing required option --form"),
+    (["verify", "--algebra", "su3", "--bogus", "1"], "'--bogus' matches no option"),
+    (["verify", "--algebra", "su3", "su3"], "'su3' matches no option"),
+    (["verify", "--s", "canonical", "--algebra", "su3"],
+     "'--s' matches --structure and --soliton-df"),
+    (["verify", "--algebra", "su3", "--format", "xml"], "--format takes one of ('json', 'text')"),
+    (["decompose", "--form", "f.json", "--degree", "5"], "--degree takes one of (2, 3, 4)"),
+    (["decompose", "--form", "f.json", "--degree", "two"], "--degree takes ints, not 'two'"),
+    (["verify", "--algebra", "su3", "--tolerance", "abc"], "--tolerance takes floats, not 'abc'"),
+    (["verify", "--algebra", "su3", "--out"], "spin7 verify: --out expects a value"),
+    (["bogus"], "spin7: the commands are verify, decompose, corpus, not 'bogus'"),
+    ([], "spin7: the commands are verify, decompose, corpus"),
+], ids=["missing-algebra", "missing-form", "unknown-option", "stray-value", "ambiguous-prefix",
+        "bad-format", "bad-degree", "non-int-degree", "non-float-tolerance", "trailing-option",
+        "unknown-command", "no-command"])
+def test_usage_error_exits_two_with_one_error_line(argv, message, capsys):
+    # argparse printed a usage block before its error line, and raised SystemExit
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _single_error_line(err), err
+    assert message in err
 
 
 @pytest.mark.parametrize("structure", ["remark_b", "canonical", "phi0.json"])
@@ -435,18 +495,22 @@ def test_run_leaves_through_sys_exit_when_the_flush_fails(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["corpus"], ["verify", "--algebra", "su3"]], ids=["corpus", "verify"])
-def test_output_into_a_closed_pipe_is_not_a_success(argv):
-    # a flush that fails on a 5 kB text drops it, so the teardown's own flush then succeeds:
-    # only run()'s handler can keep the exit code from reading 0
+@pytest.mark.parametrize("env", [BUFFERED_ENV, {**os.environ, "PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_output_into_a_closed_pipe_is_not_a_success(env, argv):
+    # buffered, a flush that fails on a 5 kB text drops it, so the teardown's own flush then
+    # succeeds: only run()'s handler can keep the exit code from reading 0.  Unbuffered, the
+    # write fails in print() itself, which ended in a BrokenPipeError traceback
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "spin7.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV)
+                              stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
     assert proc.returncode != 0
-    assert "Broken pipe" in proc.stderr
+    assert "error: cannot write the output: [Errno 32] Broken pipe" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("error", [SystemExit(2), ValueError("boom")], ids=["argparse", "exception"])

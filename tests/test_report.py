@@ -96,6 +96,20 @@ def test_a_reports_geometry_id_and_entry_list_cannot_be_reassigned():
     assert VerificationReport.from_json(rep.to_json()).to_json() == rep.to_json()
 
 
+def test_a_reports_entries_cannot_be_changed_in_place():
+    # entries was a list: entries.append("junk") was accepted, and to_json then raised
+    # AttributeError
+    rep = VerificationReport("g", [entry("c", "id:a", 0.0, 1.0)])
+    text = rep.to_json()
+    with pytest.raises(AttributeError):
+        rep.entries.append(na_entry("d", "id:b"))
+    with pytest.raises(TypeError):
+        rep.entries[0] = na_entry("d", "id:b")
+    assert rep.to_json() == text
+    rep.add(na_entry("d", "id:b"))
+    assert [e.check_id for e in rep.entries] == ["c", "d"]
+
+
 @pytest.mark.parametrize("bad", ["not an entry", None, {"check_id": "c"}, 0.5],
                          ids=["str", "None", "dict", "float"])
 def test_a_report_refuses_an_entry_that_is_not_a_check_entry(bad):

@@ -3,24 +3,27 @@
 The metric, the k-forms, the algebra, the structure, the soliton data, the
 geometry, each report entry and each report derive from ``report.Frozen``:
 assigning or deleting an attribute raises AttributeError, while the
-properties of ``report.cached`` still fill.  A report's entry list grows
-only through ``add`` and ``extend``.  A constructor freezes a copy of an
-array it is given, never the caller's own.  The geometry's torsion
+properties of ``report.cached`` still fill.  A report's entries are a
+tuple, replaced only by ``add`` and ``extend``.  A constructor freezes a
+copy of an array it is given, never the caller's own.  The geometry's torsion
 connection and curvature are plain arrays that ``Geometry.build`` makes
 itself and freezes in place; the Levi-Civita ones are the algebra's, shared
 read-only by every geometry on it.  The cached tables, and each form's dense
 table ``KForm.dense``, are frozen as they fill.  The classes are plain
 classes, so importing the command line generates no code: ``dataclasses``
-is not loaded, and neither is the dense oracle.
+is not loaded, and neither is the dense oracle, nor argparse or
+importlib.resources.
 """
 
 import subprocess
 import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+import spin7
 from spin7.checks import full_report
 from spin7.corpus import VERIFY_TARGETS, build_geometry, geometry_id, get_algebra
 from spin7.forms import IDENTITY_METRIC, FrameMetric, KForm
@@ -174,16 +177,24 @@ def test_a_reported_geometry_holds_nothing_mutable(target):
         assert getattr(geom, name).shape == (8,) * (4 if name.startswith("curv") else 3)
 
 
-def test_importing_the_command_line_loads_no_dataclasses_and_no_dense_oracle():
-    probe = "import sys; {}; print('dataclasses' in sys.modules, 'spin7.dense' in sys.modules)"
+def test_importing_the_command_line_loads_no_dataclasses_argparse_resources_or_dense_oracle():
+    modules = ("dataclasses", "spin7.dense", "argparse", "gettext", "importlib.resources")
+    probe = "import sys; {}; print(*(m in sys.modules for m in %r))" % (modules,)
 
-    def loaded(statement):
-        out = subprocess.run([sys.executable, "-c", probe.format(statement)], check=True,
+    def loaded(statement, *flags):
+        out = subprocess.run([sys.executable, *flags, "-c", probe.format(statement)], check=True,
                              capture_output=True, text=True).stdout.split()
-        return [word == "True" for word in out]
+        return dict(zip(modules, (word == "True" for word in out)))
 
     # some numpy releases import dataclasses themselves; spin7 then cannot be told apart
-    numpy_loads_dataclasses = loaded("import numpy")[0]
-    dataclasses_loaded, dense_loaded = loaded("import spin7.cli")
-    assert not dense_loaded
-    assert numpy_loads_dataclasses or not dataclasses_loaded
+    numpy_loads_dataclasses = loaded("import numpy")["dataclasses"]
+    cli = loaded("import spin7.cli")
+    assert not (cli["spin7.dense"] or cli["argparse"] or cli["gettext"])
+    assert numpy_loads_dataclasses or not cli["dataclasses"]
+    # a .pth file run by site may import importlib.resources before spin7 does: -S runs none,
+    # with spin7's and numpy's directories put on sys.path by hand
+    roots = [str(Path(m.__file__).parents[1]) for m in (spin7, np)]
+    on_path = f"sys.path[:0] = [{roots[0]!r}]; sys.path.append({roots[1]!r})"
+    numpy_loads_resources = loaded(f"{on_path}; import numpy", "-S")["importlib.resources"]
+    cli = loaded(f"{on_path}; import spin7.cli", "-S")
+    assert numpy_loads_resources or not cli["importlib.resources"]
