@@ -6,7 +6,6 @@ fails, 2 the inputs fail to load or validate, or COMMANDS refuses the command li
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -43,7 +42,7 @@ def cmd_verify(args) -> int:
             for w in warnings:
                 print(f"warning: {w}", file=sys.stderr)
             soliton = (SolitonData([parse_scalar(p) for p in args.soliton_df.split(",")])
-                       if args.soliton_df else None)
+                       if args.soliton_df is not None else None)
             geom = Geometry.build(alg, phi, name=geometry_id(args.algebra, args.structure, args.t))
             rep = full_report(geom, soliton, tol=args.tolerance)
         except NonFiniteResidual as exc:
@@ -55,7 +54,7 @@ def cmd_verify(args) -> int:
             print(f"error: the {what} (max |{symbol}| = {size:.3g}) overflow double precision: "
                   f"entry {exc.check_id!r} came out {exc.residual!r}", file=sys.stderr)
             return 2
-        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, OSError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
@@ -95,7 +94,7 @@ def cmd_decompose(args) -> int:
                 if not (math.isfinite(norm) and np.all(np.isfinite(part.vec))):
                     raise ValueError(f"the form in {args.form} overflows double precision: "
                                      f"part_{dim} has norm_sq = {norm!r}")
-        except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, OSError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
@@ -193,6 +192,8 @@ def run() -> None:
         sys.stdout.flush()
         sys.stderr.flush()
     except OSError as exc:  # a closed pipe: the failed write may drop the text, so never exit 0
+        with open(os.devnull, "wb") as null:  # the teardown flushes stdout again, into nothing
+            os.dup2(null.fileno(), sys.stdout.fileno())
         sys.exit(f"error: cannot write the output: {exc}")
     os._exit(code)
 

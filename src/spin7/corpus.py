@@ -180,13 +180,8 @@ def build_geometry(algebra: str, structure: str = "canonical", t=None) -> Geomet
 
 
 def corpus_listing() -> list[str]:
-    lines = ["shipped algebras:"]
-    for name in ALGEBRA_NAMES:
-        lines.append(f"  {name:<12} - {ALGEBRA_PROVENANCE[name]}")
-    lines.append("shipped structures:")
-    for name in STRUCTURE_NAMES:
-        lines.append(f"  {name:<12} - {STRUCTURE_PROVENANCE[name]}")
-    lines.append("verification targets (all expected to pass):")
-    for alg, structure, t in VERIFY_TARGETS:
-        lines.append(f"  {geometry_id(alg, structure, t)}")
-    return lines
+    return ["shipped algebras:", *(f"  {n:<12} - {ALGEBRA_PROVENANCE[n]}" for n in ALGEBRA_NAMES),
+            "shipped structures:",
+            *(f"  {n:<12} - {STRUCTURE_PROVENANCE[n]}" for n in STRUCTURE_NAMES),
+            "verification targets (all expected to pass):",
+            *(f"  {geometry_id(*target)}" for target in VERIFY_TARGETS)]

@@ -72,11 +72,7 @@ def _permutation_table() -> tuple[np.ndarray, np.ndarray]:
 
 def _flat_index(columns: np.ndarray) -> np.ndarray:
     """Row-major flat index into an 8^m table of each row of an (n, m) array."""
-    flat = np.zeros(len(columns), dtype=np.intp)
-    for j in range(columns.shape[1]):
-        flat *= DIM
-        flat += columns[:, j]
-    return flat
+    return columns @ DIM ** np.arange(columns.shape[1] - 1, -1, -1, dtype=np.intp)
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,9 @@ Conventions used throughout the package:
   ``canonical_indices(k)`` (increasing tuples in lexicographic order, the
   basis of ``LieAlgebra8.d_matrix``); the component at any index order is
   the canonical coefficient times the permutation sign (0 on repeats).
+* An index set is also an 8-bit mask.  One subset table, built on first use, holds
+  each mask's row among the canonical tuples of its size and its size.  Merging I
+  and J has one sign: (-1) to the number of pairs i in I, j in J with i > j.
 * ``wedge`` and ``contract_into`` run on one fixed table per degree pair:
   (output row, left column, right column, sign).  a ^ b and +/-(b ^ a) are
   bit-identical: the (q, p) table is the (p, q) table with its columns
@@ -21,8 +24,8 @@ Conventions used throughout the package:
 * Hodge star: (*b)_J = (1/k!) b^I eps_{IJ} sqrt(det g) orientation, so *1 = vol
   and ** = (-1)^k in dimension eight.  The i-th canonical k-tuple's complement
   is the (C(8, k) - 1 - i)-th canonical (8 - k)-tuple, so *b is b's raised vector
-  reversed, signed by sign(I, I^c) and scaled by sqrt(det g) times the
-  orientation.  The interior product is the contraction of a covector.
+  reversed, signed by sign(I, I^c), the merge sign, and scaled by sqrt(det g) times
+  the orientation.  The interior product is the contraction of a covector.
 """
 
 from __future__ import annotations
@@ -90,6 +93,17 @@ def _index_array(degree: int) -> np.ndarray:
     return np.array(canonical_indices(degree), dtype=np.intp).reshape(math.comb(DIM, degree), degree)
 
 
+@_shared_table
+def _subsets():
+    """Subset table: each 8-bit mask's row among the canonical tuples of its size and its
+    size; and per degree k, the mask of each canonical k-tuple in row order."""
+    masks = tuple((1 << _index_array(k)).sum(axis=1) for k in range(DIM + 1))
+    rows, sizes = np.zeros(1 << DIM, dtype=np.intp), np.zeros(1 << DIM, dtype=np.intp)
+    for k, mask in enumerate(masks):
+        rows[mask], sizes[mask] = np.arange(len(mask)), k
+    return rows, sizes, masks
+
+
 def _sign(seqs: np.ndarray) -> np.ndarray:
     """Permutation sign of each row of an integer array whose rows do not repeat."""
     inversions = np.zeros(len(seqs), dtype=np.intp)
@@ -106,14 +120,13 @@ def _merge_table(p: int, q: int):
     """Every disjoint pair (I, J) of canonical p- and q-tuples, ordered by I, then J.
 
     Returns (row of I u J among canonical (p+q)-tuples, column of I, column
-    of J, sign of sorting I + J).
+    of J, sign of sorting I + J): (-1) to the number of i in I above each j in J.
     """
-    mask_p, mask_q, mask_pq = ((1 << _index_array(k)).sum(axis=1) for k in (p, q, p + q))
-    cols_i, cols_j = np.nonzero((mask_p[:, None] & mask_q) == 0)
-    row_of = np.zeros(1 << DIM, dtype=np.intp)
-    row_of[mask_pq] = np.arange(len(mask_pq))
-    merged = np.hstack([_index_array(p)[cols_i], _index_array(q)[cols_j]])
-    return row_of[mask_p[cols_i] | mask_q[cols_j]], cols_i, cols_j, _sign(merged)
+    rows, sizes, masks = _subsets()
+    cols_i, cols_j = np.nonzero((masks[p][:, None] & masks[q]) == 0)
+    mask_i = masks[p][cols_i]
+    above = sizes[mask_i[:, None] >> (_index_array(q)[cols_j] + 1)].sum(axis=1)
+    return rows[mask_i | masks[q][cols_j]], cols_i, cols_j, 1.0 - 2.0 * (above % 2)
 
 
 @_shared_table
@@ -130,10 +143,9 @@ def _wedge_table(p: int, q: int):
     return tuple(col[table[1] < table[2]] for col in table) if p == q else table
 
 
-@_shared_table
 def _star_sign(degree: int) -> np.ndarray:
     """sign(I, I^c) of each canonical k-tuple I, whose complement I^c is row C(8, k) - 1 - i."""
-    return _sign(np.hstack([_index_array(degree), _index_array(DIM - degree)[::-1]]))
+    return _merge_table(degree, DIM - degree)[3]
 
 
 @_shared_table

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forms import DIM, KForm, _index_array, _merge_table, _read_only, _shared_table, read_json
+from .forms import DIM, KForm, _index_array, _read_only, _shared_table, _subsets, read_json
 from .report import Frozen, _json_field, _json_kind, _json_shape, cached
 
 JACOBI_TOL = 1e-12
@@ -194,22 +194,19 @@ def _d_pattern(k: int):
     d(e^I) = sum_p (-1)^p de^{i_p} ^ e^{I without i_p} with
     de^m = sum_{a<b} -c^m_{ab} e^{ab}, so entry n adds
     sign[n] * -c.ravel()[where[n]] to the flat matrix position target[n].
+    The entries come in the order each matrix entry sums its terms, with no sort:
+    by column I, then m = i_p, then the canonical pair ab disjoint from
+    rest = I without i_p, where e^ab ^ e^rest = (-1)^(#rest below a + #rest below b) e^K.
     The pattern does not depend on the algebra.
     """
-    # e^m ^ e^rest = (-1)^p e^I and e^ab ^ e^rest = +/- e^K, paired on rest
-    def by_rest(table, shape):
-        return [x[np.argsort(table[2], kind="stable")].reshape(shape) for x in table]
-
-    n_rest = math.comb(DIM, k - 1)
-    cols, m, _, s1 = by_rest(_merge_table(1, k - 1), (n_rest, -1, 1))
-    rows, ab, _, s2 = by_rest(_merge_table(2, k - 1), (n_rest, 1, -1))
-    a, b = np.moveaxis(_index_array(2)[ab], -1, 0)
-    cols, m, rows, ab, a, b, sign = (
-        x.ravel() for x in np.broadcast_arrays(cols, m, rows, ab, a, b, s1 * s2))
-    # summed per matrix entry in one fixed order: column, then m, then (a, b)
-    order = np.lexsort((ab, m, cols))
-    target = rows * math.comb(DIM, k) + cols
-    return target[order], ((a * DIM + b) * DIM + m)[order], sign[order]
+    rows, sizes, masks = _subsets()
+    tuples, pairs = _index_array(k), _index_array(2)
+    rest = masks[k][:, None] & ~(1 << tuples)  # I without i_p, per column I and p
+    cols, p, ab = np.nonzero((rest[:, :, None] & masks[2]) == 0)
+    (a, b), m, rest = pairs[ab].T, tuples[cols, p], rest[cols, p]
+    below = sizes[rest & ((1 << a) - 1)] + sizes[rest & ((1 << b) - 1)]
+    target = rows[rest | masks[2][ab]] * math.comb(DIM, k) + cols
+    return target, (a * DIM + b) * DIM + m, 1.0 - 2.0 * ((p + below) % 2)
 
 
 def ce_differential(beta: KForm, alg: LieAlgebra8) -> KForm:

@@ -258,11 +258,7 @@ class VerificationReport(Frozen):
             if e.notes:
                 line += f"  [{e.notes}]"
             lines.append(line)
-        n_app = len(self.applicable)
-        n_pass = sum(1 for e in self.applicable if e.passed)
-        n_na = len(self.entries) - n_app
-        lines.append(
-            f"{self.geometry_id}: {n_pass}/{n_app} checks passed"
-            + (f", {n_na} not applicable" if n_na else "")
-        )
+        n_app, n_na = len(self.applicable), len(self.entries) - len(self.applicable)
+        lines.append(f"{self.geometry_id}: {n_app - len(self.failed())}/{n_app} checks passed"
+                     + (f", {n_na} not applicable" if n_na else ""))
         return lines

@@ -20,7 +20,14 @@ reads off the metric-compatibility rows; ``reference_star`` is the star as
 the contraction into the volume form, which ``forms.hodge_star`` computes as
 a signed reversal; ``reference_sigma`` is sigma_T as the full three-term
 (8,)*4 sum, whose 70 canonical components ``connection.sigma_t`` gathers.
+
+The index tables have theirs: ``reference_merge_table``, ``reference_star_sign``
+and ``reference_d_pattern`` enumerate index tuples with itertools and sort them,
+one tuple at a time, where ``forms`` and ``liealgebra`` work on bit masks.
 """
+
+import math
+from itertools import combinations
 
 import numpy as np
 
@@ -185,3 +192,49 @@ def shortcut_mismatches(geom: Geometry) -> list[str]:
                                float(np.abs(metric_derivative(geom.lc)).max())),
     }
     return [i for i, value in want.items() if float(got[i]).hex() != value.hex()]
+
+
+def _tuples(degree: int) -> list:
+    return list(combinations(range(DIM), degree))
+
+
+def _parity_sign(seq) -> float:
+    """(-1) to the number of out-of-order pairs of seq."""
+    return -1.0 if sum(x > y for x, y in combinations(seq, 2)) % 2 else 1.0
+
+
+def reference_merge_table(p: int, q: int):
+    """forms._merge_table(p, q) by enumeration: each disjoint (I, J), by I, then J, with the
+    row of sorted(I + J) and the sign of the permutation that sorts I + J."""
+    row_of = {idx: row for row, idx in enumerate(_tuples(p + q))}
+    entries = [(row_of[tuple(sorted(i + j))], ci, cj, _parity_sign(i + j))
+               for ci, i in enumerate(_tuples(p)) for cj, j in enumerate(_tuples(q))
+               if not set(i) & set(j)]
+    rows, cols_i, cols_j, sign = zip(*entries)
+    return (np.array(rows, dtype=np.intp), np.array(cols_i, dtype=np.intp),
+            np.array(cols_j, dtype=np.intp), np.array(sign))
+
+
+def reference_star_sign(degree: int) -> np.ndarray:
+    """forms._star_sign(k): the sign of sorting I + I^c, per canonical k-tuple I."""
+    return np.array([_parity_sign(i + tuple(sorted(set(range(DIM)) - set(i))))
+                     for i in _tuples(degree)])
+
+
+def reference_d_pattern(k: int):
+    """liealgebra._d_pattern(k) by enumeration, sorted by (column I, m, pair ab).
+
+    d(e^I) = sum_p (-1)^p de^{i_p} ^ e^rest, rest = I without i_p, with
+    de^m = sum_{a<b} -c^m_ab e^ab and e^ab ^ e^rest = sign(ab + rest) e^K."""
+    row_of = {idx: row for row, idx in enumerate(_tuples(k + 1))}
+    terms = []
+    for col, idx in enumerate(_tuples(k)):
+        for p, m in enumerate(idx):
+            rest = idx[:p] + idx[p + 1:]
+            for ab, (a, b) in enumerate(_tuples(2)):
+                if a not in rest and b not in rest:
+                    target = row_of[tuple(sorted(rest + (a, b)))] * math.comb(DIM, k) + col
+                    sign = (-1.0) ** p * _parity_sign((a, b) + rest)
+                    terms.append(((col, m, ab), target, (a * DIM + b) * DIM + m, sign))
+    _, target, where, sign = zip(*sorted(terms))
+    return np.array(target, dtype=np.intp), np.array(where, dtype=np.intp), np.array(sign)

@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 from operator_references import (
     _laplace_table,
     compound_matrix,
+    reference_d_pattern,
+    reference_merge_table,
     reference_star,
+    reference_star_sign,
     star_interior_identities_check,
 )
 from spin7.forms import (
+    DIM,
     FrameMetric,
     IDENTITY_METRIC,
     KForm,
@@ -550,6 +554,7 @@ def shared_tables():
     """Every table the package builds once and hands to every later call, by name."""
     pairs = [(p, q) for p in range(1, 8) for q in range(1, 9 - p)]
     yield from ((f"forms._index_array({k})", forms._index_array(k)) for k in range(9))
+    yield "forms._subsets()", forms._subsets()
     yield from ((f"forms._merge_table{pq}", forms._merge_table(*pq)) for pq in pairs)
     yield from ((f"forms._wedge_table{pq}", forms._wedge_table(*pq)) for pq in pairs)
     yield from ((f"forms._dense_table({k})", forms._dense_table(k)) for k in range(1, 9))
@@ -581,3 +586,27 @@ def test_shared_tables_are_read_only():
     writable = [name for name, table in shared_tables()
                 for arr in arrays_in(table) if not refuses_a_write(arr)]
     assert not writable
+
+
+def test_index_tables_are_their_brute_force_references():
+    # value for value and dtype for dtype: the bit-mask tables against tuple enumeration
+    pairs = [(p, q) for p in range(DIM + 1) for q in range(DIM + 1 - p)]
+    tables = [(f"_merge_table{pq}", forms._merge_table(*pq), reference_merge_table(*pq))
+              for pq in pairs]
+    tables += [(f"_star_sign({k})", forms._star_sign(k), reference_star_sign(k))
+               for k in range(DIM + 1)]
+    tables += [(f"_d_pattern({k})", liealgebra._d_pattern(k), reference_d_pattern(k))
+               for k in range(1, DIM)]
+    mismatched = [name for name, got, want in tables
+                  for x, y in zip(arrays_in(got), arrays_in(want), strict=True)
+                  if x.dtype != y.dtype or not np.array_equal(x, y)]
+    assert not mismatched
+
+
+def test_d_pattern_builds_no_merge_table():
+    # d's pattern is enumerated in its summation order, not regrouped from merge tables
+    for k in range(1, DIM):
+        forms._merge_table.cache_clear()
+        liealgebra._d_pattern.cache_clear()
+        liealgebra._d_pattern(k)
+        assert forms._merge_table.cache_info().currsize == 0, k
